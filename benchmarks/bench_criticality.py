@@ -12,8 +12,8 @@ Two sections:
 * **sizer** — StatisticalGreedy wall-clock at criticality pruning
   thresholds {0, 0.01, 0.05}.  The threshold-0 run is asserted bit-identical
   to an independently-configured reference sizer (the from-scratch
-  pipeline: ``incremental_reanalysis=False, vectorized_fassta=False`` —
-  a genuine cross-config equivalence check, not a self-comparison), and
+  pipeline: ``incremental_reanalysis=False`` — a genuine cross-config
+  equivalence check, not a self-comparison), and
   some positive threshold must actually prune gate visits (a deterministic
   property).  Wall-clock and the resulting speedup are *reported* but not
   asserted — timing on a shared CI runner is too noisy to gate on.
@@ -138,7 +138,6 @@ def _bench_sizer(
             lam=3.0,
             max_iterations=max_iterations,
             incremental_reanalysis=False,
-            vectorized_fassta=False,
         ),
     ).optimize(reference_circuit)
     reference_sizes = reference_circuit.sizes()

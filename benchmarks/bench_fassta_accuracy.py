@@ -135,8 +135,8 @@ def test_accuracy_and_dominance_rate(benchmark, substrates):
     by_label = {row[0]: row for row in rows}
     # The dominance shortcut must fire on a meaningful fraction of real
     # arrival pairs (the paper says "the vast majority"; with this
-    # reproduction's variation magnitudes we measure ~25 % on c432 — the
-    # deviation is recorded in EXPERIMENTS.md).
+    # reproduction's variation magnitudes we measure ~25 % on c432, as
+    # results/fassta_accuracy.txt reports).
     assert by_label["c432 arrival pairs"][2] > 5.0
     # Mean error of the approximation stays small everywhere.
     assert by_label["random"][3] < 1.0

@@ -3,13 +3,14 @@
 Measures the wall-clock effect of the exactness-preserving evaluation
 pipeline on full :class:`~repro.core.sizer.StatisticalGreedySizer` runs:
 
-* **baseline** — ``SizerConfig(incremental_reanalysis=False,
-  vectorized_fassta=False)``: every outer-loop analysis re-propagates the
-  whole circuit and every inner-loop evaluation re-extracts and re-times
-  its subcircuit from scratch;
+* **baseline** — ``SizerConfig(incremental_reanalysis=False)``: every
+  outer-loop analysis re-propagates the whole circuit with the levelized
+  FULLSSTA;
 * **fast** — the default pipeline: incremental FULLSSTA re-analysis over
-  dirty cones, memoized subcircuit extraction and whole-gate evaluations,
-  shared delay moments across candidate sizes, vectorized FASSTA.
+  dirty cones through the same levelized kernel.
+
+Both configurations share the memoized subcircuit extraction, whole-gate
+evaluations and candidate-sweep delay moments.
 
 Because every layer is exactness-preserving the two configurations take
 identical sizing decisions; the benchmark asserts the final mu/sigma match
@@ -74,7 +75,6 @@ def _run_sizer(
         lam=lam,
         max_iterations=max_iterations,
         incremental_reanalysis=fast,
-        vectorized_fassta=fast,
     )
     sizer = StatisticalGreedySizer(delay_model, variation_model, config)
     start = clock()

@@ -47,8 +47,8 @@ def test_regenerate_table1(benchmark):
     print("\n" + report)
     write_result("table1.txt", report)
 
-    # Qualitative shape checks (the quantitative record lives in EXPERIMENTS.md):
-    # sigma is consistently reduced, never increased, and area does not shrink.
+    # Qualitative shape checks (the numbers are in results/table1.txt): sigma
+    # is consistently reduced, never increased, and area does not shrink.
     for row in rows:
         assert row.sigma_change_pct <= 1e-9, row
         assert row.area_increase_pct >= -1.0, row

@@ -16,19 +16,21 @@ is supplied; the paper leaves correlation handling to "PCA or other methods"
 in the outer loop, so this is provided as an extension and disabled by
 default.
 
-:class:`IncrementalReanalysis` wraps the engine with a per-net pdf cache:
-after gate resizes it re-propagates only the transitive-fanout cone of the
-changed gates (and of their fanin drivers, whose loads changed) and reuses
-the cached pdfs everywhere else.  Because propagation is deterministic and
-untouched nets keep bitwise-identical pdfs, the incremental result equals a
-from-scratch run exactly — it is a pure wall-clock optimization, which is
-what makes nesting FULLSSTA inside a sizing loop affordable at scale.
+:class:`IncrementalReanalysis` wraps the engine with the levelized state
+arrays of its last run: after gate resizes it re-propagates only the
+transitive-fanout cone of the changed gates (and of their fanin drivers,
+whose loads changed) through the same per-level kernel a full levelized run
+uses, and reuses the committed rows everywhere else.  Because the kernel is
+row-independent and untouched nets keep bitwise-identical rows, the
+incremental result equals a from-scratch ``FULLSSTA(vectorized=True)`` run
+bit for bit — it is a pure wall-clock optimization, which is what makes
+nesting FULLSSTA inside a sizing loop affordable at scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,11 +41,15 @@ from repro.core.discrete_pdf import (
     batched_from_normal,
 )
 from repro.core.rv import NormalDelay, ZERO_DELAY
+from repro.ir.compiled import CompiledCircuit
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
 from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.model import VariationModel
+
+#: Padded ``(values, probabilities, counts)`` rows (see :mod:`repro.core.discrete_pdf`).
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -73,6 +79,94 @@ class FullSstaResult:
         return self.output_rv.sigma
 
 
+def _moments(pdfs: Mapping[str, DiscretePDF]) -> Dict[str, NormalDelay]:
+    return {net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in pdfs.items()}
+
+
+def _store_rows(
+    values: np.ndarray,
+    probs: np.ndarray,
+    rows: np.ndarray,
+    row_values: np.ndarray,
+    row_probs: np.ndarray,
+) -> None:
+    """Write padded rows into (possibly wider) state arrays, re-padding the tail."""
+    n = row_values.shape[1]
+    values[rows, :n] = row_values
+    probs[rows, :n] = row_probs
+    if values.shape[1] > n:
+        values[rows, n:] = row_values[:, -1:]
+        probs[rows, n:] = 0.0
+
+
+@dataclass
+class LevelizedState:
+    """Array state of one levelized FULLSSTA run.
+
+    One padded arrival row per net slot of the compiled circuit (padding
+    convention of :mod:`repro.core.discrete_pdf`) and one padded delay row
+    per gate id, plus the per-gate delay moments and the per-net pdfs the
+    result reports.  :class:`IncrementalReanalysis` keeps it as its
+    committed state.
+    """
+
+    values: np.ndarray  # (num_nets, width)
+    probs: np.ndarray  # (num_nets, width)
+    counts: np.ndarray  # (num_nets,)
+    delay_values: np.ndarray  # (num_gates, num_samples)
+    delay_probs: np.ndarray  # (num_gates, num_samples)
+    gate_delay_moments: Dict[str, NormalDelay]
+    arrival_pdfs: Dict[str, DiscretePDF] = field(default_factory=dict)
+
+    def propagate(self, plan: CompiledCircuit, gate_ids: np.ndarray, num_samples: int) -> _Rows:
+        """Output rows of ``gate_ids`` (all in one level) from the current rows.
+
+        Gathers each gate's input rows through the sentinel-padded
+        ``fanin_matrix``, folds them left to right with ``max`` over the
+        gates that have an input in each pin position (the fold order of
+        :meth:`DiscretePDF.maximum_of`), then adds the gates' delay rows.
+        Every step is row-independent, so a subset of a level yields exactly
+        the rows a whole-level call yields for those gates.
+        """
+        in_ids = plan.fanin_matrix[gate_ids]
+        worst_values = self.values[in_ids[:, 0]]
+        worst_probs = self.probs[in_ids[:, 0]]
+        for col in range(1, in_ids.shape[1]):
+            rows = np.flatnonzero(in_ids[:, col] != plan.num_nets)
+            if not rows.size:
+                break  # sentinel padding is trailing: no later pin either
+            slots = in_ids[rows, col]
+            max_values, max_probs, _ = batched_combine(
+                worst_values[rows], worst_probs[rows],
+                self.values[slots], self.probs[slots], "max", num_samples,
+            )
+            _store_rows(worst_values, worst_probs, rows, max_values, max_probs)
+        return batched_combine(
+            worst_values, worst_probs,
+            self.delay_values[gate_ids], self.delay_probs[gate_ids], "add", num_samples,
+        )
+
+    def store(self, slots: np.ndarray, rows: _Rows) -> None:
+        _store_rows(self.values, self.probs, slots, rows[0], rows[1])
+        self.counts[slots] = rows[2]
+
+    def take(self, slots: np.ndarray) -> _Rows:
+        """Copies of the rows of ``slots``."""
+        return self.values[slots], self.probs[slots], self.counts[slots]
+
+    def holds(self, slots: np.ndarray, rows: _Rows) -> np.ndarray:
+        """Per slot: is its row bitwise equal to ``rows``?"""
+        n = rows[0].shape[1]
+        same = (self.values[slots, :n] == rows[0]) & (self.probs[slots, :n] == rows[1])
+        return same.all(axis=1) & (self.counts[slots] == rows[2])
+
+    def pdf(self, slot: int) -> DiscretePDF:
+        n = self.counts[slot]
+        return DiscretePDF._from_canonical(
+            self.values[slot, :n].copy(), self.probs[slot, :n].copy()
+        )
+
+
 class FULLSSTA:
     """Discrete-PDF statistical static timing analysis.
 
@@ -89,11 +183,11 @@ class FULLSSTA:
         When true, full-circuit analyses run the levelized batched-NumPy
         propagation over padded sample arrays (one
         :func:`~repro.core.discrete_pdf.batched_combine` per input position
-        per level) instead of the per-gate scalar pdf fold — the same
-        treatment :class:`~repro.core.fassta.FASSTA` received for moments.
-        Both paths perform the same canonicalize/compact arithmetic, so
-        their moments agree to ~1e-12 (pinned on every registry circuit by
-        ``tests/core/test_fullssta_vectorized.py``).
+        per level, :meth:`LevelizedState.propagate`) instead of the per-gate
+        scalar pdf fold.  Both paths perform the same canonicalize/compact
+        arithmetic, so their moments agree to ~1e-12 (pinned on every
+        registry circuit by ``tests/core/test_fullssta_vectorized.py``).
+        :class:`IncrementalReanalysis` always uses the levelized kernel.
     worst_key:
         Ranking criterion used to report :attr:`FullSstaResult.worst_output`.
         Defaults to the raw mean (a ``lambda = 0`` objective); the sizer
@@ -140,12 +234,8 @@ class FULLSSTA:
         zero.
         """
         if self.vectorized:
-            METRICS.counter("fullssta.runs.levelized")
-            with span("fullssta.analyze", path="levelized") as sp:
-                arrivals, gate_delay_moments = self._propagate_vectorized(
-                    circuit, boundary_arrivals
-                )
-                sp.set(gates=len(gate_delay_moments))
+            state = self._propagate_levelized(circuit, boundary_arrivals)
+            arrivals, gate_delay_moments = state.arrival_pdfs, state.gate_delay_moments
         else:
             METRICS.counter("fullssta.runs.scalar")
             with span("fullssta.analyze", path="scalar") as sp:
@@ -153,11 +243,8 @@ class FULLSSTA:
                     circuit, boundary_arrivals
                 )
                 sp.set(gates=len(gate_delay_moments))
-        arrival_moments = {
-            net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in arrivals.items()
-        }
         return self._build_result(
-            circuit, arrivals, arrival_moments, gate_delay_moments, outputs
+            circuit, arrivals, _moments(arrivals), gate_delay_moments, outputs
         )
 
     # ------------------------------------------------------------------
@@ -190,126 +277,76 @@ class FULLSSTA:
         return arrivals, gate_delay_moments
 
     # ------------------------------------------------------------------
-    def _propagate_vectorized(
+    def _delay_rows(
+        self, circuit: Circuit, gate_names: Sequence[str]
+    ) -> "tuple[Dict[str, NormalDelay], np.ndarray, np.ndarray]":
+        """Delay moments and discretized delay rows of ``gate_names``."""
+        moments: Dict[str, NormalDelay] = {}
+        mu, sigma = np.empty((2, len(gate_names)))
+        for row, name in enumerate(gate_names):
+            dist = self.variation_model.gate_distribution(
+                circuit, circuit.gate(name), self.delay_model
+            )
+            moments[name] = NormalDelay(dist.mean, dist.sigma)
+            mu[row], sigma[row] = dist.mean, dist.sigma
+        delay_values, delay_probs, _ = batched_from_normal(mu, sigma, self.num_samples)
+        return moments, delay_values, delay_probs
+
+    def _propagate_levelized(
         self,
         circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, DiscretePDF]],
-    ) -> "tuple[Dict[str, DiscretePDF], Dict[str, NormalDelay]]":
+        boundary_arrivals: Optional[Mapping[str, DiscretePDF]] = None,
+    ) -> LevelizedState:
         """Levelized batched propagation over padded (net, sample) arrays.
 
-        Every net owns one row of the ``values``/``probs`` state arrays
-        (padding convention of :mod:`repro.core.discrete_pdf`); each level
-        folds its gates' input rows pairwise with masked
-        :func:`batched_combine` calls — the identical fold order the scalar
-        path uses — then convolves the fold with the level's batched gate
-        delay pdfs and scatters the rows to the output nets.
+        Every net owns one row of the state arrays; each level runs
+        :meth:`LevelizedState.propagate` on all its gates and scatters the
+        rows to the output nets.
         """
-        plan = circuit.compiled()
-
-        # Boundary pdfs may carry more samples than the engine budget; the
-        # scalar path folds them at full width (only the *results* are
-        # compacted), so the state arrays are sized for the widest row.
-        extra_boundary: Dict[str, DiscretePDF] = {}
-        known_boundary: Dict[str, DiscretePDF] = {}
-        boundary_nets: Set[str] = set()
-        if boundary_arrivals:
-            for net, pdf in boundary_arrivals.items():
+        METRICS.counter("fullssta.runs.levelized")
+        with span("fullssta.analyze", path="levelized") as sp:
+            plan = circuit.compiled()
+            known: Dict[int, DiscretePDF] = {}
+            extra: Dict[str, DiscretePDF] = {}
+            for net, pdf in (boundary_arrivals or {}).items():
                 if net in plan.net_index:
-                    known_boundary[net] = pdf
-                    boundary_nets.add(net)
+                    known[plan.net_index[net]] = pdf
                 else:
                     # Net unknown to this circuit: keep it visible in the
                     # result map, exactly like the scalar path does.
-                    extra_boundary[net] = pdf
-        num_samples = self.num_samples
-        width = max(
-            [num_samples, *(pdf.num_samples for pdf in known_boundary.values())]
-        )
-        values = np.zeros((plan.num_nets, width))
-        probs = np.zeros((plan.num_nets, width))
-        probs[:, 0] = 1.0  # every slot starts as the point pdf at 0.0
-        counts = np.ones(plan.num_nets, dtype=np.intp)
-
-        def scatter(slot_ids, row_values, row_probs, row_counts) -> None:
-            n = row_values.shape[1]
-            values[slot_ids, :n] = row_values
-            probs[slot_ids, :n] = row_probs
-            if width > n:
-                values[slot_ids, n:] = row_values[:, -1:]
-                probs[slot_ids, n:] = 0.0
-            counts[slot_ids] = row_counts
-
-        for net, pdf in known_boundary.items():
-            idx = plan.net_index[net]
-            scatter(
-                np.array([idx]),
-                pdf.values[None, :],
-                pdf.probabilities[None, :],
-                pdf.num_samples,
+                    extra[net] = pdf
+            # Boundary pdfs may carry more samples than the engine budget;
+            # the scalar path folds them at full width (only the *results*
+            # are compacted), so the state arrays are sized for the widest.
+            width = max([self.num_samples, *(pdf.num_samples for pdf in known.values())])
+            moments, delay_values, delay_probs = self._delay_rows(circuit, plan.gate_names)
+            state = LevelizedState(
+                values=np.zeros((plan.num_nets, width)),
+                probs=np.zeros((plan.num_nets, width)),
+                counts=np.ones(plan.num_nets, dtype=np.intp),
+                delay_values=delay_values,
+                delay_probs=delay_probs,
+                gate_delay_moments=moments,
             )
-
-        gate_delay_moments: Dict[str, NormalDelay] = {}
-        for block in plan.levels:
-            names, out_ids = block.names, block.out_slots
-            in_ids, in_mask = block.in_slots, block.in_mask
-            d_mu = np.empty(len(names))
-            d_sg = np.empty(len(names))
-            for row, name in enumerate(names):
-                dist = self.variation_model.gate_distribution(
-                    circuit, circuit.gate(name), self.delay_model
+            state.probs[:, 0] = 1.0  # every slot starts as the point pdf at 0.0
+            for slot, pdf in known.items():
+                state.store(
+                    np.array([slot]),
+                    (pdf.values[None, :], pdf.probabilities[None, :], pdf.num_samples),
                 )
-                gate_delay_moments[name] = NormalDelay(dist.mean, dist.sigma)
-                d_mu[row] = dist.mean
-                d_sg[row] = dist.sigma
-            delay_values, delay_probs, _ = batched_from_normal(
-                d_mu, d_sg, num_samples
-            )
-
-            # Left-to-right pairwise fold over input positions, masked so a
-            # gate with fewer inputs keeps its running max untouched — the
-            # same fold order as DiscretePDF.maximum_of in the scalar path.
-            # The running rows start at the state width (wide when boundary
-            # pdfs exceed the budget); combine results are padded back to it
-            # so masked-out rows merge shape-compatibly.
-            worst_values = values[in_ids[:, 0]]
-            worst_probs = probs[in_ids[:, 0]]
-            for col in range(1, in_ids.shape[1]):
-                mask = in_mask[:, col]
-                max_values, max_probs, _ = batched_combine(
-                    worst_values,
-                    worst_probs,
-                    values[in_ids[:, col]],
-                    probs[in_ids[:, col]],
-                    "max",
-                    num_samples,
+            for block in plan.levels:
+                state.store(
+                    block.out_slots,
+                    state.propagate(plan, block.gate_ids, self.num_samples),
                 )
-                pad = worst_values.shape[1] - max_values.shape[1]
-                if pad > 0:
-                    max_values = np.concatenate(
-                        [max_values, np.repeat(max_values[:, -1:], pad, axis=1)],
-                        axis=1,
-                    )
-                    max_probs = np.concatenate(
-                        [max_probs, np.zeros((max_probs.shape[0], pad))], axis=1
-                    )
-                worst_values = np.where(mask[:, None], max_values, worst_values)
-                worst_probs = np.where(mask[:, None], max_probs, worst_probs)
-
-            out_values, out_probs, out_counts = batched_combine(
-                worst_values, worst_probs, delay_values, delay_probs, "add",
-                num_samples,
-            )
-            scatter(out_ids, out_values, out_probs, out_counts)
-
-        arrivals = {
-            net: DiscretePDF._from_canonical(
-                values[idx, : counts[idx]].copy(), probs[idx, : counts[idx]].copy()
-            )
-            for net, idx in plan.net_index.items()
-            if net not in plan.floating or net in boundary_nets
-        }
-        arrivals.update(extra_boundary)
-        return arrivals, gate_delay_moments
+            state.arrival_pdfs = {
+                net: state.pdf(slot)
+                for net, slot in plan.net_index.items()
+                if net not in plan.floating or slot in known
+            }
+            state.arrival_pdfs.update(extra)
+            sp.set(gates=plan.num_gates)
+        return state
 
     # ------------------------------------------------------------------
     def _build_result(
@@ -391,19 +428,18 @@ class FULLSSTA:
 class IncrementalReanalysis:
     """Incremental FULLSSTA over one circuit, driven by its size-change log.
 
-    The wrapper keeps the last committed run's per-net arrival pdfs/moments,
-    the per-gate delay moments and the gate sizes they were computed at.  On
-    :meth:`analyze` it reads the gate names resized since the previous call
-    (recorded by :meth:`~repro.netlist.circuit.Circuit.set_size`), keeps
-    only those whose size actually differs from the cached state (resizes
-    that cancelled out — trial then revert — are recognised as clean), and
-    re-propagates only the gates whose timing can actually have moved:
+    The wrapper keeps the last committed run's :class:`LevelizedState`, its
+    per-net arrival moments and the gate sizes they were computed at.  On
+    :meth:`analyze` it reads the gates resized since the previous call
+    (logged by :meth:`~repro.netlist.circuit.Circuit.set_size`), keeps those
+    whose size differs from the cached state, and re-propagates only the
+    gates whose timing can actually have moved:
 
     * every net-resized gate (its drive, intrinsic delay and sigma changed),
     * the drivers of its input nets (the resized gate's input capacitance is
       part of *their* load),
     * downstream gates, recursively — but propagation stops as soon as a
-      recomputed pdf is bitwise-identical to the cached one, which happens
+      recomputed row is bitwise-identical to the cached one, which happens
       quickly once a dominant side path reasserts itself.
 
     :meth:`preview` evaluates the pending resizes *without* committing them
@@ -412,12 +448,13 @@ class IncrementalReanalysis:
     resize via ``set_size`` (the cancelled pair then costs nothing).  This
     is what makes the sizer's accept/reject trial loop cheap.
 
-    Results are exactly equal to a from-scratch :meth:`FULLSSTA.analyze`
-    (same arithmetic on identical inputs), so callers can switch between the
-    two freely.  Contract: all persistent resizes must go through
-    ``Circuit.set_size`` (direct ``Gate.size_index`` writes bypass the log);
-    structural edits are detected via ``structure_version`` and trigger a
-    full rebuild automatically.
+    Full rebuilds and dirty cones both run the levelized kernel
+    (:meth:`LevelizedState.propagate`), whatever ``engine.vectorized`` says,
+    so results are bitwise equal to a from-scratch
+    ``FULLSSTA(vectorized=True).analyze``.  Contract: all persistent resizes
+    must go through ``Circuit.set_size`` (direct ``Gate.size_index`` writes
+    bypass the log); structural edits are detected via ``structure_version``
+    and trigger a full rebuild automatically.
     """
 
     def __init__(self, engine: FULLSSTA, circuit: Circuit) -> None:
@@ -425,10 +462,8 @@ class IncrementalReanalysis:
         self.circuit = circuit
         self._cursor = 0
         self._structure_version: Optional[int] = None
-        self._arrival_pdfs: Optional[Dict[str, DiscretePDF]] = None
+        self._state: Optional[LevelizedState] = None
         self._arrival_moments: Dict[str, NormalDelay] = {}
-        self._gate_delay_moments: Dict[str, NormalDelay] = {}
-        self._gate_delay_pdfs: Dict[str, DiscretePDF] = {}
         self._cached_sizes: Dict[str, int] = {}
         self._pending: Optional[_PendingDelta] = None
         # Diagnostics (cumulative over the wrapper's lifetime).
@@ -440,7 +475,7 @@ class IncrementalReanalysis:
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop the cache; the next :meth:`analyze` runs from scratch."""
-        self._arrival_pdfs = None
+        self._state = None
         self._pending = None
 
     @property
@@ -455,32 +490,18 @@ class IncrementalReanalysis:
 
     # ------------------------------------------------------------------
     def analyze(self) -> FullSstaResult:
-        """Full-circuit FULLSSTA result, reusing cached pdfs where possible."""
+        """Full-circuit FULLSSTA result, reusing cached rows where possible."""
         self._pending = None
-        circuit = self.circuit
-        if (
-            self._arrival_pdfs is None
-            or self._structure_version != circuit.structure_version
-        ):
-            return self._full_rebuild()
-
-        dirty = self._net_dirty_gates(self._cursor)
+        dirty = self._dirty_gates()
         if dirty is None:
             return self._full_rebuild()
-        self._cursor = circuit.size_change_cursor
+        self._cursor = self.circuit.size_change_cursor
 
         self.incremental_runs += 1
         METRICS.counter("incremental.runs")
         if dirty:
-            delta = self._compute_delta(dirty)
-            self._apply_delta(delta)
-        return self.engine._build_result(
-            circuit,
-            dict(self._arrival_pdfs),
-            dict(self._arrival_moments),
-            dict(self._gate_delay_moments),
-            outputs=None,
-        )
+            self._apply_delta(self._compute_delta(dirty))
+        return self._result()
 
     # ------------------------------------------------------------------
     def preview(self) -> Optional[FullSstaResult]:
@@ -493,29 +514,14 @@ class IncrementalReanalysis:
         call :meth:`commit_preview` to fold the evaluated delta in, or
         revert the resizes (via ``set_size``) to discard it for free.
         """
-        circuit = self.circuit
-        if (
-            self._arrival_pdfs is None
-            or self._structure_version != circuit.structure_version
-        ):
-            return None
-        dirty = self._net_dirty_gates(self._cursor)
+        dirty = self._dirty_gates()
         if dirty is None:
             return None
 
         self.preview_runs += 1
         METRICS.counter("incremental.preview_runs")
-        delta = self._compute_delta(dirty)
-        self._pending = delta
-        merged_pdfs = dict(self._arrival_pdfs)
-        merged_pdfs.update(delta.arrival_pdfs)
-        merged_moments = dict(self._arrival_moments)
-        merged_moments.update(delta.arrival_moments)
-        merged_gates = dict(self._gate_delay_moments)
-        merged_gates.update(delta.gate_delay_moments)
-        return self.engine._build_result(
-            circuit, merged_pdfs, merged_moments, merged_gates, outputs=None
-        )
+        self._pending = self._compute_delta(dirty)
+        return self._result(self._pending)
 
     def commit_preview(self) -> bool:
         """Fold the last :meth:`preview` delta into the cache.
@@ -534,17 +540,20 @@ class IncrementalReanalysis:
         return True
 
     # ------------------------------------------------------------------
-    def _net_dirty_gates(self, since_cursor: int) -> Optional[Set[str]]:
-        """Gates whose delay may differ from the cached state, or None.
+    def _dirty_gates(self) -> Optional[Set[str]]:
+        """Gates whose delay may differ from the committed state, or None.
 
-        Compares each logged gate's *current* size against the size the
-        cache was computed at, so resize sequences that cancel out are
-        recognised as clean.  Returns ``None`` when the log references a
-        gate the circuit no longer has (defensive: callers rebuild).
+        ``None`` means the cache cannot answer incrementally: no committed
+        run, a structural edit since, or a logged gate the circuit no longer
+        has.  Each logged gate's *current* size is compared against the size
+        the cache was computed at, so resize sequences that cancel out are
+        recognised as clean.
         """
         circuit = self.circuit
+        if self._state is None or self._structure_version != circuit.structure_version:
+            return None
         dirty: Set[str] = set()
-        for name in circuit.size_changes_since(since_cursor):
+        for name in circuit.size_changes_since(self._cursor):
             if not circuit.has_gate(name):
                 return None
             if circuit.gate(name).size_index == self._cached_sizes.get(name):
@@ -559,125 +568,121 @@ class IncrementalReanalysis:
         circuit = self.circuit
         self._cursor = circuit.size_change_cursor
         self._structure_version = circuit.structure_version
-        result = self.engine.analyze(circuit)
-        self._arrival_pdfs = dict(result.arrival_pdfs)
-        self._arrival_moments = dict(result.arrival_moments)
-        self._gate_delay_moments = dict(result.gate_delay_moments)
-        self._gate_delay_pdfs = {}
+        self._state = self.engine._propagate_levelized(circuit)
+        self._arrival_moments = _moments(self._state.arrival_pdfs)
         self._cached_sizes = circuit.sizes()
         self.full_runs += 1
         self.gates_retimed += circuit.num_gates()
         METRICS.counter("incremental.full_runs")
-        return result
+        return self._result()
+
+    def _result(self, delta: Optional["_PendingDelta"] = None) -> FullSstaResult:
+        """The committed state, with ``delta`` laid over it, as a result."""
+        state = self._state
+        arrivals = dict(state.arrival_pdfs)
+        arrival_moments = dict(self._arrival_moments)
+        gate_delay_moments = dict(state.gate_delay_moments)
+        if delta is not None:
+            arrivals.update(delta.arrival_pdfs)
+            arrival_moments.update(delta.arrival_moments)
+            gate_delay_moments.update(delta.gate_delay_moments)
+        return self.engine._build_result(
+            self.circuit, arrivals, arrival_moments, gate_delay_moments, outputs=None
+        )
 
     # ------------------------------------------------------------------
-    def _compute_delta(self, dirty_delay: Set[str]) -> "_PendingDelta":
-        """Recompute the cone of ``dirty_delay`` gates into an overlay.
+    def _compute_delta(self, dirty: Set[str]) -> "_PendingDelta":
+        """Re-propagate the cone of the ``dirty`` gates into a delta.
 
         Candidate gates come from the compiled IR's fanout CSR: the dirty
-        gates plus their transitive fanout, as a topologically sorted
-        index range — gates outside that cone can never need recomputation,
-        so the sweep is O(cone) instead of a full-circuit scan.  Within the
-        cone a gate is recomputed when its own delay is dirty or any of its
-        input nets changed; its output is marked changed only when the new
-        pdf differs from the cached one, so the wavefront dies out as soon
-        as the numbers reconverge.  The cache itself is not touched.
-        """
-        engine = self.engine
-        circuit = self.circuit
-        cache = self._arrival_pdfs
-        delta = _PendingDelta(cursor=circuit.size_change_cursor)
-        if not dirty_delay:
-            return delta
-        overlay = delta.arrival_pdfs
-        changed_nets: Set[str] = set()
-        point_zero = DiscretePDF.point(0.0)
+        gates plus their transitive fanout, ascending and therefore
+        level-major, so the sweep is O(cone) instead of a full-circuit scan.
+        Level by level, the kernel recomputes the cone gates whose own delay
+        is dirty or one of whose input slots changed; an output slot is
+        marked changed only when its new row differs from the committed one,
+        so the wavefront dies out as soon as the numbers reconverge.
 
+        Later levels gather from the trial rows, so they are written into the
+        state arrays during the sweep; the committed rows are put back
+        before returning and the delta keeps the trial rows.
+        """
+        engine, circuit, state = self.engine, self.circuit, self._state
         plan = circuit.compiled()
-        cone = plan.fanout_cone(plan.gate_index[name] for name in dirty_delay)
+        names = sorted(dirty, key=plan.gate_index.__getitem__)
+        gate_ids = np.array([plan.gate_index[name] for name in names], dtype=np.intp)
+        cone = plan.fanout_cone(gate_ids)
         # The per-resize dirty-cone size is the quantity that makes (or
         # breaks) the incremental win: its distribution is the headline
         # observability metric of this layer.
         METRICS.histogram("incremental.dirty_cone_gates", len(cone))
-        for gid in cone:
-            gate = circuit.gate(plan.gate_names[gid])
-            recompute = gate.name in dirty_delay or any(
-                net in changed_nets for net in gate.inputs
-            )
-            if not recompute:
-                continue
-            self.gates_retimed += 1
-            if gate.name in dirty_delay:
-                # The gate's own delay distribution moved (its size or one
-                # of its fanout's input caps changed): re-derive it.  The
-                # pdf goes into the delta, not the shared cache — a preview
-                # must not leak trial delays.
-                dist = engine.variation_model.gate_distribution(
-                    circuit, gate, engine.delay_model
-                )
-                delta.gate_delay_moments[gate.name] = NormalDelay(
-                    dist.mean, dist.sigma
-                )
-                delay_pdf = DiscretePDF.from_normal(
-                    dist.mean, dist.sigma, engine.num_samples
-                )
-                delta.gate_delay_pdfs[gate.name] = delay_pdf
-            else:
-                # Only the gate's *inputs* changed; its delay pdf is
-                # bitwise-identical to the committed state, so rebuild it
-                # from the cached moments at most once.
-                delay_pdf = self._gate_delay_pdfs.get(gate.name)
-                if delay_pdf is None:
-                    rv = self._gate_delay_moments[gate.name]
-                    delay_pdf = DiscretePDF.from_normal(
-                        rv.mean, rv.sigma, engine.num_samples
-                    )
-                    self._gate_delay_pdfs[gate.name] = delay_pdf
-            input_pdfs = [
-                overlay[net] if net in overlay else cache.get(net, point_zero)
-                for net in gate.inputs
-            ]
-            if len(input_pdfs) == 1:
-                worst_input = input_pdfs[0]
-            else:
-                worst_input = DiscretePDF.maximum_of(input_pdfs, engine.num_samples)
-            new_pdf = worst_input.add(delay_pdf, engine.num_samples)
 
-            old_pdf = cache.get(gate.output)
-            if old_pdf is not None and _pdfs_equal(old_pdf, new_pdf):
-                continue
-            overlay[gate.output] = new_pdf
-            delta.arrival_moments[gate.output] = NormalDelay(
-                new_pdf.mean(), new_pdf.std()
-            )
-            changed_nets.add(gate.output)
+        # The dirty gates' own delay distributions moved (their size or one
+        # of their fanout's input caps changed): re-derive them.
+        moments, delay_values, delay_probs = engine._delay_rows(circuit, names)
+        is_dirty = np.zeros(plan.num_gates, dtype=bool)
+        is_dirty[gate_ids] = True
+        changed = np.zeros(plan.num_nets + 1, dtype=bool)  # + the fanin sentinel
 
-        for name in dirty_delay:
-            delta.sizes[name] = circuit.gate(name).size_index
+        committed_delays = (state.delay_values[gate_ids], state.delay_probs[gate_ids])
+        committed_rows: List[Tuple[np.ndarray, _Rows]] = []
+        state.delay_values[gate_ids] = delay_values
+        state.delay_probs[gate_ids] = delay_probs
+        try:
+            levels = plan.gate_level[cone]
+            for level_ids in np.split(cone, np.flatnonzero(np.diff(levels)) + 1):
+                inputs_changed = changed[plan.fanin_matrix[level_ids]].any(axis=1)
+                level_ids = level_ids[is_dirty[level_ids] | inputs_changed]
+                if not level_ids.size:
+                    continue
+                self.gates_retimed += level_ids.size
+                rows = state.propagate(plan, level_ids, engine.num_samples)
+                slots = plan.gate_output_slot[level_ids]
+                moved = ~state.holds(slots, rows)
+                if not moved.any():
+                    continue
+                slots = slots[moved]
+                committed_rows.append((slots, state.take(slots)))
+                state.store(slots, (rows[0][moved], rows[1][moved], rows[2][moved]))
+                changed[slots] = True
+            slots = np.flatnonzero(changed)
+            arrival_pdfs = {plan.net_names[slot]: state.pdf(slot) for slot in slots}
+            delta = _PendingDelta(
+                cursor=circuit.size_change_cursor,
+                slots=slots,
+                rows=state.take(slots),
+                gate_ids=gate_ids,
+                delay_rows=(delay_values, delay_probs),
+                arrival_pdfs=arrival_pdfs,
+                arrival_moments=_moments(arrival_pdfs),
+                gate_delay_moments=moments,
+                sizes={name: circuit.gate(name).size_index for name in names},
+            )
+        finally:
+            for slots, rows in committed_rows:
+                state.store(slots, rows)
+            state.delay_values[gate_ids], state.delay_probs[gate_ids] = committed_delays
         return delta
 
     def _apply_delta(self, delta: "_PendingDelta") -> None:
-        self._arrival_pdfs.update(delta.arrival_pdfs)
+        state = self._state
+        state.store(delta.slots, delta.rows)
+        state.delay_values[delta.gate_ids], state.delay_probs[delta.gate_ids] = delta.delay_rows
+        state.arrival_pdfs.update(delta.arrival_pdfs)
+        state.gate_delay_moments.update(delta.gate_delay_moments)
         self._arrival_moments.update(delta.arrival_moments)
-        self._gate_delay_moments.update(delta.gate_delay_moments)
-        self._gate_delay_pdfs.update(delta.gate_delay_pdfs)
         self._cached_sizes.update(delta.sizes)
 
 
 @dataclass
 class _PendingDelta:
-    """Uncommitted re-propagation overlay produced by one preview/analyze."""
+    """Uncommitted re-propagation result produced by one preview/analyze."""
 
     cursor: int
-    arrival_pdfs: Dict[str, DiscretePDF] = field(default_factory=dict)
-    arrival_moments: Dict[str, NormalDelay] = field(default_factory=dict)
-    gate_delay_moments: Dict[str, NormalDelay] = field(default_factory=dict)
-    gate_delay_pdfs: Dict[str, DiscretePDF] = field(default_factory=dict)
-    sizes: Dict[str, int] = field(default_factory=dict)
-
-
-def _pdfs_equal(a: DiscretePDF, b: DiscretePDF) -> bool:
-    """Bitwise equality of two discrete pdfs (sample locations and masses)."""
-    return np.array_equal(a.values, b.values) and np.array_equal(
-        a.probabilities, b.probabilities
-    )
+    slots: np.ndarray  # changed net slots ...
+    rows: _Rows  # ... and their trial rows
+    gate_ids: np.ndarray  # re-derived gates ...
+    delay_rows: Tuple[np.ndarray, np.ndarray]  # ... and their trial delay rows
+    arrival_pdfs: Dict[str, DiscretePDF]
+    arrival_moments: Dict[str, NormalDelay]
+    gate_delay_moments: Dict[str, NormalDelay]
+    sizes: Dict[str, int]

@@ -58,9 +58,9 @@ class SizerConfig:
     """Tuning knobs of the StatisticalGreedy optimizer.
 
     Parameters mirror the paper's description; defaults reproduce its setup.
-    ``incremental_reanalysis`` and ``vectorized_fassta`` select the fast
-    evaluation pipeline — both are exactness-preserving and on by default;
-    turning them off yields the original from-scratch engines (used as the
+    ``incremental_reanalysis`` selects the fast evaluation pipeline: it is
+    exactness-preserving and on by default; turning it off re-runs the
+    levelized FULLSSTA from scratch for every outer-loop analysis (the
     reference in ``benchmarks/bench_incremental.py``).
 
     ``objective`` selects what the optimizer minimizes:
@@ -98,7 +98,6 @@ class SizerConfig:
     max_outputs_per_pass: int = 6
     patience: int = 4
     incremental_reanalysis: bool = True
-    vectorized_fassta: bool = True
     objective: str = "cost"
     target_yield: float = 0.99
     max_area_ratio: Optional[float] = None
@@ -215,18 +214,16 @@ class StatisticalGreedySizer:
             self.cost = self.yield_objective.equivalent_cost()
         else:
             self.cost = WeightedCost(self.config.lam)
+        # Levelized, so incremental and from-scratch outer-loop analyses run
+        # the same kernel and agree bit for bit.
         self.fullssta = FULLSSTA(
             delay_model,
             variation_model,
             num_samples=self.config.pdf_samples,
+            vectorized=True,
             worst_key=self.cost.of,
         )
-        self.fassta = FASSTA(
-            delay_model,
-            variation_model,
-            vectorized=self.config.vectorized_fassta,
-            worst_key=self.cost.of,
-        )
+        self.fassta = FASSTA(delay_model, variation_model, worst_key=self.cost.of)
         self.evaluator = CostEvaluator(self.fassta, self.cost)
         self.tracer = WNSSTracer(
             coupling=variation_model.mean_sigma_coupling, lam=self.cost.lam
@@ -507,9 +504,9 @@ class StatisticalGreedySizer:
         circuit: Circuit,
         scheduled: Dict[str, int],
         best_components: CostComponents,
-        analyze: Optional[Callable[[], FullSstaResult]] = None,
-        reanalysis: Optional[IncrementalReanalysis] = None,
-        area_limit: Optional[float] = None,
+        analyze: Callable[[], FullSstaResult],
+        reanalysis: Optional[IncrementalReanalysis],
+        area_limit: Optional[float],
     ) -> "tuple[Dict[str, int], FullSstaResult, CostComponents]":
         """Apply scheduled resizes one at a time, keeping only improving ones.
 
@@ -521,8 +518,6 @@ class StatisticalGreedySizer:
         trial commits its delta, a rejected one is reverted for free instead
         of paying a second cone re-propagation to undo itself.
         """
-        if analyze is None:
-            analyze = lambda: self.fullssta.analyze(circuit)  # noqa: E731
         if reanalysis is not None:
             # Sync the cache to the rolled-back base state once, so each
             # trial below is a single-cone preview on top of it.
@@ -533,11 +528,8 @@ class StatisticalGreedySizer:
         for gate_name, size_index in scheduled.items():
             previous = circuit.gate(gate_name).size_index
             circuit.set_size(gate_name, size_index)
-            trial_full = None
-            previewed = False
-            if reanalysis is not None:
-                trial_full = reanalysis.preview()
-                previewed = trial_full is not None
+            trial_full = reanalysis.preview() if reanalysis is not None else None
+            previewed = trial_full is not None
             if trial_full is None:
                 trial_full = analyze()
             trial_components = self._objective_components(circuit, trial_full)

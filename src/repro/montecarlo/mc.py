@@ -5,8 +5,8 @@ pdf discretization, the quadratic erf approximation), so the reproduction
 includes the obvious golden model: draw every gate delay from its normal
 distribution, propagate deterministic arrival times per sample, and collect
 the circuit-delay samples.  The engines are validated against this model in
-the tests and accuracy benchmarks, and the EXPERIMENTS.md numbers quote the
-MC sigma alongside the SSTA sigma.
+the tests and accuracy benchmarks, and the flow benchmark (``flowbench/``)
+reports the FULLSSTA-vs-MC sigma error of every final design.
 
 The simulator supports independent per-gate variation (the paper's inner
 model) and, optionally, the spatially correlated overlay of

@@ -21,7 +21,7 @@ gates a sigma of roughly half their delay and maximum-size gates about a
 fifth of that, with a small size-independent floor.  These values are calibrated so that mean-delay-optimized
 benchmark circuits land in the paper's Table 1 range of output sigma/mu
 (about 0.02 for the deepest circuit up to about 0.12 for the shallow ALUs);
-see EXPERIMENTS.md for the calibration comparison.
+``benchmarks/bench_table1.py`` reports the original sigma/mu per circuit.
 """
 
 from __future__ import annotations

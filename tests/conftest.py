@@ -28,6 +28,12 @@ from repro.netlist.circuit import Circuit
 from repro.variation.model import VariationModel
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture(scope="session")
 def library():
     """The default synthetic 90 nm-like library (7 sizes per cell type)."""

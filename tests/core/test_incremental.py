@@ -171,9 +171,7 @@ class TestSizerPipelineEquivalence:
         scratch = StatisticalGreedySizer(
             delay_model,
             variation_model,
-            SizerConfig(
-                incremental_reanalysis=False, vectorized_fassta=False, **config_kwargs
-            ),
+            SizerConfig(incremental_reanalysis=False, **config_kwargs),
         ).optimize(build_benchmark(name))
         fast = StatisticalGreedySizer(
             delay_model, variation_model, SizerConfig(**config_kwargs)

@@ -47,7 +47,6 @@ class TestCriticalityThreshold:
             variation_model,
             0.0,
             incremental_reanalysis=False,
-            vectorized_fassta=False,
         )
         assert fast_circuit.sizes() == ref_circuit.sizes()
         assert fast.final.mean == pytest.approx(ref.final.mean, abs=1e-9)
