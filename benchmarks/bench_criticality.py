@@ -85,7 +85,7 @@ def _bench_agreement(
     ok = True
     for name in circuits:
         circuit = build_benchmark(name)
-        engine = FASSTA(delay_model, variation_model, vectorized=True)
+        engine = FASSTA(delay_model, variation_model)
         analysis = engine.analyze(circuit)  # warm the levelized plan
         analyzer = CriticalityAnalyzer(circuit)
         start = clock()

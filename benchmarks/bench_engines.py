@@ -1,13 +1,14 @@
-"""Scalar vs IR-levelized engine benchmark (the compiled-IR rationale).
+"""IR-levelized engine benchmark (the compiled-IR rationale).
 
-Every analysis engine now consumes the circuit's compiled array-native IR
+Every analysis engine consumes the circuit's compiled array-native IR
 (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`).  This
-benchmark measures what that buys on real registry circuits, engine by
-engine:
+benchmark times the engines on real registry circuits:
 
-* **DSTA**    — scalar per-gate walk vs levelized forward pass,
-* **FASSTA**  — scalar Clark folds vs levelized ``clark_max_fast_arrays``,
-* **FULLSSTA**— scalar discrete-pdf folds vs batched levelized propagation,
+* **DSTA**, **FASSTA**, **FULLSSTA** — one full-circuit analysis each,
+  recorded as levelized milliseconds.  Each engine has a single propagation
+  path, so there is no ratio to report; its equivalence with a gate-by-gate
+  fold is pinned by the tier-1 tests (``tests/sta/test_dsta.py``,
+  ``tests/core/test_incremental.py``, ``tests/core/test_fullssta_vectorized.py``);
 * **MC**      — the historical per-gate dict propagation (inlined below as
   the reference) vs the levelized all-samples-at-once program.
 
@@ -20,18 +21,16 @@ is gather-bound: the levelized program wins while the arrival matrix stays
 cache-resident (hundreds of samples on the largest circuits), which is why
 the default sample count is moderate rather than huge.
 
-Equivalence is asserted, not assumed: DSTA arrivals and MC sample streams
-must be bit-identical, FASSTA/FULLSSTA moments must agree to 1e-9.  The
-report goes to ``benchmarks/results/engines.txt`` and a machine-readable
-entry is appended to the checked-in ``BENCH_engines.json`` perf trajectory
-at the repo root.
+Equivalence is asserted, not assumed: the MC sample streams must be
+bit-identical to the per-gate reference.  The report goes to
+``benchmarks/results/engines.txt`` and a machine-readable entry is appended
+to the checked-in ``BENCH_engines.json`` perf trajectory at the repo root.
 
 A second axis, ``--generated depth,width[,seed]``, times the front-end scale
 path on synthetic circuits instead: generate -> elaborate/canonicalize ->
-lint -> compile -> vectorized DSTA, stage by stage.  At 100k gates the
-scalar reference engines are the bottleneck, so this axis tracks pipeline
-linearity rather than the scalar/levelized ratio; its records land in the
-same ``BENCH_engines.json`` trajectory tagged ``"kind": "frontend-scale"``.
+lint -> compile -> levelized DSTA, stage by stage.  This axis tracks
+pipeline linearity at up to 100k gates; its records land in the same
+``BENCH_engines.json`` trajectory tagged ``"kind": "frontend-scale"``.
 
 Run directly::
 
@@ -44,6 +43,7 @@ Run directly::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -60,7 +60,8 @@ from repro.core.fassta import FASSTA  # noqa: E402
 from repro.core.fullssta import FULLSSTA  # noqa: E402
 from repro.library.delay_model import LookupTableDelayModel  # noqa: E402
 from repro.library.synthetic90nm import make_synthetic_90nm_library  # noqa: E402
-from repro.montecarlo.mc import MonteCarloTimer, propagate_levelized  # noqa: E402
+from repro.ir.compiled import propagate_levelized  # noqa: E402
+from repro.montecarlo.mc import MonteCarloTimer  # noqa: E402
 from repro.obs import clock  # noqa: E402
 from repro.sta.dsta import DeterministicSTA  # noqa: E402
 from repro.variation.model import VariationModel  # noqa: E402
@@ -70,7 +71,6 @@ FULL_CIRCUITS = ["c6288", "c7552"]
 #: Quick (CI smoke) configuration.
 QUICK_CIRCUITS = ["c432"]
 
-MOMENT_TOLERANCE = 1e-9
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_engines.json"
 
@@ -190,65 +190,16 @@ def bench_circuit(
         )
         return speedup
 
-    # --- DSTA ---------------------------------------------------------
-    dsta_scalar = DeterministicSTA(delay_model)
-    dsta_vector = DeterministicSTA(delay_model, vectorized=True)
-    t_s, ref = _best_of(lambda: dsta_scalar.arrival_times(circuit), rounds)
-    t_v, vec = _best_of(lambda: dsta_vector.arrival_times(circuit), rounds)
-    identical = ref[0] == vec[0] and ref[1] == vec[1]
-    ok = ok and identical
-    speedup = row("DSTA", t_s, t_v, "bit-identical" if identical else "MISMATCH")
-    record["dsta"] = {
-        "scalar_ms": t_s * 1e3, "levelized_ms": t_v * 1e3,
-        "speedup": speedup, "bit_identical": identical,
+    # --- DSTA / FASSTA / FULLSSTA: one levelized path each --------------
+    engines = {
+        "dsta": ("DSTA", DeterministicSTA(delay_model).arrival_times),
+        "fassta": ("FASSTA", FASSTA(delay_model, variation_model).analyze),
+        "fullssta": ("FULLSSTA", FULLSSTA(delay_model, variation_model).analyze),
     }
-
-    # --- FASSTA -------------------------------------------------------
-    fassta_scalar = FASSTA(delay_model, variation_model)
-    fassta_vector = FASSTA(delay_model, variation_model, vectorized=True)
-    t_s, ref = _best_of(lambda: fassta_scalar.analyze(circuit), rounds)
-    t_v, vec = _best_of(lambda: fassta_vector.analyze(circuit), rounds)
-    err = max(
-        max(
-            abs(ref.arrivals[n].mean - vec.arrivals[n].mean),
-            abs(ref.arrivals[n].sigma - vec.arrivals[n].sigma),
-        )
-        for n in ref.arrivals
-    )
-    matched = err <= MOMENT_TOLERANCE
-    ok = ok and matched
-    speedup = row(
-        "FASSTA", t_s, t_v,
-        f"max moment err {err:.1e}" + ("" if matched else "  << MISMATCH"),
-    )
-    record["fassta"] = {
-        "scalar_ms": t_s * 1e3, "levelized_ms": t_v * 1e3,
-        "speedup": speedup, "max_moment_err": err,
-    }
-
-    # --- FULLSSTA -----------------------------------------------------
-    full_scalar = FULLSSTA(delay_model, variation_model)
-    full_vector = FULLSSTA(delay_model, variation_model, vectorized=True)
-    t_s, ref = _best_of(lambda: full_scalar.analyze(circuit), rounds)
-    t_v, vec = _best_of(lambda: full_vector.analyze(circuit), rounds)
-    err = max(
-        abs(ref.output_rv.mean - vec.output_rv.mean),
-        abs(ref.output_rv.sigma - vec.output_rv.sigma),
-        max(
-            abs(ref.arrival_moments[n].mean - vec.arrival_moments[n].mean)
-            for n in ref.arrival_moments
-        ),
-    )
-    matched = err <= MOMENT_TOLERANCE
-    ok = ok and matched
-    speedup = row(
-        "FULLSSTA", t_s, t_v,
-        f"max moment err {err:.1e}" + ("" if matched else "  << MISMATCH"),
-    )
-    record["fullssta"] = {
-        "scalar_ms": t_s * 1e3, "levelized_ms": t_v * 1e3,
-        "speedup": speedup, "max_moment_err": err,
-    }
+    for key, (label, analyze) in engines.items():
+        t_v, _ = _best_of(functools.partial(analyze, circuit), rounds)
+        lines.append(f"  {label:9s} levelized {t_v * 1e3:9.1f} ms")
+        record[key] = {"levelized_ms": t_v * 1e3}
 
     # --- Monte Carlo --------------------------------------------------
     timer = MonteCarloTimer(delay_model, variation_model)
@@ -303,10 +254,8 @@ def bench_generated(
     """Front-end scale benchmark on one generated circuit.
 
     Times the full pipeline stage by stage — generate (raw netlist),
-    elaborate + canonicalize, DRC lint, compile to the array IR, vectorized
-    DSTA — rather than the scalar/levelized engine comparison: at the 100k
-    gate scale the scalar reference engines are the bottleneck, and what
-    this axis tracks is that the front end and compiled path stay linear.
+    elaborate + canonicalize, DRC lint, compile to the array IR, levelized
+    DSTA — to track that the front end and compiled path stay linear.
     """
     from repro.circuits.synthetic import parse_generated_spec, synthetic_raw
     from repro.netlist.elaborate import elaborate
@@ -332,7 +281,7 @@ def bench_generated(
     circuit.compiled()
     stages["compile_s"] = clock() - start
 
-    dsta = DeterministicSTA(delay_model, vectorized=True)
+    dsta = DeterministicSTA(delay_model)
     stages["dsta_levelized_s"], _ = _best_of(
         lambda: dsta.arrival_times(circuit), rounds
     )
@@ -361,7 +310,7 @@ def append_trajectory(records: List[Dict[str, object]], mode: str) -> None:
     """Append one entry to the checked-in BENCH_engines.json trajectory."""
     append_entry(
         "engines", records, mode,
-        description="scalar vs IR-levelized engine runtimes (bench_engines.py)",
+        description="IR-levelized engine runtimes (bench_engines.py)",
     )
 
 
@@ -371,10 +320,8 @@ def run(
 ) -> Tuple[str, List[Dict[str, object]], bool]:
     delay_model, variation_model = _substrates()
     lines = [
-        "Engines on the compiled IR: scalar vs levelized paths",
-        f"(equivalence asserted per run: DSTA/MC bit-identical, "
-        f"FASSTA/FULLSSTA moments to {MOMENT_TOLERANCE:g}; "
-        f"best of {rounds} rounds)",
+        "Engines on the compiled IR: levelized runtimes, MC vs per-gate reference",
+        f"(MC propagation asserted bit-identical per run; best of {rounds} rounds)",
         "",
     ]
     records = []
@@ -460,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not ok:
         print(
-            "FAILED: a levelized path diverged from its scalar engine",
+            "FAILED: the levelized MC propagation diverged from its per-gate reference",
             file=sys.stderr,
         )
         return 1

@@ -1,4 +1,4 @@
-"""From-scratch vs incremental/vectorized sizing-pipeline benchmark.
+"""From-scratch vs incremental sizing-pipeline benchmark.
 
 Measures the wall-clock effect of the exactness-preserving evaluation
 pipeline on full :class:`~repro.core.sizer.StatisticalGreedySizer` runs:
@@ -14,9 +14,8 @@ evaluations and candidate-sweep delay moments.
 
 Because every layer is exactness-preserving the two configurations take
 identical sizing decisions; the benchmark asserts the final mu/sigma match
-to 1e-6 and reports the speedup.  A second section times the raw engines
-(scalar vs vectorized FASSTA; from-scratch vs incremental FULLSSTA under
-random resize sequences).
+to 1e-6 and reports the speedup.  A second section times the raw engine:
+from-scratch vs incremental FULLSSTA under random resize sequences.
 
 Run directly::
 
@@ -41,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.trajectory import append_entry  # noqa: E402
 from repro.circuits.registry import build_benchmark  # noqa: E402
-from repro.core.fassta import FASSTA  # noqa: E402
 from repro.core.fullssta import FULLSSTA, IncrementalReanalysis  # noqa: E402
 from repro.core.sizer import SizerConfig, SizerResult, StatisticalGreedySizer  # noqa: E402
 from repro.library.delay_model import LookupTableDelayModel  # noqa: E402
@@ -83,24 +81,8 @@ def _run_sizer(
 
 
 def _time_engines(circuit_name: str, delay_model, variation_model):
-    """Raw-engine comparison: FASSTA scalar/vectorized, FULLSSTA scratch/incremental."""
+    """Raw-engine comparison: FULLSSTA from scratch vs incremental."""
     circuit = build_benchmark(circuit_name)
-    rounds = 3
-
-    scalar = FASSTA(delay_model, variation_model)
-    vectorized = FASSTA(delay_model, variation_model, vectorized=True)
-    scalar.analyze(circuit)
-    vectorized.analyze(circuit)  # warm the levelized plan
-    start = clock()
-    for _ in range(rounds):
-        ref = scalar.analyze(circuit)
-    t_scalar = (clock() - start) / rounds
-    start = clock()
-    for _ in range(rounds):
-        vec = vectorized.analyze(circuit)
-    t_vector = (clock() - start) / rounds
-    moment_err = abs(ref.mean - vec.mean) + abs(ref.sigma - vec.sigma)
-
     engine = FULLSSTA(delay_model, variation_model)
     incremental = IncrementalReanalysis(engine, circuit)
     incremental.analyze()
@@ -121,9 +103,7 @@ def _time_engines(circuit_name: str, delay_model, variation_model):
         assert abs(inc_result.sigma - full_result.sigma) <= MOMENT_TOLERANCE
 
     lines = [
-        f"Raw engines on {circuit_name} ({circuit.num_gates()} gates):",
-        f"  FASSTA   scalar {t_scalar * 1e3:8.1f} ms   vectorized {t_vector * 1e3:8.1f} ms   "
-        f"speedup {t_scalar / max(t_vector, 1e-12):.2f}x   moment err {moment_err:.2e}",
+        f"Raw engine on {circuit_name} ({circuit.num_gates()} gates):",
         f"  FULLSSTA scratch {t_full / steps * 1e3:7.1f} ms   incremental {t_inc / steps * 1e3:7.1f} ms   "
         f"speedup {t_full / max(t_inc, 1e-12):.2f}x   (3 random resizes per step)",
     ]
@@ -131,13 +111,6 @@ def _time_engines(circuit_name: str, delay_model, variation_model):
         "circuit": circuit_name,
         "gates": circuit.num_gates(),
         "kind": "engines",
-        "fassta": {
-            "scalar_ms": t_scalar * 1e3,
-            "levelized_ms": t_vector * 1e3,
-            "speedup": t_scalar / max(t_vector, 1e-12),
-            "max_moment_err": moment_err,
-            "tolerance": MOMENT_TOLERANCE,
-        },
         "fullssta_incremental": {
             "scratch_ms": t_full / steps * 1e3,
             "incremental_ms": t_inc / steps * 1e3,
@@ -156,7 +129,7 @@ def run(
     """Run the benchmark; returns (report text, trajectory records, ok)."""
     delay_model, variation_model = _substrates()
     lines = [
-        "Incremental & vectorized SSTA evaluation pipeline",
+        "Incremental SSTA evaluation pipeline",
         f"(lam = {lam}, max_iterations = {max_iterations}; "
         f"tolerance on final moments = {MOMENT_TOLERANCE:g})",
         "",
@@ -264,14 +237,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.no_trajectory:
         path = append_entry(
             "incremental", records, "quick" if args.quick else "full",
-            description="from-scratch vs incremental/vectorized sizing "
-                        "pipeline (bench_incremental.py)",
+            description="from-scratch vs incremental sizing pipeline "
+                        "(bench_incremental.py)",
         )
         print(f"trajectory appended to {path}")
 
     if not ok:
-        print("FAILED: incremental/vectorized pipeline diverged from the "
-              "from-scratch engines", file=sys.stderr)
+        print("FAILED: incremental pipeline diverged from the from-scratch "
+              "engine", file=sys.stderr)
         return 1
     return 0
 

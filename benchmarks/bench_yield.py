@@ -1,16 +1,10 @@
-"""Yield-mode benchmark: vectorized discrete-PDF engine + yield-targeted sizing.
+"""Yield-mode benchmark: yield-targeted sizing vs the weighted-cost sizer.
 
-Two sections:
-
-* **engine** — scalar vs levelized-vectorized FULLSSTA wall-clock on
-  registry circuits.  Both paths perform the same canonicalize/compact
-  arithmetic, so the benchmark asserts their output moments agree to 1e-9
-  and reports the speedup;
-* **sizer** — ``SizerConfig(objective="yield")`` against the paper's
-  weighted-cost sizer from the same mean-delay baseline.  The comparison
-  metric is the acceptance criterion of the yield mode: the yield-sized
-  circuit's parametric timing yield at its own target period must be at
-  least the cost-sized circuit's.
+``SizerConfig(objective="yield")`` runs against the paper's weighted-cost
+sizer from the same mean-delay baseline.  The comparison metric is the
+acceptance criterion of the yield mode: the yield-sized circuit's
+parametric timing yield at its own target period must be at least the
+cost-sized circuit's.
 
 Run directly::
 
@@ -40,15 +34,10 @@ from repro.library.synthetic90nm import make_synthetic_90nm_library  # noqa: E40
 from repro.obs import clock  # noqa: E402
 from repro.variation.model import VariationModel  # noqa: E402
 
-#: Engine-comparison circuits (full / CI smoke).
-FULL_ENGINE_CIRCUITS = ["c880", "c2670", "c6288"]
-QUICK_ENGINE_CIRCUITS = ["c432"]
-
 #: Sizer-comparison circuit: the yield objective's discrete-pdf quantile
 #: pays off on c432's wide, many-output priority-controller structure.
 SIZER_CIRCUIT = "c432"
 
-MOMENT_TOLERANCE = 1e-9
 TARGET_YIELD = 0.99
 
 
@@ -57,45 +46,10 @@ def _substrates():
     return LookupTableDelayModel(library), VariationModel()
 
 
-def _bench_engines(circuits: List[str], delay_model, variation_model) -> Tuple[List[str], bool]:
-    lines = [
-        "Scalar vs vectorized FULLSSTA (discrete-pdf propagation)",
-        f"(moment tolerance {MOMENT_TOLERANCE:g})",
-        "",
-        f"{'circuit':8s} {'gates':>6s} {'scalar (ms)':>12s} {'vector (ms)':>12s} "
-        f"{'speedup':>8s} {'moment err':>11s}",
-    ]
-    ok = True
-    rounds = 3
-    for name in circuits:
-        circuit = build_benchmark(name)
-        scalar = FULLSSTA(delay_model, variation_model)
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True)
-        scalar.analyze(circuit)
-        vectorized.analyze(circuit)  # warm the levelized plan
-        start = clock()
-        for _ in range(rounds):
-            ref = scalar.analyze(circuit)
-        t_scalar = (clock() - start) / rounds
-        start = clock()
-        for _ in range(rounds):
-            vec = vectorized.analyze(circuit)
-        t_vector = (clock() - start) / rounds
-        err = max(abs(ref.mean - vec.mean), abs(ref.sigma - vec.sigma))
-        matched = err <= MOMENT_TOLERANCE
-        ok = ok and matched
-        lines.append(
-            f"{name:8s} {circuit.num_gates():6d} {t_scalar * 1e3:12.1f} "
-            f"{t_vector * 1e3:12.1f} {t_scalar / max(t_vector, 1e-12):7.2f}x "
-            f"{err:11.2e}" + ("" if matched else "  << MOMENT MISMATCH")
-        )
-    return lines, ok
-
-
 def _bench_sizer(
     delay_model, variation_model, max_iterations: int
 ) -> Tuple[List[str], bool]:
-    referee = FULLSSTA(delay_model, variation_model, num_samples=31, vectorized=True)
+    referee = FULLSSTA(delay_model, variation_model, num_samples=31)
 
     def sized(config: SizerConfig):
         circuit = build_benchmark(SIZER_CIRCUIT)
@@ -132,14 +86,11 @@ def _bench_sizer(
     return lines, ok
 
 
-def run(engine_circuits: List[str], max_iterations: int) -> Tuple[str, bool]:
+def run(max_iterations: int) -> Tuple[str, bool]:
     """Run the benchmark; returns (report text, all-checks-passed)."""
     delay_model, variation_model = _substrates()
-    engine_lines, engines_ok = _bench_engines(
-        engine_circuits, delay_model, variation_model
-    )
-    sizer_lines, sizer_ok = _bench_sizer(delay_model, variation_model, max_iterations)
-    return "\n".join(engine_lines + [""] + sizer_lines), engines_ok and sizer_ok
+    lines, ok = _bench_sizer(delay_model, variation_model, max_iterations)
+    return "\n".join(lines), ok
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -147,12 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small circuits, capped sizer budget",
-    )
-    parser.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated engine-comparison circuits (overrides the mode default)",
+        help="CI smoke mode: capped sizer budget",
     )
     parser.add_argument(
         "--max-iterations",
@@ -162,18 +108,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    circuits = (
-        [name.strip() for name in args.circuits.split(",") if name.strip()]
-        if args.circuits
-        else (QUICK_ENGINE_CIRCUITS if args.quick else FULL_ENGINE_CIRCUITS)
-    )
     max_iterations = (
         args.max_iterations
         if args.max_iterations is not None
         else (12 if args.quick else 60)
     )
 
-    report, ok = run(circuits, max_iterations)
+    report, ok = run(max_iterations)
     print(report)
 
     results_dir = Path(__file__).parent / "results"
@@ -181,8 +122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     (results_dir / "yield.txt").write_text(report + "\n")
 
     if not ok:
-        print("FAILED: vectorized engine diverged or the yield objective lost "
-              "to the weighted-cost sizer", file=sys.stderr)
+        print("FAILED: the yield objective lost to the weighted-cost sizer",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -381,7 +381,6 @@ def cmd_report(args) -> int:
     analysis = FASSTA(
         delay_model,
         variation_model,
-        vectorized=True,
         worst_key=lambda rv: rv.mean + args.lam * rv.sigma,
     ).analyze(circuit)
     crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)

@@ -255,7 +255,7 @@ class MeanDelaySizer:
                     circuit, gate, gate.size_index - 1
                 )
                 if smaller_delay - current_delay < 0.5 * slack:
-                    gate.size_index -= 1
+                    circuit.set_size(gate_name, gate.size_index - 1)
                     changed = True
             if not changed:
                 break

@@ -48,22 +48,14 @@ class WeightedCost:
         """Cost of a single arrival-time random variable."""
         return rv.mean + self.lam * rv.sigma
 
-    def of_moments(self, mean: float, sigma: float) -> float:
-        return mean + self.lam * sigma
-
-    def worst(self, arrivals: Mapping[str, NormalDelay]) -> float:
-        """Maximum cost over a set of outputs (the subcircuit cost of §4.5)."""
-        if not arrivals:
-            raise ValueError("worst() needs at least one output arrival")
-        return max(self.of(rv) for rv in arrivals.values())
-
     def components(self, arrivals: Mapping[str, NormalDelay]) -> "CostComponents":
         """Both the worst and the summed per-output cost of a set of outputs.
 
-        The sum acts as a tie-breaker when comparing candidate gate sizes: a
-        resize that improves a non-worst output of the subcircuit (without
-        hurting the worst one) is still progress, even though the Eq. 7 max
-        is unchanged.  Without the tie-breaker, circuits with many parallel
+        The worst is the subcircuit cost of §4.5 (the Eq. 7 max over the
+        outputs).  The sum acts as a tie-breaker when comparing candidate
+        gate sizes: a resize that improves a non-worst output of the
+        subcircuit (without hurting the worst one) is still progress, even
+        though the Eq. 7 max is unchanged.  Without the tie-breaker, circuits with many parallel
         near-critical paths dead-lock because every local improvement is
         masked by some slower path crossing the same subcircuit.
         """
@@ -193,9 +185,7 @@ class CostEvaluator:
             if len(input_rvs) == 1:
                 worst_input = input_rvs[0]
             else:
-                worst_input = NormalDelay.maximum_of(
-                    input_rvs, exact=self.fassta.exact_max
-                )
+                worst_input = NormalDelay.maximum_of(input_rvs)
             arrivals[gate.output] = worst_input + delay_rv
         return arrivals
 
@@ -207,14 +197,6 @@ class CostEvaluator:
         arrivals = self.subcircuit_arrivals(subcircuit, boundary_arrivals)
         return {net: arrivals.get(net, ZERO_DELAY) for net in subcircuit.output_nets}
 
-    def subcircuit_cost(
-        self,
-        subcircuit: Subcircuit,
-        boundary_arrivals: Mapping[str, NormalDelay],
-    ) -> float:
-        """The Eq. 7 cost of the subcircuit: max over its output nets."""
-        return self.cost.worst(self._output_arrivals(subcircuit, boundary_arrivals))
-
     def subcircuit_cost_components(
         self,
         subcircuit: Subcircuit,
@@ -223,33 +205,17 @@ class CostEvaluator:
         """(worst, total) cost of the subcircuit, for candidate-size comparisons."""
         return self.cost.components(self._output_arrivals(subcircuit, boundary_arrivals))
 
-    def candidate_size_cost(
-        self,
-        subcircuit: Subcircuit,
-        boundary_arrivals: Mapping[str, NormalDelay],
-        size_index: int,
-    ) -> float:
-        """Cost of the subcircuit with the seed gate temporarily at ``size_index``.
-
-        The seed's size is restored before returning, so the parent circuit
-        is never left in the trial state.
-        """
-        circuit = subcircuit.parent
-        gate = circuit.gate(subcircuit.seed)
-        original = gate.size_index
-        try:
-            gate.size_index = size_index
-            return self.subcircuit_cost(subcircuit, boundary_arrivals)
-        finally:
-            gate.size_index = original
-
     def candidate_size_cost_components(
         self,
         subcircuit: Subcircuit,
         boundary_arrivals: Mapping[str, NormalDelay],
         size_index: int,
     ) -> CostComponents:
-        """(worst, total) cost with the seed gate temporarily at ``size_index``."""
+        """(worst, total) cost with the seed gate temporarily at ``size_index``.
+
+        The seed's size is restored before returning, so the parent circuit
+        is never left in the trial state.
+        """
         circuit = subcircuit.parent
         gate = circuit.gate(subcircuit.seed)
         original = gate.size_index
@@ -316,8 +282,3 @@ class CostEvaluator:
         finally:
             seed_gate.size_index = original
         return results
-
-    # ------------------------------------------------------------------
-    def circuit_cost(self, output_rv: NormalDelay) -> float:
-        """Circuit-level objective from the FULLSSTA/FASSTA output moments."""
-        return self.cost.of(output_rv)

@@ -8,25 +8,20 @@ of every arrival time (a :class:`~repro.core.rv.NormalDelay`):
 * ``max`` — Clark's formulae with the quadratic-cdf approximation plus the
   ±2.6-sigma dominance shortcut (:func:`repro.core.clark.clark_max_fast`).
 
-The engine can time a whole :class:`~repro.netlist.circuit.Circuit` or a
-:class:`~repro.core.subcircuit.Subcircuit` whose boundary arrival times were
-previously annotated by FULLSSTA — exactly the nesting the paper describes
-("a slower more accurate approach for tracking statistical critical paths
-and a fast engine for evaluation of gate size assignments").
-
-Two propagation paths are provided:
-
-* the **scalar** path walks gates in topological order, folding the Clark
-  max pairwise per gate — simple, and the reference for correctness;
-* the **levelized vectorized** path (``FASSTA(vectorized=True)``) groups
-  gates by logic level and evaluates the Clark fast-max over NumPy arrays of
-  μ/σ, one fold per input position per level
-  (:func:`repro.core.clark.clark_max_fast_arrays`).  The level schedule
-  comes from the circuit's shared array-native IR
-  (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`),
-  lowered once per structure version and shared with every other engine.
-  Both paths perform the same floating-point operations in the same order,
-  so their moments agree to ~1e-12.
+:meth:`FASSTA.analyze` times a whole :class:`~repro.netlist.circuit.Circuit`
+as a levelized program over the circuit's shared array-native IR
+(:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): per
+logic level the Clark fast-max folds the input positions left to right over
+NumPy arrays of μ/σ (:func:`repro.core.clark.clark_max_fast_arrays`), the
+pairwise order of :meth:`NormalDelay.maximum_of`, so the moments agree with
+a gate-by-gate fold to ~1e-12.  The sizer's inner loop evaluates extracted
+two-level subcircuits instead, with boundary arrival moments recorded by
+FULLSSTA (:meth:`CostEvaluator.subcircuit_arrivals
+<repro.core.cost.CostEvaluator.subcircuit_arrivals>`), and shares this
+engine's per-gate delay moments (:meth:`FASSTA.gate_delay_rv`) — the nesting
+the paper describes ("a slower more accurate approach for tracking
+statistical critical paths and a fast engine for evaluation of gate size
+assignments").
 """
 
 from __future__ import annotations
@@ -77,13 +72,6 @@ class FASSTA:
         Library delay model giving nominal gate delays under load.
     variation_model:
         Process-variation model assigning a sigma to every gate delay.
-    exact_max:
-        When true, use the exact Clark moments instead of the fast
-        approximation (used by accuracy studies; default false).
-    vectorized:
-        When true, full-circuit analyses run the levelized NumPy path
-        instead of the per-gate scalar fold.  Ignored when ``exact_max`` is
-        set (the exact cdf is not vectorized).
     worst_key:
         Ranking criterion used to report :attr:`FasstaResult.worst_output`.
         Defaults to the raw mean (a ``lambda = 0`` objective); the sizer
@@ -95,14 +83,10 @@ class FASSTA:
         self,
         delay_model: BaseDelayModel,
         variation_model: VariationModel,
-        exact_max: bool = False,
-        vectorized: bool = False,
         worst_key: Optional[Callable[[NormalDelay], float]] = None,
     ) -> None:
         self.delay_model = delay_model
         self.variation_model = variation_model
-        self.exact_max = exact_max
-        self.vectorized = vectorized
         self.worst_key = worst_key
 
     # ------------------------------------------------------------------
@@ -128,7 +112,7 @@ class FASSTA:
         Parameters
         ----------
         circuit:
-            The circuit (or extracted subcircuit) to time.
+            The circuit to time.
         boundary_arrivals:
             Arrival moments of nets driven from outside the analysed region
             (primary inputs default to ``NormalDelay(0, 0)``).
@@ -138,48 +122,14 @@ class FASSTA:
             circuit (or the boundary map) — unknown names raise ``KeyError``
             instead of silently timing as zero.
         """
-        if self.vectorized and not self.exact_max:
-            METRICS.counter("fassta.runs.levelized")
-            with span("fassta.analyze", path="levelized") as sp:
-                arrivals, gate_delays = self._propagate_vectorized(
-                    circuit, boundary_arrivals
-                )
-                sp.set(gates=len(gate_delays))
-        else:
-            METRICS.counter("fassta.runs.scalar")
-            with span("fassta.analyze", path="scalar") as sp:
-                arrivals, gate_delays = self._propagate_scalar(
-                    circuit, boundary_arrivals
-                )
-                sp.set(gates=len(gate_delays))
+        METRICS.counter("fassta.runs")
+        with span("fassta.analyze") as sp:
+            arrivals, gate_delays = self._propagate(circuit, boundary_arrivals)
+            sp.set(gates=len(gate_delays))
         return self._build_result(circuit, arrivals, gate_delays, outputs)
 
     # ------------------------------------------------------------------
-    def _propagate_scalar(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, NormalDelay]],
-    ) -> Tuple[Dict[str, NormalDelay], Dict[str, NormalDelay]]:
-        arrivals: Dict[str, NormalDelay] = {}
-        if boundary_arrivals:
-            arrivals.update(boundary_arrivals)
-        for net in circuit.primary_inputs:
-            arrivals.setdefault(net, ZERO_DELAY)
-
-        gate_delays: Dict[str, NormalDelay] = {}
-        for gate in circuit:
-            delay_rv = self.gate_delay_rv(circuit, gate.name)
-            gate_delays[gate.name] = delay_rv
-            input_rvs = [arrivals.get(net, ZERO_DELAY) for net in gate.inputs]
-            if len(input_rvs) == 1:
-                worst_input = input_rvs[0]
-            else:
-                worst_input = NormalDelay.maximum_of(input_rvs, exact=self.exact_max)
-            arrivals[gate.output] = worst_input + delay_rv
-        return arrivals, gate_delays
-
-    # ------------------------------------------------------------------
-    def _propagate_vectorized(
+    def _propagate(
         self,
         circuit: Circuit,
         boundary_arrivals: Optional[Mapping[str, NormalDelay]],
@@ -195,7 +145,7 @@ class FASSTA:
                 idx = plan.net_index.get(net)
                 if idx is None:
                     # Net unknown to this circuit: keep it visible in the
-                    # result map, exactly like the scalar path does.
+                    # result map.
                     extra_boundary[net] = rv
                 else:
                     boundary_nets.add(net)
@@ -216,7 +166,7 @@ class FASSTA:
 
             # Left-to-right pairwise fold over input positions, masked so a
             # gate with fewer inputs keeps its running max untouched — the
-            # same fold order as NormalDelay.maximum_of in the scalar path.
+            # fold order of NormalDelay.maximum_of.
             worst_mu = mu[in_ids[:, 0]]
             worst_sg = sg[in_ids[:, 0]]
             for col in range(1, in_ids.shape[1]):
@@ -258,7 +208,7 @@ class FASSTA:
                 f"unknown output net(s) {missing} in circuit {circuit.name!r}"
             )
         output_rvs = [arrivals[net] for net in output_nets]
-        output_rv = NormalDelay.maximum_of(output_rvs, exact=self.exact_max)
+        output_rv = NormalDelay.maximum_of(output_rvs)
         key = self.worst_key or (lambda rv: rv.mean)
         worst_output = max(output_nets, key=lambda net: key(arrivals[net]))
         return FasstaResult(
@@ -267,8 +217,3 @@ class FASSTA:
             output_rv=output_rv,
             worst_output=worst_output,
         )
-
-    # ------------------------------------------------------------------
-    def output_moments(self, circuit: Circuit) -> NormalDelay:
-        """Shortcut: moments of the circuit-level max arrival."""
-        return self.analyze(circuit).output_rv

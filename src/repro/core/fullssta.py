@@ -2,9 +2,13 @@
 
 The outer loop of the optimization runs this engine.  Every gate delay is
 discretized into a small pdf (10-15 samples, following Liou et al. DAC 2001)
-and arrival times are propagated as discrete pdfs using the ``sum``
-(convolution) and ``max`` (pairwise-max reduction) operations of
-:class:`~repro.core.discrete_pdf.DiscretePDF`.
+and arrival times are propagated as discrete pdfs, levelized over the
+circuit's compiled IR: every net owns one padded sample row, and each logic
+level folds its gates' input rows left to right with ``max`` and adds their
+delay rows (:meth:`LevelizedState.propagate`).  The batched primitives
+(:func:`~repro.core.discrete_pdf.batched_combine`) replay the
+canonicalize/compact arithmetic of :class:`~repro.core.discrete_pdf.DiscretePDF`,
+so the moments agree with a gate-by-gate pdf fold to ~1e-12.
 
 Besides the output pdf, the engine records the mean and variance at *every*
 node — the paper stores exactly these point values "for use in the fast
@@ -22,8 +26,8 @@ transitive-fanout cone of the changed gates (and of their fanin drivers,
 whose loads changed) through the same per-level kernel a full levelized run
 uses, and reuses the committed rows everywhere else.  Because the kernel is
 row-independent and untouched nets keep bitwise-identical rows, the
-incremental result equals a from-scratch ``FULLSSTA(vectorized=True)`` run
-bit for bit — it is a pure wall-clock optimization, which is what makes
+incremental result equals a from-scratch :meth:`FULLSSTA.analyze` bit for
+bit — it is a pure wall-clock optimization, which is what makes
 nesting FULLSSTA inside a sizing loop affordable at scale.
 """
 
@@ -179,15 +183,6 @@ class FULLSSTA:
         Samples kept per pdf (the paper's "10-15 samples"; default 13).
     correlation_model:
         Optional spatial-correlation overlay (see module docstring).
-    vectorized:
-        When true, full-circuit analyses run the levelized batched-NumPy
-        propagation over padded sample arrays (one
-        :func:`~repro.core.discrete_pdf.batched_combine` per input position
-        per level, :meth:`LevelizedState.propagate`) instead of the per-gate
-        scalar pdf fold.  Both paths perform the same canonicalize/compact
-        arithmetic, so their moments agree to ~1e-12 (pinned on every
-        registry circuit by ``tests/core/test_fullssta_vectorized.py``).
-        :class:`IncrementalReanalysis` always uses the levelized kernel.
     worst_key:
         Ranking criterion used to report :attr:`FullSstaResult.worst_output`.
         Defaults to the raw mean (a ``lambda = 0`` objective); the sizer
@@ -201,8 +196,9 @@ class FULLSSTA:
         variation_model: VariationModel,
         num_samples: int = DEFAULT_SAMPLES,
         correlation_model: Optional[SpatialCorrelationModel] = None,
-        vectorized: bool = False,
         worst_key: Optional[Callable[[NormalDelay], float]] = None,
+        # Ignored: the flow benchmark's fresh-analysis check still passes it.
+        vectorized: bool = True,
     ) -> None:
         if num_samples < 3:
             raise ValueError("num_samples must be at least 3 for a useful pdf")
@@ -210,15 +206,7 @@ class FULLSSTA:
         self.variation_model = variation_model
         self.num_samples = num_samples
         self.correlation_model = correlation_model
-        self.vectorized = vectorized
         self.worst_key = worst_key
-
-    # ------------------------------------------------------------------
-    def gate_delay_pdf(self, circuit: Circuit, gate_name: str) -> DiscretePDF:
-        """Discretized delay pdf of one gate at its current size."""
-        gate = circuit.gate(gate_name)
-        dist = self.variation_model.gate_distribution(circuit, gate, self.delay_model)
-        return DiscretePDF.from_normal(dist.mean, dist.sigma, self.num_samples)
 
     # ------------------------------------------------------------------
     def analyze(
@@ -233,48 +221,11 @@ class FULLSSTA:
         map); unknown names raise ``KeyError`` instead of silently timing as
         zero.
         """
-        if self.vectorized:
-            state = self._propagate_levelized(circuit, boundary_arrivals)
-            arrivals, gate_delay_moments = state.arrival_pdfs, state.gate_delay_moments
-        else:
-            METRICS.counter("fullssta.runs.scalar")
-            with span("fullssta.analyze", path="scalar") as sp:
-                arrivals, gate_delay_moments = self._propagate_scalar(
-                    circuit, boundary_arrivals
-                )
-                sp.set(gates=len(gate_delay_moments))
+        state = self._propagate_levelized(circuit, boundary_arrivals)
+        arrivals = state.arrival_pdfs
         return self._build_result(
-            circuit, arrivals, _moments(arrivals), gate_delay_moments, outputs
+            circuit, arrivals, _moments(arrivals), state.gate_delay_moments, outputs
         )
-
-    # ------------------------------------------------------------------
-    def _propagate_scalar(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, DiscretePDF]],
-    ) -> "tuple[Dict[str, DiscretePDF], Dict[str, NormalDelay]]":
-        arrivals: Dict[str, DiscretePDF] = {}
-        if boundary_arrivals:
-            arrivals.update(boundary_arrivals)
-        for net in circuit.primary_inputs:
-            arrivals.setdefault(net, DiscretePDF.point(0.0))
-
-        gate_delay_moments: Dict[str, NormalDelay] = {}
-        for gate in circuit:
-            dist = self.variation_model.gate_distribution(
-                circuit, gate, self.delay_model
-            )
-            gate_delay_moments[gate.name] = NormalDelay(dist.mean, dist.sigma)
-            delay_pdf = DiscretePDF.from_normal(dist.mean, dist.sigma, self.num_samples)
-            input_pdfs = [
-                arrivals.get(net, DiscretePDF.point(0.0)) for net in gate.inputs
-            ]
-            if len(input_pdfs) == 1:
-                worst_input = input_pdfs[0]
-            else:
-                worst_input = DiscretePDF.maximum_of(input_pdfs, self.num_samples)
-            arrivals[gate.output] = worst_input.add(delay_pdf, self.num_samples)
-        return arrivals, gate_delay_moments
 
     # ------------------------------------------------------------------
     def _delay_rows(
@@ -303,8 +254,8 @@ class FULLSSTA:
         :meth:`LevelizedState.propagate` on all its gates and scatters the
         rows to the output nets.
         """
-        METRICS.counter("fullssta.runs.levelized")
-        with span("fullssta.analyze", path="levelized") as sp:
+        METRICS.counter("fullssta.runs")
+        with span("fullssta.analyze") as sp:
             plan = circuit.compiled()
             known: Dict[int, DiscretePDF] = {}
             extra: Dict[str, DiscretePDF] = {}
@@ -313,11 +264,11 @@ class FULLSSTA:
                     known[plan.net_index[net]] = pdf
                 else:
                     # Net unknown to this circuit: keep it visible in the
-                    # result map, exactly like the scalar path does.
+                    # result map.
                     extra[net] = pdf
             # Boundary pdfs may carry more samples than the engine budget;
-            # the scalar path folds them at full width (only the *results*
-            # are compacted), so the state arrays are sized for the widest.
+            # they are folded at full width (only the *results* are
+            # compacted), so the state arrays are sized for the widest.
             width = max([self.num_samples, *(pdf.num_samples for pdf in known.values())])
             moments, delay_values, delay_probs = self._delay_rows(circuit, plan.gate_names)
             state = LevelizedState(
@@ -419,11 +370,6 @@ class FULLSSTA:
                 extra_var += 2.0 * rho * sigma_i * sigma_j
         return float((independent_sigma ** 2 + max(extra_var, 0.0)) ** 0.5)
 
-    # ------------------------------------------------------------------
-    def output_moments(self, circuit: Circuit) -> NormalDelay:
-        """Shortcut: moments of the circuit-level output arrival."""
-        return self.analyze(circuit).output_rv
-
 
 class IncrementalReanalysis:
     """Incremental FULLSSTA over one circuit, driven by its size-change log.
@@ -448,10 +394,9 @@ class IncrementalReanalysis:
     resize via ``set_size`` (the cancelled pair then costs nothing).  This
     is what makes the sizer's accept/reject trial loop cheap.
 
-    Full rebuilds and dirty cones both run the levelized kernel
-    (:meth:`LevelizedState.propagate`), whatever ``engine.vectorized`` says,
-    so results are bitwise equal to a from-scratch
-    ``FULLSSTA(vectorized=True).analyze``.  Contract: all persistent resizes
+    Full rebuilds and dirty cones both run the engine's levelized kernel
+    (:meth:`LevelizedState.propagate`), so results are bitwise equal to a
+    from-scratch :meth:`FULLSSTA.analyze`.  Contract: all persistent resizes
     must go through ``Circuit.set_size`` (direct ``Gate.size_index`` writes
     bypass the log); structural edits are detected via ``structure_version``
     and trigger a full rebuild automatically.

@@ -214,13 +214,10 @@ class StatisticalGreedySizer:
             self.cost = self.yield_objective.equivalent_cost()
         else:
             self.cost = WeightedCost(self.config.lam)
-        # Levelized, so incremental and from-scratch outer-loop analyses run
-        # the same kernel and agree bit for bit.
         self.fullssta = FULLSSTA(
             delay_model,
             variation_model,
             num_samples=self.config.pdf_samples,
-            vectorized=True,
             worst_key=self.cost.of,
         )
         self.fassta = FASSTA(delay_model, variation_model, worst_key=self.cost.of)

@@ -26,8 +26,10 @@ that *every* consumer shares:
   (incremental re-analysis) is a breadth-first sweep over the fanout CSR.
   ``fanin_matrix`` is the dense companion: ``(num_gates, max_fanin)`` with
   invalid positions pointing at the sentinel slot ``num_nets``, so engines
-  that park ``-inf`` there (the Monte-Carlo timers) fold a whole level with
-  a single gather + ``max`` reduction.
+  that park ``-inf`` there fold a whole level with a single gather +
+  ``max`` reduction — :func:`propagate_levelized`, the max-plus program
+  DSTA (one delay column) and the Monte-Carlo timers (one column per
+  sample) share.
 * **per-gate arrays** — ``cell_type_ids`` (into the ``cell_types``
   vocabulary), ``size_index`` and ``fanin_counts``.  ``size_index`` is the
   only mutable array: size-only changes refresh it in place (driven by the
@@ -64,7 +66,7 @@ class LevelBlock:
 
     ``in_slots`` is padded to the level's maximum fanin; ``in_mask`` marks
     the valid pin positions.  Pin order is preserved, so left-to-right folds
-    over the columns reproduce the scalar engines' fold order exactly.
+    over the columns reproduce a gate-by-gate fold's order exactly.
     """
 
     level: int
@@ -380,4 +382,45 @@ def lower_circuit(circuit: "Circuit") -> CompiledCircuit:
     )
 
 
-__all__: Tuple[str, ...] = ("CompiledCircuit", "LevelBlock", "lower_circuit")
+def propagate_levelized(plan: CompiledCircuit, delay: np.ndarray) -> np.ndarray:
+    """Max-plus arrival propagation over the IR, one column per scenario.
+
+    ``delay`` is a ``(num_gates, columns)`` gate-delay matrix in IR gate
+    order.  Returns the ``(num_nets + 1, columns)`` arrival matrix whose
+    rows follow the IR net-slot layout; boundary slots (primary inputs and
+    floating gate inputs) hold zero, and the extra sentinel row holds
+    ``-inf`` so the padded fanin matrix folds without a validity mask
+    (``max(x, -inf) == x`` exactly).
+
+    Per logic level the program is one ``np.take`` gather per fanin column
+    folded with in-place ``np.maximum`` into a preallocated scratch buffer,
+    then one ``np.add`` into the level's contiguous output-slot block.
+    ``max`` and float addition are exact, so every column equals a
+    gate-by-gate topological walk bit for bit.
+    """
+    num_columns = delay.shape[1]
+    arr = np.zeros((plan.num_nets + 1, num_columns))
+    arr[plan.num_nets] = -np.inf
+    if not plan.num_gates:
+        return arr
+    fanin = plan.fanin_matrix
+    offsets = plan.level_offsets
+    max_fanin = fanin.shape[1]
+    max_width = int(np.diff(offsets).max())
+    acc = np.empty((max_width, num_columns))
+    tmp = np.empty((max_width, num_columns))
+    for li in range(plan.num_levels):
+        start, stop = offsets[li], offsets[li + 1]
+        width = stop - start
+        worst = acc[:width]
+        np.take(arr, fanin[start:stop, 0], axis=0, out=worst)
+        for col in range(1, max_fanin):
+            other = tmp[:width]
+            np.take(arr, fanin[start:stop, col], axis=0, out=other)
+            np.maximum(worst, other, out=worst)
+        out = plan.num_pis + start
+        np.add(worst, delay[start:stop], out=arr[out: out + width])
+    return arr
+
+
+__all__: Tuple[str, ...] = ("CompiledCircuit", "LevelBlock", "lower_circuit", "propagate_levelized")

@@ -18,8 +18,6 @@ output load for primary outputs, plus an optional per-fanout wire estimate.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.library.cell import Library
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import Gate
@@ -68,10 +66,6 @@ class BaseDelayModel:
         return sum(
             self.library.area(g.cell_type, g.size_index) for g in circuit.gates.values()
         )
-
-    def all_gate_delays(self, circuit: Circuit) -> Dict[str, float]:
-        """Nominal delay of every gate, keyed by gate name."""
-        return {g.name: self.gate_delay(circuit, g) for g in circuit.gates.values()}
 
 
 class LinearRCDelayModel(BaseDelayModel):

@@ -17,7 +17,8 @@ Propagation runs as a levelized array program over the circuit's compiled IR
 ``(num_nets, num_samples)`` arrival matrix, one ``np.take`` gather plus one
 ``np.maximum`` fold per input position per logic level — every sample
 advances through a level at once instead of one gate at a time (see
-:func:`propagate_levelized`).  Gate-delay *draws* stay in
+:func:`repro.ir.compiled.propagate_levelized`, the max-plus kernel
+deterministic STA runs with a single column).  Gate-delay *draws* stay in
 ``circuit.topological_order()`` order so the generator stream is
 bit-compatible with the historical per-gate loop (pinned by
 ``tests/montecarlo/test_mc.py``); ``np.maximum`` and float addition are
@@ -35,53 +36,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.ir.compiled import CompiledCircuit
+from repro.ir.compiled import propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
 from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.model import VariationModel
-
-
-def propagate_levelized(plan: CompiledCircuit, delay: np.ndarray) -> np.ndarray:
-    """Propagate arrival times for all samples at once over the IR.
-
-    ``delay`` is a ``(num_gates, num_samples)`` gate-delay matrix in IR gate
-    order.  Returns the ``(num_nets + 1, num_samples)`` arrival matrix whose
-    rows follow the IR net-slot layout; boundary slots (primary inputs and
-    floating gate inputs) hold zero, and the extra sentinel row holds
-    ``-inf`` so the padded fanin matrix folds without a validity mask
-    (``max(x, -inf) == x`` exactly).
-
-    Per logic level the program is one ``np.take`` gather per fanin column
-    folded with in-place ``np.maximum`` into a preallocated scratch buffer,
-    then one ``np.add`` into the level's contiguous output-slot block.
-    Every operation is an exact float op applied in the same order as the
-    historical per-gate loop, so the result is bit-identical to it.
-    """
-    num_samples = delay.shape[1]
-    arr = np.zeros((plan.num_nets + 1, num_samples))
-    arr[plan.num_nets] = -np.inf
-    if not plan.num_gates:
-        return arr
-    fanin = plan.fanin_matrix
-    offsets = plan.level_offsets
-    num_cols = fanin.shape[1]
-    max_width = int(np.diff(offsets).max())
-    acc = np.empty((max_width, num_samples))
-    tmp = np.empty((max_width, num_samples))
-    for li in range(plan.num_levels):
-        start, stop = offsets[li], offsets[li + 1]
-        width = stop - start
-        worst = acc[:width]
-        np.take(arr, fanin[start:stop, 0], axis=0, out=worst)
-        for col in range(1, num_cols):
-            other = tmp[:width]
-            np.take(arr, fanin[start:stop, col], axis=0, out=other)
-            np.maximum(worst, other, out=worst)
-        out = plan.num_pis + start
-        np.add(worst, delay[start:stop], out=arr[out: out + width])
-    return arr
 
 
 @dataclass

@@ -534,7 +534,7 @@ def _evaluate_criticality(spec: CellSpec) -> Dict[str, Any]:
     circuit = build_benchmark(spec.circuit)
     _, delay_model, variation_model = spec.substrates.build()
     MeanDelaySizer(delay_model).optimize(circuit)
-    analysis = FASSTA(delay_model, variation_model, vectorized=True).analyze(circuit)
+    analysis = FASSTA(delay_model, variation_model).analyze(circuit)
     crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)
     top_k = spec.top_k or 5
     paths = extract_top_paths(circuit, crit, analysis.arrivals, k=top_k)

@@ -7,11 +7,11 @@ no constraint is given); slack = required - arrival.  The critical path is
 the chain of gates with the smallest slack — the classic WNS path the paper
 generalises into the WNSS path.
 
-``DeterministicSTA(vectorized=True)`` runs the forward pass as a levelized
-array program over the circuit's compiled IR (:meth:`Circuit.compiled()
-<repro.netlist.circuit.Circuit.compiled>`): one ``np.maximum`` fold per
-input position per logic level.  ``max`` over floats and float addition are
-exact, so the vectorized arrivals are bit-identical to the scalar walk.
+The forward pass is the max-plus program of the circuit's compiled IR
+(:func:`repro.ir.compiled.propagate_levelized`, the kernel the Monte-Carlo
+timer runs with one column per sample) over a single delay column.  ``max``
+over floats and float addition are exact, so the arrivals equal a
+gate-by-gate topological walk bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ir.compiled import propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
@@ -56,72 +57,33 @@ class DeterministicSTA:
     ----------
     delay_model:
         Library delay model giving nominal gate delays under load.
-    vectorized:
-        When true, the forward pass runs levelized over the compiled IR
-        instead of gate by gate.  Results are bit-identical.
     """
 
-    def __init__(
-        self, delay_model: BaseDelayModel, vectorized: bool = False
-    ) -> None:
+    def __init__(self, delay_model: BaseDelayModel) -> None:
         self.delay_model = delay_model
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------
     def arrival_times(self, circuit: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
         """Forward propagation.
 
         Returns ``(net_arrival, gate_delays)``: the arrival time at every
-        net and the nominal delay of every gate.  Primary inputs arrive at
-        time 0.
+        primary input and gate output, and the nominal delay of every gate.
+        Primary inputs arrive at time 0; floating nets stay out of the map
+        (they read as 0.0 through ``.get``).
         """
-        if self.vectorized:
-            METRICS.counter("dsta.runs.levelized")
-            with span("dsta.arrival_times", path="levelized") as sp:
-                arrival, gate_delays = self._arrival_times_vectorized(circuit)
-                sp.set(gates=len(gate_delays))
-            return arrival, gate_delays
-        METRICS.counter("dsta.runs.scalar")
-        with span("dsta.arrival_times", path="scalar") as sp:
-            arrival = {net: 0.0 for net in circuit.primary_inputs}
-            gate_delays: Dict[str, float] = {}
-            for gate in circuit:
-                delay = self.delay_model.gate_delay(circuit, gate)
-                gate_delays[gate.name] = delay
-                input_arrival = max(arrival.get(net, 0.0) for net in gate.inputs)
-                arrival[gate.output] = input_arrival + delay
-            sp.set(gates=len(gate_delays))
-        return arrival, gate_delays
-
-    # ------------------------------------------------------------------
-    def _arrival_times_vectorized(
-        self, circuit: Circuit
-    ) -> Tuple[Dict[str, float], Dict[str, float]]:
-        plan = circuit.compiled()
-        arr = np.zeros(plan.num_nets)
-        gate_delays: Dict[str, float] = {}
-        for block in plan.levels:
-            delays = np.empty(len(block.names))
-            for row, name in enumerate(block.names):
-                delay = self.delay_model.gate_delay(circuit, circuit.gate(name))
-                gate_delays[name] = delay
-                delays[row] = delay
-            in_ids, in_mask = block.in_slots, block.in_mask
-            worst = arr[in_ids[:, 0]]
-            for col in range(1, in_ids.shape[1]):
-                mask = in_mask[:, col]
-                worst = np.where(
-                    mask, np.maximum(worst, arr[in_ids[:, col]]), worst
-                )
-            arr[block.out_slots] = worst + delays
-        # Same visibility as the scalar walk: primary inputs and gate
-        # outputs; floating nets stay out of the map (they read as 0.0
-        # through ``.get`` just like the scalar path).
-        arrival = {
-            net: float(arr[idx])
-            for net, idx in plan.net_index.items()
-            if net not in plan.floating
-        }
+        METRICS.counter("dsta.runs")
+        with span("dsta.arrival_times") as sp:
+            plan = circuit.compiled()
+            gates = circuit.gates
+            gate_delays = {
+                name: self.delay_model.gate_delay(circuit, gates[name])
+                for name in plan.gate_names
+            }
+            delay = np.fromiter(gate_delays.values(), dtype=float, count=plan.num_gates)
+            timed = plan.num_pis + plan.num_gates
+            arr = propagate_levelized(plan, delay[:, None])[:timed, 0]
+            arrival = dict(zip(plan.net_names[:timed], arr.tolist(), strict=True))
+            sp.set(gates=plan.num_gates)
         return arrival, gate_delays
 
     def analyze(

@@ -57,9 +57,7 @@ class TestIndependentVariation:
         self, name, delay_model, variation_model, mc_cache
     ):
         circuit = build_benchmark(name)
-        pdf = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
-            circuit
-        ).output_pdf
+        pdf = FULLSSTA(delay_model, variation_model).analyze(circuit).output_pdf
         mc = _mc(name, delay_model, variation_model, None, mc_cache)
         for target in TARGETS:
             rtol = TAIL_RTOL_INDEPENDENT if target == 0.99 else PERIOD_RTOL_INDEPENDENT
@@ -73,9 +71,7 @@ class TestIndependentVariation:
         # The guarantee the yield sizer relies on: at the pdf's own target
         # period the empirical (MC) yield reaches (close to) the target.
         circuit = build_benchmark(name)
-        pdf = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
-            circuit
-        ).output_pdf
+        pdf = FULLSSTA(delay_model, variation_model).analyze(circuit).output_pdf
         mc = _mc(name, delay_model, variation_model, None, mc_cache)
         report = YieldReport.from_distribution(pdf, clock_period=mc.mean)
         assert timing_yield(mc.samples, report.period_for_90) >= 0.90 - 0.06

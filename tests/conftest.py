@@ -91,3 +91,32 @@ def chain_circuit():
     circuit.add("i3", "INV", ["n2"], "out1")
     circuit.add("i4", "INV", ["n2"], "out2")
     return circuit
+
+
+def _topological_fold(circuit, gate_delay, zero, max_of, add, boundary=None):
+    """Arrival at every net, walking the gates one by one in topological order.
+
+    ``gate_delay(gate)`` is a gate's delay and its output arrives at
+    ``add(max_of(input arrivals), delay)`` (a single input is used as is);
+    primary inputs and undriven nets read as ``zero`` unless ``boundary``
+    sets them.  ``0.0`` / ``max`` / ``operator.add`` make it nominal STA,
+    ``NormalDelay`` moments with the Clark max make it FASSTA, and
+    ``DiscretePDF`` convolution and max make it FULLSSTA.  Returns
+    ``(arrivals, gate_delays)``.
+    """
+    arrivals = dict(boundary or {})
+    for net in circuit.primary_inputs:
+        arrivals.setdefault(net, zero)
+    gate_delays = {}
+    for gate in circuit:
+        gate_delays[gate.name] = delay = gate_delay(gate)
+        inputs = [arrivals.get(net, zero) for net in gate.inputs]
+        worst = inputs[0] if len(inputs) == 1 else max_of(inputs)
+        arrivals[gate.output] = add(worst, delay)
+    return arrivals, gate_delays
+
+
+@pytest.fixture(scope="session")
+def reference_fold():
+    """The gate-by-gate fold the levelized engines are pinned against."""
+    return _topological_fold

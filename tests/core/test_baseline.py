@@ -7,6 +7,7 @@ from repro.circuits.registry import build_benchmark
 from repro.core.baseline import MeanDelaySizer
 from repro.netlist.validate import validate_circuit
 from repro.sta.dsta import DeterministicSTA
+from repro.verify import ir_problems
 
 
 @pytest.fixture
@@ -74,3 +75,20 @@ class TestAreaRecovery:
         sizer = MeanDelaySizer(delay_model, area_recovery=False)
         result = sizer.optimize(small_adder)
         assert result.final_delay <= result.initial_delay + 1e-6
+
+    @pytest.mark.parametrize("name", ["c432", "c1355"])
+    def test_recovery_downsizes_go_through_the_size_log(self, delay_model, name):
+        # Incremental re-analysis and the compiled IR's size array only see
+        # resizes logged by Circuit.set_size.
+        circuit = build_benchmark(name)
+        for gate_name in circuit.gates:
+            circuit.set_size(gate_name, 3)
+        circuit.compiled()
+        before = circuit.sizes()
+        cursor = circuit.size_change_cursor
+        sizer = MeanDelaySizer(delay_model)
+        sizer._recover_area(circuit, sizer.dsta.max_delay(circuit))
+        changed = {g for g, size in circuit.sizes().items() if size != before[g]}
+        assert changed
+        assert changed <= set(circuit.size_changes_since(cursor))
+        assert ir_problems(circuit.compiled(), circuit) == []

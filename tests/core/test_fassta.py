@@ -64,11 +64,6 @@ class TestCircuitLevel:
         means = {net: result.arrival(net).mean for net in c17_circuit.primary_outputs}
         assert result.worst_output == max(means, key=means.get)
 
-    def test_output_moments_shortcut(self, fassta, c17_circuit):
-        assert fassta.output_moments(c17_circuit).mean == pytest.approx(
-            fassta.analyze(c17_circuit).output_rv.mean
-        )
-
     def test_explicit_outputs_subset(self, fassta, c17_circuit):
         result = fassta.analyze(c17_circuit, outputs=["N22"])
         assert result.output_rv.mean == pytest.approx(result.arrival("N22").mean)

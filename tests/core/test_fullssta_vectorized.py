@@ -1,9 +1,10 @@
-"""Exactness pinning for the levelized vectorized FULLSSTA path.
+"""Exactness pinning for the levelized FULLSSTA propagation.
 
-The batched discrete-pdf propagation replays the scalar engine's
+The batched discrete-pdf propagation replays the scalar ``DiscretePDF``
 canonicalize/compact arithmetic over padded arrays, so its per-net moments
-must agree with the scalar path to ~1e-9 on every registry circuit — the
-same contract the incremental-reanalysis cache carries.
+must agree with a gate-by-gate pdf fold (the ``reference_fold`` fixture) to
+~1e-9 on every registry circuit — the same contract the
+incremental-reanalysis cache carries.
 """
 
 import numpy as np
@@ -16,8 +17,29 @@ from repro.core.discrete_pdf import (
     batched_from_normal,
 )
 from repro.core.fullssta import FULLSSTA
+from repro.core.rv import NormalDelay
 
 TOL = 1e-9
+
+
+def fullssta_reference(fold, engine, circuit, boundary=None):
+    """A FULLSSTA result from the gate-by-gate reference pdf fold."""
+    n = engine.num_samples
+
+    def delay_moments(gate):
+        dist = engine.variation_model.gate_distribution(circuit, gate, engine.delay_model)
+        return NormalDelay(dist.mean, dist.sigma)
+
+    arrivals, gate_delays = fold(
+        circuit,
+        delay_moments,
+        DiscretePDF.point(0.0),
+        lambda pdfs: DiscretePDF.maximum_of(pdfs, n),
+        lambda worst, d: worst.add(DiscretePDF.from_normal(d.mean, d.sigma, n), n),
+        boundary,
+    )
+    moments = {net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in arrivals.items()}
+    return engine._build_result(circuit, arrivals, moments, gate_delays, None)
 
 
 def assert_fullssta_results_close(reference, candidate, tol=TOL):
@@ -103,59 +125,57 @@ class TestBatchedPrimitives:
 
 class TestVectorizedEngine:
     @pytest.mark.parametrize("name", [*BENCHMARK_NAMES, "c17"])
-    def test_matches_scalar_on_registry_circuit(self, name, delay_model, variation_model):
+    def test_matches_scalar_on_registry_circuit(
+        self, name, delay_model, variation_model, reference_fold
+    ):
         circuit = build_benchmark(name)
-        scalar = FULLSSTA(delay_model, variation_model).analyze(circuit)
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
-            circuit
+        engine = FULLSSTA(delay_model, variation_model)
+        assert_fullssta_results_close(
+            fullssta_reference(reference_fold, engine, circuit), engine.analyze(circuit)
         )
-        assert_fullssta_results_close(scalar, vectorized)
 
-    def test_matches_scalar_after_resizes(self, delay_model, variation_model):
+    def test_matches_scalar_after_resizes(self, delay_model, variation_model, reference_fold):
         circuit = build_benchmark("alu1")
-        scalar_engine = FULLSSTA(delay_model, variation_model)
-        vector_engine = FULLSSTA(delay_model, variation_model, vectorized=True)
+        engine = FULLSSTA(delay_model, variation_model)
         rng = np.random.default_rng(3)
         names = list(circuit.gates)
         for _ in range(3):
             for gate in rng.choice(names, size=5, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
             assert_fullssta_results_close(
-                scalar_engine.analyze(circuit), vector_engine.analyze(circuit)
+                fullssta_reference(reference_fold, engine, circuit), engine.analyze(circuit)
             )
 
-    def test_boundary_arrivals_and_unknown_nets(self, delay_model, variation_model, chain_circuit):
+    def test_boundary_arrivals_and_unknown_nets(
+        self, delay_model, variation_model, reference_fold, chain_circuit
+    ):
         boundary = {
             "in": DiscretePDF.from_normal(120.0, 9.0, 13),
             "elsewhere": DiscretePDF.point(42.0),  # unknown to the circuit
         }
-        scalar = FULLSSTA(delay_model, variation_model).analyze(
-            chain_circuit, boundary_arrivals=boundary
+        engine = FULLSSTA(delay_model, variation_model)
+        result = engine.analyze(chain_circuit, boundary_arrivals=boundary)
+        assert_fullssta_results_close(
+            fullssta_reference(reference_fold, engine, chain_circuit, boundary), result
         )
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
-            chain_circuit, boundary_arrivals=boundary
-        )
-        assert_fullssta_results_close(scalar, vectorized)
-        assert vectorized.arrival_pdfs["elsewhere"].mean() == 42.0
+        assert result.arrival_pdfs["elsewhere"].mean() == 42.0
 
     def test_boundary_pdfs_wider_than_budget(
-        self, delay_model, variation_model, chain_circuit
+        self, delay_model, variation_model, reference_fold, chain_circuit
     ):
-        # The scalar path folds over-budget boundary pdfs at full width and
-        # only compacts the results; the vectorized path must match, not
-        # pre-compact the boundary.
+        # Over-budget boundary pdfs are folded at full width and only the
+        # results are compacted; the levelized state must not pre-compact
+        # the boundary.
         boundary = {"in": DiscretePDF.from_normal(150.0, 12.0, 29)}
-        scalar = FULLSSTA(delay_model, variation_model).analyze(
-            chain_circuit, boundary_arrivals=boundary
+        engine = FULLSSTA(delay_model, variation_model)
+        result = engine.analyze(chain_circuit, boundary_arrivals=boundary)
+        assert_fullssta_results_close(
+            fullssta_reference(reference_fold, engine, chain_circuit, boundary), result
         )
-        vectorized = FULLSSTA(delay_model, variation_model, vectorized=True).analyze(
-            chain_circuit, boundary_arrivals=boundary
-        )
-        assert_fullssta_results_close(scalar, vectorized)
-        assert vectorized.arrival_pdfs["in"].num_samples == 29
+        assert result.arrival_pdfs["in"].num_samples == 29
 
     def test_plan_reuse_and_invalidation(self, delay_model, variation_model, c17_circuit):
-        engine = FULLSSTA(delay_model, variation_model, vectorized=True)
+        engine = FULLSSTA(delay_model, variation_model)
         engine.analyze(c17_circuit)
         plan = c17_circuit.compiled()
         engine.analyze(c17_circuit)
@@ -166,7 +186,7 @@ class TestVectorizedEngine:
         assert c17_circuit.compiled() is not plan  # structural edit: relowered
 
     def test_selected_outputs_validate(self, delay_model, variation_model, c17_circuit):
-        engine = FULLSSTA(delay_model, variation_model, vectorized=True)
+        engine = FULLSSTA(delay_model, variation_model)
         result = engine.analyze(c17_circuit, outputs=["N22"])
         assert result.worst_output == "N22"
         with pytest.raises(KeyError):

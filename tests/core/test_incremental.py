@@ -1,11 +1,14 @@
-"""Equivalence tests for the incremental/vectorized evaluation pipeline.
+"""Equivalence tests for the incremental/levelized evaluation pipeline.
 
 The whole point of the pipeline is that it is *exactness-preserving*: the
-vectorized FASSTA path, the incremental FULLSSTA re-analysis and the sizer's
-caches must reproduce the from-scratch engines' moments (to ~1e-9; in
-practice they agree bitwise) while doing less work.  These tests pin that
-contract across registry circuits and randomized resize sequences.
+levelized FASSTA, the incremental FULLSSTA re-analysis and the sizer's
+caches must reproduce a gate-by-gate reference fold and the from-scratch
+engines' moments (to ~1e-9; in practice they agree bitwise) while doing
+less work.  These tests pin that contract across registry circuits and
+randomized resize sequences.
 """
+
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from repro.circuits.registry import build_benchmark
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
+from repro.core.rv import ZERO_DELAY, NormalDelay
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
 from repro.core.subcircuit import SubcircuitCache, extract_subcircuit
 from repro.netlist.circuit import Circuit
@@ -37,56 +41,67 @@ def assert_results_close(reference, candidate, circuit, tol=TOL):
     assert candidate.worst_output == reference.worst_output
 
 
+def fassta_reference(fold, engine, circuit, boundary=None):
+    """A FASSTA result from the gate-by-gate reference fold."""
+    arrivals, gate_delays = fold(
+        circuit,
+        lambda gate: engine.gate_delay_rv(circuit, gate.name),
+        ZERO_DELAY,
+        NormalDelay.maximum_of,
+        operator.add,
+        boundary,
+    )
+    return engine._build_result(circuit, arrivals, gate_delays, None)
+
+
 class TestVectorizedFassta:
     @pytest.mark.parametrize("name", EQUIV_CIRCUITS)
-    def test_matches_scalar_on_registry_circuits(self, name, delay_model, variation_model):
+    def test_matches_scalar_on_registry_circuits(
+        self, name, delay_model, variation_model, reference_fold
+    ):
         circuit = build_benchmark(name)
-        scalar = FASSTA(delay_model, variation_model).analyze(circuit)
-        vectorized = FASSTA(delay_model, variation_model, vectorized=True).analyze(circuit)
-        assert_results_close(scalar, vectorized, circuit)
+        engine = FASSTA(delay_model, variation_model)
+        assert_results_close(
+            fassta_reference(reference_fold, engine, circuit), engine.analyze(circuit), circuit
+        )
 
-    def test_matches_scalar_after_random_resizes(self, delay_model, variation_model):
+    def test_matches_scalar_after_random_resizes(
+        self, delay_model, variation_model, reference_fold
+    ):
         circuit = build_benchmark("c432")
-        scalar_engine = FASSTA(delay_model, variation_model)
-        vector_engine = FASSTA(delay_model, variation_model, vectorized=True)
+        engine = FASSTA(delay_model, variation_model)
         rng = np.random.default_rng(7)
         names = list(circuit.gates)
         for _ in range(5):
             for gate in rng.choice(names, size=4, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
             assert_results_close(
-                scalar_engine.analyze(circuit), vector_engine.analyze(circuit), circuit
+                fassta_reference(reference_fold, engine, circuit),
+                engine.analyze(circuit),
+                circuit,
             )
 
-    def test_boundary_arrivals_respected(self, delay_model, variation_model, chain_circuit):
-        from repro.core.rv import NormalDelay
-
+    def test_boundary_arrivals_respected(
+        self, delay_model, variation_model, reference_fold, chain_circuit
+    ):
         boundary = {"in": NormalDelay(42.0, 5.0)}
-        scalar = FASSTA(delay_model, variation_model).analyze(
-            chain_circuit, boundary_arrivals=boundary
+        engine = FASSTA(delay_model, variation_model)
+        assert_results_close(
+            fassta_reference(reference_fold, engine, chain_circuit, boundary),
+            engine.analyze(chain_circuit, boundary_arrivals=boundary),
+            chain_circuit,
         )
-        vectorized = FASSTA(delay_model, variation_model, vectorized=True).analyze(
-            chain_circuit, boundary_arrivals=boundary
-        )
-        assert_results_close(scalar, vectorized, chain_circuit)
 
-    def test_plan_rebuilt_after_structural_change(self, delay_model, variation_model):
+    def test_plan_rebuilt_after_structural_change(
+        self, delay_model, variation_model, reference_fold
+    ):
         circuit = build_benchmark("c17")
-        engine = FASSTA(delay_model, variation_model, vectorized=True)
+        engine = FASSTA(delay_model, variation_model)
         engine.analyze(circuit)
         circuit.add("extra", "INV", ["N22"], "n_extra")
         circuit.add_primary_output("n_extra")
-        fresh = FASSTA(delay_model, variation_model).analyze(circuit)
+        fresh = fassta_reference(reference_fold, engine, circuit)
         assert_results_close(fresh, engine.analyze(circuit), circuit)
-
-    def test_exact_max_falls_back_to_scalar_path(self, delay_model, variation_model, c17_circuit):
-        exact_scalar = FASSTA(delay_model, variation_model, exact_max=True)
-        exact_vector = FASSTA(
-            delay_model, variation_model, exact_max=True, vectorized=True
-        )
-        assert_results_close(
-            exact_scalar.analyze(c17_circuit), exact_vector.analyze(c17_circuit), c17_circuit
-        )
 
 
 class TestIncrementalReanalysis:
@@ -329,21 +344,18 @@ class TestPreviewProtocol:
 
 class TestFloatingNetConsistency:
     def test_floating_output_raises_in_both_fassta_paths(self, delay_model, variation_model):
-        # A gate input that is neither a primary input nor driven by a gate:
-        # both propagation paths must reject it as an output (it is not a
-        # timeable net), not silently report a zero arrival.
+        # A gate input that is neither a primary input nor driven by a gate
+        # must be rejected as an output (it is not a timeable net), not
+        # silently reported as a zero arrival.
         circuit = Circuit("floaty", primary_inputs=["a"], primary_outputs=["y"])
         circuit.add("g", "NAND2", ["a", "dangling"], "y")
-        for vectorized in (False, True):
-            engine = FASSTA(delay_model, variation_model, vectorized=vectorized)
-            with pytest.raises(KeyError, match="dangling"):
-                engine.analyze(circuit, outputs=["dangling"])
-            # With a boundary arrival the net becomes timeable in both paths.
-            from repro.core.rv import NormalDelay
-
-            result = engine.analyze(
-                circuit,
-                boundary_arrivals={"dangling": NormalDelay(5.0, 1.0)},
-                outputs=["dangling"],
-            )
-            assert result.output_rv.mean == pytest.approx(5.0)
+        engine = FASSTA(delay_model, variation_model)
+        with pytest.raises(KeyError, match="dangling"):
+            engine.analyze(circuit, outputs=["dangling"])
+        # With a boundary arrival the net becomes timeable.
+        result = engine.analyze(
+            circuit,
+            boundary_arrivals={"dangling": NormalDelay(5.0, 1.0)},
+            outputs=["dangling"],
+        )
+        assert result.output_rv.mean == pytest.approx(5.0)

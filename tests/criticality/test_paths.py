@@ -9,7 +9,7 @@ from repro.netlist.circuit import Circuit
 
 
 def _analysis(circuit, delay_model, variation_model):
-    res = FASSTA(delay_model, variation_model, vectorized=True).analyze(circuit)
+    res = FASSTA(delay_model, variation_model).analyze(circuit)
     crit = CriticalityAnalyzer(circuit).analyze(res.arrivals)
     return res, crit
 

@@ -37,11 +37,11 @@ class TestSharedInstance:
     ):
         plan = c17_circuit.compiled()
 
-        fassta = FASSTA(delay_model, variation_model, vectorized=True)
+        fassta = FASSTA(delay_model, variation_model)
         fassta_result = fassta.analyze(c17_circuit)
-        fullssta = FULLSSTA(delay_model, variation_model, vectorized=True)
+        fullssta = FULLSSTA(delay_model, variation_model)
         fullssta_result = fullssta.analyze(c17_circuit)
-        DeterministicSTA(delay_model, vectorized=True).analyze(c17_circuit)
+        DeterministicSTA(delay_model).analyze(c17_circuit)
         MonteCarloTimer(delay_model, variation_model).run(
             c17_circuit, num_samples=16
         )
@@ -60,7 +60,7 @@ class TestSharedInstance:
     def test_size_changes_do_not_relower_mid_flow(
         self, delay_model, variation_model, c17_circuit, lowering_counter
     ):
-        fassta = FASSTA(delay_model, variation_model, vectorized=True)
+        fassta = FASSTA(delay_model, variation_model)
         plan = c17_circuit.compiled()
         before = fassta.analyze(c17_circuit).mean
         for name in c17_circuit.gates:

@@ -49,11 +49,6 @@ class TestGateDelay:
             delay_model.gate_delay_at_size(chain_circuit, gate, gate.size_index)
         )
 
-    def test_all_gate_delays(self, delay_model, chain_circuit):
-        delays = delay_model.all_gate_delays(chain_circuit)
-        assert set(delays) == {"i1", "i2", "i3", "i4"}
-        assert all(d > 0 for d in delays.values())
-
     def test_linear_and_lut_models_agree_on_synthetic_library(
         self, delay_model, linear_delay_model, chain_circuit
     ):

@@ -108,9 +108,9 @@ class TestSweepTraces:
         counters = campaign["metrics"]["counters"]
         assert counters["sweep.cells_total"] == 2
         assert counters["sweep.cells_computed"] == 2
-        # Each cell's flow analyzes original + final: two levelized
-        # FULLSSTA runs per cell, aggregated across the campaign.
-        assert counters["fullssta.runs.levelized"] >= 4
+        # Each cell's flow analyzes original + final: two FULLSSTA runs
+        # per cell, aggregated across the campaign.
+        assert counters["fullssta.runs"] >= 4
 
     def test_parallel_sweep_merges_spans_across_worker_pids(self, tmp_path):
         specs = table1_specs(["c17"], (3.0, 6.0, 9.0), sizer_config=FAST)
@@ -142,7 +142,7 @@ class TestSweepTraces:
         assert (tmp_path / "trace.json").read_bytes() == before
         # But the cached cell's shipped metrics still aggregate.
         assert report.metrics["counters"]["sweep.cells_cached"] == 1
-        assert report.metrics["counters"]["fullssta.runs.levelized"] >= 2
+        assert report.metrics["counters"]["fullssta.runs"] >= 2
 
 
 class TestCrashedWorkerTrace:

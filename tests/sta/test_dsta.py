@@ -1,5 +1,7 @@
 """Unit tests for deterministic static timing analysis."""
 
+import operator
+
 import pytest
 
 from repro.circuits.registry import BENCHMARK_NAMES, build_benchmark, c17
@@ -63,8 +65,15 @@ class TestAnalyze:
             dsta.analyze(circuit)
 
 
+def reference_arrivals(fold, delay_model, circuit):
+    """Nominal arrivals and gate delays from the gate-by-gate reference fold."""
+    return fold(
+        circuit, lambda gate: delay_model.gate_delay(circuit, gate), 0.0, max, operator.add
+    )
+
+
 class TestVectorizedPath:
-    """The levelized IR path must be *bit-identical* to the scalar walk.
+    """The levelized IR pass must be *bit-identical* to a gate-by-gate walk.
 
     ``max`` over floats and float addition are exact operations, so there
     is no tolerance here: every arrival must match to the last bit on every
@@ -72,38 +81,31 @@ class TestVectorizedPath:
     """
 
     @pytest.mark.parametrize("name", ["c17", *BENCHMARK_NAMES])
-    def test_bit_identical_on_registry(self, delay_model, name):
+    def test_bit_identical_on_registry(self, delay_model, reference_fold, name):
         circuit = c17() if name == "c17" else build_benchmark(name)
-        scalar_arrival, scalar_delays = DeterministicSTA(
-            delay_model
-        ).arrival_times(circuit)
-        vec_arrival, vec_delays = DeterministicSTA(
-            delay_model, vectorized=True
-        ).arrival_times(circuit)
-        assert vec_delays == scalar_delays
-        assert vec_arrival == scalar_arrival
+        ref_arrival, ref_delays = reference_arrivals(reference_fold, delay_model, circuit)
+        arrival, gate_delays = DeterministicSTA(delay_model).arrival_times(circuit)
+        assert gate_delays == ref_delays
+        assert arrival == ref_arrival
 
-    def test_analyze_report_matches(self, delay_model, c17_circuit):
-        scalar = DeterministicSTA(delay_model).analyze(c17_circuit)
-        vec = DeterministicSTA(delay_model, vectorized=True).analyze(c17_circuit)
-        assert vec.arrival == scalar.arrival
-        assert vec.required == scalar.required
-        assert vec.slack == scalar.slack
-        assert vec.critical_path == scalar.critical_path
-        assert vec.worst_output == scalar.worst_output
-        assert vec.worst_arrival == scalar.worst_arrival
+    def test_analyze_report_matches(self, delay_model, reference_fold, c17_circuit):
+        ref_arrival, ref_delays = reference_arrivals(reference_fold, delay_model, c17_circuit)
+        report = DeterministicSTA(delay_model).analyze(c17_circuit)
+        assert report.arrival == ref_arrival
+        assert report.gate_delays == ref_delays
+        outputs = c17_circuit.primary_outputs
+        assert report.worst_output == max(outputs, key=ref_arrival.__getitem__)
+        assert report.worst_arrival == max(ref_arrival[net] for net in outputs)
 
-    def test_floating_inputs_read_as_zero(self, delay_model):
+    def test_floating_inputs_read_as_zero(self, delay_model, reference_fold):
         from repro.netlist.circuit import Circuit
 
         circuit = Circuit("f", primary_inputs=["a"], primary_outputs=["y"])
         circuit.add("g", "NAND2", ["a", "ghost"], "y")
-        scalar_arrival, _ = DeterministicSTA(delay_model).arrival_times(circuit)
-        vec_arrival, _ = DeterministicSTA(
-            delay_model, vectorized=True
-        ).arrival_times(circuit)
-        assert vec_arrival == scalar_arrival
-        assert "ghost" not in vec_arrival  # reads as 0.0 via .get, like scalar
+        ref_arrival, _ = reference_arrivals(reference_fold, delay_model, circuit)
+        arrival, _ = DeterministicSTA(delay_model).arrival_times(circuit)
+        assert arrival == ref_arrival
+        assert "ghost" not in arrival  # reads as 0.0 via .get
 
 
 class TestCriticalPath:
