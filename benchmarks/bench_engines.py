@@ -100,12 +100,11 @@ def _reference_mc_samples(timer, circuit, num_samples, seed):
     """
     rng = np.random.default_rng(seed)
     order = circuit.topological_order()
-    distributions = timer.variation_model.all_gate_distributions(
-        circuit, timer.delay_model
-    )
     gate_samples = {}
     for name in order:
-        dist = distributions[name]
+        dist = timer.variation_model.gate_distribution(
+            circuit, circuit.gate(name), timer.delay_model
+        )
         gate_samples[name] = rng.normal(dist.mean, dist.sigma, num_samples)
     arrivals = {net: np.zeros(num_samples) for net in circuit.primary_inputs}
     for name in order:
@@ -130,15 +129,11 @@ def _draw_gate_delays(timer, circuit, plan, num_samples, seed):
     the same numbers.
     """
     rng = np.random.default_rng(seed)
-    distributions = timer.variation_model.all_gate_distributions(
-        circuit, timer.delay_model
-    )
+    mu, sigma = timer.variation_model.delay_moments(circuit, timer.delay_model)
     delay = np.empty((plan.num_gates, num_samples))
     for name in circuit.topological_order():
-        dist = distributions[name]
-        delay[plan.gate_index[name]] = rng.normal(
-            dist.mean, dist.sigma, num_samples
-        )
+        gid = plan.gate_index[name]
+        delay[gid] = rng.normal(mu[gid], sigma[gid], num_samples)
     return delay
 
 

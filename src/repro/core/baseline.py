@@ -18,9 +18,18 @@ greedy critical-path sizing template the paper cites (Coudert 1997, Fishburn
 4. optionally recover area: downsize gates off the critical path as long as
    the circuit's worst delay does not degrade beyond a tolerance.
 
-It reuses the same subcircuit extraction as the statistical sizer, with
-``lambda = 0`` (pure mean objective), so the two optimizers are directly
-comparable.
+Step 2 is the statistical sizer's own inner loop in its ``lambda = 0``,
+zero-variation configuration: memoized subcircuit extraction
+(:class:`~repro.core.subcircuit.SubcircuitCache`), one size sweep per gate
+that shares the delay moments of unaffected subcircuit members across
+candidates and seeds, and the same best-size rule
+(:meth:`CostEvaluator.best_seed_size
+<repro.core.cost.CostEvaluator.best_seed_size>`).  The two optimizers are
+therefore directly comparable.  Every STA run reads the packed delay stage
+(:meth:`BaseDelayModel.nominal_delays
+<repro.library.delay_model.BaseDelayModel.nominal_delays>`); only the area
+recovery of step 4, which resizes gate by gate, asks for delays one gate at
+a time.
 """
 
 from __future__ import annotations
@@ -31,7 +40,11 @@ from typing import Dict, List, Optional
 from repro.core.cost import CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
 from repro.core.rv import NormalDelay
-from repro.core.subcircuit import DEFAULT_DEPTH, extract_subcircuit
+from repro.core.subcircuit import DEFAULT_DEPTH, SubcircuitCache
+
+# Extraction goes through SubcircuitCache; the name stays importable here
+# because flowbench/layers.py wraps it in this namespace.
+from repro.core.subcircuit import extract_subcircuit  # noqa: F401
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import clock, span
@@ -91,6 +104,7 @@ class MeanDelaySizer:
         self.dsta = DeterministicSTA(delay_model)
         self.fassta = FASSTA(delay_model, self.variation_model)
         self.evaluator = CostEvaluator(self.fassta, WeightedCost(0.0))
+        self._subcircuits = SubcircuitCache()
 
     # ------------------------------------------------------------------
     def optimize(self, circuit: Circuit) -> BaselineResult:
@@ -193,31 +207,20 @@ class MeanDelaySizer:
         self, circuit: Circuit, path: List[str]
     ) -> Dict[str, int]:
         """Pick the best size (by nominal subcircuit delay) for each target gate."""
-        library = self.delay_model.library
         scheduled: Dict[str, int] = {}
         # Arrival times for subcircuit boundaries come from nominal STA.
         arrival, _ = self.dsta.arrival_times(circuit)
-        boundary_moments = {net: NormalDelay(t, 0.0) for net, t in arrival.items()}
-
+        # No size changes until the scheduled resizes are committed, so the
+        # delay moments of unaffected subcircuit members hold for every seed.
+        delay_rv_cache: Dict[str, NormalDelay] = {}
         for gate_name in path:
-            gate = circuit.gate(gate_name)
-            subcircuit = extract_subcircuit(circuit, gate_name, self.subcircuit_depth)
+            subcircuit = self._subcircuits.get(circuit, gate_name, self.subcircuit_depth)
             boundary = {
-                net: boundary_moments.get(net, NormalDelay(0.0, 0.0))
+                net: NormalDelay(arrival.get(net, 0.0), 0.0)
                 for net in subcircuit.input_nets
             }
-            best_cost = self.evaluator.subcircuit_cost_components(subcircuit, boundary)
-            best_size = gate.size_index
-            for size_index in library.size_indices(gate.cell_type):
-                if size_index == gate.size_index:
-                    continue
-                cost = self.evaluator.candidate_size_cost_components(
-                    subcircuit, boundary, size_index
-                )
-                if cost.better_than(best_cost):
-                    best_cost = cost
-                    best_size = size_index
-            if best_size != gate.size_index:
+            best_size = self.evaluator.best_seed_size(subcircuit, boundary, delay_rv_cache)
+            if best_size != circuit.gate(gate_name).size_index:
                 scheduled[gate_name] = best_size
         return scheduled
 

@@ -20,7 +20,10 @@ accept/reject decisions use the exact discrete-pdf quantile instead.
 
 :class:`CostEvaluator` binds the cost to a FASSTA engine and evaluates
 candidate gate sizes on extracted subcircuits, which is exactly the
-``Cost(S)`` procedure of the Fig. 2 pseudocode.
+``Cost(S)`` procedure of the Fig. 2 pseudocode.  Both sizers pick a gate's
+size with :meth:`CostEvaluator.best_seed_size`, one memoized size sweep per
+gate: the statistical sizer with its lambda, the mean-delay baseline with
+lambda = 0 and zero variation.
 """
 
 from __future__ import annotations
@@ -282,3 +285,31 @@ class CostEvaluator:
         finally:
             seed_gate.size_index = original
         return results
+
+    def best_seed_size(
+        self,
+        subcircuit: Subcircuit,
+        boundary_arrivals: Mapping[str, NormalDelay],
+        delay_rv_cache: Optional[Dict[str, NormalDelay]] = None,
+    ) -> int:
+        """The seed size with the best subcircuit cost, by one size sweep.
+
+        Every library size of the seed is swept (:meth:`size_sweep_components`);
+        in library order, a candidate wins when it is strictly better than
+        the best so far, starting from the seed's current size.  Returns the
+        current size when no candidate beats it.  Both sizers pick sizes
+        with this rule.
+        """
+        seed = subcircuit.parent.gate(subcircuit.seed)
+        library = self.fassta.delay_model.library
+        sweep = self.size_sweep_components(
+            subcircuit,
+            boundary_arrivals,
+            library.size_indices(seed.cell_type),
+            delay_rv_cache=delay_rv_cache,
+        )
+        best = seed.size_index
+        for size_index, cost in sweep.items():
+            if size_index != seed.size_index and cost.better_than(sweep[best]):
+                best = size_index
+        return best

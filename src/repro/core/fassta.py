@@ -10,15 +10,19 @@ of every arrival time (a :class:`~repro.core.rv.NormalDelay`):
 
 :meth:`FASSTA.analyze` times a whole :class:`~repro.netlist.circuit.Circuit`
 as a levelized program over the circuit's shared array-native IR
-(:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): per
-logic level the Clark fast-max folds the input positions left to right over
-NumPy arrays of μ/σ (:func:`repro.core.clark.clark_max_fast_arrays`), the
-pairwise order of :meth:`NormalDelay.maximum_of`, so the moments agree with
-a gate-by-gate fold to ~1e-12.  The sizer's inner loop evaluates extracted
-two-level subcircuits instead, with boundary arrival moments recorded by
-FULLSSTA (:meth:`CostEvaluator.subcircuit_arrivals
-<repro.core.cost.CostEvaluator.subcircuit_arrivals>`), and shares this
-engine's per-gate delay moments (:meth:`FASSTA.gate_delay_rv`) — the nesting
+(:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): the
+gate-delay moments of every gate come from the packed delay stage in one
+call (:meth:`VariationModel.delay_moments
+<repro.variation.model.VariationModel.delay_moments>`), then per logic level
+the Clark fast-max folds the input positions left to right over NumPy arrays
+of μ/σ (:func:`repro.core.clark.clark_max_fast_arrays`), the pairwise order
+of :meth:`NormalDelay.maximum_of`, so the moments agree with a gate-by-gate
+fold to ~1e-12.  The sizer's inner loop evaluates extracted two-level
+subcircuits instead, with boundary arrival moments recorded by FULLSSTA
+(:meth:`CostEvaluator.subcircuit_arrivals
+<repro.core.cost.CostEvaluator.subcircuit_arrivals>`), and times trial sizes
+with this engine's scalar per-gate query (:meth:`FASSTA.gate_delay_rv`,
+which sees a size written straight into ``Gate.size_index``) — the nesting
 the paper describes ("a slower more accurate approach for tracking
 statistical critical paths and a fast engine for evaluation of gate size
 assignments").
@@ -93,7 +97,12 @@ class FASSTA:
     def gate_delay_rv(
         self, circuit: Circuit, gate_name: str, size_index: Optional[int] = None
     ) -> NormalDelay:
-        """Delay distribution of one gate (optionally at a hypothetical size)."""
+        """Delay distribution of one gate (optionally at a hypothetical size).
+
+        The scalar query, read from the live gate: it sees a trial size
+        written straight into ``Gate.size_index``, which the packed stage
+        behind :meth:`analyze` does not.
+        """
         gate = circuit.gate(gate_name)
         dist = self.variation_model.gate_distribution(
             circuit, gate, self.delay_model, size_index
@@ -152,17 +161,18 @@ class FASSTA:
                     mu[idx] = rv.mean
                     sg[idx] = rv.sigma
 
-        gate_delays: Dict[str, NormalDelay] = {}
+        delay_mu, delay_sg = self.variation_model.delay_moments(circuit, self.delay_model)
+        gate_delays = dict(
+            zip(
+                plan.gate_names,
+                map(NormalDelay, delay_mu.tolist(), delay_sg.tolist()),
+                strict=True,
+            )
+        )
         for block in plan.levels:
-            names, out_ids = block.names, block.out_slots
-            in_ids, in_mask = block.in_slots, block.in_mask
-            d_mu = np.empty(len(names))
-            d_sg = np.empty(len(names))
-            for row, name in enumerate(names):
-                rv = self.gate_delay_rv(circuit, name)
-                gate_delays[name] = rv
-                d_mu[row] = rv.mean
-                d_sg[row] = rv.sigma
+            out_ids, in_ids, in_mask = block.out_slots, block.in_slots, block.in_mask
+            d_mu = delay_mu[block.gate_ids]
+            d_sg = delay_sg[block.gate_ids]
 
             # Left-to-right pairwise fold over input positions, masked so a
             # gate with fewer inputs keeps its running max untouched — the

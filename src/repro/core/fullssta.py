@@ -5,7 +5,11 @@ discretized into a small pdf (10-15 samples, following Liou et al. DAC 2001)
 and arrival times are propagated as discrete pdfs, levelized over the
 circuit's compiled IR: every net owns one padded sample row, and each logic
 level folds its gates' input rows left to right with ``max`` and adds their
-delay rows (:meth:`LevelizedState.propagate`).  The batched primitives
+delay rows (:meth:`LevelizedState.propagate`).  The delay rows discretize
+the gate-delay moments of the packed delay stage
+(:meth:`VariationModel.delay_moments
+<repro.variation.model.VariationModel.delay_moments>`), for the whole
+circuit on a full run and for the dirty gates of an incremental one.  The batched primitives
 (:func:`~repro.core.discrete_pdf.batched_combine`) replay the
 canonicalize/compact arithmetic of :class:`~repro.core.discrete_pdf.DiscretePDF`,
 so the moments agree with a gate-by-gate pdf fold to ~1e-12.
@@ -34,7 +38,7 @@ nesting FULLSSTA inside a sizing loop affordable at scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -229,17 +233,17 @@ class FULLSSTA:
 
     # ------------------------------------------------------------------
     def _delay_rows(
-        self, circuit: Circuit, gate_names: Sequence[str]
+        self, circuit: Circuit, gate_ids: Optional[np.ndarray] = None
     ) -> "tuple[Dict[str, NormalDelay], np.ndarray, np.ndarray]":
-        """Delay moments and discretized delay rows of ``gate_names``."""
-        moments: Dict[str, NormalDelay] = {}
-        mu, sigma = np.empty((2, len(gate_names)))
-        for row, name in enumerate(gate_names):
-            dist = self.variation_model.gate_distribution(
-                circuit, circuit.gate(name), self.delay_model
-            )
-            moments[name] = NormalDelay(dist.mean, dist.sigma)
-            mu[row], sigma[row] = dist.mean, dist.sigma
+        """Delay moments and discretized delay rows of every gate, or of ``gate_ids``."""
+        plan = circuit.compiled()
+        mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model, gate_ids)
+        names = (
+            plan.gate_names if gate_ids is None else [plan.gate_names[gid] for gid in gate_ids]
+        )
+        moments = dict(
+            zip(names, map(NormalDelay, mu.tolist(), sigma.tolist()), strict=True)
+        )
         delay_values, delay_probs, _ = batched_from_normal(mu, sigma, self.num_samples)
         return moments, delay_values, delay_probs
 
@@ -270,7 +274,7 @@ class FULLSSTA:
             # they are folded at full width (only the *results* are
             # compacted), so the state arrays are sized for the widest.
             width = max([self.num_samples, *(pdf.num_samples for pdf in known.values())])
-            moments, delay_values, delay_probs = self._delay_rows(circuit, plan.gate_names)
+            moments, delay_values, delay_probs = self._delay_rows(circuit)
             state = LevelizedState(
                 values=np.zeros((plan.num_nets, width)),
                 probs=np.zeros((plan.num_nets, width)),
@@ -563,7 +567,7 @@ class IncrementalReanalysis:
 
         # The dirty gates' own delay distributions moved (their size or one
         # of their fanout's input caps changed): re-derive them.
-        moments, delay_values, delay_probs = engine._delay_rows(circuit, names)
+        moments, delay_values, delay_probs = engine._delay_rows(circuit, gate_ids)
         is_dirty = np.zeros(plan.num_gates, dtype=bool)
         is_dirty[gate_ids] = True
         changed = np.zeros(plan.num_nets + 1, dtype=bool)  # + the fanin sentinel

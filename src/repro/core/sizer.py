@@ -560,8 +560,6 @@ class StatisticalGreedySizer:
         key.  With incremental re-analysis upstream, unchanged regions carry
         bitwise-identical moments between passes and the memo keeps hitting.
         """
-        library = self.delay_model.library
-        gate = circuit.gate(gate_name)
         depth = self.config.subcircuit_depth
         subcircuit = self._subcircuits.get(circuit, gate_name, depth)
         boundary = {
@@ -591,20 +589,9 @@ class StatisticalGreedySizer:
             self._rv_cache = {}
             self._rv_cache_key = rv_key
 
-        sweep = self.evaluator.size_sweep_components(
-            subcircuit,
-            boundary,
-            library.size_indices(gate.cell_type),
-            delay_rv_cache=self._rv_cache,
+        best_size = self.evaluator.best_seed_size(
+            subcircuit, boundary, delay_rv_cache=self._rv_cache
         )
-        best_cost = sweep[gate.size_index]
-        best_size = gate.size_index
-        for size_index, cost in sweep.items():
-            if size_index == gate.size_index:
-                continue
-            if cost.better_than(best_cost):
-                best_cost = cost
-                best_size = size_index
-        choice = best_size if best_size != gate.size_index else None
+        choice = best_size if best_size != circuit.gate(gate_name).size_index else None
         self._eval_cache[cache_key] = choice
         return choice

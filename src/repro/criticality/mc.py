@@ -92,21 +92,19 @@ class MonteCarloCriticality:
         # Draw order pins the RNG stream bit-for-bit against the MC timer.
         # repro-lint: allow=RL001
         order = circuit.topological_order()
-        distributions = self.variation_model.all_gate_distributions(
-            circuit, self.delay_model
-        )
 
         # Forward pass over the compiled IR (identical sampling scheme to
-        # MonteCarloTimer's independent path: draws stay in topological
-        # order, so the generator stream is unchanged; propagation is
-        # levelized across all samples at once).
+        # MonteCarloTimer's independent path: the packed delay stage's
+        # moments, draws in topological order, so the generator stream is
+        # unchanged; propagation is levelized across all samples at once).
         plan = circuit.compiled()
+        draw_ids = [plan.gate_index[name] for name in order]
+        mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model)
         delay = np.empty((plan.num_gates, num_samples))
-        for name in order:
-            dist = distributions[name]
-            delay[plan.gate_index[name]] = rng.normal(
-                dist.mean, dist.sigma, num_samples
-            )
+        for gid, mean, sd in zip(
+            draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
+        ):
+            delay[gid] = rng.normal(mean, sd, num_samples)
 
         # The sentinel row holds -inf so the padded fanin matrix folds
         # without a validity mask; argmax over the padded columns keeps

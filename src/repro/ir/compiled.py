@@ -19,7 +19,8 @@ that *every* consumer shares:
   fill the tail.  ``boundary_mask`` marks every slot whose arrival time is
   a boundary condition (primary inputs *and* floating nets — both start at
   zero arrival unless a caller overrides them); ``floating_mask`` isolates
-  just the floating tail.
+  just the floating tail.  ``output_mask`` marks the primary-output slots
+  (the nets that carry the library's output load).
 * **CSR adjacency** — ``fanin_indptr`` / ``fanin_slots`` give each gate's
   input net slots in pin order; ``fanout_indptr`` / ``fanout_gates`` give,
   per net slot, the gate ids reading that net.  Dirty-cone propagation
@@ -111,6 +112,7 @@ class CompiledCircuit:
         "boundary_mask",
         "floating_mask",
         "floating",
+        "output_mask",
     )
 
     def __init__(
@@ -131,6 +133,7 @@ class CompiledCircuit:
         cell_types: List[str],
         cell_type_ids: IntArray,
         size_index: IntArray,
+        output_mask: BoolArray,
     ) -> None:
         self.name = name
         self.structure_version = structure_version
@@ -179,6 +182,7 @@ class CompiledCircuit:
         self.floating_mask = np.zeros(self.num_nets, dtype=bool)
         self.floating_mask[floating_start:] = True
         self.floating: FrozenSet[str] = frozenset(net_names[floating_start:])
+        self.output_mask = output_mask
 
         self.levels = self._build_level_blocks()
 
@@ -362,6 +366,14 @@ def lower_circuit(circuit: "Circuit") -> CompiledCircuit:
         cell_type_ids[gid] = cid
         size_index[gid] = gate.size_index
 
+    # Primary-output slots (an output net that no gate drives or reads has
+    # no slot and no load to carry).
+    output_mask = np.zeros(num_nets, dtype=bool)
+    for net in circuit.primary_outputs:
+        slot = net_index.get(net)
+        if slot is not None:
+            output_mask[slot] = True
+
     return CompiledCircuit(
         name=circuit.name,
         structure_version=circuit.structure_version,
@@ -379,6 +391,7 @@ def lower_circuit(circuit: "Circuit") -> CompiledCircuit:
         cell_types=cell_types,
         cell_type_ids=cell_type_ids,
         size_index=size_index,
+        output_mask=output_mask,
     )
 
 

@@ -18,7 +18,11 @@ Propagation runs as a levelized array program over the circuit's compiled IR
 ``np.maximum`` fold per input position per logic level — every sample
 advances through a level at once instead of one gate at a time (see
 :func:`repro.ir.compiled.propagate_levelized`, the max-plus kernel
-deterministic STA runs with a single column).  Gate-delay *draws* stay in
+deterministic STA runs with a single column).  Every gate's ``(mu, sigma)``
+comes from the packed delay stage in one call
+(:meth:`VariationModel.delay_moments
+<repro.variation.model.VariationModel.delay_moments>`), the same pair the
+SSTA engines read.  Gate-delay *draws* stay in
 ``circuit.topological_order()`` order so the generator stream is
 bit-compatible with the historical per-gate loop (pinned by
 ``tests/montecarlo/test_mc.py``); ``np.maximum`` and float addition are
@@ -133,10 +137,9 @@ class MonteCarloTimer:
         # Draw order is part of the pinned RNG stream contract (bit-compat
         # with the scalar timer).  repro-lint: allow=RL001
         order = circuit.topological_order()
-        distributions = self.variation_model.all_gate_distributions(
-            circuit, self.delay_model
-        )
         plan = circuit.compiled()
+        draw_ids = [plan.gate_index[name] for name in order]
+        mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model)
 
         # Pre-draw the gate-delay samples into a (num_gates, num_samples)
         # matrix in IR gate order.  The draw loop itself stays in
@@ -144,11 +147,10 @@ class MonteCarloTimer:
         # the regression tests, so only the *storage* is array-native.
         delay = np.empty((plan.num_gates, num_samples))
         if self.correlation_model is None:
-            for name in order:
-                dist = distributions[name]
-                delay[plan.gate_index[name]] = rng.normal(
-                    dist.mean, dist.sigma, num_samples
-                )
+            for gid, mean, sd in zip(
+                draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
+            ):
+                delay[gid] = rng.normal(mean, sd, num_samples)
         else:
             # Vectorized correlated path: one (num_samples, num_factors) draw
             # for the shared grid factors and one matmul for every gate's
@@ -164,21 +166,16 @@ class MonteCarloTimer:
                 order, factor_array
             )
             sigma_rand = self.variation_model.random_sigma
-            for j, name in enumerate(order):
-                dist = distributions[name]
-                gate = circuit.gate(name)
-                drive = self.delay_model.library.size(
-                    gate.cell_type, gate.size_index
-                ).drive
-                sigma_prop = (
-                    self.variation_model.proportional_alpha
-                    * dist.mean
-                    / (drive ** self.variation_model.size_exponent)
-                )
-                sigma_corr, sigma_ind = self.correlation_model.split_sigma(sigma_prop)
+            sigma_prop = self.variation_model.proportional_sigmas(
+                circuit, self.delay_model, mu
+            )
+            for j, (gid, mean, prop) in enumerate(
+                zip(draw_ids, mu[draw_ids].tolist(), sigma_prop[draw_ids].tolist(), strict=True)
+            ):
+                sigma_corr, sigma_ind = self.correlation_model.split_sigma(prop)
                 noise = rng.standard_normal((2, num_samples))
-                delay[plan.gate_index[name]] = (
-                    dist.mean
+                delay[gid] = (
+                    mean
                     + sigma_corr * correlated_all[:, j]
                     + sigma_ind * noise[0]
                     + sigma_rand * noise[1]

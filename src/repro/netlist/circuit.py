@@ -106,11 +106,16 @@ class Circuit:
         self._invalidate()
 
     def add_primary_output(self, net: str) -> None:
-        """Declare ``net`` as a primary output."""
+        """Declare ``net`` as a primary output.
+
+        A structural mutation: the output load it adds to ``net``'s driver
+        and the output set of extracted subcircuits both depend on it.
+        """
         if net in self._po_set:
             raise CircuitError(f"primary output {net!r} already declared")
         self._primary_outputs.append(net)
         self._po_set.add(net)
+        self._invalidate()
 
     def add_gate(self, gate: Gate) -> Gate:
         """Add a gate instance; returns the gate for chaining."""
@@ -159,6 +164,8 @@ class Circuit:
         """Replace an existing gate of the same name (size changes, etc.).
 
         The replacement must keep the same output net; inputs may change.
+        A new cell type or new inputs is a structural mutation; a replacement
+        that only changes the size is logged like :meth:`set_size`.
         """
         old = self._gates.get(gate.name)
         if old is None:
@@ -168,8 +175,8 @@ class Circuit:
                 f"replace_gate cannot change the driven net "
                 f"({old.output!r} -> {gate.output!r})"
             )
-        structural = list(old.inputs) != list(gate.inputs)
-        if structural:
+        rewired = list(old.inputs) != list(gate.inputs)
+        if rewired:
             for net in old.inputs:
                 loads = self._loads.get(net, [])
                 if gate.name in loads:
@@ -179,8 +186,10 @@ class Circuit:
             for net in gate.inputs:
                 self._loads.setdefault(net, []).append(gate.name)
         self._gates[gate.name] = gate
-        if structural:
+        if rewired or old.cell_type != gate.cell_type:
             self._invalidate()
+        elif old.size_index != gate.size_index:
+            self._size_change_log.append(gate.name)
 
     def set_size(self, gate_name: str, size_index: int) -> None:
         """Set the discrete size of a gate in place (no structural invalidation).

@@ -9,9 +9,13 @@ generalises into the WNSS path.
 
 The forward pass is the max-plus program of the circuit's compiled IR
 (:func:`repro.ir.compiled.propagate_levelized`, the kernel the Monte-Carlo
-timer runs with one column per sample) over a single delay column.  ``max``
-over floats and float addition are exact, so the arrivals equal a
-gate-by-gate topological walk bit for bit.
+timer runs with one column per sample) over a single delay column, the
+nominal delays of the packed delay stage
+(:meth:`BaseDelayModel.nominal_delays
+<repro.library.delay_model.BaseDelayModel.nominal_delays>`).  ``max`` over
+floats and float addition are exact, so the arrivals equal a gate-by-gate
+topological walk bit for bit.  :meth:`DeterministicSTA.max_delay` reads the
+primary-output maximum straight from the arrival array.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ir.compiled import propagate_levelized
+from repro.ir.compiled import CompiledCircuit, propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
@@ -63,6 +67,13 @@ class DeterministicSTA:
         self.delay_model = delay_model
 
     # ------------------------------------------------------------------
+    def _propagate(self, circuit: Circuit) -> Tuple[CompiledCircuit, np.ndarray, np.ndarray]:
+        """``(plan, gate delays, arrival per net slot)``; boundary slots hold 0."""
+        METRICS.counter("dsta.runs")
+        plan = circuit.compiled()
+        delay = self.delay_model.nominal_delays(circuit)
+        return plan, delay, propagate_levelized(plan, delay[:, None])[: plan.num_nets, 0]
+
     def arrival_times(self, circuit: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
         """Forward propagation.
 
@@ -71,18 +82,11 @@ class DeterministicSTA:
         Primary inputs arrive at time 0; floating nets stay out of the map
         (they read as 0.0 through ``.get``).
         """
-        METRICS.counter("dsta.runs")
         with span("dsta.arrival_times") as sp:
-            plan = circuit.compiled()
-            gates = circuit.gates
-            gate_delays = {
-                name: self.delay_model.gate_delay(circuit, gates[name])
-                for name in plan.gate_names
-            }
-            delay = np.fromiter(gate_delays.values(), dtype=float, count=plan.num_gates)
+            plan, delay, arr = self._propagate(circuit)
             timed = plan.num_pis + plan.num_gates
-            arr = propagate_levelized(plan, delay[:, None])[:timed, 0]
-            arrival = dict(zip(plan.net_names[:timed], arr.tolist(), strict=True))
+            arrival = dict(zip(plan.net_names[:timed], arr[:timed].tolist(), strict=True))
+            gate_delays = dict(zip(plan.gate_names, delay.tolist(), strict=True))
             sp.set(gates=plan.num_gates)
         return arrival, gate_delays
 
@@ -158,6 +162,12 @@ class DeterministicSTA:
         return self.analyze(circuit).critical_path
 
     def max_delay(self, circuit: Circuit) -> float:
-        """Nominal delay of the longest path (worst primary-output arrival)."""
-        arrival, _ = self.arrival_times(circuit)
-        return max(arrival.get(net, 0.0) for net in circuit.primary_outputs)
+        """Nominal delay of the longest path (worst primary-output arrival).
+
+        An output net no gate drives or reads arrives at 0.
+        """
+        if not circuit.primary_outputs:
+            raise ValueError(f"circuit {circuit.name!r} has no primary outputs")
+        plan, _, arr = self._propagate(circuit)
+        outputs = arr[plan.output_mask]
+        return float(outputs.max()) if outputs.size else 0.0

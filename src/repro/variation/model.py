@@ -22,14 +22,25 @@ fifth of that, with a small size-independent floor.  These values are calibrated
 benchmark circuits land in the paper's Table 1 range of output sigma/mu
 (about 0.02 for the deepest circuit up to about 0.12 for the shallow ALUs);
 ``benchmarks/bench_table1.py`` reports the original sigma/mu per circuit.
+
+:meth:`VariationModel.delay_moments` gives every gate's ``(mu, sigma)`` as
+two arrays in the circuit's compiled-IR gate order: the packed delay stage
+(:meth:`BaseDelayModel.nominal_delays
+<repro.library.delay_model.BaseDelayModel.nominal_delays>`) followed by the
+sigma formula over arrays.  DSTA, FASSTA, FULLSSTA and both Monte-Carlo
+timers read that one pair; it is bitwise equal to
+:meth:`VariationModel.gate_distribution`, the scalar query the candidate
+sweeps use for trial sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
-from repro.library.delay_model import BaseDelayModel
+import numpy as np
+
+from repro.library.delay_model import BaseDelayModel, FloatArray, IntArray
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import Gate
 
@@ -125,14 +136,33 @@ class VariationModel:
         drive = library.size(gate.cell_type, idx).drive
         return GateDelayDistribution(mean=mean, sigma=self.sigma_for(mean, drive))
 
-    def all_gate_distributions(
-        self, circuit: Circuit, delay_model: BaseDelayModel
-    ) -> Dict[str, GateDelayDistribution]:
-        """Delay distribution of every gate in ``circuit``, keyed by gate name."""
-        return {
-            gate.name: self.gate_distribution(circuit, gate, delay_model)
-            for gate in circuit.gates.values()
-        }
+    def delay_moments(
+        self,
+        circuit: Circuit,
+        delay_model: BaseDelayModel,
+        gate_ids: Optional[IntArray] = None,
+    ) -> Tuple[FloatArray, FloatArray]:
+        """``(mu, sigma)`` of every gate, or of ``gate_ids``, in IR gate order.
+
+        Bitwise equal to :meth:`gate_distribution` per gate at the sizes the
+        compiled IR holds.
+        """
+        mu = delay_model.nominal_delays(circuit, gate_ids)
+        sigma = self.proportional_sigmas(circuit, delay_model, mu, gate_ids)
+        return mu, sigma + self.random_sigma
+
+    def proportional_sigmas(
+        self,
+        circuit: Circuit,
+        delay_model: BaseDelayModel,
+        mu: np.ndarray,
+        gate_ids: Optional[IntArray] = None,
+    ) -> FloatArray:
+        """The proportional sigma component for nominal delays ``mu`` (IR gate order)."""
+        plan = circuit.compiled()
+        pack = delay_model.packed(plan)
+        drive_pow = pack.drive_pow(self.size_exponent)[pack.rows(plan, gate_ids)]
+        return self.proportional_alpha * mu / drive_pow
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return (

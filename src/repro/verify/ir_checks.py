@@ -251,6 +251,8 @@ def ir_problems(
         p.append(f"size_index has {len(compiled.size_index)} entries")
     elif ng and compiled.size_index.min() < 0:
         p.append("size_index contains negative entries")
+    if len(compiled.output_mask) != nn:
+        p.append(f"output_mask has {len(compiled.output_mask)} entries for {nn} nets")
 
     # -- level blocks ------------------------------------------------------
     if len(compiled.levels) != len(compiled.level_values):
@@ -294,6 +296,11 @@ def _netlist_problems(compiled: CompiledCircuit, circuit: Circuit) -> List[str]:
     npi = compiled.num_pis
     if list(compiled.net_names[:npi]) != list(circuit.primary_inputs):
         p.append("net slots [0, num_pis) are not the primary inputs in order")
+    outputs = {
+        compiled.net_names[slot] for slot in np.flatnonzero(compiled.output_mask)
+    }
+    if outputs != set(circuit.primary_outputs) & set(compiled.net_index):
+        p.append("output_mask does not mark the primary outputs")
     for gid, name in enumerate(compiled.gate_names):
         gate = circuit.gate(name)
         slot = int(compiled.gate_output_slot[gid])

@@ -1,12 +1,16 @@
 """Unit tests for the weighted cost (Eq. 7) and the subcircuit cost evaluator."""
 
+import numpy as np
 import pytest
 
+from repro.circuits.registry import build_benchmark
 from repro.core.cost import CostComponents, CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA
 from repro.core.rv import NormalDelay
-from repro.core.subcircuit import extract_subcircuit
+from repro.core.subcircuit import SubcircuitCache, extract_subcircuit
+from repro.sta.dsta import DeterministicSTA
+from repro.variation.model import VariationModel
 
 
 class TestWeightedCost:
@@ -103,3 +107,47 @@ class TestCostEvaluator:
         current = evaluator.subcircuit_cost_components(sub, boundary)
         better = evaluator.candidate_size_cost_components(sub, boundary, 3)
         assert better.better_than(current)
+
+
+class TestSizeSweep:
+    """The memoized size sweep both sizers pick sizes with, against
+    evaluating every candidate size from scratch."""
+
+    @pytest.mark.parametrize(
+        "lam,variation",
+        [(0.0, VariationModel(0.0, 0.0)), (3.0, VariationModel())],
+        ids=["baseline-mean-delay", "sizer-lam3"],
+    )
+    def test_sweep_equals_per_size_evaluation(self, delay_model, library, lam, variation):
+        circuit = build_benchmark("c432")
+        rng = np.random.default_rng(11)
+        for name, gate in circuit.gates.items():
+            circuit.set_size(name, int(rng.integers(library.num_sizes(gate.cell_type))))
+        if lam == 0.0:
+            arrival, _ = DeterministicSTA(delay_model).arrival_times(circuit)
+            boundary = {net: NormalDelay(t, 0.0) for net, t in arrival.items()}
+        else:
+            boundary = FULLSSTA(delay_model, variation).analyze(circuit).arrival_moments
+        evaluator = CostEvaluator(FASSTA(delay_model, variation), WeightedCost(lam))
+        subcircuits = SubcircuitCache()
+        delay_rv_cache = {}  # shared across seeds, as the sizers share it
+        sizes_before = circuit.sizes()
+        for name, gate in circuit.gates.items():
+            sub = subcircuits.get(circuit, name)
+            sizes = library.size_indices(gate.cell_type)
+            sweep = evaluator.size_sweep_components(
+                sub, boundary, sizes, delay_rv_cache=delay_rv_cache
+            )
+            scratch = {
+                size: evaluator.candidate_size_cost_components(sub, boundary, size)
+                for size in sizes
+            }
+            assert sweep == scratch, name
+            # The best-size rule: the first candidate strictly better than
+            # the best so far, starting from the current size.
+            best = gate.size_index
+            for size in sizes:
+                if scratch[size].better_than(scratch[best]):
+                    best = size
+            assert evaluator.best_seed_size(sub, boundary, delay_rv_cache) == best, name
+        assert circuit.sizes() == sizes_before

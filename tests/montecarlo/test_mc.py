@@ -16,6 +16,18 @@ def timer(delay_model, variation_model):
     return MonteCarloTimer(delay_model, variation_model)
 
 
+def _gate_distributions(variation_model, circuit, delay_model):
+    """Per-gate scalar delay distributions, keyed by gate name.
+
+    The references below build on the scalar query, so they also
+    cross-check the packed delay stage the timers read.
+    """
+    return {
+        gate.name: variation_model.gate_distribution(circuit, gate, delay_model)
+        for gate in circuit.gates.values()
+    }
+
+
 class TestBasicProperties:
     def test_reproducible_with_seed(self, timer, c17_circuit):
         r1 = timer.run(c17_circuit, num_samples=500, seed=11)
@@ -66,7 +78,7 @@ class TestAgainstAnalyticalChain:
         # so MC must match the analytic sum of moments.
         timer = MonteCarloTimer(delay_model, variation_model)
         result = timer.run(chain_circuit, num_samples=20_000, seed=3)
-        dists = variation_model.all_gate_distributions(chain_circuit, delay_model)
+        dists = _gate_distributions(variation_model, chain_circuit, delay_model)
         # out1 path: i1 -> i2 -> i3 ; out2 path: i1 -> i2 -> i4 (same moments)
         mean = dists["i1"].mean + dists["i2"].mean + dists["i3"].mean
         assert result.per_output_mean["out1"] == pytest.approx(mean, rel=0.02)
@@ -126,9 +138,7 @@ def _reference_independent_samples(timer, circuit, num_samples, seed):
     """The historical per-gate dict-propagation independent path."""
     rng = np.random.default_rng(seed)
     order = circuit.topological_order()
-    distributions = timer.variation_model.all_gate_distributions(
-        circuit, timer.delay_model
-    )
+    distributions = _gate_distributions(timer.variation_model, circuit, timer.delay_model)
     gate_samples = {}
     for name in order:
         dist = distributions[name]
@@ -182,9 +192,7 @@ def _reference_correlated_samples(timer, circuit, num_samples, seed):
     """The historical per-sample correlated path (pre-vectorization)."""
     rng = np.random.default_rng(seed)
     order = circuit.topological_order()
-    distributions = timer.variation_model.all_gate_distributions(
-        circuit, timer.delay_model
-    )
+    distributions = _gate_distributions(timer.variation_model, circuit, timer.delay_model)
     model = timer.correlation_model
     factor_draws = [model.sample_factors(rng) for _ in range(num_samples)]
     gate_samples = {}

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.circuits.registry import build_benchmark, c17
+from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
+from repro.core.subcircuit import SubcircuitCache
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gate import Gate
+from repro.sta.dsta import DeterministicSTA
+from repro.verify import ir_problems
 
 
 @pytest.fixture
@@ -188,3 +193,81 @@ class TestSizesAndCopy:
     def test_len_and_repr(self, simple):
         assert len(simple) == 3
         assert "simple" in repr(simple)
+
+
+class TestMutationsReachTheCaches:
+    """Mutations the compiled IR, incremental FULLSSTA and the subcircuit
+    cache must see: the packed delay stage reads the IR's cell types, sizes
+    and primary-output slots."""
+
+    @staticmethod
+    def _latest_internal_net(circuit, delay_model):
+        arrival, _ = DeterministicSTA(delay_model).arrival_times(circuit)
+        internal = [
+            gate.output for gate in circuit.gates.values()
+            if not circuit.is_primary_output(gate.output) and circuit.loads_of(gate.output)
+        ]
+        return max(internal, key=arrival.__getitem__)
+
+    def test_promoted_output_reaches_incremental_fullssta(
+        self, delay_model, variation_model
+    ):
+        circuit = build_benchmark("c432")
+        engine = FULLSSTA(delay_model, variation_model)
+        reanalysis = IncrementalReanalysis(engine, circuit)
+        reanalysis.analyze()
+        net = self._latest_internal_net(circuit, delay_model)
+        version = circuit.structure_version
+        circuit.add_primary_output(net)
+        assert circuit.structure_version > version
+        incremental = reanalysis.analyze().output_rv
+        fresh = engine.analyze(circuit).output_rv
+        assert (incremental.mean, incremental.sigma) == (fresh.mean, fresh.sigma)
+
+    def test_promoted_output_loads_its_driver(self, delay_model):
+        circuit = build_benchmark("c432")
+        dsta = DeterministicSTA(delay_model)
+        dsta.arrival_times(circuit)
+        net = self._latest_internal_net(circuit, delay_model)
+        circuit.add_primary_output(net)
+        driver = circuit.driver_of(net)
+        _, gate_delays = dsta.arrival_times(circuit)
+        assert gate_delays[driver.name] == delay_model.gate_delay(circuit, driver)
+        assert ir_problems(circuit.compiled(), circuit) == []
+
+    def test_promoted_output_reaches_cached_subcircuits(self, delay_model):
+        circuit = build_benchmark("c432")
+        net = self._latest_internal_net(circuit, delay_model)
+        driver = circuit.driver_of(net).name
+        cache = SubcircuitCache()
+        # Every load of the driver's net is a member at depth 2.
+        assert net not in cache.get(circuit, driver, depth=2).output_nets
+        circuit.add_primary_output(net)
+        assert net in cache.get(circuit, driver, depth=2).output_nets
+
+    def test_replaced_cell_type_relowers(self, delay_model, variation_model):
+        circuit = c17()
+        engine = FULLSSTA(delay_model, variation_model)
+        reanalysis = IncrementalReanalysis(engine, circuit)
+        reanalysis.analyze()
+        old = circuit.gate("g10")
+        circuit.replace_gate(Gate("g10", "NOR2", old.inputs, old.output, size_index=3))
+        assert ir_problems(circuit.compiled(), circuit) == []
+        incremental = reanalysis.analyze().output_rv
+        fresh = engine.analyze(circuit).output_rv
+        assert (incremental.mean, incremental.sigma) == (fresh.mean, fresh.sigma)
+
+    def test_replaced_size_is_logged(self, delay_model, variation_model):
+        circuit = c17()
+        engine = FULLSSTA(delay_model, variation_model)
+        reanalysis = IncrementalReanalysis(engine, circuit)
+        reanalysis.analyze()
+        version = circuit.structure_version
+        cursor = circuit.size_change_cursor
+        circuit.replace_gate(circuit.gate("g10").with_size(3))
+        assert circuit.structure_version == version
+        assert circuit.size_changes_since(cursor) == ["g10"]
+        assert ir_problems(circuit.compiled(), circuit) == []
+        incremental = reanalysis.analyze().output_rv
+        fresh = engine.analyze(circuit).output_rv
+        assert (incremental.mean, incremental.sigma) == (fresh.mean, fresh.sigma)

@@ -75,11 +75,6 @@ class TestGateDistributions:
         assert big.sigma < small.sigma
         assert big.mean < small.mean
 
-    def test_all_gate_distributions(self, variation_model, delay_model, chain_circuit):
-        dists = variation_model.all_gate_distributions(chain_circuit, delay_model)
-        assert set(dists) == set(chain_circuit.gates)
-        assert all(d.sigma > 0 and d.mean > 0 for d in dists.values())
-
     def test_upsizing_reduces_cv(self, variation_model, delay_model, chain_circuit):
         gate = chain_circuit.gate("i2")
         cv_small = variation_model.gate_distribution(chain_circuit, gate, delay_model, 0).cv
