@@ -15,17 +15,17 @@ greedy critical-path sizing template the paper cites (Coudert 1997, Fishburn
 2. for each gate on the path, evaluate every size by the resulting critical
    path delay through its two-level subcircuit (nominal delays only);
 3. commit the best size per gate, repeat until no improvement;
-4. optionally recover area: downsize gates off the critical path as long as
-   the circuit's worst delay does not degrade beyond a tolerance.
+4. recover area: downsize gates off the critical path as long as the
+   circuit's worst delay does not degrade beyond a tolerance.
 
-Step 2 is the statistical sizer's own inner loop in its ``lambda = 0``,
-zero-variation configuration: memoized subcircuit extraction
-(:class:`~repro.core.subcircuit.SubcircuitCache`), one size sweep per gate
-that shares the delay moments of unaffected subcircuit members across
-candidates and seeds, and the same best-size rule
-(:meth:`CostEvaluator.best_seed_size
-<repro.core.cost.CostEvaluator.best_seed_size>`).  The two optimizers are
-therefore directly comparable.  Every STA run reads the packed delay stage
+Step 2 is the statistical sizer's own inner loop,
+:meth:`CostEvaluator.best_size <repro.core.cost.CostEvaluator.best_size>`,
+in its ``lambda = 0``, zero-variation configuration, with nominal STA
+arrival times as zero-sigma boundary moments: the same memoized extraction,
+shared delay moments, exact decision memo and best-size rule.  The two
+optimizers are therefore directly comparable.  The settings are class
+constants; the constructor takes only the delay model.  Every STA run reads
+the packed delay stage
 (:meth:`BaseDelayModel.nominal_delays
 <repro.library.delay_model.BaseDelayModel.nominal_delays>`); only the area
 recovery of step 4, which resizes gate by gate, asks for delays one gate at
@@ -35,14 +35,14 @@ a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.cost import CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
 from repro.core.rv import NormalDelay
-from repro.core.subcircuit import DEFAULT_DEPTH, SubcircuitCache
+from repro.core.subcircuit import DEFAULT_DEPTH
 
-# Extraction goes through SubcircuitCache; the name stays importable here
+# Extraction goes through CostEvaluator; the name stays importable here
 # because flowbench/layers.py wraps it in this namespace.
 from repro.core.subcircuit import extract_subcircuit  # noqa: F401
 from repro.library.delay_model import BaseDelayModel
@@ -74,37 +74,26 @@ class BaselineResult:
 class MeanDelaySizer:
     """Greedy deterministic gate sizer minimizing the worst nominal delay."""
 
-    def __init__(
-        self,
-        delay_model: BaseDelayModel,
-        variation_model: Optional[VariationModel] = None,
-        subcircuit_depth: int = DEFAULT_DEPTH,
-        max_passes: int = 40,
-        min_gain: float = 1e-6,
-        area_recovery: bool = True,
-        area_recovery_tolerance: float = 0.002,
-        near_critical_fraction: float = 0.05,
-        patience: int = 3,
-    ) -> None:
-        self.delay_model = delay_model
-        # A zero-variation model lets us reuse the FASSTA/CostEvaluator pair
-        # as a purely deterministic evaluator (sigma is identically the
-        # random floor, which is constant and cannot affect rankings at lam=0).
-        self.variation_model = variation_model or VariationModel(
-            proportional_alpha=0.0, random_sigma=0.0
-        )
-        self.subcircuit_depth = subcircuit_depth
-        self.max_passes = max_passes
-        self.min_gain = min_gain
-        self.area_recovery = area_recovery
-        self.area_recovery_tolerance = area_recovery_tolerance
-        self.near_critical_fraction = near_critical_fraction
-        self.patience = patience
+    #: Levels of fanin and fanout in each candidate subcircuit.
+    SUBCIRCUIT_DEPTH = DEFAULT_DEPTH
+    #: Cap on sizing passes.
+    MAX_PASSES = 40
+    #: Worst-delay gain, relative to the best delay, a commit must exceed.
+    MIN_GAIN = 1e-6
+    #: Relative worst-delay loss the area recovery may spend.
+    AREA_RECOVERY_TOLERANCE = 0.002
+    #: Output slack, as a fraction of the period, that makes a gate a target.
+    NEAR_CRITICAL_FRACTION = 0.05
+    #: Passes without a new best delay before giving up.
+    PATIENCE = 3
 
+    def __init__(self, delay_model: BaseDelayModel) -> None:
+        self.delay_model = delay_model
         self.dsta = DeterministicSTA(delay_model)
-        self.fassta = FASSTA(delay_model, self.variation_model)
-        self.evaluator = CostEvaluator(self.fassta, WeightedCost(0.0))
-        self._subcircuits = SubcircuitCache()
+        # Zero variation makes FASSTA a nominal-delay evaluator: every sigma
+        # is zero, so the lambda = 0 cost is the mean delay.
+        no_variation = VariationModel(proportional_alpha=0.0, random_sigma=0.0)
+        self.evaluator = CostEvaluator(FASSTA(delay_model, no_variation), WeightedCost(0.0))
 
     # ------------------------------------------------------------------
     def optimize(self, circuit: Circuit) -> BaselineResult:
@@ -123,7 +112,7 @@ class MeanDelaySizer:
         best_sizes = circuit.sizes()
         passes = 0
         stall = 0
-        for _ in range(self.max_passes):
+        for _ in range(self.MAX_PASSES):
             passes += 1
             report = self.dsta.analyze(circuit)
             targets = self._near_critical_gates(circuit, report)
@@ -134,7 +123,7 @@ class MeanDelaySizer:
             for name, size in scheduled.items():
                 circuit.set_size(name, size)
             new_delay = self.dsta.max_delay(circuit)
-            min_gain = self.min_gain * max(best_delay, 1.0)
+            min_gain = self.MIN_GAIN * max(best_delay, 1.0)
             if best_delay - new_delay <= min_gain:
                 # Bulk commit did not help (resizes interact through shared
                 # loads): retry the scheduled resizes one at a time and keep
@@ -160,7 +149,7 @@ class MeanDelaySizer:
                 for name, size in scheduled.items():
                     circuit.set_size(name, size)
                 stall += 1
-                if stall >= self.patience:
+                if stall >= self.PATIENCE:
                     break
                 continue
             best_delay = new_delay
@@ -168,8 +157,7 @@ class MeanDelaySizer:
             stall = 0
 
         circuit.apply_sizes(best_sizes)
-        if self.area_recovery:
-            best_delay = self._recover_area(circuit, best_delay)
+        best_delay = self._recover_area(circuit, best_delay)
 
         runtime = clock() - start
         return BaselineResult(
@@ -191,7 +179,7 @@ class MeanDelaySizer:
         ECC and multi-output datapath benchmarks — converge in a handful of
         passes instead of one pass per path.
         """
-        threshold = self.near_critical_fraction * max(report.clock_period, 1.0)
+        threshold = self.NEAR_CRITICAL_FRACTION * max(report.clock_period, 1.0)
         critical = set(report.critical_path)
         names = []
         # Optimizer pass over gate objects, not a per-sample engine loop.
@@ -210,16 +198,14 @@ class MeanDelaySizer:
         scheduled: Dict[str, int] = {}
         # Arrival times for subcircuit boundaries come from nominal STA.
         arrival, _ = self.dsta.arrival_times(circuit)
-        # No size changes until the scheduled resizes are committed, so the
-        # delay moments of unaffected subcircuit members hold for every seed.
-        delay_rv_cache: Dict[str, NormalDelay] = {}
+
+        def arrival_of(net: str) -> NormalDelay:
+            return NormalDelay(arrival.get(net, 0.0), 0.0)
+
         for gate_name in path:
-            subcircuit = self._subcircuits.get(circuit, gate_name, self.subcircuit_depth)
-            boundary = {
-                net: NormalDelay(arrival.get(net, 0.0), 0.0)
-                for net in subcircuit.input_nets
-            }
-            best_size = self.evaluator.best_seed_size(subcircuit, boundary, delay_rv_cache)
+            best_size = self.evaluator.best_size(
+                circuit, gate_name, self.SUBCIRCUIT_DEPTH, arrival_of
+            )
             if best_size != circuit.gate(gate_name).size_index:
                 scheduled[gate_name] = best_size
         return scheduled
@@ -240,7 +226,7 @@ class MeanDelaySizer:
         run after each pass verifies the global constraint and rolls the
         pass back if it was violated.
         """
-        limit = best_delay * (1.0 + self.area_recovery_tolerance)
+        limit = best_delay * (1.0 + self.AREA_RECOVERY_TOLERANCE)
         for _ in range(passes):
             report = self.dsta.analyze(circuit, clock_period=limit)
             snapshot = circuit.sizes()

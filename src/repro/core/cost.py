@@ -21,20 +21,22 @@ accept/reject decisions use the exact discrete-pdf quantile instead.
 :class:`CostEvaluator` binds the cost to a FASSTA engine and evaluates
 candidate gate sizes on extracted subcircuits, which is exactly the
 ``Cost(S)`` procedure of the Fig. 2 pseudocode.  Both sizers pick a gate's
-size with :meth:`CostEvaluator.best_seed_size`, one memoized size sweep per
-gate: the statistical sizer with its lambda, the mean-delay baseline with
-lambda = 0 and zero variation.
+size with :meth:`CostEvaluator.best_size`, the one place that owns the
+subcircuit cache, the delay moments shared across candidates and an exact
+decision memo: the statistical sizer with its lambda, the mean-delay
+baseline with lambda = 0 and zero variation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.discrete_pdf import DiscretePDF
 from repro.core.fassta import FASSTA
 from repro.core.rv import NormalDelay, ZERO_DELAY, _standard_normal_quantile
-from repro.core.subcircuit import Subcircuit
+from repro.core.subcircuit import Subcircuit, SubcircuitCache
+from repro.netlist.circuit import Circuit
 
 
 @dataclass(frozen=True)
@@ -78,21 +80,13 @@ class YieldObjective:
         Fraction of manufactured parts that must meet the period, in
         ``[0.5, 1)``.  Targets below one half would reward *increasing*
         variance (negative z-score) and are rejected.
-    max_area_ratio:
-        Optional area constraint for the sizer: candidate states whose
-        total area exceeds ``max_area_ratio`` times the starting area are
-        rejected even when they improve the period (the area-constrained
-        variant of the yield mode).
     """
 
     target_yield: float
-    max_area_ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.5 <= self.target_yield < 1.0:
             raise ValueError("target_yield must be in [0.5, 1)")
-        if self.max_area_ratio is not None and self.max_area_ratio < 1.0:
-            raise ValueError("max_area_ratio must be >= 1 (relative to start)")
 
     @property
     def z(self) -> float:
@@ -143,6 +137,22 @@ class CostComponents:
 class CostEvaluator:
     """Evaluates the Eq. 7 cost of a subcircuit with the FASSTA engine.
 
+    :meth:`best_size` is the inner loop of Fig. 2 for both sizers.  It keeps
+    three exactness-preserving caches for the circuit it last saw, and
+    drops all of them when a different circuit object is queried or the
+    circuit's ``structure_version`` changes:
+
+    * subcircuit extraction per (seed, depth)
+      (:class:`~repro.core.subcircuit.SubcircuitCache`);
+    * the delay moments of unaffected subcircuit members, shared across
+      candidate sizes and seeds while the circuit's ``size_change_cursor``
+      is unchanged (so sizes must change through ``Circuit.set_size``);
+    * every decision, keyed on (gate, depth,
+      :meth:`~repro.core.subcircuit.Subcircuit.context_signature`, boundary
+      moments), which is all a decision depends on.  Unchanged regions keep
+      bitwise-identical boundary moments between passes, so gates far from
+      the action hit it every pass.
+
     Parameters
     ----------
     fassta:
@@ -151,9 +161,71 @@ class CostEvaluator:
         The weighted cost (carries lambda).
     """
 
+    #: Decision memo entries kept before a wholesale reset.  Boundary moments
+    #: are part of the key, so entries from passes whose upstream arrivals
+    #: moved never hit again; the reset bounds memory on very long runs.
+    MEMO_LIMIT = 200_000
+
     def __init__(self, fassta: FASSTA, cost: WeightedCost) -> None:
         self.fassta = fassta
         self.cost = cost
+        self.subcircuits = SubcircuitCache()
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self._memo: Dict[Tuple[object, ...], int] = {}
+        self._delay_rvs: Dict[str, NormalDelay] = {}
+        self._delay_cursor: Optional[int] = None
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Cumulative decision-memo and subcircuit-cache hits and misses."""
+        return {
+            "evaluation_cache_hits": self.memo_hits,
+            "evaluation_cache_misses": self.memo_misses,
+            "subcircuit_cache_hits": self.subcircuits.hits,
+            "subcircuit_cache_misses": self.subcircuits.misses,
+        }
+
+    def best_size(
+        self,
+        circuit: Circuit,
+        gate_name: str,
+        depth: int,
+        arrival_of: Callable[[str], NormalDelay],
+    ) -> int:
+        """Best size of ``gate_name`` by the cost of its ``depth``-level subcircuit.
+
+        ``arrival_of`` gives the arrival moments of each subcircuit input
+        net (FULLSSTA moments for the statistical sizer, nominal STA times
+        with zero sigma for the baseline).  The answer is
+        :meth:`best_seed_size` of the extracted region, memoized as the
+        class docstring describes; it is the gate's current size when no
+        candidate beats it.
+        """
+        if self.subcircuits.sync(circuit):
+            self._memo.clear()
+            self._delay_rvs.clear()
+        subcircuit = self.subcircuits.get(circuit, gate_name, depth)
+        boundary = {net: arrival_of(net) for net in subcircuit.input_nets}
+        key = (
+            gate_name,
+            depth,
+            subcircuit.context_signature(),
+            tuple((rv.mean, rv.sigma) for rv in boundary.values()),
+        )
+        best = self._memo.get(key)
+        if best is not None:
+            self.memo_hits += 1
+            return best
+        self.memo_misses += 1
+        if len(self._memo) >= self.MEMO_LIMIT:
+            self._memo.clear()
+        if self._delay_cursor != circuit.size_change_cursor:
+            self._delay_rvs.clear()
+            self._delay_cursor = circuit.size_change_cursor
+        best = self.best_seed_size(subcircuit, boundary, self._delay_rvs)
+        self._memo[key] = best
+        return best
 
     # ------------------------------------------------------------------
     def subcircuit_arrivals(
@@ -297,8 +369,8 @@ class CostEvaluator:
         Every library size of the seed is swept (:meth:`size_sweep_components`);
         in library order, a candidate wins when it is strictly better than
         the best so far, starting from the seed's current size.  Returns the
-        current size when no candidate beats it.  Both sizers pick sizes
-        with this rule.
+        current size when no candidate beats it.  Unmemoized;
+        :meth:`best_size` is the memoized entry point both sizers use.
         """
         seed = subcircuit.parent.gate(subcircuit.seed)
         library = self.fassta.delay_model.library

@@ -17,9 +17,10 @@ call (:meth:`VariationModel.delay_moments
 the Clark fast-max folds the input positions left to right over NumPy arrays
 of μ/σ (:func:`repro.core.clark.clark_max_fast_arrays`), the pairwise order
 of :meth:`NormalDelay.maximum_of`, so the moments agree with a gate-by-gate
-fold to ~1e-12.  The sizer's inner loop evaluates extracted two-level
-subcircuits instead, with boundary arrival moments recorded by FULLSSTA
-(:meth:`CostEvaluator.subcircuit_arrivals
+fold to ~1e-12.  It always times the whole circuit, from zero-arrival
+primary inputs to the primary outputs.  The sizers' inner loop evaluates
+extracted two-level subcircuits instead, with boundary arrival moments
+recorded by the outer engine (:meth:`CostEvaluator.subcircuit_arrivals
 <repro.core.cost.CostEvaluator.subcircuit_arrivals>`), and times trial sizes
 with this engine's scalar per-gate query (:meth:`FASSTA.gate_delay_rv`,
 which sees a size written straight into ``Gate.size_index``) — the nesting
@@ -31,7 +32,7 @@ assignments").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -110,57 +111,28 @@ class FASSTA:
         return NormalDelay(dist.mean, dist.sigma)
 
     # ------------------------------------------------------------------
-    def analyze(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, NormalDelay]] = None,
-        outputs: Optional[List[str]] = None,
-    ) -> FasstaResult:
+    def analyze(self, circuit: Circuit) -> FasstaResult:
         """Propagate arrival-time moments through ``circuit``.
 
-        Parameters
-        ----------
-        circuit:
-            The circuit to time.
-        boundary_arrivals:
-            Arrival moments of nets driven from outside the analysed region
-            (primary inputs default to ``NormalDelay(0, 0)``).
-        outputs:
-            Net names over which the circuit-level max is taken; defaults to
-            the circuit's primary outputs.  Requested nets must exist in the
-            circuit (or the boundary map) — unknown names raise ``KeyError``
-            instead of silently timing as zero.
+        Primary inputs and floating nets arrive at ``NormalDelay(0, 0)``;
+        the circuit-level max is taken over the primary outputs.  A primary
+        output no gate drives raises ``KeyError`` naming the net instead of
+        silently timing as zero.
         """
         METRICS.counter("fassta.runs")
         with span("fassta.analyze") as sp:
-            arrivals, gate_delays = self._propagate(circuit, boundary_arrivals)
+            arrivals, gate_delays = self._propagate(circuit)
             sp.set(gates=len(gate_delays))
-        return self._build_result(circuit, arrivals, gate_delays, outputs)
+        return self._build_result(circuit, arrivals, gate_delays)
 
     # ------------------------------------------------------------------
     def _propagate(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, NormalDelay]],
+        self, circuit: Circuit
     ) -> Tuple[Dict[str, NormalDelay], Dict[str, NormalDelay]]:
         plan = circuit.compiled()
 
         mu = np.zeros(plan.num_nets)
         sg = np.zeros(plan.num_nets)
-        extra_boundary: Dict[str, NormalDelay] = {}
-        boundary_nets: set = set()
-        if boundary_arrivals:
-            for net, rv in boundary_arrivals.items():
-                idx = plan.net_index.get(net)
-                if idx is None:
-                    # Net unknown to this circuit: keep it visible in the
-                    # result map.
-                    extra_boundary[net] = rv
-                else:
-                    boundary_nets.add(net)
-                    mu[idx] = rv.mean
-                    sg[idx] = rv.sigma
-
         delay_mu, delay_sg = self.variation_model.delay_moments(circuit, self.delay_model)
         gate_delays = dict(
             zip(
@@ -196,9 +168,8 @@ class FASSTA:
         arrivals = {
             net: NormalDelay(float(mu[idx]), float(sg[idx]))
             for net, idx in plan.net_index.items()
-            if net not in plan.floating or net in boundary_nets
+            if net not in plan.floating
         }
-        arrivals.update(extra_boundary)
         return arrivals, gate_delays
 
     # ------------------------------------------------------------------
@@ -207,9 +178,8 @@ class FASSTA:
         circuit: Circuit,
         arrivals: Dict[str, NormalDelay],
         gate_delays: Dict[str, NormalDelay],
-        outputs: Optional[List[str]],
     ) -> FasstaResult:
-        output_nets = outputs if outputs is not None else circuit.primary_outputs
+        output_nets = circuit.primary_outputs
         if not output_nets:
             raise ValueError(f"circuit {circuit.name!r} has no outputs to time")
         missing = [net for net in output_nets if net not in arrivals]

@@ -9,7 +9,9 @@ delay rows (:meth:`LevelizedState.propagate`).  The delay rows discretize
 the gate-delay moments of the packed delay stage
 (:meth:`VariationModel.delay_moments
 <repro.variation.model.VariationModel.delay_moments>`), for the whole
-circuit on a full run and for the dirty gates of an incremental one.  The batched primitives
+circuit on a full run and for the dirty gates of an incremental one.  A run
+always times the whole circuit, from zero-arrival primary inputs to the
+primary outputs, so every row is ``num_samples`` wide.  The batched primitives
 (:func:`~repro.core.discrete_pdf.batched_combine`) replay the
 canonicalize/compact arithmetic of :class:`~repro.core.discrete_pdf.DiscretePDF`,
 so the moments agree with a gate-by-gate pdf fold to ~1e-12.
@@ -91,22 +93,6 @@ def _moments(pdfs: Mapping[str, DiscretePDF]) -> Dict[str, NormalDelay]:
     return {net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in pdfs.items()}
 
 
-def _store_rows(
-    values: np.ndarray,
-    probs: np.ndarray,
-    rows: np.ndarray,
-    row_values: np.ndarray,
-    row_probs: np.ndarray,
-) -> None:
-    """Write padded rows into (possibly wider) state arrays, re-padding the tail."""
-    n = row_values.shape[1]
-    values[rows, :n] = row_values
-    probs[rows, :n] = row_probs
-    if values.shape[1] > n:
-        values[rows, n:] = row_values[:, -1:]
-        probs[rows, n:] = 0.0
-
-
 @dataclass
 class LevelizedState:
     """Array state of one levelized FULLSSTA run.
@@ -118,8 +104,8 @@ class LevelizedState:
     committed state.
     """
 
-    values: np.ndarray  # (num_nets, width)
-    probs: np.ndarray  # (num_nets, width)
+    values: np.ndarray  # (num_nets, num_samples)
+    probs: np.ndarray  # (num_nets, num_samples)
     counts: np.ndarray  # (num_nets,)
     delay_values: np.ndarray  # (num_gates, num_samples)
     delay_probs: np.ndarray  # (num_gates, num_samples)
@@ -144,19 +130,17 @@ class LevelizedState:
             if not rows.size:
                 break  # sentinel padding is trailing: no later pin either
             slots = in_ids[rows, col]
-            max_values, max_probs, _ = batched_combine(
+            worst_values[rows], worst_probs[rows], _ = batched_combine(
                 worst_values[rows], worst_probs[rows],
                 self.values[slots], self.probs[slots], "max", num_samples,
             )
-            _store_rows(worst_values, worst_probs, rows, max_values, max_probs)
         return batched_combine(
             worst_values, worst_probs,
             self.delay_values[gate_ids], self.delay_probs[gate_ids], "add", num_samples,
         )
 
     def store(self, slots: np.ndarray, rows: _Rows) -> None:
-        _store_rows(self.values, self.probs, slots, rows[0], rows[1])
-        self.counts[slots] = rows[2]
+        self.values[slots], self.probs[slots], self.counts[slots] = rows
 
     def take(self, slots: np.ndarray) -> _Rows:
         """Copies of the rows of ``slots``."""
@@ -164,8 +148,7 @@ class LevelizedState:
 
     def holds(self, slots: np.ndarray, rows: _Rows) -> np.ndarray:
         """Per slot: is its row bitwise equal to ``rows``?"""
-        n = rows[0].shape[1]
-        same = (self.values[slots, :n] == rows[0]) & (self.probs[slots, :n] == rows[1])
+        same = (self.values[slots] == rows[0]) & (self.probs[slots] == rows[1])
         return same.all(axis=1) & (self.counts[slots] == rows[2])
 
     def pdf(self, slot: int) -> DiscretePDF:
@@ -213,22 +196,18 @@ class FULLSSTA:
         self.worst_key = worst_key
 
     # ------------------------------------------------------------------
-    def analyze(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, DiscretePDF]] = None,
-        outputs: Optional[List[str]] = None,
-    ) -> FullSstaResult:
+    def analyze(self, circuit: Circuit) -> FullSstaResult:
         """Propagate discrete-pdf arrival times through ``circuit``.
 
-        Requested ``outputs`` must exist in the circuit (or the boundary
-        map); unknown names raise ``KeyError`` instead of silently timing as
-        zero.
+        Primary inputs and floating nets arrive as the point pdf at zero;
+        the output pdf is the max over the primary outputs.  A primary output
+        no gate drives raises ``KeyError`` naming the net instead of silently
+        timing as zero.
         """
-        state = self._propagate_levelized(circuit, boundary_arrivals)
+        state = self._propagate_levelized(circuit)
         arrivals = state.arrival_pdfs
         return self._build_result(
-            circuit, arrivals, _moments(arrivals), state.gate_delay_moments, outputs
+            circuit, arrivals, _moments(arrivals), state.gate_delay_moments
         )
 
     # ------------------------------------------------------------------
@@ -247,11 +226,7 @@ class FULLSSTA:
         delay_values, delay_probs, _ = batched_from_normal(mu, sigma, self.num_samples)
         return moments, delay_values, delay_probs
 
-    def _propagate_levelized(
-        self,
-        circuit: Circuit,
-        boundary_arrivals: Optional[Mapping[str, DiscretePDF]] = None,
-    ) -> LevelizedState:
+    def _propagate_levelized(self, circuit: Circuit) -> LevelizedState:
         """Levelized batched propagation over padded (net, sample) arrays.
 
         Every net owns one row of the state arrays; each level runs
@@ -261,34 +236,16 @@ class FULLSSTA:
         METRICS.counter("fullssta.runs")
         with span("fullssta.analyze") as sp:
             plan = circuit.compiled()
-            known: Dict[int, DiscretePDF] = {}
-            extra: Dict[str, DiscretePDF] = {}
-            for net, pdf in (boundary_arrivals or {}).items():
-                if net in plan.net_index:
-                    known[plan.net_index[net]] = pdf
-                else:
-                    # Net unknown to this circuit: keep it visible in the
-                    # result map.
-                    extra[net] = pdf
-            # Boundary pdfs may carry more samples than the engine budget;
-            # they are folded at full width (only the *results* are
-            # compacted), so the state arrays are sized for the widest.
-            width = max([self.num_samples, *(pdf.num_samples for pdf in known.values())])
             moments, delay_values, delay_probs = self._delay_rows(circuit)
             state = LevelizedState(
-                values=np.zeros((plan.num_nets, width)),
-                probs=np.zeros((plan.num_nets, width)),
+                values=np.zeros((plan.num_nets, self.num_samples)),
+                probs=np.zeros((plan.num_nets, self.num_samples)),
                 counts=np.ones(plan.num_nets, dtype=np.intp),
                 delay_values=delay_values,
                 delay_probs=delay_probs,
                 gate_delay_moments=moments,
             )
             state.probs[:, 0] = 1.0  # every slot starts as the point pdf at 0.0
-            for slot, pdf in known.items():
-                state.store(
-                    np.array([slot]),
-                    (pdf.values[None, :], pdf.probabilities[None, :], pdf.num_samples),
-                )
             for block in plan.levels:
                 state.store(
                     block.out_slots,
@@ -297,9 +254,8 @@ class FULLSSTA:
             state.arrival_pdfs = {
                 net: state.pdf(slot)
                 for net, slot in plan.net_index.items()
-                if net not in plan.floating or slot in known
+                if net not in plan.floating
             }
-            state.arrival_pdfs.update(extra)
             sp.set(gates=plan.num_gates)
         return state
 
@@ -310,7 +266,6 @@ class FULLSSTA:
         arrivals: Dict[str, DiscretePDF],
         arrival_moments: Dict[str, NormalDelay],
         gate_delay_moments: Dict[str, NormalDelay],
-        outputs: Optional[List[str]],
     ) -> FullSstaResult:
         """Assemble a :class:`FullSstaResult` from propagated per-net state.
 
@@ -318,7 +273,7 @@ class FULLSSTA:
         so the output max, correlation inflation and worst-output ranking
         are computed identically in both.
         """
-        output_nets = outputs if outputs is not None else circuit.primary_outputs
+        output_nets = circuit.primary_outputs
         if not output_nets:
             raise ValueError(f"circuit {circuit.name!r} has no outputs to time")
         missing = [net for net in output_nets if net not in arrivals]
@@ -536,7 +491,7 @@ class IncrementalReanalysis:
             arrival_moments.update(delta.arrival_moments)
             gate_delay_moments.update(delta.gate_delay_moments)
         return self.engine._build_result(
-            self.circuit, arrivals, arrival_moments, gate_delay_moments, outputs=None
+            self.circuit, arrivals, arrival_moments, gate_delay_moments
         )
 
     # ------------------------------------------------------------------

@@ -22,30 +22,25 @@ changes the optimization trajectory):
 
 * the outer engine runs behind :class:`~repro.core.fullssta.IncrementalReanalysis`
   — after each commit only the resized gates' cones are re-propagated;
-* subcircuit extraction is memoized in a
-  :class:`~repro.core.subcircuit.SubcircuitCache` (structure never changes
-  during a run);
-* whole-gate evaluations are memoized per (gate, depth, context signature,
-  boundary moments) — with incremental FULLSSTA, untouched regions keep
-  bitwise-identical moments between passes, so gates far from the action
-  hit this cache every pass;
-* within one evaluation the candidate sizes share the delay moments of
-  unaffected subcircuit members
-  (:meth:`~repro.core.cost.CostEvaluator.size_sweep_components`), and those
-  moments are further shared across neighbouring subcircuits until any gate
-  size changes.
+* the inner loop is :meth:`CostEvaluator.best_size
+  <repro.core.cost.CostEvaluator.best_size>`, shared with the mean-delay
+  baseline: memoized subcircuit extraction, delay moments of unaffected
+  members shared across candidates and seeds, and an exact decision memo.
+  With incremental FULLSSTA, untouched regions keep bitwise-identical
+  moments between passes, so gates far from the action hit the memo every
+  pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.cost import CostComponents, CostEvaluator, WeightedCost, YieldObjective
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA, FullSstaResult, IncrementalReanalysis
 from repro.core.rv import NormalDelay
-from repro.core.subcircuit import DEFAULT_DEPTH, SubcircuitCache
+from repro.core.subcircuit import DEFAULT_DEPTH
 from repro.core.wnss import WNSSTracer
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
@@ -90,11 +85,8 @@ class SizerConfig:
     lam: float = 3.0
     subcircuit_depth: int = DEFAULT_DEPTH
     max_iterations: int = 60
-    min_relative_gain: float = 1e-5
     sigma_target: Optional[float] = None
     pdf_samples: int = 13
-    freeze_no_gain_gates: bool = False
-    incremental_fallback: bool = True
     max_outputs_per_pass: int = 6
     patience: int = 4
     incremental_reanalysis: bool = True
@@ -110,8 +102,6 @@ class SizerConfig:
             raise ValueError("subcircuit_depth must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.min_relative_gain < 0:
-            raise ValueError("min_relative_gain must be non-negative")
         if self.objective not in ("cost", "yield"):
             raise ValueError(
                 f"objective must be 'cost' or 'yield', got {self.objective!r}"
@@ -188,9 +178,6 @@ class SizerResult:
 class StatisticalGreedySizer:
     """The paper's StatisticalGreedy algorithm (Fig. 2)."""
 
-    #: Whole-gate evaluation memo entries kept before a wholesale reset.
-    _EVAL_CACHE_LIMIT = 200_000
-
     def __init__(
         self,
         delay_model: BaseDelayModel,
@@ -208,9 +195,7 @@ class StatisticalGreedySizer:
         # accept/reject decisions use the discrete-pdf quantile directly.
         self.yield_objective: Optional[YieldObjective] = None
         if self.config.objective == "yield":
-            self.yield_objective = YieldObjective(
-                self.config.target_yield, self.config.max_area_ratio
-            )
+            self.yield_objective = YieldObjective(self.config.target_yield)
             self.cost = self.yield_objective.equivalent_cost()
         else:
             self.cost = WeightedCost(self.config.lam)
@@ -226,16 +211,6 @@ class StatisticalGreedySizer:
             coupling=variation_model.mean_sigma_coupling, lam=self.cost.lam
         )
 
-        # Exactness-preserving caches shared by optimize()/_best_size_for().
-        self._subcircuits = SubcircuitCache()
-        self._eval_cache: Dict[tuple, Optional[int]] = {}
-        self._eval_hits = 0
-        self._eval_misses = 0
-        # Delay-rv cache for unaffected subcircuit members, valid only while
-        # no gate size changes; keyed by the circuit's size-change cursor.
-        self._rv_cache: Dict[str, NormalDelay] = {}
-        self._rv_cache_key: Optional[Tuple[int, int]] = None
-
     # ------------------------------------------------------------------
     def optimize(self, circuit: Circuit) -> SizerResult:
         """Run StatisticalGreedy on ``circuit`` in place and return the result."""
@@ -249,14 +224,8 @@ class StatisticalGreedySizer:
 
     def _optimize(self, circuit: Circuit) -> SizerResult:
         start_time = clock()
-        sub_hits0 = self._subcircuits.hits
-        sub_misses0 = self._subcircuits.misses
+        start_counters = self.evaluator.counters
         config = self.config
-        self._eval_cache.clear()
-        self._eval_hits = 0
-        self._eval_misses = 0
-        self._rv_cache = {}
-        self._rv_cache_key = None
 
         reanalysis: Optional[IncrementalReanalysis] = None
         if config.incremental_reanalysis:
@@ -287,7 +256,6 @@ class StatisticalGreedySizer:
         best_sizes = circuit.sizes()
         best_full = initial_full
         iterations: List[IterationRecord] = []
-        frozen: set = set()
         converged = False
         current_full = initial_full
         stall = 0
@@ -339,14 +307,9 @@ class StatisticalGreedySizer:
                     ):
                         pruned_gates += 1
                         continue
-                    if config.freeze_no_gain_gates and gate_name in frozen:
-                        continue
                     new_size = self._best_size_for(circuit, gate_name, current_full)
-                    gate = circuit.gate(gate_name)
-                    if new_size is not None and new_size != gate.size_index:
+                    if new_size is not None:
                         scheduled[gate_name] = new_size
-                    elif config.freeze_no_gain_gates:
-                        frozen.add(gate_name)
 
             if not scheduled:
                 converged = True
@@ -364,7 +327,7 @@ class StatisticalGreedySizer:
             bulk_improved = new_components.better_than(
                 best_components
             ) and self._area_ok(circuit, area_limit)
-            if not bulk_improved and config.incremental_fallback:
+            if not bulk_improved:
                 # Bulk commit did not help (individually good moves can
                 # interact through shared loads, or blow the area budget).
                 # Roll back and retry the scheduled resizes one at a time,
@@ -392,7 +355,6 @@ class StatisticalGreedySizer:
             # best configuration is tracked and restored at the end, and the
             # loop stops after ``patience`` passes without a new best.
             current_full = new_full
-            frozen.difference_update(scheduled)
             iterations.append(
                 IterationRecord(
                     index=iteration,
@@ -423,21 +385,20 @@ class StatisticalGreedySizer:
         final_full = best_full
         runtime = clock() - start_time
 
+        # This run's share of the evaluator's cumulative counters.
         diagnostics: Dict[str, int] = {
-            "evaluation_cache_hits": self._eval_hits,
-            "evaluation_cache_misses": self._eval_misses,
-            "subcircuit_cache_hits": self._subcircuits.hits,
-            "subcircuit_cache_misses": self._subcircuits.misses,
+            key: value - start_counters[key]
+            for key, value in self.evaluator.counters.items()
         }
         if crit_analyzer is not None:
             diagnostics["criticality_pruned_gates"] = pruned_gates
         if reanalysis is not None:
             diagnostics.update(reanalysis.stats)
-        METRICS.counter("sizer.eval_cache_hits", self._eval_hits)
-        METRICS.counter("sizer.eval_cache_misses", self._eval_misses)
-        METRICS.counter("sizer.subcircuit_cache_hits", self._subcircuits.hits - sub_hits0)
+        METRICS.counter("sizer.eval_cache_hits", diagnostics["evaluation_cache_hits"])
+        METRICS.counter("sizer.eval_cache_misses", diagnostics["evaluation_cache_misses"])
+        METRICS.counter("sizer.subcircuit_cache_hits", diagnostics["subcircuit_cache_hits"])
         METRICS.counter(
-            "sizer.subcircuit_cache_misses", self._subcircuits.misses - sub_misses0
+            "sizer.subcircuit_cache_misses", diagnostics["subcircuit_cache_misses"]
         )
         if crit_analyzer is not None:
             METRICS.counter("sizer.criticality_pruned_gates", pruned_gates)
@@ -553,45 +514,10 @@ class StatisticalGreedySizer:
     ) -> Optional[int]:
         """Inner loop of Fig. 2: best size of one gate by subcircuit cost.
 
-        Returns the winning size index, or ``None`` when no size beats the
-        current assignment.  The decision is a pure function of the
-        subcircuit structure, the sizes of its members and fringe loads, and
-        the boundary arrival moments — so it is memoized on exactly that
-        key.  With incremental re-analysis upstream, unchanged regions carry
-        bitwise-identical moments between passes and the memo keeps hitting.
+        Returns the winning size index, or ``None`` when the current size
+        wins.  Boundary arrivals are the moments FULLSSTA recorded.
         """
-        depth = self.config.subcircuit_depth
-        subcircuit = self._subcircuits.get(circuit, gate_name, depth)
-        boundary = {
-            net: full_result.arrival(net) for net in subcircuit.input_nets
-        }
-
-        cache_key = (
-            id(circuit),
-            circuit.structure_version,
-            gate_name,
-            depth,
-            subcircuit.context_signature(),
-            tuple((rv.mean, rv.sigma) for rv in boundary.values()),
+        best = self.evaluator.best_size(
+            circuit, gate_name, self.config.subcircuit_depth, full_result.arrival
         )
-        if cache_key in self._eval_cache:
-            self._eval_hits += 1
-            return self._eval_cache[cache_key]
-        self._eval_misses += 1
-        if len(self._eval_cache) > self._EVAL_CACHE_LIMIT:
-            # Boundary moments are part of the key, so entries from passes
-            # whose upstream arrivals moved can never hit again; a periodic
-            # wholesale reset bounds memory on very long constrained runs.
-            self._eval_cache.clear()
-
-        rv_key = (id(circuit), circuit.size_change_cursor)
-        if self._rv_cache_key != rv_key:
-            self._rv_cache = {}
-            self._rv_cache_key = rv_key
-
-        best_size = self.evaluator.best_seed_size(
-            subcircuit, boundary, delay_rv_cache=self._rv_cache
-        )
-        choice = best_size if best_size != circuit.gate(gate_name).size_index else None
-        self._eval_cache[cache_key] = choice
-        return choice
+        return None if best == circuit.gate(gate_name).size_index else best

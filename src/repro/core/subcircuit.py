@@ -92,8 +92,9 @@ class Subcircuit:
         given fixed boundary arrivals: the members (delays) plus the fringe
         loads (member output capacitance).  Two evaluations with the same
         seed, depth, boundary arrivals and context signature are guaranteed
-        to produce identical costs, which is what makes the sizer's
-        evaluation memo exact.
+        to produce identical costs, which is what makes the decision memo of
+        :meth:`CostEvaluator.best_size <repro.core.cost.CostEvaluator.best_size>`
+        exact.
         """
         gates = self.parent.gates
         return tuple(
@@ -175,15 +176,22 @@ class SubcircuitCache:
         self.hits = 0
         self.misses = 0
 
+    def sync(self, circuit: Circuit) -> bool:
+        """Follow ``circuit``; True, after a reset, if it is another circuit
+        or its structure changed since the last call."""
+        if (
+            self._circuit is circuit
+            and self._structure_version == circuit.structure_version
+        ):
+            return False
+        self._entries.clear()
+        self._circuit = circuit
+        self._structure_version = circuit.structure_version
+        return True
+
     def get(self, circuit: Circuit, seed: str, depth: int = DEFAULT_DEPTH) -> Subcircuit:
         """Cached extraction of the (seed, depth) region of ``circuit``."""
-        if (
-            self._circuit is not circuit
-            or self._structure_version != circuit.structure_version
-        ):
-            self._entries.clear()
-            self._circuit = circuit
-            self._structure_version = circuit.structure_version
+        self.sync(circuit)
         key = (seed, depth)
         subcircuit = self._entries.get(key)
         if subcircuit is None:
@@ -193,11 +201,6 @@ class SubcircuitCache:
         else:
             self.hits += 1
         return subcircuit
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._circuit = None
-        self._structure_version = None
 
 
 def extraction_statistics(circuit: Circuit, depth: int = DEFAULT_DEPTH) -> Dict[str, float]:

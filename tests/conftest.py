@@ -93,20 +93,17 @@ def chain_circuit():
     return circuit
 
 
-def _topological_fold(circuit, gate_delay, zero, max_of, add, boundary=None):
+def _topological_fold(circuit, gate_delay, zero, max_of, add):
     """Arrival at every net, walking the gates one by one in topological order.
 
     ``gate_delay(gate)`` is a gate's delay and its output arrives at
     ``add(max_of(input arrivals), delay)`` (a single input is used as is);
-    primary inputs and undriven nets read as ``zero`` unless ``boundary``
-    sets them.  ``0.0`` / ``max`` / ``operator.add`` make it nominal STA,
-    ``NormalDelay`` moments with the Clark max make it FASSTA, and
-    ``DiscretePDF`` convolution and max make it FULLSSTA.  Returns
-    ``(arrivals, gate_delays)``.
+    primary inputs and undriven nets read as ``zero``.  ``0.0`` / ``max`` /
+    ``operator.add`` make it nominal STA, ``NormalDelay`` moments with the
+    Clark max make it FASSTA, and ``DiscretePDF`` convolution and max make it
+    FULLSSTA.  Returns ``(arrivals, gate_delays)``.
     """
-    arrivals = dict(boundary or {})
-    for net in circuit.primary_inputs:
-        arrivals.setdefault(net, zero)
+    arrivals = dict.fromkeys(circuit.primary_inputs, zero)
     gate_delays = {}
     for gate in circuit:
         gate_delays[gate.name] = delay = gate_delay(gate)

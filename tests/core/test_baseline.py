@@ -62,19 +62,28 @@ class TestOptimize:
 
 
 class TestAreaRecovery:
-    def test_area_recovery_reduces_area_without_hurting_delay(self, delay_model):
-        circuit_a = ripple_carry_adder(6, name="with_recovery")
-        circuit_b = ripple_carry_adder(6, name="without_recovery")
-        with_recovery = MeanDelaySizer(delay_model, area_recovery=True).optimize(circuit_a)
-        without_recovery = MeanDelaySizer(delay_model, area_recovery=False).optimize(circuit_b)
-        assert with_recovery.final_area <= without_recovery.final_area * 1.05
-        # Delay stays within the recovery tolerance of the no-recovery run.
-        assert with_recovery.final_delay <= without_recovery.final_delay * 1.05
+    @staticmethod
+    def assert_recovers_area(delay_model, circuit):
+        """Area recovery on a deliberately upsized circuit: the area falls
+        and the worst delay stays within the recovery tolerance."""
+        sizer = MeanDelaySizer(delay_model)
+        area = delay_model.circuit_area(circuit)
+        delay = sizer.dsta.max_delay(circuit)
+        final_delay = sizer._recover_area(circuit, delay)
+        assert delay_model.circuit_area(circuit) < area
+        assert final_delay == sizer.dsta.max_delay(circuit)
+        assert final_delay <= delay * (1.0 + MeanDelaySizer.AREA_RECOVERY_TOLERANCE)
 
-    def test_disabled_area_recovery(self, delay_model, small_adder):
-        sizer = MeanDelaySizer(delay_model, area_recovery=False)
-        result = sizer.optimize(small_adder)
-        assert result.final_delay <= result.initial_delay + 1e-6
+    def test_area_recovery_reduces_area_without_hurting_delay(self, delay_model):
+        circuit = ripple_carry_adder(6)
+        for gate_name in circuit.gates:
+            circuit.set_size(gate_name, 3)
+        self.assert_recovers_area(delay_model, circuit)
+
+    def test_area_recovery_from_maximum_sizes(self, delay_model, library, small_adder):
+        for gate_name, gate in small_adder.gates.items():
+            small_adder.set_size(gate_name, library.max_size_index(gate.cell_type))
+        self.assert_recovers_area(delay_model, small_adder)
 
     @pytest.mark.parametrize("name", ["c432", "c1355"])
     def test_recovery_downsizes_go_through_the_size_log(self, delay_model, name):

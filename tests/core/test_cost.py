@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.circuits.registry import build_benchmark
+from repro.core.baseline import MeanDelaySizer
 from repro.core.cost import CostComponents, CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA
 from repro.core.rv import NormalDelay
-from repro.core.subcircuit import SubcircuitCache, extract_subcircuit
+from repro.core.sizer import SizerConfig, StatisticalGreedySizer
+from repro.core.subcircuit import DEFAULT_DEPTH, SubcircuitCache, extract_subcircuit
 from repro.sta.dsta import DeterministicSTA
 from repro.variation.model import VariationModel
 
@@ -151,3 +153,78 @@ class TestSizeSweep:
                     best = size
             assert evaluator.best_seed_size(sub, boundary, delay_rv_cache) == best, name
         assert circuit.sizes() == sizes_before
+
+
+class TestBestSize:
+    """The memoized size selector both sizers call, against an unmemoized
+    sweep of a freshly extracted subcircuit, across every kind of edit the
+    memo key must see."""
+
+    @pytest.fixture(params=["baseline-mean-delay", "sizer-lam3"])
+    def owner(self, request, delay_model, variation_model):
+        """(evaluator, boundary-moment source) of one of the two sizers."""
+        if request.param == "baseline-mean-delay":
+            dsta = DeterministicSTA(delay_model)
+
+            def boundary_source(circuit):
+                arrival, _ = dsta.arrival_times(circuit)
+                return lambda net: NormalDelay(arrival.get(net, 0.0), 0.0)
+
+            return MeanDelaySizer(delay_model).evaluator, boundary_source
+        config = SizerConfig(lam=3.0)
+        sizer = StatisticalGreedySizer(delay_model, variation_model, config)
+        return sizer.evaluator, lambda circuit: sizer.fullssta.analyze(circuit).arrival
+
+    @staticmethod
+    def assert_exact(evaluator, circuit, arrival_of, names):
+        for name in names:
+            sub = extract_subcircuit(circuit, name)
+            boundary = {net: arrival_of(net) for net in sub.input_nets}
+            expected = evaluator.best_seed_size(sub, boundary)
+            assert evaluator.best_size(circuit, name, DEFAULT_DEPTH, arrival_of) == expected, name
+
+    def test_memoized_selection_is_exact(self, owner, library):
+        evaluator, boundary_source = owner
+        circuit = build_benchmark("c432")
+        rng = np.random.default_rng(5)
+        for name, gate in circuit.gates.items():
+            circuit.set_size(name, int(rng.integers(library.num_sizes(gate.cell_type))))
+        names = list(circuit.gates)
+        arrival_of = boundary_source(circuit)
+        self.assert_exact(evaluator, circuit, arrival_of, names)
+
+        # An identical repeat query is answered by the memo.
+        hits, misses = evaluator.memo_hits, evaluator.memo_misses
+        evaluator.best_size(circuit, names[0], DEFAULT_DEPTH, arrival_of)
+        assert (evaluator.memo_hits, evaluator.memo_misses) == (hits + 1, misses)
+
+        # Resize members, fringe loads and unrelated gates of a region under
+        # fixed boundary moments.  After each edit, every gate whose region
+        # holds the resized gate as a member or fringe load is checked, plus
+        # a few random gates; their regions depend only on the structure.
+        regions = {name: extract_subcircuit(circuit, name) for name in names}
+        context = {
+            name: sub.member_set() | set(sub.fringe_gates()) for name, sub in regions.items()
+        }
+        for seed in map(str, rng.choice(names, size=6, replace=False)):
+            sub = regions[seed]
+            members = [name for name in sub.gate_names if name != seed]
+            unrelated = sorted(set(names) - context[seed])
+            for group in (members, sub.fringe_gates(), unrelated):
+                if not group:
+                    continue
+                gate = circuit.gate(str(rng.choice(group)))
+                num_sizes = library.num_sizes(gate.cell_type)
+                circuit.set_size(
+                    gate.name, (gate.size_index + 1 + int(rng.integers(num_sizes - 1))) % num_sizes
+                )
+                affected = [name for name in names if gate.name in context[name]]
+                spot = [str(name) for name in rng.choice(names, size=5, replace=False)]
+                self.assert_exact(evaluator, circuit, arrival_of, affected + spot)
+
+        # New boundary moments for the new sizes, then a structural edit.
+        self.assert_exact(evaluator, circuit, boundary_source(circuit), names)
+        driver = circuit.gate(names[len(names) // 2])
+        circuit.add("extra_load", "NAND2", [driver.output, driver.output], "n_extra")
+        circuit.add_primary_output("n_extra")
+        self.assert_exact(evaluator, circuit, boundary_source(circuit), list(circuit.gates))

@@ -22,7 +22,7 @@ from repro.core.rv import NormalDelay
 TOL = 1e-9
 
 
-def fullssta_reference(fold, engine, circuit, boundary=None):
+def fullssta_reference(fold, engine, circuit):
     """A FULLSSTA result from the gate-by-gate reference pdf fold."""
     n = engine.num_samples
 
@@ -36,10 +36,9 @@ def fullssta_reference(fold, engine, circuit, boundary=None):
         DiscretePDF.point(0.0),
         lambda pdfs: DiscretePDF.maximum_of(pdfs, n),
         lambda worst, d: worst.add(DiscretePDF.from_normal(d.mean, d.sigma, n), n),
-        boundary,
     )
     moments = {net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in arrivals.items()}
-    return engine._build_result(circuit, arrivals, moments, gate_delays, None)
+    return engine._build_result(circuit, arrivals, moments, gate_delays)
 
 
 def assert_fullssta_results_close(reference, candidate, tol=TOL):
@@ -146,34 +145,6 @@ class TestVectorizedEngine:
                 fullssta_reference(reference_fold, engine, circuit), engine.analyze(circuit)
             )
 
-    def test_boundary_arrivals_and_unknown_nets(
-        self, delay_model, variation_model, reference_fold, chain_circuit
-    ):
-        boundary = {
-            "in": DiscretePDF.from_normal(120.0, 9.0, 13),
-            "elsewhere": DiscretePDF.point(42.0),  # unknown to the circuit
-        }
-        engine = FULLSSTA(delay_model, variation_model)
-        result = engine.analyze(chain_circuit, boundary_arrivals=boundary)
-        assert_fullssta_results_close(
-            fullssta_reference(reference_fold, engine, chain_circuit, boundary), result
-        )
-        assert result.arrival_pdfs["elsewhere"].mean() == 42.0
-
-    def test_boundary_pdfs_wider_than_budget(
-        self, delay_model, variation_model, reference_fold, chain_circuit
-    ):
-        # Over-budget boundary pdfs are folded at full width and only the
-        # results are compacted; the levelized state must not pre-compact
-        # the boundary.
-        boundary = {"in": DiscretePDF.from_normal(150.0, 12.0, 29)}
-        engine = FULLSSTA(delay_model, variation_model)
-        result = engine.analyze(chain_circuit, boundary_arrivals=boundary)
-        assert_fullssta_results_close(
-            fullssta_reference(reference_fold, engine, chain_circuit, boundary), result
-        )
-        assert result.arrival_pdfs["in"].num_samples == 29
-
     def test_plan_reuse_and_invalidation(self, delay_model, variation_model, c17_circuit):
         engine = FULLSSTA(delay_model, variation_model)
         engine.analyze(c17_circuit)
@@ -184,10 +155,3 @@ class TestVectorizedEngine:
         c17_circuit.add_primary_output("N90")
         engine.analyze(c17_circuit)
         assert c17_circuit.compiled() is not plan  # structural edit: relowered
-
-    def test_selected_outputs_validate(self, delay_model, variation_model, c17_circuit):
-        engine = FULLSSTA(delay_model, variation_model)
-        result = engine.analyze(c17_circuit, outputs=["N22"])
-        assert result.worst_output == "N22"
-        with pytest.raises(KeyError):
-            engine.analyze(c17_circuit, outputs=["nope"])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.registry import build_benchmark
+from repro.core.cost import CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
 from repro.core.rv import ZERO_DELAY, NormalDelay
@@ -41,7 +42,7 @@ def assert_results_close(reference, candidate, circuit, tol=TOL):
     assert candidate.worst_output == reference.worst_output
 
 
-def fassta_reference(fold, engine, circuit, boundary=None):
+def fassta_reference(fold, engine, circuit):
     """A FASSTA result from the gate-by-gate reference fold."""
     arrivals, gate_delays = fold(
         circuit,
@@ -49,9 +50,8 @@ def fassta_reference(fold, engine, circuit, boundary=None):
         ZERO_DELAY,
         NormalDelay.maximum_of,
         operator.add,
-        boundary,
     )
-    return engine._build_result(circuit, arrivals, gate_delays, None)
+    return engine._build_result(circuit, arrivals, gate_delays)
 
 
 class TestVectorizedFassta:
@@ -80,17 +80,6 @@ class TestVectorizedFassta:
                 engine.analyze(circuit),
                 circuit,
             )
-
-    def test_boundary_arrivals_respected(
-        self, delay_model, variation_model, reference_fold, chain_circuit
-    ):
-        boundary = {"in": NormalDelay(42.0, 5.0)}
-        engine = FASSTA(delay_model, variation_model)
-        assert_results_close(
-            fassta_reference(reference_fold, engine, chain_circuit, boundary),
-            engine.analyze(chain_circuit, boundary_arrivals=boundary),
-            chain_circuit,
-        )
 
     def test_plan_rebuilt_after_structural_change(
         self, delay_model, variation_model, reference_fold
@@ -347,15 +336,14 @@ class TestFloatingNetConsistency:
         # A gate input that is neither a primary input nor driven by a gate
         # must be rejected as an output (it is not a timeable net), not
         # silently reported as a zero arrival.
-        circuit = Circuit("floaty", primary_inputs=["a"], primary_outputs=["y"])
+        circuit = Circuit("floaty", primary_inputs=["a"], primary_outputs=["y", "dangling"])
         circuit.add("g", "NAND2", ["a", "dangling"], "y")
         engine = FASSTA(delay_model, variation_model)
         with pytest.raises(KeyError, match="dangling"):
-            engine.analyze(circuit, outputs=["dangling"])
-        # With a boundary arrival the net becomes timeable.
-        result = engine.analyze(
-            circuit,
-            boundary_arrivals={"dangling": NormalDelay(5.0, 1.0)},
-            outputs=["dangling"],
-        )
-        assert result.output_rv.mean == pytest.approx(5.0)
+            engine.analyze(circuit)
+        # On the subcircuit path a boundary arrival makes the net timeable.
+        evaluator = CostEvaluator(engine, WeightedCost(3.0))
+        sub = extract_subcircuit(circuit, "g", depth=1)
+        arrivals = evaluator.subcircuit_arrivals(sub, {"dangling": NormalDelay(5.0, 1.0)})
+        assert arrivals["dangling"].mean == pytest.approx(5.0)
+        assert arrivals["y"].mean > 5.0

@@ -26,7 +26,6 @@ class TestSizerConfig:
             {"lam": -1.0},
             {"subcircuit_depth": -1},
             {"max_iterations": 0},
-            {"min_relative_gain": -1e-3},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

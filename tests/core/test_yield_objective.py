@@ -48,8 +48,6 @@ class TestYieldObjective:
             YieldObjective(0.4)  # below half rewards increasing variance
         with pytest.raises(ValueError):
             YieldObjective(1.0)
-        with pytest.raises(ValueError):
-            YieldObjective(0.99, max_area_ratio=0.5)
 
 
 class TestSizerConfigValidation:

@@ -48,10 +48,8 @@ class TestConfigWithLam:
             lam=3.0,
             subcircuit_depth=1,
             max_iterations=7,
-            min_relative_gain=1e-3,
             sigma_target=5.0,
             pdf_samples=11,
-            freeze_no_gain_gates=True,
             max_outputs_per_pass=2,
             patience=3,
         )
