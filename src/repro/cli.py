@@ -378,11 +378,7 @@ def cmd_report(args) -> int:
         extract_top_paths,
     )
 
-    analysis = FASSTA(
-        delay_model,
-        variation_model,
-        worst_key=lambda rv: rv.mean + args.lam * rv.sigma,
-    ).analyze(circuit)
+    analysis = FASSTA(delay_model, variation_model).analyze(circuit)
     crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)
     paths = extract_top_paths(circuit, crit, analysis.arrivals, k=args.top_k)
     slack = compute_slacks(

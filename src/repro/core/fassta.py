@@ -16,9 +16,10 @@ call (:meth:`VariationModel.delay_moments
 <repro.variation.model.VariationModel.delay_moments>`), then per logic level
 the Clark fast-max folds the input positions left to right over NumPy arrays
 of μ/σ (:func:`repro.core.clark.clark_max_fast_arrays`), the pairwise order
-of :meth:`NormalDelay.maximum_of`, so the moments agree with a gate-by-gate
-fold to ~1e-12.  It always times the whole circuit, from zero-arrival
-primary inputs to the primary outputs.  The sizers' inner loop evaluates
+of :meth:`NormalDelay.maximum_of`, so every net's moments agree with a
+gate-by-gate fold within 1e-9 ps (``tests/core/test_incremental.py``).  It
+always times the whole circuit, from zero-arrival primary inputs to the
+primary outputs.  The sizers' inner loop evaluates
 extracted two-level subcircuits instead, with boundary arrival moments
 recorded by the outer engine (:meth:`CostEvaluator.subcircuit_arrivals
 <repro.core.cost.CostEvaluator.subcircuit_arrivals>`), and times trial sizes
@@ -32,7 +33,7 @@ assignments").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class FasstaResult:
     arrivals: Dict[str, NormalDelay]
     gate_delays: Dict[str, NormalDelay]
     output_rv: NormalDelay
-    worst_output: str
 
     def arrival(self, net: str) -> NormalDelay:
         """Arrival-time moments at ``net`` (0 for unknown/primary-input nets)."""
@@ -77,22 +77,11 @@ class FASSTA:
         Library delay model giving nominal gate delays under load.
     variation_model:
         Process-variation model assigning a sigma to every gate delay.
-    worst_key:
-        Ranking criterion used to report :attr:`FasstaResult.worst_output`.
-        Defaults to the raw mean (a ``lambda = 0`` objective); the sizer
-        passes its weighted cost ``mu + lambda * sigma`` so the reported
-        worst output matches the optimization objective.
     """
 
-    def __init__(
-        self,
-        delay_model: BaseDelayModel,
-        variation_model: VariationModel,
-        worst_key: Optional[Callable[[NormalDelay], float]] = None,
-    ) -> None:
+    def __init__(self, delay_model: BaseDelayModel, variation_model: VariationModel) -> None:
         self.delay_model = delay_model
         self.variation_model = variation_model
-        self.worst_key = worst_key
 
     # ------------------------------------------------------------------
     def gate_delay_rv(
@@ -187,13 +176,5 @@ class FASSTA:
             raise KeyError(
                 f"unknown output net(s) {missing} in circuit {circuit.name!r}"
             )
-        output_rvs = [arrivals[net] for net in output_nets]
-        output_rv = NormalDelay.maximum_of(output_rvs)
-        key = self.worst_key or (lambda rv: rv.mean)
-        worst_output = max(output_nets, key=lambda net: key(arrivals[net]))
-        return FasstaResult(
-            arrivals=arrivals,
-            gate_delays=gate_delays,
-            output_rv=output_rv,
-            worst_output=worst_output,
-        )
+        output_rv = NormalDelay.maximum_of([arrivals[net] for net in output_nets])
+        return FasstaResult(arrivals=arrivals, gate_delays=gate_delays, output_rv=output_rv)

@@ -14,17 +14,16 @@ always times the whole circuit, from zero-arrival primary inputs to the
 primary outputs, so every row is ``num_samples`` wide.  The batched primitives
 (:func:`~repro.core.discrete_pdf.batched_combine`) replay the
 canonicalize/compact arithmetic of :class:`~repro.core.discrete_pdf.DiscretePDF`,
-so the moments agree with a gate-by-gate pdf fold to ~1e-12.
+so every net's moments agree with a gate-by-gate pdf fold within 1e-9 ps
+(``tests/core/test_fullssta_vectorized.py``).
 
 Besides the output pdf, the engine records the mean and variance at *every*
 node — the paper stores exactly these point values "for use in the fast
 timing engine (FASSTA)" and the WNSS tracer consumes them too.
 
-An optional spatial-correlation overlay can inflate the output variance to
-first order when a :class:`~repro.variation.correlation.SpatialCorrelationModel`
-is supplied; the paper leaves correlation handling to "PCA or other methods"
-in the outer loop, so this is provided as an extension and disabled by
-default.
+Gate delays are independent normals, and every ``max`` treats its inputs as
+independent, so reconvergent fanout is not modelled; the paper leaves
+correlation handling to "PCA or other methods" in the outer loop.
 
 :class:`IncrementalReanalysis` wraps the engine with the levelized state
 arrays of its last run: after gate resizes it re-propagates only the
@@ -40,7 +39,7 @@ nesting FULLSSTA inside a sizing loop affordable at scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from repro.ir.compiled import CompiledCircuit
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
-from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.model import VariationModel
 
 #: Padded ``(values, probabilities, counts)`` rows (see :mod:`repro.core.discrete_pdf`).
@@ -68,10 +66,8 @@ class FullSstaResult:
 
     arrival_pdfs: Dict[str, DiscretePDF]
     arrival_moments: Dict[str, NormalDelay]
-    gate_delay_moments: Dict[str, NormalDelay]
     output_pdf: DiscretePDF
     output_rv: NormalDelay
-    worst_output: str
 
     def arrival(self, net: str) -> NormalDelay:
         """Arrival moments at ``net`` (0 for primary inputs / unknown nets)."""
@@ -99,9 +95,8 @@ class LevelizedState:
 
     One padded arrival row per net slot of the compiled circuit (padding
     convention of :mod:`repro.core.discrete_pdf`) and one padded delay row
-    per gate id, plus the per-gate delay moments and the per-net pdfs the
-    result reports.  :class:`IncrementalReanalysis` keeps it as its
-    committed state.
+    per gate id, plus the per-net pdfs the result reports.
+    :class:`IncrementalReanalysis` keeps it as its committed state.
     """
 
     values: np.ndarray  # (num_nets, num_samples)
@@ -109,7 +104,6 @@ class LevelizedState:
     counts: np.ndarray  # (num_nets,)
     delay_values: np.ndarray  # (num_gates, num_samples)
     delay_probs: np.ndarray  # (num_gates, num_samples)
-    gate_delay_moments: Dict[str, NormalDelay]
     arrival_pdfs: Dict[str, DiscretePDF] = field(default_factory=dict)
 
     def propagate(self, plan: CompiledCircuit, gate_ids: np.ndarray, num_samples: int) -> _Rows:
@@ -168,13 +162,9 @@ class FULLSSTA:
         gate-delay distributions, only the propagation math differs.
     num_samples:
         Samples kept per pdf (the paper's "10-15 samples"; default 13).
-    correlation_model:
-        Optional spatial-correlation overlay (see module docstring).
-    worst_key:
-        Ranking criterion used to report :attr:`FullSstaResult.worst_output`.
-        Defaults to the raw mean (a ``lambda = 0`` objective); the sizer
-        passes its weighted cost ``mu + lambda * sigma`` so the reported
-        worst output matches the optimization objective.
+    vectorized:
+        Ignored: every run is levelized.  The flow benchmark's
+        fresh-analysis check still passes it.
     """
 
     def __init__(
@@ -182,9 +172,6 @@ class FULLSSTA:
         delay_model: BaseDelayModel,
         variation_model: VariationModel,
         num_samples: int = DEFAULT_SAMPLES,
-        correlation_model: Optional[SpatialCorrelationModel] = None,
-        worst_key: Optional[Callable[[NormalDelay], float]] = None,
-        # Ignored: the flow benchmark's fresh-analysis check still passes it.
         vectorized: bool = True,
     ) -> None:
         if num_samples < 3:
@@ -192,8 +179,6 @@ class FULLSSTA:
         self.delay_model = delay_model
         self.variation_model = variation_model
         self.num_samples = num_samples
-        self.correlation_model = correlation_model
-        self.worst_key = worst_key
 
     # ------------------------------------------------------------------
     def analyze(self, circuit: Circuit) -> FullSstaResult:
@@ -206,25 +191,16 @@ class FULLSSTA:
         """
         state = self._propagate_levelized(circuit)
         arrivals = state.arrival_pdfs
-        return self._build_result(
-            circuit, arrivals, _moments(arrivals), state.gate_delay_moments
-        )
+        return self._build_result(circuit, arrivals, _moments(arrivals))
 
     # ------------------------------------------------------------------
     def _delay_rows(
         self, circuit: Circuit, gate_ids: Optional[np.ndarray] = None
-    ) -> "tuple[Dict[str, NormalDelay], np.ndarray, np.ndarray]":
-        """Delay moments and discretized delay rows of every gate, or of ``gate_ids``."""
-        plan = circuit.compiled()
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Discretized delay rows of every gate, or of ``gate_ids``."""
         mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model, gate_ids)
-        names = (
-            plan.gate_names if gate_ids is None else [plan.gate_names[gid] for gid in gate_ids]
-        )
-        moments = dict(
-            zip(names, map(NormalDelay, mu.tolist(), sigma.tolist()), strict=True)
-        )
         delay_values, delay_probs, _ = batched_from_normal(mu, sigma, self.num_samples)
-        return moments, delay_values, delay_probs
+        return delay_values, delay_probs
 
     def _propagate_levelized(self, circuit: Circuit) -> LevelizedState:
         """Levelized batched propagation over padded (net, sample) arrays.
@@ -236,14 +212,13 @@ class FULLSSTA:
         METRICS.counter("fullssta.runs")
         with span("fullssta.analyze") as sp:
             plan = circuit.compiled()
-            moments, delay_values, delay_probs = self._delay_rows(circuit)
+            delay_values, delay_probs = self._delay_rows(circuit)
             state = LevelizedState(
                 values=np.zeros((plan.num_nets, self.num_samples)),
                 probs=np.zeros((plan.num_nets, self.num_samples)),
                 counts=np.ones(plan.num_nets, dtype=np.intp),
                 delay_values=delay_values,
                 delay_probs=delay_probs,
-                gate_delay_moments=moments,
             )
             state.probs[:, 0] = 1.0  # every slot starts as the point pdf at 0.0
             for block in plan.levels:
@@ -265,13 +240,11 @@ class FULLSSTA:
         circuit: Circuit,
         arrivals: Dict[str, DiscretePDF],
         arrival_moments: Dict[str, NormalDelay],
-        gate_delay_moments: Dict[str, NormalDelay],
     ) -> FullSstaResult:
         """Assemble a :class:`FullSstaResult` from propagated per-net state.
 
         Shared by the from-scratch path and :class:`IncrementalReanalysis`
-        so the output max, correlation inflation and worst-output ranking
-        are computed identically in both.
+        so the output max is computed identically in both.
         """
         output_nets = circuit.primary_outputs
         if not output_nets:
@@ -283,51 +256,12 @@ class FULLSSTA:
             )
         output_pdfs = [arrivals[net] for net in output_nets]
         output_pdf = DiscretePDF.maximum_of(output_pdfs, self.num_samples)
-
-        output_sigma = output_pdf.std()
-        if self.correlation_model is not None:
-            output_sigma = self._inflate_sigma_for_correlation(
-                circuit, output_sigma, gate_delay_moments
-            )
-        output_rv = NormalDelay(output_pdf.mean(), output_sigma)
-        key = self.worst_key or (lambda rv: rv.mean)
-        worst_output = max(output_nets, key=lambda net: key(arrival_moments[net]))
         return FullSstaResult(
             arrival_pdfs=arrivals,
             arrival_moments=arrival_moments,
-            gate_delay_moments=gate_delay_moments,
             output_pdf=output_pdf,
-            output_rv=output_rv,
-            worst_output=worst_output,
+            output_rv=NormalDelay(output_pdf.mean(), output_pdf.std()),
         )
-
-    # ------------------------------------------------------------------
-    def _inflate_sigma_for_correlation(
-        self,
-        circuit: Circuit,
-        independent_sigma: float,
-        gate_delay_moments: Dict[str, NormalDelay],
-    ) -> float:
-        """First-order variance correction for spatially correlated variation.
-
-        Positive pairwise correlation along the dominant path adds
-        ``2 * rho * sigma_i * sigma_j`` cross terms that the independent
-        propagation misses.  We approximate the correction along the gates of
-        the nominal critical path only, which keeps the cost linear in path
-        length and matches how the correction is typically quoted.
-        """
-        from repro.sta.dsta import DeterministicSTA  # local import avoids a cycle
-
-        dsta = DeterministicSTA(self.delay_model)
-        path = dsta.critical_path(circuit)
-        extra_var = 0.0
-        for i, gate_i in enumerate(path):
-            sigma_i = gate_delay_moments[gate_i].sigma
-            for gate_j in path[i + 1:]:
-                rho = self.correlation_model.correlation_between(gate_i, gate_j)
-                sigma_j = gate_delay_moments[gate_j].sigma
-                extra_var += 2.0 * rho * sigma_i * sigma_j
-        return float((independent_sigma ** 2 + max(extra_var, 0.0)) ** 0.5)
 
 
 class IncrementalReanalysis:
@@ -485,14 +419,10 @@ class IncrementalReanalysis:
         state = self._state
         arrivals = dict(state.arrival_pdfs)
         arrival_moments = dict(self._arrival_moments)
-        gate_delay_moments = dict(state.gate_delay_moments)
         if delta is not None:
             arrivals.update(delta.arrival_pdfs)
             arrival_moments.update(delta.arrival_moments)
-            gate_delay_moments.update(delta.gate_delay_moments)
-        return self.engine._build_result(
-            self.circuit, arrivals, arrival_moments, gate_delay_moments
-        )
+        return self.engine._build_result(self.circuit, arrivals, arrival_moments)
 
     # ------------------------------------------------------------------
     def _compute_delta(self, dirty: Set[str]) -> "_PendingDelta":
@@ -522,7 +452,7 @@ class IncrementalReanalysis:
 
         # The dirty gates' own delay distributions moved (their size or one
         # of their fanout's input caps changed): re-derive them.
-        moments, delay_values, delay_probs = engine._delay_rows(circuit, gate_ids)
+        delay_values, delay_probs = engine._delay_rows(circuit, gate_ids)
         is_dirty = np.zeros(plan.num_gates, dtype=bool)
         is_dirty[gate_ids] = True
         changed = np.zeros(plan.num_nets + 1, dtype=bool)  # + the fanin sentinel
@@ -558,7 +488,6 @@ class IncrementalReanalysis:
                 delay_rows=(delay_values, delay_probs),
                 arrival_pdfs=arrival_pdfs,
                 arrival_moments=_moments(arrival_pdfs),
-                gate_delay_moments=moments,
                 sizes={name: circuit.gate(name).size_index for name in names},
             )
         finally:
@@ -572,7 +501,6 @@ class IncrementalReanalysis:
         state.store(delta.slots, delta.rows)
         state.delay_values[delta.gate_ids], state.delay_probs[delta.gate_ids] = delta.delay_rows
         state.arrival_pdfs.update(delta.arrival_pdfs)
-        state.gate_delay_moments.update(delta.gate_delay_moments)
         self._arrival_moments.update(delta.arrival_moments)
         self._cached_sizes.update(delta.sizes)
 
@@ -588,5 +516,4 @@ class _PendingDelta:
     delay_rows: Tuple[np.ndarray, np.ndarray]  # ... and their trial delay rows
     arrival_pdfs: Dict[str, DiscretePDF]
     arrival_moments: Dict[str, NormalDelay]
-    gate_delay_moments: Dict[str, NormalDelay]
     sizes: Dict[str, int]

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from repro.core import clark
+
 
 @dataclass(frozen=True)
 class NormalDelay:
@@ -75,29 +77,23 @@ class NormalDelay:
         return NormalDelay(self.mean * factor, self.sigma * factor)
 
     # -- statistical max ---------------------------------------------------
-    def maximum(self, other: "NormalDelay", exact: bool = False) -> "NormalDelay":
+    def maximum(self, other: "NormalDelay") -> "NormalDelay":
         """Statistical max of two independent normal arrival times.
 
-        Uses the fast Clark approximation from the paper by default; pass
-        ``exact=True`` for the scipy-based exact Clark moments (used by
-        tests and the accuracy benchmarks).
+        Uses the paper's fast Clark approximation
+        (:func:`~repro.core.clark.clark_max_fast`).
         """
-        from repro.core import clark  # local import to avoid a cycle
-
-        if exact:
-            mean, var = clark.clark_max_exact(self.mean, self.sigma, other.mean, other.sigma)
-        else:
-            mean, var = clark.clark_max_fast(self.mean, self.sigma, other.mean, other.sigma)
+        mean, var = clark.clark_max_fast(self.mean, self.sigma, other.mean, other.sigma)
         return NormalDelay(mean, math.sqrt(max(var, 0.0)))
 
     @staticmethod
-    def maximum_of(delays: Sequence["NormalDelay"], exact: bool = False) -> "NormalDelay":
+    def maximum_of(delays: Sequence["NormalDelay"]) -> "NormalDelay":
         """Statistical max of several arrival times, folded pairwise left-to-right."""
         if not delays:
             raise ValueError("maximum_of needs at least one delay")
         result = delays[0]
         for delay in delays[1:]:
-            result = result.maximum(delay, exact=exact)
+            result = result.maximum(delay)
         return result
 
     # -- comparisons -------------------------------------------------------
@@ -108,8 +104,6 @@ class NormalDelay:
         exceeds ``threshold`` (2.6 in the paper), so ``max(self, other)`` is
         simply ``self`` to the accuracy of the erf approximation.
         """
-        from repro.core import clark
-
         return clark.dominance(self.mean, self.sigma, other.mean, other.sigma, threshold) == 1
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting

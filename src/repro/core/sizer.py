@@ -102,6 +102,12 @@ class SizerConfig:
             raise ValueError("subcircuit_depth must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.max_outputs_per_pass < 1:
+            raise ValueError("max_outputs_per_pass must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
+        if self.sigma_target is not None and self.sigma_target < 0:
+            raise ValueError("sigma_target must be non-negative")
         if self.objective not in ("cost", "yield"):
             raise ValueError(
                 f"objective must be 'cost' or 'yield', got {self.objective!r}"
@@ -200,12 +206,9 @@ class StatisticalGreedySizer:
         else:
             self.cost = WeightedCost(self.config.lam)
         self.fullssta = FULLSSTA(
-            delay_model,
-            variation_model,
-            num_samples=self.config.pdf_samples,
-            worst_key=self.cost.of,
+            delay_model, variation_model, num_samples=self.config.pdf_samples
         )
-        self.fassta = FASSTA(delay_model, variation_model, worst_key=self.cost.of)
+        self.fassta = FASSTA(delay_model, variation_model)
         self.evaluator = CostEvaluator(self.fassta, self.cost)
         self.tracer = WNSSTracer(
             coupling=variation_model.mean_sigma_coupling, lam=self.cost.lam

@@ -89,9 +89,8 @@ def compute_slacks(
     arrivals:
         Net -> arrival moments from a forward FASSTA/FULLSSTA run.
     gate_delays:
-        Gate name -> delay moments from the same run
-        (:attr:`~repro.core.fassta.FasstaResult.gate_delays` or
-        :attr:`~repro.core.fullssta.FullSstaResult.gate_delay_moments`).
+        Gate name -> delay moments
+        (:attr:`~repro.core.fassta.FasstaResult.gate_delays`).
     clock_period:
         Required time at every primary output.  Defaults to the worst
         weighted output cost ``max_o (mu_o + lam * sigma_o)`` — the

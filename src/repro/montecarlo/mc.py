@@ -8,9 +8,10 @@ the circuit-delay samples.  The engines are validated against this model in
 the tests and accuracy benchmarks, and the flow benchmark (``flowbench/``)
 reports the FULLSSTA-vs-MC sigma error of every final design.
 
-The simulator supports independent per-gate variation (the paper's inner
-model) and, optionally, the spatially correlated overlay of
-:class:`~repro.variation.correlation.SpatialCorrelationModel`.
+Every gate delay is an independent ``Normal(mu, sigma)`` draw with
+``sigma = sigma_prop + sigma_rand``, the gate-delay model the engines time.
+Arrival samples still correlate wherever paths reconverge, which is what the
+engines' independent ``max`` ignores.
 
 Propagation runs as a levelized array program over the circuit's compiled IR
 (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): one
@@ -44,7 +45,6 @@ from repro.ir.compiled import propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
-from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.model import VariationModel
 
 
@@ -87,21 +87,11 @@ class MonteCarloTimer:
     delay_model / variation_model:
         The same substrates the SSTA engines use, so all three see identical
         per-gate distributions.
-    correlation_model:
-        Optional spatial-correlation overlay.  When given, the proportional
-        part of every gate's sigma is split into a correlated component
-        (driven by shared grid factors) and an independent residual.
     """
 
-    def __init__(
-        self,
-        delay_model: BaseDelayModel,
-        variation_model: VariationModel,
-        correlation_model: Optional[SpatialCorrelationModel] = None,
-    ) -> None:
+    def __init__(self, delay_model: BaseDelayModel, variation_model: VariationModel) -> None:
         self.delay_model = delay_model
         self.variation_model = variation_model
-        self.correlation_model = correlation_model
 
     # ------------------------------------------------------------------
     def run(
@@ -110,7 +100,7 @@ class MonteCarloTimer:
         num_samples: int = 2000,
         seed: Optional[int] = 0,
     ) -> MonteCarloResult:
-        """Draw ``num_samples`` joint gate-delay samples and time the circuit.
+        """Draw ``num_samples`` independent gate-delay samples and time the circuit.
 
         The inner propagation is vectorised across samples: each net carries
         a length-``num_samples`` array of arrival times.
@@ -146,40 +136,10 @@ class MonteCarloTimer:
         # topological order: the generator stream is pinned bit-for-bit by
         # the regression tests, so only the *storage* is array-native.
         delay = np.empty((plan.num_gates, num_samples))
-        if self.correlation_model is None:
-            for gid, mean, sd in zip(
-                draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
-            ):
-                delay[gid] = rng.normal(mean, sd, num_samples)
-        else:
-            # Vectorized correlated path: one (num_samples, num_factors) draw
-            # for the shared grid factors and one matmul for every gate's
-            # correlated component; the independent/random parts stay
-            # per-gate (2, num_samples) draws, which consume the exact same
-            # generator stream without an O(gates x samples) upfront tensor.
-            # Stream and arithmetic match the historical per-sample loop
-            # bit-for-bit (pinned by tests/montecarlo/test_mc.py).
-            factor_array = self.correlation_model.sample_factor_array(
-                rng, num_samples
-            )
-            correlated_all = self.correlation_model.correlated_components(
-                order, factor_array
-            )
-            sigma_rand = self.variation_model.random_sigma
-            sigma_prop = self.variation_model.proportional_sigmas(
-                circuit, self.delay_model, mu
-            )
-            for j, (gid, mean, prop) in enumerate(
-                zip(draw_ids, mu[draw_ids].tolist(), sigma_prop[draw_ids].tolist(), strict=True)
-            ):
-                sigma_corr, sigma_ind = self.correlation_model.split_sigma(prop)
-                noise = rng.standard_normal((2, num_samples))
-                delay[gid] = (
-                    mean
-                    + sigma_corr * correlated_all[:, j]
-                    + sigma_ind * noise[0]
-                    + sigma_rand * noise[1]
-                )
+        for gid, mean, sd in zip(
+            draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
+        ):
+            delay[gid] = rng.normal(mean, sd, num_samples)
 
         # Levelized propagation over all samples at once.  Boundary slots
         # (primary inputs and floating gate inputs, per the IR boundary

@@ -10,16 +10,14 @@ Cong 1997 and Nassif ISSCC 2000):
   never be optimized away.
 
 :class:`~repro.variation.model.VariationModel` turns a nominal gate delay and
-a gate size into a delay sigma; :mod:`repro.variation.correlation` provides
-an optional spatial-correlation overlay (PCA-style grid) used by the outer
-FULLSSTA loop.
+a gate size into a delay sigma.  Every gate delay is an independent normal
+with ``sigma = sigma_prop + sigma_rand``; the engines and Monte Carlo share
+this one model.
 """
 
 from repro.variation.model import VariationModel, GateDelayDistribution
-from repro.variation.correlation import SpatialCorrelationModel
 
 __all__ = [
     "VariationModel",
     "GateDelayDistribution",
-    "SpatialCorrelationModel",
 ]

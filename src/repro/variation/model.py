@@ -38,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.library.delay_model import BaseDelayModel, FloatArray, IntArray
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import Gate
@@ -148,21 +146,10 @@ class VariationModel:
         compiled IR holds.
         """
         mu = delay_model.nominal_delays(circuit, gate_ids)
-        sigma = self.proportional_sigmas(circuit, delay_model, mu, gate_ids)
-        return mu, sigma + self.random_sigma
-
-    def proportional_sigmas(
-        self,
-        circuit: Circuit,
-        delay_model: BaseDelayModel,
-        mu: np.ndarray,
-        gate_ids: Optional[IntArray] = None,
-    ) -> FloatArray:
-        """The proportional sigma component for nominal delays ``mu`` (IR gate order)."""
         plan = circuit.compiled()
         pack = delay_model.packed(plan)
         drive_pow = pack.drive_pow(self.size_exponent)[pack.rows(plan, gate_ids)]
-        return self.proportional_alpha * mu / drive_pow
+        return mu, self.proportional_alpha * mu / drive_pow + self.random_sigma
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return (

@@ -2,8 +2,8 @@
 
 The yield objective trusts FULLSSTA's discrete output pdf; these tests pin
 that the target periods and parametric timing yields it reports agree with
-the Monte-Carlo golden model on registry circuits, under both independent
-and spatially correlated variation.
+the Monte-Carlo golden model on registry circuits, both drawing every gate
+delay as an independent normal.
 
 Tolerances follow the engines' seed-level accuracy pins (FULLSSTA sigma is
 only guaranteed to ~40 % of MC on reconvergent circuits) and are asserted
@@ -20,20 +20,15 @@ from repro.analysis.timing_yield import YieldReport, period_for_yield, timing_yi
 from repro.circuits.registry import build_benchmark
 from repro.core.fullssta import FULLSSTA
 from repro.montecarlo.mc import MonteCarloTimer
-from repro.variation.correlation import SpatialCorrelationModel
 
 CIRCUITS = ["c17", "c1355"]
 MC_SAMPLES = 4000
 TARGETS = (0.5, 0.9, 0.99)
 
-#: Relative period tolerance across all targets (independent / correlated).
+#: Relative period tolerance across all targets.
 PERIOD_RTOL_INDEPENDENT = 0.12
-PERIOD_RTOL_CORRELATED = 0.20
 #: Tighter tail tolerance at the 99 % target the sizer optimizes for.
 TAIL_RTOL_INDEPENDENT = 0.05
-TAIL_RTOL_CORRELATED = 0.15
-
-CORRELATION = {"grid_size": 4, "correlated_fraction": 0.6, "levels": 3}
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +36,13 @@ def mc_cache():
     return {}
 
 
-def _mc(name, delay_model, variation_model, correlation, cache):
-    key = (name, correlation is not None)
-    if key not in cache:
+def _mc(name, delay_model, variation_model, cache):
+    if name not in cache:
         circuit = build_benchmark(name)
-        cache[key] = MonteCarloTimer(
-            delay_model, variation_model, correlation_model=correlation
-        ).run(circuit, num_samples=MC_SAMPLES, seed=11)
-    return cache[key]
+        cache[name] = MonteCarloTimer(delay_model, variation_model).run(
+            circuit, num_samples=MC_SAMPLES, seed=11
+        )
+    return cache[name]
 
 
 @pytest.mark.parametrize("name", CIRCUITS)
@@ -58,7 +52,7 @@ class TestIndependentVariation:
     ):
         circuit = build_benchmark(name)
         pdf = FULLSSTA(delay_model, variation_model).analyze(circuit).output_pdf
-        mc = _mc(name, delay_model, variation_model, None, mc_cache)
+        mc = _mc(name, delay_model, variation_model, mc_cache)
         for target in TARGETS:
             rtol = TAIL_RTOL_INDEPENDENT if target == 0.99 else PERIOD_RTOL_INDEPENDENT
             assert period_for_yield(pdf, target) == pytest.approx(
@@ -72,55 +66,9 @@ class TestIndependentVariation:
         # period the empirical (MC) yield reaches (close to) the target.
         circuit = build_benchmark(name)
         pdf = FULLSSTA(delay_model, variation_model).analyze(circuit).output_pdf
-        mc = _mc(name, delay_model, variation_model, None, mc_cache)
+        mc = _mc(name, delay_model, variation_model, mc_cache)
         report = YieldReport.from_distribution(pdf, clock_period=mc.mean)
         assert timing_yield(mc.samples, report.period_for_90) >= 0.90 - 0.06
         assert timing_yield(mc.samples, report.period_for_99) >= 0.985
         assert report.period_for_99 > report.period_for_90
 
-
-@pytest.mark.parametrize("name", CIRCUITS)
-class TestCorrelatedVariation:
-    def test_periods_match_monte_carlo(
-        self, name, delay_model, variation_model, mc_cache
-    ):
-        correlation = SpatialCorrelationModel(**CORRELATION)
-        circuit = build_benchmark(name)
-        # With a correlation overlay the engine reports the inflated-sigma
-        # normal moments; the raw pdf still assumes independence.
-        rv = FULLSSTA(
-            delay_model, variation_model, correlation_model=correlation
-        ).analyze(circuit).output_rv
-        mc = _mc(name, delay_model, variation_model, correlation, mc_cache)
-        for target in TARGETS:
-            rtol = TAIL_RTOL_CORRELATED if target == 0.99 else PERIOD_RTOL_CORRELATED
-            assert period_for_yield(rv, target) == pytest.approx(
-                period_for_yield(mc.samples, target), rel=rtol
-            ), target
-
-    def test_tail_yield_guarantee_holds_empirically(
-        self, name, delay_model, variation_model, mc_cache
-    ):
-        correlation = SpatialCorrelationModel(**CORRELATION)
-        circuit = build_benchmark(name)
-        rv = FULLSSTA(
-            delay_model, variation_model, correlation_model=correlation
-        ).analyze(circuit).output_rv
-        mc = _mc(name, delay_model, variation_model, correlation, mc_cache)
-        assert timing_yield(mc.samples, period_for_yield(rv, 0.99)) >= 0.985
-
-    def test_correlation_widens_the_period_spread(
-        self, name, delay_model, variation_model
-    ):
-        correlation = SpatialCorrelationModel(
-            grid_size=4, correlated_fraction=0.8, levels=3
-        )
-        circuit = build_benchmark(name)
-        independent = FULLSSTA(delay_model, variation_model).analyze(circuit).output_rv
-        correlated = FULLSSTA(
-            delay_model, variation_model, correlation_model=correlation
-        ).analyze(circuit).output_rv
-        spread = lambda rv: (
-            period_for_yield(rv, 0.99) - period_for_yield(rv, 0.5)
-        )
-        assert spread(correlated) >= spread(independent) - 1e-9

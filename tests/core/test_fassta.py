@@ -62,11 +62,6 @@ class TestCircuitLevel:
         result = fassta.analyze(c17_circuit)
         assert result.output_rv.mean >= nominal - 1e-6
 
-    def test_worst_output_is_max_mean_output(self, fassta, c17_circuit):
-        result = fassta.analyze(c17_circuit)
-        means = {net: result.arrival(net).mean for net in c17_circuit.primary_outputs}
-        assert result.worst_output == max(means, key=means.get)
-
     def test_no_outputs_raises(self, fassta):
         from repro.netlist.circuit import Circuit
 
@@ -122,24 +117,3 @@ class TestOutputValidation:
         assert all(result.arrival(net).mean > 0 for net in ("N22", "N23"))
         assert result.output_rv.mean > 0
 
-
-class TestWorstOutputRanking:
-    def test_default_ranks_by_mean(self, fassta, c17_circuit):
-        result = fassta.analyze(c17_circuit)
-        means = {net: result.arrival(net).mean for net in c17_circuit.primary_outputs}
-        assert result.worst_output == max(means, key=means.get)
-
-    def test_worst_key_threads_cost_criterion(self, delay_model, c17_circuit):
-        # A sigma-heavy criterion must be able to flip the reported worst
-        # output relative to pure-mean ranking when means are close.
-        from repro.core.cost import WeightedCost
-
-        variation = VariationModel()
-        lam = 50.0
-        cost = WeightedCost(lam)
-        engine = FASSTA(delay_model, variation, worst_key=cost.of)
-        result = engine.analyze(c17_circuit)
-        costs = {
-            net: cost.of(result.arrival(net)) for net in c17_circuit.primary_outputs
-        }
-        assert result.worst_output == max(costs, key=costs.get)

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.stats import norm
 
+from repro.core import clark
 from repro.core.rv import NormalDelay, ZERO_DELAY
 
 
@@ -85,9 +86,9 @@ class TestMaximum:
     def test_exact_and_fast_agree_when_dominant(self):
         slow = NormalDelay(500.0, 5.0)
         fast = NormalDelay(100.0, 5.0)
-        exact = slow.maximum(fast, exact=True)
-        approx = slow.maximum(fast, exact=False)
-        assert exact.mean == pytest.approx(approx.mean, rel=1e-3)
+        exact_mean, _ = clark.clark_max_exact(slow.mean, slow.sigma, fast.mean, fast.sigma)
+        approx = slow.maximum(fast)
+        assert exact_mean == pytest.approx(approx.mean, rel=1e-3)
 
     def test_maximum_of_list(self):
         rvs = [NormalDelay(m, 5.0) for m in (10.0, 50.0, 300.0)]

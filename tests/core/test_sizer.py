@@ -26,6 +26,11 @@ class TestSizerConfig:
             {"lam": -1.0},
             {"subcircuit_depth": -1},
             {"max_iterations": 0},
+            {"max_outputs_per_pass": 0},
+            {"max_outputs_per_pass": -1},
+            {"patience": 0},
+            {"patience": -3},
+            {"sigma_target": -1.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

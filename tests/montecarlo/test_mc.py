@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.fullssta import FULLSSTA
 from repro.montecarlo.mc import MonteCarloTimer
 from repro.netlist.circuit import Circuit
 from repro.sta.dsta import DeterministicSTA
-from repro.variation.correlation import SpatialCorrelationModel
 from repro.variation.model import VariationModel
 
 
@@ -187,141 +185,3 @@ class TestLevelizedVectorization:
             result = timer.run(circuit, num_samples=200, seed=1)
             assert np.array_equal(result.samples, reference)
 
-
-def _reference_correlated_samples(timer, circuit, num_samples, seed):
-    """The historical per-sample correlated path (pre-vectorization)."""
-    rng = np.random.default_rng(seed)
-    order = circuit.topological_order()
-    distributions = _gate_distributions(timer.variation_model, circuit, timer.delay_model)
-    model = timer.correlation_model
-    factor_draws = [model.sample_factors(rng) for _ in range(num_samples)]
-    gate_samples = {}
-    for name in order:
-        dist = distributions[name]
-        gate = circuit.gate(name)
-        drive = timer.delay_model.library.size(gate.cell_type, gate.size_index).drive
-        sigma_prop = (
-            timer.variation_model.proportional_alpha
-            * dist.mean
-            / (drive ** timer.variation_model.size_exponent)
-        )
-        sigma_rand = timer.variation_model.random_sigma
-        sigma_corr, sigma_ind = model.split_sigma(sigma_prop)
-        correlated = np.array(
-            [model.correlated_component(name, draw) for draw in factor_draws]
-        )
-        independent = rng.standard_normal(num_samples)
-        random_part = rng.standard_normal(num_samples)
-        gate_samples[name] = (
-            dist.mean
-            + sigma_corr * correlated
-            + sigma_ind * independent
-            + sigma_rand * random_part
-        )
-    arrivals = {net: np.zeros(num_samples) for net in circuit.primary_inputs}
-    for name in order:
-        gate = circuit.gate(name)
-        worst = None
-        for net in gate.inputs:
-            arr = arrivals[net]
-            worst = arr if worst is None else np.maximum(worst, arr)
-        arrivals[gate.output] = worst + gate_samples[name]
-    delay = None
-    for net in circuit.primary_outputs:
-        delay = arrivals[net] if delay is None else np.maximum(delay, arrivals[net])
-    return delay
-
-
-class TestCorrelatedVectorization:
-    @pytest.mark.parametrize("grid_size,levels", [(4, 3), (8, 4), (1, 1)])
-    def test_vectorized_path_matches_loop_bit_for_bit(
-        self, delay_model, variation_model, c17_circuit, grid_size, levels
-    ):
-        timer = MonteCarloTimer(
-            delay_model,
-            variation_model,
-            correlation_model=SpatialCorrelationModel(
-                grid_size=grid_size, correlated_fraction=0.6, levels=levels
-            ),
-        )
-        result = timer.run(c17_circuit, num_samples=300, seed=42)
-        reference = _reference_correlated_samples(timer, c17_circuit, 300, seed=42)
-        assert np.array_equal(result.samples, reference)
-
-    def test_factor_array_matches_per_sample_draws(self):
-        model = SpatialCorrelationModel(grid_size=4, levels=3)
-        array = model.sample_factor_array(np.random.default_rng(7), 5)
-        rng = np.random.default_rng(7)
-        order = model.factor_order()
-        for s in range(5):
-            draw = model.sample_factors(rng)
-            assert np.array_equal(array[s], np.array([draw[idx] for idx in order]))
-
-    def test_correlated_components_match_scalar(self):
-        model = SpatialCorrelationModel(grid_size=4, correlated_fraction=0.5, levels=3)
-        names = [f"g{i}" for i in range(17)]
-        rng = np.random.default_rng(3)
-        array = model.sample_factor_array(rng, 11)
-        matrix = model.correlated_components(names, array)
-        order = model.factor_order()
-        for s in range(11):
-            draw = {idx: float(array[s, j]) for j, idx in enumerate(order)}
-            for j, name in enumerate(names):
-                assert matrix[s, j] == model.correlated_component(name, draw)
-
-    def test_bad_factor_array_shape_rejected(self):
-        model = SpatialCorrelationModel(grid_size=4, levels=3)
-        with pytest.raises(ValueError):
-            model.correlated_components(["g"], np.zeros((5, 3)))
-
-
-class TestAgainstFullSsta:
-    def test_correlated_mc_moments_agree_with_fullssta(
-        self, delay_model, variation_model, c17_circuit
-    ):
-        # FULLSSTA assumes independent gate delays and an additive
-        # prop+random sigma; the correlated overlay keeps per-gate means but
-        # combines the components in quadrature and correlates the joint
-        # structure, so agreement is structural rather than exact: the MC
-        # mean must track the engine within ~15 % and the MC sigma must stay
-        # in the same regime (correlation widens the circuit-level sigma,
-        # the tighter quadrature marginals narrow it).
-        engine_rv = FULLSSTA(delay_model, variation_model).analyze(
-            c17_circuit
-        ).output_rv
-        timer = MonteCarloTimer(
-            delay_model,
-            variation_model,
-            correlation_model=SpatialCorrelationModel(correlated_fraction=0.5),
-        )
-        mc = timer.run(c17_circuit, num_samples=6000, seed=0)
-        assert mc.mean == pytest.approx(engine_rv.mean, rel=0.15)
-        assert 0.5 * engine_rv.sigma < mc.sigma < 2.0 * engine_rv.sigma
-
-
-class TestCorrelatedVariation:
-    def test_correlation_increases_sigma(self, delay_model, variation_model, c17_circuit):
-        independent = MonteCarloTimer(delay_model, variation_model)
-        correlated = MonteCarloTimer(
-            delay_model,
-            variation_model,
-            correlation_model=SpatialCorrelationModel(correlated_fraction=0.9),
-        )
-        r_ind = independent.run(c17_circuit, num_samples=3000, seed=0)
-        r_corr = correlated.run(c17_circuit, num_samples=3000, seed=0)
-        assert r_corr.sigma > r_ind.sigma
-
-    def test_correlated_mean_close_but_not_higher(self, delay_model, variation_model, c17_circuit):
-        # Positive correlation between path delays lowers the mean of the max
-        # slightly (less independent "diversity" pushing the maximum up); it
-        # must never raise it, and it stays within a few percent.
-        independent = MonteCarloTimer(delay_model, variation_model)
-        correlated = MonteCarloTimer(
-            delay_model,
-            variation_model,
-            correlation_model=SpatialCorrelationModel(correlated_fraction=0.5),
-        )
-        r_ind = independent.run(c17_circuit, num_samples=4000, seed=0)
-        r_corr = correlated.run(c17_circuit, num_samples=4000, seed=0)
-        assert r_corr.mean <= r_ind.mean * 1.01
-        assert r_corr.mean == pytest.approx(r_ind.mean, rel=0.10)
