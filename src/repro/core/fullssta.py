@@ -285,7 +285,9 @@ class IncrementalReanalysis:
     to the cache; a caller trying a candidate resize calls ``preview``,
     then either :meth:`commit_preview` (keep it) or simply reverts the
     resize via ``set_size`` (the cancelled pair then costs nothing).  This
-    is what makes the sizer's accept/reject trial loop cheap.
+    is what makes the sizer's accept/reject trial loop cheap.  The sizer
+    times every outer-loop state through this ``analyze`` / ``preview`` /
+    ``commit_preview`` / ``stats`` protocol.
 
     Full rebuilds and dirty cones both run the engine's levelized kernel
     (:meth:`LevelizedState.propagate`), so results are bitwise equal to a
@@ -311,11 +313,6 @@ class IncrementalReanalysis:
         self.gates_retimed = 0
 
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop the cache; the next :meth:`analyze` runs from scratch."""
-        self._state = None
-        self._pending = None
-
     @property
     def stats(self) -> Dict[str, int]:
         """Cumulative run counters (full runs, incremental runs, gates retimed)."""

@@ -17,11 +17,13 @@ further improvements can be made".  Improvement is measured on the
 circuit-level objective ``mu_O + lambda * sigma_O`` computed by FULLSSTA;
 an optional sigma target and iteration cap provide the constrained mode.
 
-Throughput machinery (all exactness-preserving, so enabling it never
-changes the optimization trajectory):
+Throughput machinery (all exactness-preserving: results are bitwise those
+of the from-scratch engines, so the optimization trajectory is the same):
 
-* the outer engine runs behind :class:`~repro.core.fullssta.IncrementalReanalysis`
-  — after each commit only the resized gates' cones are re-propagated;
+* every outer-loop analysis runs through
+  :class:`~repro.core.fullssta.IncrementalReanalysis` — after each commit
+  only the resized gates' cones are re-propagated, and accept/reject trials
+  are previewed against the committed state;
 * the inner loop is :meth:`CostEvaluator.best_size
   <repro.core.cost.CostEvaluator.best_size>`, shared with the mean-delay
   baseline: memoized subcircuit extraction, delay moments of unaffected
@@ -34,7 +36,7 @@ changes the optimization trajectory):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.cost import CostComponents, CostEvaluator, WeightedCost, YieldObjective
 from repro.core.fassta import FASSTA
@@ -53,10 +55,7 @@ class SizerConfig:
     """Tuning knobs of the StatisticalGreedy optimizer.
 
     Parameters mirror the paper's description; defaults reproduce its setup.
-    ``incremental_reanalysis`` selects the fast evaluation pipeline: it is
-    exactness-preserving and on by default; turning it off re-runs the
-    levelized FULLSSTA from scratch for every outer-loop analysis (the
-    reference in ``benchmarks/bench_incremental.py``).
+    ``pdf_samples`` is FULLSSTA's samples per pdf (at least 3).
 
     ``objective`` selects what the optimizer minimizes:
 
@@ -69,17 +68,6 @@ class SizerConfig:
       ``max_area_ratio`` rejects states whose area exceeds that multiple of
       the starting area (the area-constrained variant); the constraint also
       applies under the cost objective when set.
-
-    ``criticality_threshold`` enables criticality-guided candidate pruning:
-    before each pass the per-gate statistical criticality probabilities are
-    computed from the recorded FULLSSTA arrival moments
-    (:class:`~repro.criticality.analysis.CriticalityAnalyzer`), and WNSS
-    gates whose criticality falls below the threshold are skipped by the
-    inner loop.  The default of ``0.0`` disables pruning entirely — the
-    optimization trajectory is then bit-identical to a sizer without the
-    feature; practical thresholds (0.01-0.05) trade a small objective
-    deviation for fewer subcircuit evaluations per pass
-    (``benchmarks/bench_criticality.py`` measures both).
     """
 
     lam: float = 3.0
@@ -89,11 +77,9 @@ class SizerConfig:
     pdf_samples: int = 13
     max_outputs_per_pass: int = 6
     patience: int = 4
-    incremental_reanalysis: bool = True
     objective: str = "cost"
     target_yield: float = 0.99
     max_area_ratio: Optional[float] = None
-    criticality_threshold: float = 0.0
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -102,6 +88,8 @@ class SizerConfig:
             raise ValueError("subcircuit_depth must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.pdf_samples < 3:
+            raise ValueError("pdf_samples must be >= 3")
         if self.max_outputs_per_pass < 1:
             raise ValueError("max_outputs_per_pass must be >= 1")
         if self.patience < 1:
@@ -116,8 +104,6 @@ class SizerConfig:
             raise ValueError("target_yield must be in [0.5, 1)")
         if self.max_area_ratio is not None and self.max_area_ratio < 1.0:
             raise ValueError("max_area_ratio must be >= 1 (relative to start)")
-        if not 0.0 <= self.criticality_threshold < 1.0:
-            raise ValueError("criticality_threshold must be in [0, 1)")
 
 
 @dataclass
@@ -138,8 +124,10 @@ class SizerResult:
     """Outcome of a StatisticalGreedy run."""
 
     circuit: Circuit
-    initial: NormalDelay
-    final: NormalDelay
+    #: FULLSSTA analyses of the starting design and of the restored best
+    #: design, each bitwise equal to a fresh ``FULLSSTA.analyze`` of it.
+    initial_analysis: FullSstaResult
+    final_analysis: FullSstaResult
     initial_area: float
     final_area: float
     iterations: List[IterationRecord]
@@ -151,6 +139,16 @@ class SizerResult:
     #: ``lam`` records the equivalent z-score weight actually used.
     objective: str = "cost"
     target_yield: Optional[float] = None
+
+    @property
+    def initial(self) -> NormalDelay:
+        """Output moments of the starting design."""
+        return self.initial_analysis.output_rv
+
+    @property
+    def final(self) -> NormalDelay:
+        """Output moments of the returned (best) design."""
+        return self.final_analysis.output_rv
 
     @property
     def sigma_reduction_pct(self) -> float:
@@ -229,25 +227,9 @@ class StatisticalGreedySizer:
         start_time = clock()
         start_counters = self.evaluator.counters
         config = self.config
+        reanalysis = IncrementalReanalysis(self.fullssta, circuit)
 
-        reanalysis: Optional[IncrementalReanalysis] = None
-        if config.incremental_reanalysis:
-            reanalysis = IncrementalReanalysis(self.fullssta, circuit)
-            analyze: Callable[[], FullSstaResult] = reanalysis.analyze
-        else:
-            analyze = lambda: self.fullssta.analyze(circuit)  # noqa: E731
-
-        # Criticality-guided pruning (off at threshold 0: no analyzer is even
-        # built, so the default path is exactly the historical one).
-        crit_analyzer = None
-        pruned_gates = 0
-        if config.criticality_threshold > 0.0:
-            from repro.criticality.analysis import CriticalityAnalyzer
-
-            crit_analyzer = CriticalityAnalyzer(circuit)
-
-        initial_full = analyze()
-        initial_rv = initial_full.output_rv
+        initial_full = reanalysis.analyze()
         initial_area = self.delay_model.circuit_area(circuit)
         area_limit = (
             config.max_area_ratio * initial_area
@@ -283,17 +265,6 @@ class StatisticalGreedySizer:
                 reverse=True,
             )[: config.max_outputs_per_pass]
 
-            # One criticality analysis per pass: gates below the floor are
-            # excluded from the inner loop's candidate set.
-            critical_enough = None
-            if crit_analyzer is not None:
-                crit = crit_analyzer.analyze(current_full.arrival_moments)
-                critical_enough = {
-                    name
-                    for name, value in crit.gate_criticality.items()
-                    if value >= config.criticality_threshold
-                }
-
             scheduled: Dict[str, int] = {}
             wnss_length = 0
             for output_net in outputs_by_cost:
@@ -303,12 +274,6 @@ class StatisticalGreedySizer:
                 wnss_length = max(wnss_length, len(wnss))
                 for gate_name in wnss.gates:
                     if gate_name in scheduled:
-                        continue
-                    if (
-                        critical_enough is not None
-                        and gate_name not in critical_enough
-                    ):
-                        pruned_gates += 1
                         continue
                     new_size = self._best_size_for(circuit, gate_name, current_full)
                     if new_size is not None:
@@ -323,7 +288,7 @@ class StatisticalGreedySizer:
             for gate_name, size_index in scheduled.items():
                 circuit.set_size(gate_name, size_index)
 
-            new_full = analyze()
+            new_full = reanalysis.analyze()
             new_objective = self.cost.of(new_full.output_rv)
             new_components = self._objective_components(circuit, new_full)
 
@@ -337,8 +302,7 @@ class StatisticalGreedySizer:
                 # keeping only those that improve the global objective.
                 circuit.apply_sizes(snapshot)
                 accepted, accepted_full, accepted_components = self._commit_incrementally(
-                    circuit, scheduled, best_components, analyze, reanalysis,
-                    area_limit,
+                    circuit, scheduled, best_components, reanalysis, area_limit
                 )
                 if accepted:
                     scheduled = accepted
@@ -385,7 +349,6 @@ class StatisticalGreedySizer:
 
         # Restore the best configuration seen during the run.
         circuit.apply_sizes(best_sizes)
-        final_full = best_full
         runtime = clock() - start_time
 
         # This run's share of the evaluator's cumulative counters.
@@ -393,23 +356,18 @@ class StatisticalGreedySizer:
             key: value - start_counters[key]
             for key, value in self.evaluator.counters.items()
         }
-        if crit_analyzer is not None:
-            diagnostics["criticality_pruned_gates"] = pruned_gates
-        if reanalysis is not None:
-            diagnostics.update(reanalysis.stats)
+        diagnostics.update(reanalysis.stats)
         METRICS.counter("sizer.eval_cache_hits", diagnostics["evaluation_cache_hits"])
         METRICS.counter("sizer.eval_cache_misses", diagnostics["evaluation_cache_misses"])
         METRICS.counter("sizer.subcircuit_cache_hits", diagnostics["subcircuit_cache_hits"])
         METRICS.counter(
             "sizer.subcircuit_cache_misses", diagnostics["subcircuit_cache_misses"]
         )
-        if crit_analyzer is not None:
-            METRICS.counter("sizer.criticality_pruned_gates", pruned_gates)
 
         return SizerResult(
             circuit=circuit,
-            initial=initial_rv,
-            final=final_full.output_rv,
+            initial_analysis=initial_full,
+            final_analysis=best_full,
             initial_area=initial_area,
             final_area=self.delay_model.circuit_area(circuit),
             iterations=iterations,
@@ -465,34 +423,31 @@ class StatisticalGreedySizer:
         circuit: Circuit,
         scheduled: Dict[str, int],
         best_components: CostComponents,
-        analyze: Callable[[], FullSstaResult],
-        reanalysis: Optional[IncrementalReanalysis],
+        reanalysis: IncrementalReanalysis,
         area_limit: Optional[float],
     ) -> "tuple[Dict[str, int], FullSstaResult, CostComponents]":
         """Apply scheduled resizes one at a time, keeping only improving ones.
 
         Fallback used when the bulk commit of a pass does not improve the
         global objective; returns the accepted resizes and the FULLSSTA
-        result / objective components of the resulting circuit.  ``analyze``
-        is the outer-loop analysis callable; with ``reanalysis`` available
-        each trial is *previewed* against the cached state — an accepted
-        trial commits its delta, a rejected one is reverted for free instead
-        of paying a second cone re-propagation to undo itself.
+        result / objective components of the resulting circuit.  Each trial
+        is *previewed* against the committed state of ``reanalysis``: an
+        accepted trial commits its delta, a rejected one is reverted for
+        free instead of paying a second cone re-propagation to undo itself.
         """
-        if reanalysis is not None:
-            # Sync the cache to the rolled-back base state once, so each
-            # trial below is a single-cone preview on top of it.
-            analyze()
+        # Sync the cache to the rolled-back base state once, so each trial
+        # below is a single-cone preview on top of it.
+        reanalysis.analyze()
         accepted: Dict[str, int] = {}
         components = best_components
         full_result: Optional[FullSstaResult] = None
         for gate_name, size_index in scheduled.items():
             previous = circuit.gate(gate_name).size_index
             circuit.set_size(gate_name, size_index)
-            trial_full = reanalysis.preview() if reanalysis is not None else None
-            previewed = trial_full is not None
-            if trial_full is None:
-                trial_full = analyze()
+            trial_full = reanalysis.preview()
+            # Only a structural edit makes preview() return None, and none
+            # happens inside a pass.
+            assert trial_full is not None
             trial_components = self._objective_components(circuit, trial_full)
             if trial_components.better_than(components) and self._area_ok(
                 circuit, area_limit
@@ -500,12 +455,11 @@ class StatisticalGreedySizer:
                 accepted[gate_name] = size_index
                 components = trial_components
                 full_result = trial_full
-                if previewed:
-                    reanalysis.commit_preview()
+                reanalysis.commit_preview()
             else:
                 circuit.set_size(gate_name, previous)
         if full_result is None:
-            full_result = analyze()
+            full_result = reanalysis.analyze()
         return accepted, full_result, components
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.criticality.paths import StatisticalPath
 from repro.library.delay_model import BaseDelayModel
+from repro.montecarlo.mc import output_slots
 from repro.netlist.circuit import Circuit
 from repro.variation.model import VariationModel
 
@@ -86,8 +87,6 @@ class MonteCarloCriticality:
         if num_samples < 2:
             raise ValueError("num_samples must be at least 2")
         outputs = circuit.primary_outputs
-        if not outputs:
-            raise ValueError(f"circuit {circuit.name!r} has no primary outputs")
         rng = np.random.default_rng(seed)
         # Draw order pins the RNG stream bit-for-bit against the MC timer.
         # repro-lint: allow=RL001
@@ -98,6 +97,7 @@ class MonteCarloCriticality:
         # moments, draws in topological order, so the generator stream is
         # unchanged; propagation is levelized across all samples at once).
         plan = circuit.compiled()
+        slots = output_slots(circuit, plan)
         draw_ids = [plan.gate_index[name] for name in order]
         mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model)
         delay = np.empty((plan.num_gates, num_samples))
@@ -125,14 +125,8 @@ class MonteCarloCriticality:
             for row, name in enumerate(block.names):
                 argmax_input[name] = amax[row]
 
-        missing = [net for net in outputs if net not in plan.net_index]
-        if missing:
-            raise KeyError(
-                f"unknown output net(s) {missing} in circuit {circuit.name!r}"
-            )
         # Which output is the slowest, per draw.
-        out_stack = np.stack([arr[plan.net_index[net]] for net in outputs])
-        out_argmax = np.argmax(out_stack, axis=0)
+        out_argmax = np.argmax(arr[slots], axis=0)
         output_frequency = {
             net: float(np.mean(out_argmax == i)) for i, net in enumerate(outputs)
         }

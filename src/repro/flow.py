@@ -6,9 +6,10 @@ circuit:
 1. build (or accept) a circuit and a standard-cell library;
 2. size it deterministically for minimum mean delay — the "original" design
    point of Table 1 / Fig. 1;
-3. measure the original statistical performance with FULLSSTA (and
-   optionally Monte Carlo);
-4. run the StatisticalGreedy sizer at the requested lambda;
+3. optionally measure the original design with Monte Carlo;
+4. run the StatisticalGreedy sizer at the requested lambda; its first and
+   last FULLSSTA analyses are the original and final statistical
+   performance the flow reports;
 5. report the changes in mean, sigma, sigma/mu and area.
 
 ``quick_flow`` is the one-liner used in the README quickstart: it accepts a
@@ -24,7 +25,6 @@ from typing import Any, Dict, Optional
 from repro.circuits.registry import build_benchmark
 from repro.core.baseline import BaselineResult, MeanDelaySizer
 from repro.core.discrete_pdf import DiscretePDF
-from repro.core.fullssta import FULLSSTA
 from repro.core.rv import NormalDelay
 from repro.core.sizer import SizerConfig, SizerResult, StatisticalGreedySizer
 from repro.core.wnss import WNSSPath
@@ -53,8 +53,8 @@ class FlowResult:
     mc_original: Optional[MonteCarloResult] = None
     mc_final: Optional[MonteCarloResult] = None
     #: Schema-1 trace payload of this flow (see :mod:`repro.obs.traceio`):
-    #: a ``flow`` root span with one child per stage (baseline, analyses,
-    #: sizer, MC), recorded even when global tracing is off.
+    #: a ``flow`` root span with one child per stage (baseline, sizer, WNSS
+    #: trace, MC), recorded even when global tracing is off.
     trace: Optional[Dict[str, Any]] = None
     #: Circuit-level output arrival pdfs of the original and final designs
     #: (the distributions yield numbers are computed from).
@@ -68,12 +68,12 @@ class FlowResult:
 
     @property
     def total_runtime_seconds(self) -> float:
-        """Wall-clock of the whole flow (baseline + analyses + sizer + MC).
+        """Wall-clock of the whole flow (baseline + sizer + MC).
 
         Derived from the trace's root ``flow`` span — the tracer is the
         single timing source.  The paper's Table-1 runtime column only
         counts the sizer itself (``sizer_result.runtime_seconds``), which
-        hides the analysis/MC cost from sweep accounting.
+        hides the baseline/MC cost from sweep accounting.
         """
         if not self.trace:
             return 0.0
@@ -166,6 +166,11 @@ def run_sizing_flow(
     preflight: bool = True,
 ) -> FlowResult:
     """Run the full paper flow on ``circuit`` (sized in place).
+
+    The original and final moments, output pdfs and areas the result
+    reports are those of the sizer's own first and last FULLSSTA analyses
+    (:attr:`SizerResult.initial_analysis` / ``final_analysis``); the flow
+    times neither design a second time.
 
     Parameters
     ----------
@@ -267,18 +272,6 @@ def _run_flow_stages(
             runtime_seconds=0.0,
         )
 
-    fullssta = FULLSSTA(delay_model, variation_model, num_samples=config.pdf_samples)
-    with span("flow.analyze_original"):
-        original_full = fullssta.analyze(circuit)
-        original_rv = original_full.output_rv
-        original_area = delay_model.circuit_area(circuit)
-        # Fail loudly on numerically-poisoned analyses: a NaN here would
-        # otherwise flow silently into every downstream metric and artifact.
-        ensure_finite_moments(
-            original_rv.mean, original_rv.sigma,
-            context=f"{circuit.name}: original FULLSSTA", area=original_area,
-        )
-
     mc_original = None
     if monte_carlo_samples > 0:
         mc_original = MonteCarloTimer(delay_model, variation_model).run(
@@ -287,20 +280,22 @@ def _run_flow_stages(
 
     sizer = StatisticalGreedySizer(delay_model, variation_model, config)
     sizer_result = sizer.optimize(circuit)
-
-    with span("flow.analyze_final"):
-        final_full = fullssta.analyze(circuit)
-        final_rv = final_full.output_rv
-        final_area = delay_model.circuit_area(circuit)
+    # Fail loudly on numerically-poisoned analyses: a NaN here would
+    # otherwise flow silently into every downstream metric and artifact.
+    for label, rv, area in (
+        ("original", sizer_result.initial, sizer_result.initial_area),
+        ("final", sizer_result.final, sizer_result.final_area),
+    ):
         ensure_finite_moments(
-            final_rv.mean, final_rv.sigma,
-            context=f"{circuit.name}: final FULLSSTA", area=final_area,
+            rv.mean, rv.sigma, context=f"{circuit.name}: {label} FULLSSTA", area=area
         )
 
     # Trace the final design's WNSS path with the sizer's own tracer so the
     # recorded TraceDecisions use the exact lambda/coupling the run used.
     with span("flow.wnss_trace"):
-        final_wnss = sizer.tracer.trace(circuit, final_full.arrival_moments)
+        final_wnss = sizer.tracer.trace(
+            circuit, sizer_result.final_analysis.arrival_moments
+        )
 
     mc_final = None
     if monte_carlo_samples > 0:
@@ -312,15 +307,15 @@ def _run_flow_stages(
         circuit=circuit,
         lam=config.lam,
         baseline=baseline,
-        original_rv=original_rv,
-        original_area=original_area,
+        original_rv=sizer_result.initial,
+        original_area=sizer_result.initial_area,
         sizer_result=sizer_result,
-        final_rv=final_rv,
-        final_area=final_area,
+        final_rv=sizer_result.final,
+        final_area=sizer_result.final_area,
         mc_original=mc_original,
         mc_final=mc_final,
-        original_output_pdf=original_full.output_pdf,
-        final_output_pdf=final_full.output_pdf,
+        original_output_pdf=sizer_result.initial_analysis.output_pdf,
+        final_output_pdf=sizer_result.final_analysis.output_pdf,
         final_wnss=final_wnss,
     )
 

@@ -41,7 +41,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.ir.compiled import propagate_levelized
+from repro.ir.compiled import CompiledCircuit, propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
@@ -77,6 +77,24 @@ class MonteCarloResult:
     @property
     def cv(self) -> float:
         return self.sigma / self.mean if self.mean else 0.0
+
+
+def output_slots(circuit: Circuit, plan: CompiledCircuit) -> np.ndarray:
+    """IR net slots of ``circuit``'s primary outputs, in output order.
+
+    Raises ``ValueError`` when the circuit has no primary outputs and
+    ``KeyError`` naming every output that is neither a primary input nor a
+    gate output (unknown or floating nets), like the SSTA engines.
+    """
+    outputs = circuit.primary_outputs
+    if not outputs:
+        raise ValueError(f"circuit {circuit.name!r} has no primary outputs")
+    missing = [
+        net for net in outputs if net not in plan.net_index or net in plan.floating
+    ]
+    if missing:
+        raise KeyError(f"unknown output net(s) {missing} in circuit {circuit.name!r}")
+    return np.array([plan.net_index[net] for net in outputs], dtype=np.intp)
 
 
 class MonteCarloTimer:
@@ -147,25 +165,12 @@ class MonteCarloTimer:
         # engines.
         arr = propagate_levelized(plan, delay)
 
-        outputs = circuit.primary_outputs
-        if not outputs:
-            raise ValueError(f"circuit {circuit.name!r} has no primary outputs")
-        # A primary output must be a primary input or a gate output;
-        # floating/unknown output nets are netlist bugs, like the engines.
-        missing = [
-            net
-            for net in outputs
-            if plan.net_index.get(net) is None or net in plan.floating
-        ]
-        if missing:
-            raise KeyError(
-                f"unknown output net(s) {missing} in circuit {circuit.name!r}"
-            )
+        slots = output_slots(circuit, plan)
         circuit_delay = None
         per_output_mean: Dict[str, float] = {}
         per_output_sigma: Dict[str, float] = {}
-        for net in outputs:
-            samples = arr[plan.net_index[net]]
+        for net, slot in zip(circuit.primary_outputs, slots, strict=True):
+            samples = arr[slot]
             per_output_mean[net] = float(samples.mean())
             per_output_sigma[net] = float(samples.std(ddof=1))
             circuit_delay = (

@@ -9,6 +9,7 @@ sizes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -117,3 +118,42 @@ def _topological_fold(circuit, gate_delay, zero, max_of, add):
 def reference_fold():
     """The gate-by-gate fold the levelized engines are pinned against."""
     return _topological_fold
+
+
+class _FromScratchReanalysis:
+    """``IncrementalReanalysis`` stand-in: every call is a fresh ``FULLSSTA.analyze``.
+
+    Analyses are pure, so the extra sync ``analyze()`` the sizer issues
+    before its one-at-a-time trials cannot change a decision.
+    """
+
+    def __init__(self, engine, circuit):
+        self.engine = engine
+        self.circuit = circuit
+        self.stats = {}
+
+    def analyze(self):
+        return self.engine.analyze(self.circuit)
+
+    preview = analyze
+
+    def commit_preview(self):
+        return True
+
+
+@pytest.fixture
+def from_scratch_sizer():
+    """Context manager: inside it, ``StatisticalGreedySizer`` times every
+    outer-loop state with a from-scratch ``FULLSSTA.analyze``.
+
+    The reference the incremental pipeline's sizing decisions are pinned
+    against; wrap only the reference run in it.
+    """
+
+    @contextlib.contextmanager
+    def from_scratch():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.core.sizer.IncrementalReanalysis", _FromScratchReanalysis)
+            yield
+
+    return from_scratch

@@ -31,6 +31,8 @@ class TestSizerConfig:
             {"patience": 0},
             {"patience": -3},
             {"sigma_target": -1.0},
+            {"pdf_samples": 2},
+            {"pdf_samples": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

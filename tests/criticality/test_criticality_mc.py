@@ -13,6 +13,8 @@ from repro.core.fassta import FASSTA
 from repro.criticality.analysis import CriticalityAnalyzer
 from repro.criticality.mc import MonteCarloCriticality
 from repro.criticality.paths import extract_top_paths
+from repro.montecarlo.mc import MonteCarloTimer
+from repro.netlist.circuit import Circuit
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +98,16 @@ class TestMonteCarloAgreement:
         runner = MonteCarloCriticality(delay_model, variation_model)
         with pytest.raises(ValueError):
             runner.run(c17_circuit, num_samples=1)
+
+    def test_floating_output_raises_like_the_timer(self, delay_model, variation_model):
+        # ``dangling`` is read by a gate but driven by none: it is not a
+        # timeable output, so both Monte-Carlo paths reject it by name
+        # instead of timing it as a zero arrival.
+        circuit = Circuit("floaty", primary_inputs=["a"], primary_outputs=["y", "dangling"])
+        circuit.add("g", "NAND2", ["a", "dangling"], "y")
+        with pytest.raises(KeyError, match="dangling"):
+            MonteCarloTimer(delay_model, variation_model).run(circuit, num_samples=100)
+        with pytest.raises(KeyError, match="dangling"):
+            MonteCarloCriticality(delay_model, variation_model).run(
+                circuit, num_samples=100
+            )

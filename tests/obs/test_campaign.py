@@ -87,11 +87,13 @@ class TestSweepTraces:
         report = run_cells(specs, jobs=1, out_dir=tmp_path)
         assert report.computed == 2
 
+        cell_runs = []
         for spec in specs:
             cell_trace = load_trace(
                 spec.artifact_path(tmp_path).with_suffix(".trace.json")
             )
             assert validate_trace(cell_trace) == []
+            cell_runs.append(cell_trace["metrics"]["counters"]["fullssta.runs"])
             roots = [s for s in cell_trace["spans"] if s["parent"] is None]
             assert [s["name"] for s in roots] == ["cell"]
             assert roots[0]["attrs"]["circuit"] == "c17"
@@ -108,9 +110,10 @@ class TestSweepTraces:
         counters = campaign["metrics"]["counters"]
         assert counters["sweep.cells_total"] == 2
         assert counters["sweep.cells_computed"] == 2
-        # Each cell's flow analyzes original + final: two FULLSSTA runs
-        # per cell, aggregated across the campaign.
-        assert counters["fullssta.runs"] >= 4
+        # Every cell runs FULLSSTA; the campaign counter is the sum of the
+        # cells' own counters (a lost or doubled accumulation fails).
+        assert min(cell_runs) >= 1
+        assert counters["fullssta.runs"] == sum(cell_runs)
 
     def test_parallel_sweep_merges_spans_across_worker_pids(self, tmp_path):
         specs = table1_specs(["c17"], (3.0, 6.0, 9.0), sizer_config=FAST)
@@ -136,13 +139,18 @@ class TestSweepTraces:
         specs = table1_specs(["c17"], (3.0,), sizer_config=FAST)
         run_cells(specs, jobs=1, out_dir=tmp_path)
         before = (tmp_path / "trace.json").read_bytes()
+        cell_trace = load_trace(
+            specs[0].artifact_path(tmp_path).with_suffix(".trace.json")
+        )
+        cell_runs = cell_trace["metrics"]["counters"]["fullssta.runs"]
         report = run_cells(specs, jobs=1, out_dir=tmp_path, resume=True)
         assert report.skipped == 1 and report.computed == 0
         # Nothing ran, nothing changed.
         assert (tmp_path / "trace.json").read_bytes() == before
         # But the cached cell's shipped metrics still aggregate.
         assert report.metrics["counters"]["sweep.cells_cached"] == 1
-        assert report.metrics["counters"]["fullssta.runs"] >= 2
+        assert cell_runs >= 1
+        assert report.metrics["counters"]["fullssta.runs"] == cell_runs
 
 
 class TestCrashedWorkerTrace:

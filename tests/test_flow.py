@@ -1,9 +1,15 @@
 """Tests for the top-level convenience flow (repro.flow / package exports)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import repro
 from repro.circuits.adders import ripple_carry_adder
+from repro.circuits.registry import build_benchmark
+from repro.core.baseline import MeanDelaySizer
+from repro.core.fullssta import FULLSSTA
 from repro.core.sizer import SizerConfig
 from repro.flow import quick_flow, run_sizing_flow
 from repro.library.synthetic90nm import make_synthetic_90nm_library
@@ -86,3 +92,30 @@ class TestRunSizingFlow:
         assert result.sigma_reduction_pct == pytest.approx(expected)
         expected_area = 100.0 * (result.final_area - result.original_area) / result.original_area
         assert result.area_increase_pct == pytest.approx(expected_area)
+
+    @pytest.mark.parametrize("objective", ["cost", "yield"])
+    def test_reported_analyses_match_fresh_fullssta(
+        self, objective, delay_model, variation_model
+    ):
+        # The flow reports the sizer's incremental analyses; they must be
+        # bitwise those of a from-scratch FULLSSTA of each design.
+        config = dataclasses.replace(FAST, objective=objective)
+        result = run_sizing_flow(
+            build_benchmark("c432"),
+            delay_model=delay_model,
+            variation_model=variation_model,
+            sizer_config=config,
+        )
+        fullssta = FULLSSTA(delay_model, variation_model, num_samples=config.pdf_samples)
+        fresh = build_benchmark("c432")
+        MeanDelaySizer(delay_model).optimize(fresh)
+        original = fullssta.analyze(fresh)
+        fresh.apply_sizes(result.circuit.sizes())
+        final = fullssta.analyze(fresh)
+        for rv, pdf, analysis in (
+            (result.original_rv, result.original_output_pdf, original),
+            (result.final_rv, result.final_output_pdf, final),
+        ):
+            assert rv == analysis.output_rv
+            assert np.array_equal(pdf.values, analysis.output_pdf.values)
+            assert np.array_equal(pdf.probabilities, analysis.output_pdf.probabilities)
