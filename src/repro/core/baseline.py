@@ -19,11 +19,12 @@ greedy critical-path sizing template the paper cites (Coudert 1997, Fishburn
    circuit's worst delay does not degrade beyond a tolerance.
 
 Step 2 is the statistical sizer's own inner loop,
-:meth:`CostEvaluator.best_size <repro.core.cost.CostEvaluator.best_size>`,
+:meth:`CostEvaluator.best_sizes <repro.core.cost.CostEvaluator.best_sizes>`,
 in its ``lambda = 0``, zero-variation configuration, with nominal STA
-arrival times as zero-sigma boundary moments: the same memoized extraction,
-shared delay moments, exact decision memo and best-size rule.  The two
-optimizers are therefore directly comparable.  The settings are class
+arrival times as zero-sigma boundary moments: one batched evaluation of
+all targets per pass, with the same memoized extraction, exact decision
+memo and best-size rule.  The two optimizers are therefore directly
+comparable.  The settings are class
 constants; the constructor takes only the delay model.  Every STA run reads
 the packed delay stage
 (:meth:`BaseDelayModel.nominal_delays
@@ -194,21 +195,18 @@ class MeanDelaySizer:
     def _schedule_path_resizes(
         self, circuit: Circuit, path: List[str]
     ) -> Dict[str, int]:
-        """Pick the best size (by nominal subcircuit delay) for each target gate."""
-        scheduled: Dict[str, int] = {}
+        """Pick the best size (by nominal subcircuit delay) for each target gate,
+        in one batched evaluation."""
         # Arrival times for subcircuit boundaries come from nominal STA.
         arrival, _ = self.dsta.arrival_times(circuit)
 
         def arrival_of(net: str) -> NormalDelay:
             return NormalDelay(arrival.get(net, 0.0), 0.0)
 
-        for gate_name in path:
-            best_size = self.evaluator.best_size(
-                circuit, gate_name, self.SUBCIRCUIT_DEPTH, arrival_of
-            )
-            if best_size != circuit.gate(gate_name).size_index:
-                scheduled[gate_name] = best_size
-        return scheduled
+        best = self.evaluator.best_sizes(circuit, path, self.SUBCIRCUIT_DEPTH, arrival_of)
+        return {
+            name: best[name] for name in path if best[name] != circuit.gate(name).size_index
+        }
 
     # ------------------------------------------------------------------
     def _recover_area(self, circuit: Circuit, best_delay: float, passes: int = 3) -> float:

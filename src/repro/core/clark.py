@@ -192,10 +192,12 @@ def clark_max_fast_arrays(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Elementwise :func:`clark_max_fast` over NumPy arrays.
 
-    Returns ``(mean, variance)`` arrays.  The arithmetic mirrors the scalar
-    function operation-for-operation (same dominance test, same quadratic
-    cdf, same order of additions) so results agree with it to the last few
-    ulps; the only non-correctly-rounded primitive is ``exp``.
+    Returns ``(mean, variance)`` arrays, bitwise equal to the scalar
+    function element by element: the arithmetic mirrors it operation for
+    operation (same dominance test, same quadratic cdf, same order of
+    additions), and ``exp`` — where numpy's vectorized version may differ
+    from libm in the last bit — is ``math.exp``, applied only to the
+    elements that take the Clark branch.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     sigma_a = np.asarray(sigma_a, dtype=float)
@@ -208,6 +210,8 @@ def clark_max_fast_arrays(
     deterministic = a2 <= 0.0
     a = np.sqrt(np.where(deterministic, 1.0, a2))
     alpha = (mu_a - mu_b) / a
+    dom_a = alpha >= threshold
+    dom_b = alpha <= -threshold
 
     # CRC quadratic cdf approximation (capital_phi_quadratic), vectorized.
     ax = np.abs(alpha)
@@ -218,7 +222,11 @@ def clark_max_fast_arrays(
     )
     cdf_pos = np.where(alpha < 0.0, 1.0 - value, value)
     cdf_neg = 1.0 - cdf_pos
-    pdf_alpha = np.exp(-0.5 * alpha * alpha) / _SQRT_2PI
+    pdf_alpha = np.zeros(alpha.shape)
+    clark = np.flatnonzero(~(deterministic | dom_a | dom_b))
+    exponent = -0.5 * alpha.flat[clark] * alpha.flat[clark]
+    pdf_alpha.flat[clark] = list(map(math.exp, exponent.tolist()))
+    pdf_alpha /= _SQRT_2PI
 
     nu1 = mu_a * cdf_pos + mu_b * cdf_neg + a * pdf_alpha
     nu2 = (
@@ -230,8 +238,6 @@ def clark_max_fast_arrays(
     variance = np.maximum(nu2 - nu1 * nu1, 0.0)
 
     # Dominance shortcut (Eqs. 5/6): the dominant operand passes through.
-    dom_a = alpha >= threshold
-    dom_b = alpha <= -threshold
     mean = np.where(dom_a, mu_a, np.where(dom_b, mu_b, mean))
     variance = np.where(dom_a, var_a, np.where(dom_b, var_b, variance))
 

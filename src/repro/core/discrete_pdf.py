@@ -56,21 +56,7 @@ class DiscretePDF:
             raise ValueError("a discrete pdf needs at least one sample")
         if np.any(probs < -1e-12):
             raise ValueError("probabilities must be non-negative")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("probabilities must not all be zero")
-        probs = probs / total
-
-        # Canonical form: sorted unique values with merged probabilities.
-        order = np.argsort(vals)
-        vals = vals[order]
-        probs = probs[order]
-        unique_vals, inverse = np.unique(vals, return_inverse=True)
-        merged = np.zeros_like(unique_vals)
-        np.add.at(merged, inverse, probs)
-        self.values = unique_vals
-        self.probabilities = merged
+        self.values, self.probabilities = _canonicalize(vals, probs)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -205,19 +191,9 @@ class DiscretePDF:
         lo, hi = self.support()
         if lo == hi:
             return DiscretePDF.point(lo)
-        edges = np.linspace(lo, hi, num_samples + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        idx = np.clip(np.digitize(self.values, edges) - 1, 0, num_samples - 1)
-        masses = np.zeros(num_samples)
-        np.add.at(masses, idx, self.probabilities)
-        # Preserve the mean exactly by re-centring each occupied bin on its
-        # conditional mean rather than the geometric centre.
-        sums = np.zeros(num_samples)
-        np.add.at(sums, idx, self.probabilities * self.values)
-        occupied = masses > 0
-        centers = centers.copy()
-        centers[occupied] = sums[occupied] / masses[occupied]
-        return DiscretePDF(centers[occupied], masses[occupied])
+        return DiscretePDF._from_canonical(
+            *_canonicalize(*_rebin(self.values, self.probabilities, lo, hi, num_samples))
+        )
 
     # ------------------------------------------------------------------
     # Propagation operations
@@ -227,7 +203,7 @@ class DiscretePDF:
         METRICS.counter("discrete_pdf.add")
         values = np.add.outer(self.values, other.values).ravel()
         probs = np.multiply.outer(self.probabilities, other.probabilities).ravel()
-        return DiscretePDF(values, probs).compact(num_samples)
+        return DiscretePDF._from_canonical(*_canonicalize(values, probs)).compact(num_samples)
 
     def shift(self, offset: float) -> "DiscretePDF":
         """Add a deterministic offset to every sample."""
@@ -238,7 +214,7 @@ class DiscretePDF:
         METRICS.counter("discrete_pdf.maximum")
         values = np.maximum.outer(self.values, other.values).ravel()
         probs = np.multiply.outer(self.probabilities, other.probabilities).ravel()
-        return DiscretePDF(values, probs).compact(num_samples)
+        return DiscretePDF._from_canonical(*_canonicalize(values, probs)).compact(num_samples)
 
     @staticmethod
     def maximum_of(pdfs: Sequence["DiscretePDF"], num_samples: int = DEFAULT_SAMPLES) -> "DiscretePDF":
@@ -260,6 +236,47 @@ class DiscretePDF:
             f"DiscretePDF(n={self.num_samples}, mean={self.mean():.3f}, "
             f"std={self.std():.3f})"
         )
+
+
+def _canonicalize(values: np.ndarray, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique values with clipped, normalized, merged probabilities.
+
+    The canonical form every :class:`DiscretePDF` holds.  Equal neighbours
+    after the sort are merged with a diff mask and their probabilities added
+    in sorted order from 0.0 (``np.bincount``): the groups and the addition
+    order of ``np.unique`` plus ``np.add.at``, so the result is bitwise
+    theirs at a fraction of the cost.
+    """
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("probabilities must not all be zero")
+    probs = probs / total
+    order = np.argsort(values)
+    values = values[order]
+    fresh = np.empty(values.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh], np.bincount(np.cumsum(fresh) - 1, weights=probs[order])
+
+
+def _rebin(
+    values: np.ndarray, probs: np.ndarray, lo: float, hi: float, num_samples: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``num_samples`` equispaced bins over ``[lo, hi]``: the occupied bins'
+    conditional-mean centres and masses, in bin order.
+
+    Re-centring each occupied bin on its conditional mean rather than the
+    geometric centre preserves the mean exactly.
+    """
+    edges = np.linspace(lo, hi, num_samples + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    idx = np.clip(np.digitize(values, edges) - 1, 0, num_samples - 1)
+    masses = np.bincount(idx, weights=probs, minlength=num_samples)
+    sums = np.bincount(idx, weights=probs * values, minlength=num_samples)
+    occupied = masses > 0
+    centers[occupied] = sums[occupied] / masses[occupied]
+    return centers[occupied], masses[occupied]
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,21 @@ as a levelized program over the circuit's shared array-native IR
 gate-delay moments of every gate come from the packed delay stage in one
 call (:meth:`VariationModel.delay_moments
 <repro.variation.model.VariationModel.delay_moments>`), then per logic level
-the Clark fast-max folds the input positions left to right over NumPy arrays
-of μ/σ (:func:`repro.core.clark.clark_max_fast_arrays`), the pairwise order
-of :meth:`NormalDelay.maximum_of`, so every net's moments agree with a
-gate-by-gate fold within 1e-9 ps (``tests/core/test_incremental.py``).  It
-always times the whole circuit, from zero-arrival primary inputs to the
-primary outputs.  The sizers' inner loop evaluates
-extracted two-level subcircuits instead, with boundary arrival moments
-recorded by the outer engine (:meth:`CostEvaluator.subcircuit_arrivals
-<repro.core.cost.CostEvaluator.subcircuit_arrivals>`), and times trial sizes
-with this engine's scalar per-gate query (:meth:`FASSTA.gate_delay_rv`,
-which sees a size written straight into ``Gate.size_index``) — the nesting
-the paper describes ("a slower more accurate approach for tracking
-statistical critical paths and a fast engine for evaluation of gate size
-assignments").
+:func:`fold_level` folds the input positions left to right with the Clark
+fast-max over NumPy arrays of μ/σ
+(:func:`repro.core.clark.clark_max_fast_arrays`), the pairwise order of
+:meth:`NormalDelay.maximum_of`, and adds the delays, so every net's moments
+are bitwise those of a gate-by-gate fold.  It always times the whole
+circuit, from zero-arrival primary inputs to the primary outputs.  The
+sizers' inner loop evaluates extracted two-level subcircuits instead, with
+boundary arrival moments recorded by the outer engine, and times every
+candidate size of a pass in one batch that runs the same
+:func:`fold_level` (:meth:`CostEvaluator.size_sweep_components
+<repro.core.cost.CostEvaluator.size_sweep_components>`) — the nesting the
+paper describes ("a slower more accurate approach for tracking statistical
+critical paths and a fast engine for evaluation of gate size
+assignments").  :meth:`FASSTA.gate_delay_rv`, the scalar per-gate query,
+serves the scalar reference the batch is pinned to.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 
 from repro.core.clark import clark_max_fast_arrays
 from repro.core.rv import NormalDelay, ZERO_DELAY
-from repro.library.delay_model import BaseDelayModel
+from repro.ir.compiled import BoolArray, IntArray
+from repro.library.delay_model import BaseDelayModel, FloatArray
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
 from repro.variation.model import VariationModel
@@ -68,6 +70,35 @@ class FasstaResult:
         return self.output_rv.sigma
 
 
+def fold_level(
+    mu: FloatArray,
+    sg: FloatArray,
+    in_slots: IntArray,
+    in_mask: BoolArray,
+    delay_mu: FloatArray,
+    delay_sg: FloatArray,
+) -> Tuple[FloatArray, FloatArray]:
+    """Output moments of one level of gates: max over inputs, plus delay.
+
+    Row ``i`` reads the arrival moments ``mu``/``sg`` at its valid input
+    slots ``in_slots[i][in_mask[i]]`` and folds them left to right with
+    :func:`~repro.core.clark.clark_max_fast_arrays` — the pairwise order of
+    :meth:`NormalDelay.maximum_of` — then adds its delay
+    (``mu + mu_d``, ``sqrt(sigma^2 + sigma_d^2)``).  Bitwise equal to the
+    scalar ``NormalDelay`` fold, gate by gate.
+    """
+    worst_mu = mu[in_slots[:, 0]]
+    worst_sg = sg[in_slots[:, 0]]
+    for col in range(1, in_slots.shape[1]):
+        rows = np.flatnonzero(in_mask[:, col])
+        max_mu, max_var = clark_max_fast_arrays(
+            worst_mu[rows], worst_sg[rows], mu[in_slots[rows, col]], sg[in_slots[rows, col]]
+        )
+        worst_mu[rows] = max_mu
+        worst_sg[rows] = np.sqrt(max_var)
+    return worst_mu + delay_mu, np.sqrt(worst_sg * worst_sg + delay_sg * delay_sg)
+
+
 class FASSTA:
     """Fast moment-propagation SSTA engine.
 
@@ -91,7 +122,8 @@ class FASSTA:
 
         The scalar query, read from the live gate: it sees a trial size
         written straight into ``Gate.size_index``, which the packed stage
-        behind :meth:`analyze` does not.
+        behind :meth:`analyze` does not (its trial form takes trial sizes
+        as arguments instead).
         """
         gate = circuit.gate(gate_name)
         dist = self.variation_model.gate_distribution(
@@ -131,28 +163,14 @@ class FASSTA:
             )
         )
         for block in plan.levels:
-            out_ids, in_ids, in_mask = block.out_slots, block.in_slots, block.in_mask
-            d_mu = delay_mu[block.gate_ids]
-            d_sg = delay_sg[block.gate_ids]
-
-            # Left-to-right pairwise fold over input positions, masked so a
-            # gate with fewer inputs keeps its running max untouched — the
-            # fold order of NormalDelay.maximum_of.
-            worst_mu = mu[in_ids[:, 0]]
-            worst_sg = sg[in_ids[:, 0]]
-            for col in range(1, in_ids.shape[1]):
-                mask = in_mask[:, col]
-                cand_mu = mu[in_ids[:, col]]
-                cand_sg = sg[in_ids[:, col]]
-                max_mu, max_var = clark_max_fast_arrays(
-                    worst_mu, worst_sg, cand_mu, cand_sg
-                )
-                max_sg = np.sqrt(max_var)
-                worst_mu = np.where(mask, max_mu, worst_mu)
-                worst_sg = np.where(mask, max_sg, worst_sg)
-
-            mu[out_ids] = worst_mu + d_mu
-            sg[out_ids] = np.sqrt(worst_sg * worst_sg + d_sg * d_sg)
+            mu[block.out_slots], sg[block.out_slots] = fold_level(
+                mu,
+                sg,
+                block.in_slots,
+                block.in_mask,
+                delay_mu[block.gate_ids],
+                delay_sg[block.gate_ids],
+            )
 
         arrivals = {
             net: NormalDelay(float(mu[idx]), float(sg[idx]))

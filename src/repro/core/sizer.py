@@ -24,13 +24,15 @@ of the from-scratch engines, so the optimization trajectory is the same):
   :class:`~repro.core.fullssta.IncrementalReanalysis` — after each commit
   only the resized gates' cones are re-propagated, and accept/reject trials
   are previewed against the committed state;
-* the inner loop is :meth:`CostEvaluator.best_size
-  <repro.core.cost.CostEvaluator.best_size>`, shared with the mean-delay
-  baseline: memoized subcircuit extraction, delay moments of unaffected
-  members shared across candidates and seeds, and an exact decision memo.
-  With incremental FULLSSTA, untouched regions keep bitwise-identical
-  moments between passes, so gates far from the action hit the memo every
-  pass.
+* the inner loop is one :meth:`CostEvaluator.best_sizes
+  <repro.core.cost.CostEvaluator.best_sizes>` call per pass, shared with
+  the mean-delay baseline: memoized subcircuit extraction, an exact
+  decision memo, and one vectorized FASSTA batch for every miss at every
+  candidate size.  The WNSS traces read only the pass's FULLSSTA result
+  and resizes are committed only at the end of the pass, so the batch
+  makes exactly the decisions a gate-by-gate loop would.  With incremental
+  FULLSSTA, untouched regions keep bitwise-identical moments between
+  passes, so gates far from the action hit the memo every pass.
 """
 
 from __future__ import annotations
@@ -265,19 +267,23 @@ class StatisticalGreedySizer:
                 reverse=True,
             )[: config.max_outputs_per_pass]
 
-            scheduled: Dict[str, int] = {}
-            wnss_length = 0
-            for output_net in outputs_by_cost:
-                wnss = self.tracer.trace(
-                    circuit, current_full.arrival_moments, start_output=output_net
-                )
-                wnss_length = max(wnss_length, len(wnss))
-                for gate_name in wnss.gates:
-                    if gate_name in scheduled:
-                        continue
-                    new_size = self._best_size_for(circuit, gate_name, current_full)
-                    if new_size is not None:
-                        scheduled[gate_name] = new_size
+            # The traces read only current_full, so every visit's best size
+            # comes from one batched evaluation.  A gate is scheduled at its
+            # first visit, which sets the order of the one-at-a-time trials.
+            paths = [
+                self.tracer.trace(circuit, current_full.arrival_moments, start_output=net)
+                for net in outputs_by_cost
+            ]
+            wnss_length = max((len(wnss) for wnss in paths), default=0)
+            visits = [gate_name for wnss in paths for gate_name in wnss.gates]
+            best = self.evaluator.best_sizes(
+                circuit, visits, config.subcircuit_depth, current_full.arrival
+            )
+            scheduled = {
+                name: best[name]
+                for name in visits
+                if best[name] != circuit.gate(name).size_index
+            }
 
             if not scheduled:
                 converged = True
@@ -461,20 +467,3 @@ class StatisticalGreedySizer:
         if full_result is None:
             full_result = reanalysis.analyze()
         return accepted, full_result, components
-
-    # ------------------------------------------------------------------
-    def _best_size_for(
-        self,
-        circuit: Circuit,
-        gate_name: str,
-        full_result: FullSstaResult,
-    ) -> Optional[int]:
-        """Inner loop of Fig. 2: best size of one gate by subcircuit cost.
-
-        Returns the winning size index, or ``None`` when the current size
-        wins.  Boundary arrivals are the moments FULLSSTA recorded.
-        """
-        best = self.evaluator.best_size(
-            circuit, gate_name, self.config.subcircuit_depth, full_result.arrival
-        )
-        return None if best == circuit.gate(gate_name).size_index else best

@@ -10,14 +10,16 @@ A :class:`Subcircuit` is a *view* onto the parent circuit rather than a
 copy: member gates are referenced by name, and all electrical queries (loads
 in particular) are answered against the parent.  This keeps boundary loads
 exact — a member gate driving non-member gates still sees their input
-capacitance — and means a temporary resize of the candidate gate in the
-parent is immediately visible to the evaluation.
+capacitance.  :meth:`Subcircuit.local_program` lowers the region once onto
+the parent's compiled IR, the compact form the batched candidate sweep runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.netlist.circuit import Circuit
 
@@ -53,6 +55,7 @@ class Subcircuit:
     output_nets: List[str]
     _member_set: Optional[Set[str]] = field(default=None, repr=False, compare=False)
     _fringe_gates: Optional[List[str]] = field(default=None, repr=False, compare=False)
+    _program: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def num_gates(self) -> int:
@@ -93,7 +96,7 @@ class Subcircuit:
         loads (member output capacitance).  Two evaluations with the same
         seed, depth, boundary arrivals and context signature are guaranteed
         to produce identical costs, which is what makes the decision memo of
-        :meth:`CostEvaluator.best_size <repro.core.cost.CostEvaluator.best_size>`
+        :meth:`CostEvaluator.best_sizes <repro.core.cost.CostEvaluator.best_sizes>`
         exact.
         """
         gates = self.parent.gates
@@ -101,6 +104,44 @@ class Subcircuit:
             gates[name].size_index
             for name in self.gate_names + self.fringe_gates()
         )
+
+    def local_program(self) -> np.ndarray:
+        """The region lowered onto the parent's IR, built once per subcircuit.
+
+        One int32 row per member, in ``gate_names`` order: its IR gate id,
+        its level inside the region (0 when it reads only boundary inputs),
+        1 when its delay depends on the seed's size (the seed and the member
+        drivers of its input nets, whose loads hold its input cap), the
+        position of its output in ``output_nets`` (-1 if not an output),
+        then its input slots in pin order, padded with -1 to the parent's
+        largest fanin.  Local slots are the boundary inputs (in
+        ``input_nets`` order), then the member outputs (in member order).
+        This is the form the batched candidate sweep runs.
+        """
+        if self._program is None:
+            circuit = self.parent
+            plan = circuit.compiled()
+            num_inputs = len(self.input_nets)
+            slot = {net: i for i, net in enumerate(self.input_nets)}
+            for position, name in enumerate(self.gate_names, num_inputs):
+                slot[circuit.gate(name).output] = position
+            outputs = {net: rank for rank, net in enumerate(self.output_nets)}
+            seed_inputs = set(circuit.gate(self.seed).inputs)
+            width = 4 + plan.fanin_matrix.shape[1]
+            program = np.full((self.num_gates, width), -1, dtype=np.int32)
+            for row, name in zip(program, self.gate_names, strict=True):
+                gate = circuit.gate(name)
+                pins = [slot[net] for net in gate.inputs]
+                drivers = [program[pin - num_inputs, 1] for pin in pins if pin >= num_inputs]
+                row[:4] = (
+                    plan.gate_index[name],
+                    1 + max(drivers, default=-1),
+                    name == self.seed or gate.output in seed_inputs,
+                    outputs.get(gate.output, -1),
+                )
+                row[4 : 4 + len(pins)] = pins
+            self._program = program
+        return self._program
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return (

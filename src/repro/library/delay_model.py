@@ -28,14 +28,15 @@ Each model answers the same question two ways:
   FASSTA, FULLSSTA, Monte Carlo) reads it, through
   :meth:`VariationModel.delay_moments
   <repro.variation.model.VariationModel.delay_moments>` for the
-  statistical ones.  It reads sizes from the IR, which follows the
-  circuit's size-change log, so a trial size written straight into
+  statistical ones, and so does the sizers' batched candidate sweep,
+  through the stage's trial form (a gate timed as if one other gate, or
+  itself, were at a trial size).  It reads sizes from the IR, which
+  follows the circuit's size-change log, so a size written straight into
   ``Gate.size_index`` is invisible to it.
 * **The scalar query**, :meth:`BaseDelayModel.gate_delay_at_size`: one gate,
   read from the live :class:`~repro.netlist.gate.Gate` objects.  Only the
-  callers that work where the IR cannot see the size use it: the sizers'
-  candidate sweeps (which write trial sizes into ``Gate.size_index``), the
-  baseline's gate-by-gate area recovery, and the DRC load rules.
+  baseline's gate-by-gate area recovery and the DRC load rules use it, plus
+  the scalar sweep reference the batched sweep is tested against.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.intp]
+#: ``(trial_ids, trial_sizes)``: per row, a gate and the size to time it at.
+Trial = Tuple[IntArray, IntArray]
 
 
 @dataclass
@@ -112,16 +115,26 @@ class PackedCells:
         )
 
     # ------------------------------------------------------------------
-    def rows(self, plan: "CompiledCircuit", gate_ids: Optional[IntArray] = None) -> IntArray:
+    def rows(
+        self,
+        plan: "CompiledCircuit",
+        gate_ids: Optional[IntArray] = None,
+        trial: Optional[Trial] = None,
+    ) -> IntArray:
         """The (cell, size) row of every gate, or of ``gate_ids``.
 
-        Raises ``IndexError`` for a size the cell does not have, like
-        :meth:`CellType.size <repro.library.cell.CellType.size>`.
+        With ``trial = (trial_ids, trial_sizes)`` (and ``gate_ids``), entry
+        ``i`` is at size ``trial_sizes[i]`` when ``gate_ids[i]`` is
+        ``trial_ids[i]``.  Raises ``IndexError`` for a size the cell does
+        not have, like :meth:`CellType.size <repro.library.cell.CellType.size>`.
         """
         cells = plan.cell_type_ids
         sizes = plan.size_index
         if gate_ids is not None:
             cells, sizes = cells[gate_ids], sizes[gate_ids]
+        if trial is not None:
+            trial_ids, trial_sizes = trial
+            sizes = np.where(gate_ids == trial_ids, trial_sizes, sizes)
         bad = (sizes < 0) | (sizes >= self.num_sizes[cells])
         if bad.any():
             first = int(bad.argmax())
@@ -228,7 +241,10 @@ class BaseDelayModel:
         return pack
 
     def nominal_delays(
-        self, circuit: Circuit, gate_ids: Optional[IntArray] = None
+        self,
+        circuit: Circuit,
+        gate_ids: Optional[IntArray] = None,
+        trial: Optional[Trial] = None,
     ) -> FloatArray:
         """Nominal delay (ps) of every gate, or of ``gate_ids``, in IR gate order.
 
@@ -237,17 +253,25 @@ class BaseDelayModel:
         pins in load order, one by one from 0.0 (``np.bincount``), the
         order :meth:`load_on_net` adds them in; a subset call therefore
         equals the matching rows of a whole-circuit call.
+
+        The trial form, ``trial = (trial_ids, trial_sizes)`` (both the
+        length of ``gate_ids``), times row ``i`` as if gate ``trial_ids[i]``
+        were at size ``trial_sizes[i]``: the gate's own row when it is that
+        gate, and the input cap of every fanout pin that gate holds.  That
+        is bitwise :meth:`gate_delay` with the trial size written into
+        ``Gate.size_index``.
         """
         plan = circuit.compiled()
         pack = self.packed(plan)
-        rows = pack.rows(plan, gate_ids)
+        rows = pack.rows(plan, gate_ids, trial)
         slots = plan.gate_output_slot if gate_ids is None else plan.gate_output_slot[gate_ids]
         starts = plan.fanout_indptr[slots]
         counts = plan.fanout_indptr[slots + 1] - starts
         # Fanout entries of every selected output net, net by net.
         owner = np.repeat(np.arange(len(slots)), counts)
         entries = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        caps = pack.input_cap[pack.rows(plan, plan.fanout_gates[entries])]
+        reader_trial = None if trial is None else (trial[0][owner], trial[1][owner])
+        caps = pack.input_cap[pack.rows(plan, plan.fanout_gates[entries], reader_trial)]
         load = (
             np.bincount(owner, weights=caps, minlength=len(slots))
             + self.library.wire_cap_per_fanout * counts

@@ -27,10 +27,11 @@ benchmark circuits land in the paper's Table 1 range of output sigma/mu
 two arrays in the circuit's compiled-IR gate order: the packed delay stage
 (:meth:`BaseDelayModel.nominal_delays
 <repro.library.delay_model.BaseDelayModel.nominal_delays>`) followed by the
-sigma formula over arrays.  DSTA, FASSTA, FULLSSTA and both Monte-Carlo
-timers read that one pair; it is bitwise equal to
-:meth:`VariationModel.gate_distribution`, the scalar query the candidate
-sweeps use for trial sizes.
+sigma formula over arrays.  DSTA, FASSTA, FULLSSTA, both Monte-Carlo
+timers and, through its trial-size form, the sizers' batched candidate
+sweep read that one pair; it is bitwise equal to
+:meth:`VariationModel.gate_distribution`, the scalar query (kept for the
+scalar sweep reference and the tests).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.library.delay_model import BaseDelayModel, FloatArray, IntArray
+from repro.library.delay_model import BaseDelayModel, FloatArray, IntArray, Trial
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import Gate
 
@@ -139,16 +140,19 @@ class VariationModel:
         circuit: Circuit,
         delay_model: BaseDelayModel,
         gate_ids: Optional[IntArray] = None,
+        trial: Optional[Trial] = None,
     ) -> Tuple[FloatArray, FloatArray]:
         """``(mu, sigma)`` of every gate, or of ``gate_ids``, in IR gate order.
 
         Bitwise equal to :meth:`gate_distribution` per gate at the sizes the
-        compiled IR holds.
+        compiled IR holds; with ``trial``, at the trial sizes of
+        :meth:`BaseDelayModel.nominal_delays
+        <repro.library.delay_model.BaseDelayModel.nominal_delays>`.
         """
-        mu = delay_model.nominal_delays(circuit, gate_ids)
+        mu = delay_model.nominal_delays(circuit, gate_ids, trial)
         plan = circuit.compiled()
         pack = delay_model.packed(plan)
-        drive_pow = pack.drive_pow(self.size_exponent)[pack.rows(plan, gate_ids)]
+        drive_pow = pack.drive_pow(self.size_exponent)[pack.rows(plan, gate_ids, trial)]
         return mu, self.proportional_alpha * mu / drive_pow + self.random_sigma
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting

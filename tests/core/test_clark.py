@@ -166,17 +166,39 @@ class TestClarkMaxFastArrays:
         import numpy as np
 
         rng = np.random.default_rng(11)
-        mu_a = rng.uniform(-50.0, 500.0, 400)
-        mu_b = rng.uniform(-50.0, 500.0, 400)
-        sigma_a = rng.uniform(0.0, 40.0, 400)
-        sigma_b = rng.uniform(0.0, 40.0, 400)
+        count = 10_000
+        mu_a = rng.uniform(-50.0, 500.0, count)
+        # Half the pairs close enough to overlap, so the Clark branch runs.
+        mu_b = np.where(
+            np.arange(count) % 2 == 0,
+            rng.uniform(-50.0, 500.0, count),
+            mu_a + rng.normal(0.0, 30.0, count),
+        )
+        sigma_a = rng.uniform(0.0, 40.0, count)
+        sigma_b = rng.uniform(0.0, 40.0, count)
+        # Edge rows: alpha exactly +2.6 and -2.6 (a = 5), a zero sigma on
+        # either side, and equal deterministic means.
+        edges = np.array(
+            [
+                [13.0, 3.0, 0.0, 4.0],
+                [0.0, 3.0, 13.0, 4.0],
+                [100.0, 0.0, 90.0, 7.0],
+                [90.0, 7.0, 100.0, 0.0],
+                [100.0, 0.0, 100.0, 0.0],
+            ]
+        )
+        mu_a, sigma_a, mu_b, sigma_b = (
+            np.concatenate([column, edge])
+            for column, edge in zip((mu_a, sigma_a, mu_b, sigma_b), edges.T, strict=True)
+        )
         mean, var = clark.clark_max_fast_arrays(mu_a, sigma_a, mu_b, sigma_b)
-        for i in range(mu_a.size):
-            ref_mean, ref_var = clark.clark_max_fast(
-                mu_a[i], sigma_a[i], mu_b[i], sigma_b[i]
-            )
-            assert mean[i] == pytest.approx(ref_mean, abs=1e-12)
-            assert var[i] == pytest.approx(ref_var, abs=1e-12)
+        reference = [
+            clark.clark_max_fast(*args)
+            for args in zip(mu_a, sigma_a, mu_b, sigma_b, strict=True)
+        ]
+        # Bitwise: the array kernel replays the scalar arithmetic exactly.
+        assert np.array_equal(mean, [m for m, _ in reference])
+        assert np.array_equal(var, [v for _, v in reference])
 
     def test_deterministic_pairs_collapse_to_plain_max(self):
         import numpy as np

@@ -112,8 +112,8 @@ class TestCostEvaluator:
 
 
 class TestSizeSweep:
-    """The memoized size sweep both sizers pick sizes with, against
-    evaluating every candidate size from scratch."""
+    """The batched size sweep both sizers pick sizes with, against the
+    scalar reference that evaluates one candidate size at a time."""
 
     @pytest.mark.parametrize(
         "lam,variation",
@@ -132,26 +132,26 @@ class TestSizeSweep:
             boundary = FULLSSTA(delay_model, variation).analyze(circuit).arrival_moments
         evaluator = CostEvaluator(FASSTA(delay_model, variation), WeightedCost(lam))
         subcircuits = SubcircuitCache()
-        delay_rv_cache = {}  # shared across seeds, as the sizers share it
         sizes_before = circuit.sizes()
-        for name, gate in circuit.gates.items():
-            sub = subcircuits.get(circuit, name)
+        requests = [(subcircuits.get(circuit, name), boundary) for name in circuit.gates]
+        # One batched call over every gate of the circuit.
+        sweeps = evaluator.size_sweep_components(requests)
+        assert len(sweeps) == len(requests)
+        for (sub, _), sweep in zip(requests, sweeps, strict=True):
+            gate = circuit.gate(sub.seed)
             sizes = library.size_indices(gate.cell_type)
-            sweep = evaluator.size_sweep_components(
-                sub, boundary, sizes, delay_rv_cache=delay_rv_cache
-            )
             scratch = {
                 size: evaluator.candidate_size_cost_components(sub, boundary, size)
                 for size in sizes
             }
-            assert sweep == scratch, name
+            assert sweep == scratch, sub.seed
             # The best-size rule: the first candidate strictly better than
             # the best so far, starting from the current size.
             best = gate.size_index
             for size in sizes:
                 if scratch[size].better_than(scratch[best]):
                     best = size
-            assert evaluator.best_seed_size(sub, boundary, delay_rv_cache) == best, name
+            assert evaluator.best_seed_size(sub, boundary) == best, sub.seed
         assert circuit.sizes() == sizes_before
 
 

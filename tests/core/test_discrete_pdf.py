@@ -199,3 +199,79 @@ class TestCompaction:
         b = DiscretePDF.from_normal(12.0, 1.5, 15)
         assert a.add(b, num_samples=11).num_samples <= 11
         assert a.maximum(b, num_samples=11).num_samples <= 11
+
+
+# ----------------------------------------------------------------------
+# The scalar arithmetic against its previous form
+# ----------------------------------------------------------------------
+def reference_canonical(values, probabilities):
+    """The constructor's canonical form as ``np.unique`` + ``np.add.at``."""
+    vals = np.asarray(list(values), dtype=float)
+    probs = np.clip(np.asarray(list(probabilities), dtype=float), 0.0, None)
+    probs = probs / probs.sum()
+    order = np.argsort(vals)
+    vals, probs = vals[order], probs[order]
+    unique_vals, inverse = np.unique(vals, return_inverse=True)
+    merged = np.zeros_like(unique_vals)
+    np.add.at(merged, inverse, probs)
+    return unique_vals, merged
+
+
+def reference_combine(a, b, op, num_samples=DEFAULT_SAMPLES):
+    """``a.add(b)`` / ``a.maximum(b)`` as the constructor plus ``compact``
+    computed them with ``np.unique`` and ``np.add.at``."""
+    pair = np.add.outer if op == "add" else np.maximum.outer
+    values, probs = reference_canonical(
+        pair(a.values, b.values).ravel(),
+        np.multiply.outer(a.probabilities, b.probabilities).ravel(),
+    )
+    if values.size <= num_samples:
+        return values, probs
+    lo, hi = float(values[0]), float(values[-1])
+    edges = np.linspace(lo, hi, num_samples + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    idx = np.clip(np.digitize(values, edges) - 1, 0, num_samples - 1)
+    masses = np.zeros(num_samples)
+    np.add.at(masses, idx, probs)
+    sums = np.zeros(num_samples)
+    np.add.at(sums, idx, probs * values)
+    occupied = masses > 0
+    centers[occupied] = sums[occupied] / masses[occupied]
+    return reference_canonical(centers[occupied], masses[occupied])
+
+
+def _random_pdf(rng):
+    """Widths 1-13; some point pdfs, some supports with ties."""
+    if rng.random() < 0.05:
+        return DiscretePDF.point(float(rng.normal(100.0, 20.0)))
+    width = int(rng.integers(1, 14))
+    values = rng.normal(100.0, 20.0, width)
+    if rng.random() < 0.2:
+        values = np.round(values / 5.0) * 5.0
+    return DiscretePDF(values, rng.random(width) + 1e-3)
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_operations_match_reference_combine(self, op):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            a, b = _random_pdf(rng), _random_pdf(rng)
+            got = a.add(b) if op == "add" else a.maximum(b)
+            values, probs = reference_combine(a, b, op)
+            assert np.array_equal(got.values, values)
+            assert np.array_equal(got.probabilities, probs)
+
+    def test_constructor_matches_reference_canonical(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            width = int(rng.integers(1, 40))
+            # Unsorted, with duplicates, unnormalized (and a few zeros).
+            values = rng.choice(rng.normal(100.0, 20.0, max(1, width // 3)), width)
+            probs = rng.random(width) * 7.0
+            probs[rng.random(width) < 0.1] = 0.0
+            probs[0] += 0.5
+            pdf = DiscretePDF(values, probs)
+            ref_values, ref_probs = reference_canonical(values, probs)
+            assert np.array_equal(pdf.values, ref_values)
+            assert np.array_equal(pdf.probabilities, ref_probs)

@@ -113,11 +113,12 @@ class TestLambdaBehaviour:
 
 
 class TestBestSizeSelection:
-    def test_best_size_for_returns_none_or_valid_index(self, sizer, c17_circuit, library):
+    def test_best_sizes_returns_a_valid_size_per_gate(self, sizer, c17_circuit, library):
         full = sizer.fullssta.analyze(c17_circuit)
-        for name in c17_circuit.topological_order():
-            choice = sizer._best_size_for(c17_circuit, name, full)
-            if choice is not None:
-                gate = c17_circuit.gate(name)
-                assert 0 <= choice < library.num_sizes(gate.cell_type)
-                assert choice != gate.size_index
+        names = c17_circuit.topological_order()
+        best = sizer.evaluator.best_sizes(
+            c17_circuit, names + names, sizer.config.subcircuit_depth, full.arrival
+        )
+        assert sorted(best) == sorted(names)
+        for name, choice in best.items():
+            assert 0 <= choice < library.num_sizes(c17_circuit.gate(name).cell_type)

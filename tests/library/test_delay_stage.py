@@ -196,3 +196,80 @@ def test_random_tables_match_scalar_queries(library, sizes, alpha, random_sigma,
     _assert_stage_matches_scalar(
         circuit, make_delay_model(library, kind), variation_model, np.random.default_rng(0)
     )
+
+
+# ----------------------------------------------------------------------
+# The trial form: a seed gate at a candidate size
+# ----------------------------------------------------------------------
+def _assert_trials_match_scalar(circuit, delay_model, variation_model, seeds):
+    """For every seed and every size of it, the trial moments of the seed and
+    of each distinct driver of its inputs equal ``gate_distribution`` with
+    the trial size written into ``Gate.size_index``."""
+    plan = circuit.compiled()
+    library = delay_model.library
+    gate_ids, trial_ids, trial_sizes, expected = [], [], [], []
+    for seed in seeds:
+        seed_gate = circuit.gate(seed)
+        drivers = [circuit.driver_of(net) for net in seed_gate.inputs]
+        names = list(dict.fromkeys([seed, *(d.name for d in drivers if d is not None)]))
+        original = seed_gate.size_index
+        for size in library.size_indices(seed_gate.cell_type):
+            gate_ids += [plan.gate_index[name] for name in names]
+            trial_ids += [plan.gate_index[seed]] * len(names)
+            trial_sizes += [size] * len(names)
+            seed_gate.size_index = size
+            try:
+                expected += [
+                    variation_model.gate_distribution(circuit, circuit.gate(name), delay_model)
+                    for name in names
+                ]
+            finally:
+                seed_gate.size_index = original
+    gate_ids, trial_ids, trial_sizes = (
+        np.array(ids, dtype=np.intp) for ids in (gate_ids, trial_ids, trial_sizes)
+    )
+    trial = (trial_ids, trial_sizes)
+    mu, sigma = variation_model.delay_moments(circuit, delay_model, gate_ids, trial)
+    assert np.array_equal(mu, [dist.mean for dist in expected])
+    assert np.array_equal(sigma, [dist.sigma for dist in expected])
+    assert np.array_equal(delay_model.nominal_delays(circuit, gate_ids, trial), mu)
+    # The IR kept the sizes it had: no trial size leaked into it.
+    assert np.array_equal(
+        plan.size_index, [circuit.gate(name).size_index for name in plan.gate_names]
+    )
+
+
+def test_trial_sizes_match_scalar_queries_on_c432():
+    circuit = build_benchmark("c432")
+    rng = np.random.default_rng(432)
+    for gate_name in circuit.gates:
+        circuit.set_size(gate_name, int(rng.integers(7)))
+    seeds = [str(name) for name in rng.choice(sorted(circuit.gates), size=40, replace=False)]
+    for delay_model, variation_model in _substrates():
+        _assert_trials_match_scalar(circuit, delay_model, variation_model, seeds)
+
+
+def test_trial_sizes_on_a_twice_read_net_and_an_output_net():
+    # "n1" feeds the seed "s1" on both pins and also another gate; "po" is a
+    # primary output (the library's output load) that drives the seed "s2".
+    circuit = Circuit("trial", primary_inputs=["a", "b"], primary_outputs=["y1", "y2", "po"])
+    circuit.add("d1", "INV", ["a"], "n1", 3)
+    circuit.add("s1", "NAND2", ["n1", "n1"], "n2", 1)
+    circuit.add("o1", "NAND2", ["n1", "n2"], "y1", 5)
+    circuit.add("d2", "NAND2", ["a", "b"], "po", 2)
+    circuit.add("s2", "INV", ["po"], "y2", 4)
+    for delay_model, variation_model in _substrates():
+        _assert_trials_match_scalar(circuit, delay_model, variation_model, ["s1", "s2", "o1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    library=_libraries(),
+    sizes=st.data(),
+    kind=st.sampled_from(["lut", "linear"]),
+)
+def test_random_tables_match_scalar_trial_sizes(library, sizes, kind):
+    circuit = _mesh(library, sizes)
+    delay_model = make_delay_model(library, kind)
+    variation_model = VariationModel(0.45, 1.3, 0.37)
+    _assert_trials_match_scalar(circuit, delay_model, variation_model, list(circuit.gates))

@@ -25,12 +25,13 @@ QUICK_RETRY = {"retry_backoff": 0.01, "backoff_factor": 1.0}
 #: The exact memoization counters of a deterministic c17 flow at this
 #: budget.  These pin the *wiring* (a refactor that stops counting cache
 #: hits fails here), and doubling under an accidental second accumulation
-#: would too.
+#: would too.  Each sizing pass looks every distinct gate up once, so a
+#: gate visited twice in one pass counts once.
 PINNED_FLOW_CONFIG = SizerConfig(lam=3.0, max_iterations=3)
 PINNED_FLOW_COUNTERS = {
-    "sizer.eval_cache_hits": 3,
+    "sizer.eval_cache_hits": 0,
     "sizer.eval_cache_misses": 13,
-    "sizer.subcircuit_cache_hits": 10,
+    "sizer.subcircuit_cache_hits": 7,
     "sizer.subcircuit_cache_misses": 6,
     "incremental.runs": 5,
     "incremental.full_runs": 1,
@@ -79,6 +80,31 @@ class TestFlowTrace:
         counters = flow.trace["metrics"]["counters"]
         for name, expected in PINNED_FLOW_COUNTERS.items():
             assert counters.get(name) == expected, name
+
+    def test_one_sweep_span_per_batched_evaluation(self):
+        from repro.library.synthetic90nm import make_synthetic_90nm_library
+
+        flow = _run_flow(PINNED_FLOW_CONFIG)
+        spans = {s["id"]: s for s in flow.trace["spans"]}
+
+        def sizer_of(sweep):
+            parent = spans[sweep["parent"]]
+            while parent["name"] not in ("baseline.optimize", "sizer.optimize"):
+                parent = spans[parent["parent"]]
+            return parent["name"]
+
+        sweeps = [s for s in spans.values() if s["name"] == "cost.sweep"]
+        assert {sizer_of(s) for s in sweeps} == {"baseline.optimize", "sizer.optimize"}
+        # Every c17 gate is a NAND2, so each seed contributes one row per
+        # NAND2 size, and each row one entry per subcircuit member.
+        circuit = build_benchmark("c17")
+        assert {gate.cell_type for gate in circuit.gates.values()} == {"NAND2"}
+        num_sizes = make_synthetic_90nm_library().num_sizes("NAND2")
+        for sweep in sweeps:
+            attrs = sweep["attrs"]
+            assert attrs["seeds"] >= 1
+            assert attrs["rows"] == attrs["seeds"] * num_sizes
+            assert attrs["rows"] <= attrs["entries"] <= attrs["rows"] * len(circuit.gates)
 
 
 class TestSweepTraces:
