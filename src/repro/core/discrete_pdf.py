@@ -290,16 +290,18 @@ def _rebin(
 # maximum is always the last column, and padding contributes nothing to any
 # mass, mean or bin sum.  Because a pad duplicates a real sample, pairwise
 # products against pads also duplicate real (value, 0.0) pairs and vanish in
-# the merge — the batched results reproduce the scalar ``add``/``maximum``/
-# ``compact`` arithmetic operation for operation.
+# the merge.  A batched row therefore has the sample count of the scalar
+# ``add``/``maximum``/``compact`` result, with values and probabilities
+# within a few ulps of it: summing padded rows and the stable sort order
+# the floating-point additions differently.
 
 
 def _pad_rows(values: np.ndarray, probabilities: np.ndarray, counts: np.ndarray) -> None:
     """In place, overwrite each row's trailing columns with its last sample."""
-    width = values.shape[1]
-    hi = np.take_along_axis(values, (counts - 1)[:, None], axis=1)
+    num_rows, width = values.shape
+    hi = values.reshape(-1)[np.arange(num_rows) * width + counts - 1]
     pad = np.arange(width)[None, :] >= counts[:, None]
-    np.copyto(values, np.broadcast_to(hi, values.shape), where=pad)
+    np.copyto(values, hi[:, None], where=pad)
     probabilities[pad] = 0.0
 
 
@@ -357,8 +359,10 @@ def batched_combine(
     """Row-wise ``a.add(b)`` (``op="add"``) or ``a.maximum(b)`` (``op="max"``).
 
     Inputs are padded row batches; the result is a padded batch of width
-    ``num_samples`` holding, per row, the same canonicalized and compacted
-    samples the scalar operations produce.
+    ``num_samples``.  Each row has the sample count of the scalar
+    operation's result, and its values and probabilities agree with it to
+    a few ulps (not bitwise; see the section comment above).  Rows are
+    independent: a row's bits do not depend on the other rows of the call.
     """
     num_rows = a_values.shape[0]
     METRICS.counter(f"discrete_pdf.batched_{op}_rows", num_rows)
@@ -383,27 +387,31 @@ def _canonicalize_and_compact_rows(
 
     Mirrors the scalar pipeline: normalize, sort, merge duplicate values,
     and re-bin rows whose unique count exceeds the sample budget onto
-    equispaced bins re-centred on their conditional means.
+    equispaced bins re-centred on their conditional means.  Gathers and
+    scatters go through flat indices.
     """
     num_rows, width = values.shape
     probs = probs / probs.sum(axis=1, keepdims=True)
-    order = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    probs = np.take_along_axis(probs, order, axis=1)
+    row_ids = np.arange(num_rows)[:, None]
+    order = (np.argsort(values, axis=1, kind="stable") + row_ids * width).ravel()
+    values = values.reshape(-1)[order].reshape(num_rows, width)
+    probs = probs.reshape(-1)[order]
 
-    # Merge duplicate values (the constructor's unique/add.at step).
+    # Merge duplicate values (the constructor's unique/add.at step) by flat group.
     fresh = np.ones((num_rows, width), dtype=bool)
     fresh[:, 1:] = values[:, 1:] != values[:, :-1]
-    group = np.cumsum(fresh, axis=1) - 1
-    counts = group[:, -1] + 1
+    group = np.cumsum(fresh, axis=1)
+    counts = group[:, -1].copy()
     merged_width = int(counts.max())
-    flat_group = (np.arange(num_rows)[:, None] * merged_width + group).ravel()
+    group += row_ids * merged_width - 1
     merged_probs = np.bincount(
-        flat_group, weights=probs.ravel(), minlength=num_rows * merged_width
+        group.ravel(), weights=probs, minlength=num_rows * merged_width
     ).reshape(num_rows, merged_width)
-    merged_values = np.zeros((num_rows, merged_width))
-    merged_values[np.arange(num_rows)[:, None], group] = values
+    merged_values = np.zeros(num_rows * merged_width)
+    merged_values[group.ravel()] = values.ravel()
+    merged_values = merged_values.reshape(num_rows, merged_width)
     _pad_rows(merged_values, merged_probs, counts)
+    del values, probs, order, fresh, group  # free the sort phase's rows
 
     if merged_width <= num_samples:
         if merged_width < num_samples:
@@ -424,13 +432,14 @@ def _canonicalize_and_compact_rows(
     span = np.where(hi > lo, hi - lo, 1.0)
     edges = lo + np.arange(num_samples + 1) * (span / num_samples)
     edges[:, -1:] = hi
-    # np.digitize(v, edges) - 1 clipped into range, row-wise.
-    bin_idx = np.clip(
-        (merged_values[:, :, None] >= edges[:, None, :]).sum(axis=2) - 1,
-        0,
-        num_samples - 1,
-    )
-    flat_bins = (np.arange(num_rows)[:, None] * num_samples + bin_idx).ravel()
+    # np.digitize(v, edges) - 1 clipped into range, row-wise.  Every value
+    # lies at or above the first edge, and on a row over budget (hi > lo)
+    # every interior edge lies at or below hi, so counting the interior
+    # edges at or below a value is that clipped index.
+    bin_idx = np.zeros((num_rows, merged_width), dtype=np.int16)
+    for k in range(1, num_samples):
+        bin_idx += merged_values >= edges[:, k: k + 1]
+    flat_bins = (row_ids * num_samples + bin_idx).ravel()
     minlength = num_rows * num_samples
     masses = np.bincount(
         flat_bins, weights=merged_probs.ravel(), minlength=minlength
@@ -442,14 +451,16 @@ def _canonicalize_and_compact_rows(
     centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
     centers = np.where(occupied, sums / np.where(occupied, masses, 1.0), centers)
 
-    # Left-compact the occupied bins and renormalize (the constructor pass
-    # at the end of the scalar compact()).
-    keep_order = np.argsort(~occupied, axis=1, kind="stable")
-    binned_values = np.take_along_axis(centers, keep_order, axis=1)
-    binned_probs = np.take_along_axis(
-        np.where(occupied, masses, 0.0), keep_order, axis=1
-    )
-    binned_counts = occupied.sum(axis=1).astype(np.intp)
+    # Left-compact the occupied bins by their running count and renormalize
+    # (the constructor pass at the end of the scalar compact()).
+    slots = (np.cumsum(occupied, axis=1) - 1 + row_ids * num_samples)[occupied]
+    binned_values = np.zeros(minlength)
+    binned_values[slots] = centers[occupied]
+    binned_probs = np.zeros(minlength)
+    binned_probs[slots] = masses[occupied]
+    binned_values = binned_values.reshape(num_rows, num_samples)
+    binned_probs = binned_probs.reshape(num_rows, num_samples)
+    binned_counts = occupied.sum(axis=1)
     binned_probs /= binned_probs.sum(axis=1, keepdims=True)
     _pad_rows(binned_values, binned_probs, binned_counts)
 

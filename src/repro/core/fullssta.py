@@ -28,18 +28,22 @@ correlation handling to "PCA or other methods" in the outer loop.
 :class:`IncrementalReanalysis` wraps the engine with the levelized state
 arrays of its last run: after gate resizes it re-propagates only the
 transitive-fanout cone of the changed gates (and of their fanin drivers,
-whose loads changed) through the same per-level kernel a full levelized run
-uses, and reuses the committed rows everywhere else.  Because the kernel is
-row-independent and untouched nets keep bitwise-identical rows, the
+whose loads changed) through the same per-level fold a full levelized run
+uses, and reuses the committed rows everywhere else.  Its previews stack
+many one-resize trials into one sweep whose kernel rows are (trial, cone
+gate) pairs, each trial's changed rows kept in an overlay.  Because the fold
+is row-independent and untouched nets keep bitwise-identical rows, every
 incremental result equals a from-scratch :meth:`FULLSSTA.analyze` bit for
-bit — it is a pure wall-clock optimization, which is what makes
-nesting FULLSSTA inside a sizing loop affordable at scale.
+bit — it is a pure wall-clock optimization, which is what makes nesting
+FULLSSTA inside a sizing loop affordable at scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from functools import cached_property
+from itertools import pairwise
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, overload
 
 import numpy as np
 
@@ -51,13 +55,15 @@ from repro.core.discrete_pdf import (
 )
 from repro.core.rv import NormalDelay, ZERO_DELAY
 from repro.ir.compiled import CompiledCircuit
-from repro.library.delay_model import BaseDelayModel
+from repro.library.delay_model import BaseDelayModel, Trial
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
 from repro.variation.model import VariationModel
 
 #: Padded ``(values, probabilities, counts)`` rows (see :mod:`repro.core.discrete_pdf`).
 _Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: ``_sweep``'s arguments: trial count, each dirty row's trial and gate, their trial form.
+_Trials = Tuple[int, np.ndarray, np.ndarray, Trial]
 
 
 @dataclass
@@ -89,67 +95,71 @@ def _moments(pdfs: Mapping[str, DiscretePDF]) -> Dict[str, NormalDelay]:
     return {net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in pdfs.items()}
 
 
+def _pdfs(nets: Sequence[str], rows: _Rows) -> Dict[str, DiscretePDF]:
+    """Per-net pdfs of padded ``rows``, one row per net."""
+    return {
+        net: DiscretePDF._from_canonical(values[:n].copy(), probs[:n].copy())
+        for net, values, probs, n in zip(nets, rows[0], rows[1], rows[2].tolist(), strict=True)
+    }
+
+
+def fold_rows(
+    in_values: np.ndarray, in_probs: np.ndarray, pins: np.ndarray,
+    delay_values: np.ndarray, delay_probs: np.ndarray, num_samples: int,
+) -> _Rows:
+    """Output rows of gates from their input rows, ``(gates, max_fanin, samples)``.
+
+    Folds each gate's valid ``pins`` left to right with ``max`` (the order
+    of :meth:`DiscretePDF.maximum_of`), then adds its delay row.  Every step
+    is row-independent: a gate's row does not depend on the call's others.
+    """
+    worst_values, worst_probs = in_values[:, 0], in_probs[:, 0]
+    for col in range(1, pins.shape[1]):
+        rows = np.flatnonzero(pins[:, col])
+        if not rows.size:
+            break  # sentinel padding is trailing: no later pin either
+        worst_values[rows], worst_probs[rows], _ = batched_combine(
+            worst_values[rows], worst_probs[rows],
+            in_values[rows, col], in_probs[rows, col], "max", num_samples,
+        )
+    return batched_combine(
+        worst_values, worst_probs, delay_values, delay_probs, "add", num_samples
+    )
+
+
 @dataclass
 class LevelizedState:
     """Array state of one levelized FULLSSTA run.
 
     One padded arrival row per net slot of the compiled circuit (padding
-    convention of :mod:`repro.core.discrete_pdf`) and one padded delay row
-    per gate id, plus the per-net pdfs the result reports.
-    :class:`IncrementalReanalysis` keeps it as its committed state.
+    convention of :mod:`repro.core.discrete_pdf`) and for the fanin
+    sentinel, one padded delay row per gate id, plus the per-net pdfs the
+    result reports.  :class:`IncrementalReanalysis` keeps it as its
+    committed state.
     """
 
-    values: np.ndarray  # (num_nets, num_samples)
-    probs: np.ndarray  # (num_nets, num_samples)
-    counts: np.ndarray  # (num_nets,)
+    values: np.ndarray  # (num_nets + 1, num_samples)
+    probs: np.ndarray  # (num_nets + 1, num_samples)
+    counts: np.ndarray  # (num_nets + 1,)
     delay_values: np.ndarray  # (num_gates, num_samples)
     delay_probs: np.ndarray  # (num_gates, num_samples)
     arrival_pdfs: Dict[str, DiscretePDF] = field(default_factory=dict)
 
     def propagate(self, plan: CompiledCircuit, gate_ids: np.ndarray, num_samples: int) -> _Rows:
-        """Output rows of ``gate_ids`` (all in one level) from the current rows.
-
-        Gathers each gate's input rows through the sentinel-padded
-        ``fanin_matrix``, folds them left to right with ``max`` over the
-        gates that have an input in each pin position (the fold order of
-        :meth:`DiscretePDF.maximum_of`), then adds the gates' delay rows.
-        Every step is row-independent, so a subset of a level yields exactly
-        the rows a whole-level call yields for those gates.
-        """
+        """:func:`fold_rows` of ``gate_ids`` (one level) over the current rows."""
         in_ids = plan.fanin_matrix[gate_ids]
-        worst_values = self.values[in_ids[:, 0]]
-        worst_probs = self.probs[in_ids[:, 0]]
-        for col in range(1, in_ids.shape[1]):
-            rows = np.flatnonzero(in_ids[:, col] != plan.num_nets)
-            if not rows.size:
-                break  # sentinel padding is trailing: no later pin either
-            slots = in_ids[rows, col]
-            worst_values[rows], worst_probs[rows], _ = batched_combine(
-                worst_values[rows], worst_probs[rows],
-                self.values[slots], self.probs[slots], "max", num_samples,
-            )
-        return batched_combine(
-            worst_values, worst_probs,
-            self.delay_values[gate_ids], self.delay_probs[gate_ids], "add", num_samples,
+        return fold_rows(
+            self.values[in_ids], self.probs[in_ids], in_ids != plan.num_nets,
+            self.delay_values[gate_ids], self.delay_probs[gate_ids], num_samples,
         )
 
     def store(self, slots: np.ndarray, rows: _Rows) -> None:
         self.values[slots], self.probs[slots], self.counts[slots] = rows
 
-    def take(self, slots: np.ndarray) -> _Rows:
-        """Copies of the rows of ``slots``."""
-        return self.values[slots], self.probs[slots], self.counts[slots]
-
     def holds(self, slots: np.ndarray, rows: _Rows) -> np.ndarray:
         """Per slot: is its row bitwise equal to ``rows``?"""
         same = (self.values[slots] == rows[0]) & (self.probs[slots] == rows[1])
         return same.all(axis=1) & (self.counts[slots] == rows[2])
-
-    def pdf(self, slot: int) -> DiscretePDF:
-        n = self.counts[slot]
-        return DiscretePDF._from_canonical(
-            self.values[slot, :n].copy(), self.probs[slot, :n].copy()
-        )
 
 
 class FULLSSTA:
@@ -195,10 +205,10 @@ class FULLSSTA:
 
     # ------------------------------------------------------------------
     def _delay_rows(
-        self, circuit: Circuit, gate_ids: Optional[np.ndarray] = None
+        self, circuit: Circuit, gate_ids: Optional[np.ndarray] = None, trial: Optional[Trial] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Discretized delay rows of every gate, or of ``gate_ids``."""
-        mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model, gate_ids)
+        """Discretized delay rows of every gate, or of ``gate_ids`` (at ``trial``'s sizes)."""
+        mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model, gate_ids, trial)
         delay_values, delay_probs, _ = batched_from_normal(mu, sigma, self.num_samples)
         return delay_values, delay_probs
 
@@ -213,10 +223,11 @@ class FULLSSTA:
         with span("fullssta.analyze") as sp:
             plan = circuit.compiled()
             delay_values, delay_probs = self._delay_rows(circuit)
+            slots = plan.num_nets + 1  # + the fanin sentinel
             state = LevelizedState(
-                values=np.zeros((plan.num_nets, self.num_samples)),
-                probs=np.zeros((plan.num_nets, self.num_samples)),
-                counts=np.ones(plan.num_nets, dtype=np.intp),
+                values=np.zeros((slots, self.num_samples)),
+                probs=np.zeros((slots, self.num_samples)),
+                counts=np.ones(slots, dtype=np.intp),
                 delay_values=delay_values,
                 delay_probs=delay_probs,
             )
@@ -226,11 +237,11 @@ class FULLSSTA:
                     block.out_slots,
                     state.propagate(plan, block.gate_ids, self.num_samples),
                 )
-            state.arrival_pdfs = {
-                net: state.pdf(slot)
-                for net, slot in plan.net_index.items()
-                if net not in plan.floating
-            }
+            timed = np.flatnonzero(~plan.floating_mask)
+            state.arrival_pdfs = _pdfs(
+                [plan.net_names[slot] for slot in timed],
+                (state.values[timed], state.probs[timed], state.counts[timed]),
+            )
             sp.set(gates=plan.num_gates)
         return state
 
@@ -281,20 +292,19 @@ class IncrementalReanalysis:
       recomputed row is bitwise-identical to the cached one, which happens
       quickly once a dominant side path reasserts itself.
 
-    :meth:`preview` evaluates the pending resizes *without* committing them
-    to the cache; a caller trying a candidate resize calls ``preview``,
-    then either :meth:`commit_preview` (keep it) or simply reverts the
-    resize via ``set_size`` (the cancelled pair then costs nothing).  This
-    is what makes the sizer's accept/reject trial loop cheap.  The sizer
-    times every outer-loop state through this ``analyze`` / ``preview`` /
-    ``commit_preview`` / ``stats`` protocol.
-
-    Full rebuilds and dirty cones both run the engine's levelized kernel
-    (:meth:`LevelizedState.propagate`), so results are bitwise equal to a
-    from-scratch :meth:`FULLSSTA.analyze`.  Contract: all persistent resizes
-    must go through ``Circuit.set_size`` (direct ``Gate.size_index`` writes
-    bypass the log); structural edits are detected via ``structure_version``
-    and trigger a full rebuild automatically.
+    :meth:`preview` evaluates resizes *without* committing them: the logged
+    ones, or a stack of one-resize trials against the committed state.
+    :meth:`commit_preview` folds one previewed trial in once the circuit
+    holds its sizes; a rejected trial costs nothing more.  The sizer times
+    every outer-loop state through this ``analyze`` / ``preview`` /
+    ``commit_preview`` / ``stats`` protocol.  Every delta comes from one
+    stacked sweep (:meth:`_sweep`), and it and full rebuilds share
+    :func:`fold_rows`, so results are bitwise equal to a from-scratch
+    :meth:`FULLSSTA.analyze` of the sizes they were timed at.  Contract: all
+    persistent resizes must go through ``Circuit.set_size`` (direct
+    ``Gate.size_index`` writes bypass the log); structural edits are
+    detected via ``structure_version`` and trigger a full rebuild
+    automatically.
     """
 
     def __init__(self, engine: FULLSSTA, circuit: Circuit) -> None:
@@ -305,21 +315,23 @@ class IncrementalReanalysis:
         self._state: Optional[LevelizedState] = None
         self._arrival_moments: Dict[str, NormalDelay] = {}
         self._cached_sizes: Dict[str, int] = {}
-        self._pending: Optional[_PendingDelta] = None
+        self._pending: Optional[List[_Delta]] = None
         # Diagnostics (cumulative over the wrapper's lifetime).
         self.full_runs = 0
         self.incremental_runs = 0
         self.preview_runs = 0
+        self.preview_batches = 0
         self.gates_retimed = 0
 
     # ------------------------------------------------------------------
     @property
     def stats(self) -> Dict[str, int]:
-        """Cumulative run counters (full runs, incremental runs, gates retimed)."""
+        """Cumulative counters: runs, trials previewed, stacked previews, rows retimed."""
         return {
             "full_runs": self.full_runs,
             "incremental_runs": self.incremental_runs,
             "preview_runs": self.preview_runs,
+            "preview_batches": self.preview_batches,
             "gates_retimed": self.gates_retimed,
         }
 
@@ -335,42 +347,63 @@ class IncrementalReanalysis:
         self.incremental_runs += 1
         METRICS.counter("incremental.runs")
         if dirty:
-            self._apply_delta(self._compute_delta(dirty))
+            (delta,), _ = self._sweep(*self._logged(dirty))
+            self._apply_delta(delta)
         return self._result()
 
     # ------------------------------------------------------------------
-    def preview(self) -> Optional[FullSstaResult]:
-        """Evaluate pending resizes against the cache without committing.
+    @overload
+    def preview(self) -> Optional[FullSstaResult]: ...
+    @overload
+    def preview(self, trials: Sequence[Tuple[str, int]]) -> Optional[Iterator[FullSstaResult]]: ...
+    def preview(
+        self, trials: Optional[Sequence[Tuple[str, int]]] = None
+    ) -> "Optional[FullSstaResult | Iterator[FullSstaResult]]":
+        """Evaluate resizes against the cache without committing.
 
         Returns ``None`` when the cache cannot answer incrementally (no
         prior run, or a structural change) — callers should fall back to
-        :meth:`analyze`.  Otherwise the result reflects the circuit's
-        current sizes while the cache keeps the previously committed state;
-        call :meth:`commit_preview` to fold the evaluated delta in, or
-        revert the resizes (via ``set_size``) to discard it for free.
+        :meth:`analyze`.  With no argument the result reflects the circuit's
+        current sizes; call :meth:`commit_preview` to fold it in, or revert
+        the resizes (via ``set_size``) to discard it for free.
+
+        ``trials`` are ``(gate name, size)`` resizes, each timed on its own
+        against the committed state, which the circuit must hold (call
+        :meth:`analyze` first); no size is written into a gate.  The kernel
+        runs in this call, and the returned iterator builds each trial's
+        result when it reaches it, so an unread trial costs only its kernel
+        rows.  Keep trial ``j`` by setting its size and ``commit_preview(j)``.
         """
         dirty = self._dirty_gates()
         if dirty is None:
             return None
+        if trials is not None and dirty:
+            raise ValueError("preview(trials) needs the committed sizes; call analyze() first")
+        stack = self._logged(dirty) if trials is None else self._stacked(trials)
+        self._pending = None  # free the last preview's rows before this sweep
+        with span("fullssta.preview", trials=stack[0]) as sp:
+            retimed = self.gates_retimed
+            deltas, kernel_calls = self._sweep(*stack)
+            sp.set(rows=self.gates_retimed - retimed, kernel_calls=kernel_calls)
+        self.preview_runs += len(deltas)
+        self.preview_batches += 1
+        METRICS.counter("incremental.preview_runs", len(deltas))
+        METRICS.counter("incremental.preview_batches")
+        self._pending = deltas
+        return self._result(deltas[0]) if trials is None else self._results(deltas)
 
-        self.preview_runs += 1
-        METRICS.counter("incremental.preview_runs")
-        self._pending = self._compute_delta(dirty)
-        return self._result(self._pending)
-
-    def commit_preview(self) -> bool:
-        """Fold the last :meth:`preview` delta into the cache.
+    def commit_preview(self, index: int = 0) -> bool:
+        """Fold trial ``index`` of the last :meth:`preview` into the cache.
 
         Returns False (and leaves the cache untouched) when no preview is
-        pending or further resizes happened after it — the next
-        :meth:`analyze`/:meth:`preview` then recomputes from the log as
-        usual, so a refused commit is safe, just not free.
+        pending or the circuit does not hold the sizes the trial was timed
+        at — the next :meth:`analyze`/:meth:`preview` then recomputes from
+        the log as usual, so a refused commit is safe, just not free.
         """
-        delta = self._pending
-        if delta is None or delta.cursor != self.circuit.size_change_cursor:
+        if self._pending is None or not self._holds(self._pending[index].sizes):
             return False
-        self._apply_delta(delta)
-        self._cursor = delta.cursor
+        self._apply_delta(self._pending[index])
+        self._cursor = self.circuit.size_change_cursor
         self._pending = None
         return True
 
@@ -398,6 +431,16 @@ class IncrementalReanalysis:
                 dirty.add(gate.name)
         return dirty
 
+    def _holds(self, sizes: Mapping[str, int]) -> bool:
+        """Does the circuit hold the committed sizes with ``sizes`` laid over them?"""
+        circuit = self.circuit
+        if self._structure_version != circuit.structure_version:
+            return False
+        return all(
+            circuit.gate(name).size_index == sizes.get(name, self._cached_sizes.get(name))
+            for name in set(circuit.size_changes_since(self._cursor)).union(sizes)
+        )
+
     # ------------------------------------------------------------------
     def _full_rebuild(self) -> FullSstaResult:
         circuit = self.circuit
@@ -411,7 +454,7 @@ class IncrementalReanalysis:
         METRICS.counter("incremental.full_runs")
         return self._result()
 
-    def _result(self, delta: Optional["_PendingDelta"] = None) -> FullSstaResult:
+    def _result(self, delta: Optional["_Delta"] = None) -> FullSstaResult:
         """The committed state, with ``delta`` laid over it, as a result."""
         state = self._state
         arrivals = dict(state.arrival_pdfs)
@@ -421,79 +464,116 @@ class IncrementalReanalysis:
             arrival_moments.update(delta.arrival_moments)
         return self.engine._build_result(self.circuit, arrivals, arrival_moments)
 
+    def _results(self, deltas: List["_Delta"]) -> Iterator[FullSstaResult]:
+        for delta in deltas:
+            if self._pending is not deltas:
+                raise RuntimeError("a later analyze or commit replaced this preview")
+            yield self._result(delta)
+
     # ------------------------------------------------------------------
-    def _compute_delta(self, dirty: Set[str]) -> "_PendingDelta":
-        """Re-propagate the cone of the ``dirty`` gates into a delta.
+    def _logged(self, dirty: Set[str]) -> "_Trials":
+        """The logged resizes as one trial, at the sizes the IR holds."""
+        plan = self.circuit.compiled()
+        ids = np.array(sorted(plan.gate_index[name] for name in dirty), dtype=np.intp)
+        return 1, np.zeros(ids.size, dtype=np.intp), ids, (ids, plan.size_index[ids])
 
-        Candidate gates come from the compiled IR's fanout CSR: the dirty
-        gates plus their transitive fanout, ascending and therefore
-        level-major, so the sweep is O(cone) instead of a full-circuit scan.
-        Level by level, the kernel recomputes the cone gates whose own delay
-        is dirty or one of whose input slots changed; an output slot is
-        marked changed only when its new row differs from the committed one,
-        so the wavefront dies out as soon as the numbers reconverge.
+    def _stacked(self, trials: Sequence[Tuple[str, int]]) -> "_Trials":
+        """One trial per ``(gate, size)``: the gate and its fanin drivers."""
+        plan = self.circuit.compiled()
+        gate = np.array([plan.gate_index[name] for name, _ in trials], dtype=np.intp)
+        size = np.array([size for _, size in trials], dtype=np.intp)
+        # A driver's gate id is its output slot less the primary inputs;
+        # input, floating and sentinel slots fall outside [0, num_gates).
+        members = np.concatenate([gate[:, None], plan.fanin_matrix[gate] - plan.num_pis], axis=1)
+        keep = (members >= 0) & (members < plan.num_gates)
+        keep &= (size != plan.size_index[gate])[:, None]  # a no-op trial is clean
+        keys = np.unique((np.arange(len(trials))[:, None] * plan.num_gates + members)[keep])
+        row_trial, row_gate = np.divmod(keys, plan.num_gates)
+        return len(trials), row_trial, row_gate, (gate[row_trial], size[row_trial])
 
-        Later levels gather from the trial rows, so they are written into the
-        state arrays during the sweep; the committed rows are put back
-        before returning and the delta keeps the trial rows.
+    def _sweep(
+        self, count: int, row_trial: np.ndarray, row_gate: np.ndarray, trial: Trial
+    ) -> Tuple[List["_Delta"], int]:
+        """Re-propagate the dirty cones of ``count`` trials against the committed state.
+
+        ``row_gate`` lists every trial's dirty gates (trial-major, ascending,
+        ``row_trial`` naming the trial), ``trial`` their sizes in the delay
+        stage's trial form.  The cones merge level-major into (trial, gate)
+        pairs.  A pair is recomputed when its gate is dirty in that trial or
+        an input slot changed in that trial; each input reads the committed
+        row unless the trial holds an overlay row for that slot.  A moved row
+        goes into the trial's overlay; an unmoved one ends the trial's
+        wavefront there.  No kernel call takes more rows than the widest
+        level, the largest call a full analysis makes.  Returns one delta
+        per trial and the number of ``batched_combine`` calls.
         """
-        engine, circuit, state = self.engine, self.circuit, self._state
-        plan = circuit.compiled()
-        names = sorted(dirty, key=plan.gate_index.__getitem__)
-        gate_ids = np.array([plan.gate_index[name] for name in names], dtype=np.intp)
-        cone = plan.fanout_cone(gate_ids)
-        # The per-resize dirty-cone size is the quantity that makes (or
-        # breaks) the incremental win: its distribution is the headline
-        # observability metric of this layer.
-        METRICS.histogram("incremental.dirty_cone_gates", len(cone))
-
-        # The dirty gates' own delay distributions moved (their size or one
-        # of their fanout's input caps changed): re-derive them.
-        delay_values, delay_probs = engine._delay_rows(circuit, gate_ids)
-        is_dirty = np.zeros(plan.num_gates, dtype=bool)
-        is_dirty[gate_ids] = True
-        changed = np.zeros(plan.num_nets + 1, dtype=bool)  # + the fanin sentinel
-
-        committed_delays = (state.delay_values[gate_ids], state.delay_probs[gate_ids])
-        committed_rows: List[Tuple[np.ndarray, _Rows]] = []
-        state.delay_values[gate_ids] = delay_values
-        state.delay_probs[gate_ids] = delay_probs
-        try:
-            levels = plan.gate_level[cone]
-            for level_ids in np.split(cone, np.flatnonzero(np.diff(levels)) + 1):
-                inputs_changed = changed[plan.fanin_matrix[level_ids]].any(axis=1)
-                level_ids = level_ids[is_dirty[level_ids] | inputs_changed]
-                if not level_ids.size:
-                    continue
-                self.gates_retimed += level_ids.size
-                rows = state.propagate(plan, level_ids, engine.num_samples)
-                slots = plan.gate_output_slot[level_ids]
+        state, plan = self._state, self.circuit.compiled()
+        num_samples = self.engine.num_samples
+        delay_values, delay_probs = self.engine._delay_rows(self.circuit, row_gate, trial)
+        dirty_at = np.full((count, plan.num_gates), -1, dtype=np.intp)
+        dirty_at[row_trial, row_gate] = np.arange(row_gate.size)
+        moved_at = np.full((count, plan.num_nets + 1), -1, dtype=np.intp)
+        starts = np.searchsorted(row_trial, np.arange(count + 1))
+        cones = [plan.fanout_cone(row_gate[a:b]) for a, b in pairwise(starts)]
+        for cone in cones:
+            # The per-resize dirty-cone size is the quantity that makes (or
+            # breaks) the incremental win: the headline metric of this layer.
+            METRICS.histogram("incremental.dirty_cone_gates", len(cone))
+        pair_gate = np.concatenate([np.empty(0, dtype=np.intp), *cones])
+        pair_trial = np.repeat(np.arange(count), [len(cone) for cone in cones])
+        order = np.argsort(pair_gate, kind="stable")  # gate ids are level-major
+        pair_gate, pair_trial = pair_gate[order], pair_trial[order]
+        cuts = np.flatnonzero(np.diff(plan.gate_level[pair_gate])) + 1
+        max_rows = max(len(block.gate_ids) for block in plan.levels)
+        overlay = [np.empty((0, num_samples)), np.empty((0, num_samples)), np.empty(0, np.intp)]
+        used = kernel_calls = 0
+        for trials, gates in np.split(np.stack([pair_trial, pair_gate]), cuts, axis=1):
+            in_ids = plan.fanin_matrix[gates]
+            sources = moved_at[trials[:, None], in_ids]
+            own = dirty_at[trials, gates]
+            redo = np.flatnonzero((own >= 0) | (sources >= 0).any(axis=1))
+            self.gates_retimed += redo.size
+            for start in range(0, redo.size, max_rows):
+                part = redo[start:start + max_rows]
+                ids, gate_ids = in_ids[part], gates[part]
+                rows = fold_rows(
+                    _overlaid(state.values, ids, overlay[0], sources[part]),
+                    _overlaid(state.probs, ids, overlay[1], sources[part]),
+                    ids != plan.num_nets,
+                    _overlaid(state.delay_values, gate_ids, delay_values, own[part]),
+                    _overlaid(state.delay_probs, gate_ids, delay_probs, own[part]),
+                    num_samples,
+                )
+                kernel_calls += int(plan.fanin_counts[gate_ids].max())
+                slots = plan.gate_output_slot[gate_ids]
                 moved = ~state.holds(slots, rows)
-                if not moved.any():
-                    continue
-                slots = slots[moved]
-                committed_rows.append((slots, state.take(slots)))
-                state.store(slots, (rows[0][moved], rows[1][moved], rows[2][moved]))
-                changed[slots] = True
-            slots = np.flatnonzero(changed)
-            arrival_pdfs = {plan.net_names[slot]: state.pdf(slot) for slot in slots}
-            delta = _PendingDelta(
-                cursor=circuit.size_change_cursor,
+                end = used + int(moved.sum())
+                if end > len(overlay[2]):  # grow geometrically
+                    overlay = [
+                        np.concatenate([kept[:used], np.empty((end, *kept.shape[1:]), kept.dtype)])
+                        for kept in overlay
+                    ]
+                for kept, row in zip(overlay, rows, strict=True):
+                    kept[used:end] = row[moved]
+                moved_at[trials[part][moved], slots[moved]] = np.arange(used, end)
+                used = end
+        sizes = np.where(row_gate == trial[0], trial[1], plan.size_index[row_gate])
+        deltas = []
+        for t in range(count):
+            slots, dirty = np.flatnonzero(moved_at[t] >= 0), slice(starts[t], starts[t + 1])
+            names = [plan.gate_names[gid] for gid in row_gate[dirty]]
+            at = moved_at[t, slots]
+            deltas.append(_Delta(
+                plan=plan,
                 slots=slots,
-                rows=state.take(slots),
-                gate_ids=gate_ids,
-                delay_rows=(delay_values, delay_probs),
-                arrival_pdfs=arrival_pdfs,
-                arrival_moments=_moments(arrival_pdfs),
-                sizes={name: circuit.gate(name).size_index for name in names},
-            )
-        finally:
-            for slots, rows in committed_rows:
-                state.store(slots, rows)
-            state.delay_values[gate_ids], state.delay_probs[gate_ids] = committed_delays
-        return delta
+                rows=(overlay[0][at], overlay[1][at], overlay[2][at]),
+                gate_ids=row_gate[dirty],
+                delay_rows=(delay_values[dirty], delay_probs[dirty]),
+                sizes=dict(zip(names, sizes[dirty].tolist(), strict=True)),
+            ))
+        return deltas, kernel_calls
 
-    def _apply_delta(self, delta: "_PendingDelta") -> None:
+    def _apply_delta(self, delta: "_Delta") -> None:
         state = self._state
         state.store(delta.slots, delta.rows)
         state.delay_values[delta.gate_ids], state.delay_probs[delta.gate_ids] = delta.delay_rows
@@ -502,15 +582,30 @@ class IncrementalReanalysis:
         self._cached_sizes.update(delta.sizes)
 
 
-@dataclass
-class _PendingDelta:
-    """Uncommitted re-propagation result produced by one preview/analyze."""
+def _overlaid(
+    committed: np.ndarray, ids: np.ndarray, overlay: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """``committed[ids]``, with every entry whose ``at`` is set read from ``overlay[at]``."""
+    rows = committed[ids]
+    rows[at >= 0] = overlay[at[at >= 0]]
+    return rows
 
-    cursor: int
-    slots: np.ndarray  # changed net slots ...
-    rows: _Rows  # ... and their trial rows
+
+@dataclass
+class _Delta:
+    """One trial's re-propagation against the committed state."""
+
+    plan: CompiledCircuit
+    slots: np.ndarray  # changed net slots, ascending ...
+    rows: _Rows  # ... and their new rows
     gate_ids: np.ndarray  # re-derived gates ...
-    delay_rows: Tuple[np.ndarray, np.ndarray]  # ... and their trial delay rows
-    arrival_pdfs: Dict[str, DiscretePDF]
-    arrival_moments: Dict[str, NormalDelay]
-    sizes: Dict[str, int]
+    delay_rows: Tuple[np.ndarray, np.ndarray]  # ... their new delay rows ...
+    sizes: Dict[str, int]  # ... and the sizes those were derived at
+
+    @cached_property
+    def arrival_pdfs(self) -> Dict[str, DiscretePDF]:
+        return _pdfs([self.plan.net_names[slot] for slot in self.slots], self.rows)
+
+    @cached_property
+    def arrival_moments(self) -> Dict[str, NormalDelay]:
+        return _moments(self.arrival_pdfs)

@@ -23,7 +23,7 @@ of the from-scratch engines, so the optimization trajectory is the same):
 * every outer-loop analysis runs through
   :class:`~repro.core.fullssta.IncrementalReanalysis` — after each commit
   only the resized gates' cones are re-propagated, and accept/reject trials
-  are previewed against the committed state;
+  are previewed against the committed state, many per stacked preview;
 * the inner loop is one :meth:`CostEvaluator.best_sizes
   <repro.core.cost.CostEvaluator.best_sizes>` call per pass, shared with
   the mean-delay baseline: memoized subcircuit extraction, an exact
@@ -436,34 +436,45 @@ class StatisticalGreedySizer:
 
         Fallback used when the bulk commit of a pass does not improve the
         global objective; returns the accepted resizes and the FULLSSTA
-        result / objective components of the resulting circuit.  Each trial
-        is *previewed* against the committed state of ``reanalysis``: an
-        accepted trial commits its delta, a rejected one is reverted for
-        free instead of paying a second cone re-propagation to undo itself.
+        result / objective components of the resulting circuit.  Trials are
+        previewed against the committed state of ``reanalysis`` in galloping
+        stacks of 1, 2, 4, ... (one stacked preview each: an exponential
+        search for the first improving trial), restarting at 1 after each
+        acceptance.  Every trial up to and including the accepted one sees
+        the state a resize / preview / keep-or-revert loop in schedule order
+        shows it, so the decisions are that loop's.
         """
         # Sync the cache to the rolled-back base state once, so each trial
         # below is a single-cone preview on top of it.
         reanalysis.analyze()
+        trials = list(scheduled.items())
         accepted: Dict[str, int] = {}
         components = best_components
         full_result: Optional[FullSstaResult] = None
-        for gate_name, size_index in scheduled.items():
-            previous = circuit.gate(gate_name).size_index
-            circuit.set_size(gate_name, size_index)
-            trial_full = reanalysis.preview()
+        start, stack_size = 0, 1
+        while start < len(trials):
+            stack = trials[start:start + stack_size]
+            previews = reanalysis.preview(stack)
             # Only a structural edit makes preview() return None, and none
             # happens inside a pass.
-            assert trial_full is not None
-            trial_components = self._objective_components(circuit, trial_full)
-            if trial_components.better_than(components) and self._area_ok(
-                circuit, area_limit
-            ):
+            assert previews is not None
+            start, stack_size = start + len(stack), 2 * stack_size
+            for index, trial_full in enumerate(previews):
+                gate_name, size_index = stack[index]
+                trial_components = self._objective_components(circuit, trial_full)
+                if not trial_components.better_than(components):
+                    continue
+                previous = circuit.gate(gate_name).size_index
+                circuit.set_size(gate_name, size_index)
+                if not self._area_ok(circuit, area_limit):
+                    circuit.set_size(gate_name, previous)
+                    continue
+                reanalysis.commit_preview(index)
                 accepted[gate_name] = size_index
                 components = trial_components
                 full_result = trial_full
-                reanalysis.commit_preview()
-            else:
-                circuit.set_size(gate_name, previous)
+                start, stack_size = start - len(stack) + index + 1, 1
+                break
         if full_result is None:
             full_result = reanalysis.analyze()
         return accepted, full_result, components

@@ -124,7 +124,9 @@ class _FromScratchReanalysis:
     """``IncrementalReanalysis`` stand-in: every call is a fresh ``FULLSSTA.analyze``.
 
     Analyses are pure, so the extra sync ``analyze()`` the sizer issues
-    before its one-at-a-time trials cannot change a decision.
+    before its one-at-a-time trials cannot change a decision.  The batch
+    form of ``preview`` times each ``(gate, size)`` trial by setting the
+    size, analyzing and reverting.
     """
 
     def __init__(self, engine, circuit):
@@ -135,9 +137,18 @@ class _FromScratchReanalysis:
     def analyze(self):
         return self.engine.analyze(self.circuit)
 
-    preview = analyze
+    def preview(self, trials=None):
+        if trials is None:
+            return self.analyze()
+        results = []
+        for gate_name, size_index in trials:
+            previous = self.circuit.gate(gate_name).size_index
+            self.circuit.set_size(gate_name, size_index)
+            results.append(self.analyze())
+            self.circuit.set_size(gate_name, previous)
+        return results
 
-    def commit_preview(self):
+    def commit_preview(self, index=0):
         return True
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.discrete_pdf import DEFAULT_SAMPLES, DiscretePDF
+from repro.core.discrete_pdf import DEFAULT_SAMPLES, DiscretePDF, batched_combine
 
 
 class TestConstruction:
@@ -275,3 +275,158 @@ class TestBitwiseAgainstReference:
             ref_values, ref_probs = reference_canonical(values, probs)
             assert np.array_equal(pdf.values, ref_values)
             assert np.array_equal(pdf.probabilities, ref_probs)
+
+
+# ----------------------------------------------------------------------
+# The batched kernel against its previous form and the scalar arithmetic
+# ----------------------------------------------------------------------
+def _reference_pad(values, probabilities, counts):
+    hi = np.take_along_axis(values, (counts - 1)[:, None], axis=1)
+    pad = np.arange(values.shape[1])[None, :] >= counts[:, None]
+    np.copyto(values, np.broadcast_to(hi, values.shape), where=pad)
+    probabilities[pad] = 0.0
+
+
+def reference_rows(values, probs, num_samples):
+    """Row-wise canonicalize-and-compact as ``batched_combine`` computed it
+    with ``take_along_axis``, a 2-D merge scatter, a (rows x width x edges)
+    bin compare and a stable ``argsort`` left-compaction."""
+    num_rows, width = values.shape
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    probs = np.take_along_axis(probs, order, axis=1)
+
+    fresh = np.ones((num_rows, width), dtype=bool)
+    fresh[:, 1:] = values[:, 1:] != values[:, :-1]
+    group = np.cumsum(fresh, axis=1) - 1
+    counts = group[:, -1] + 1
+    merged_width = int(counts.max())
+    flat_group = (np.arange(num_rows)[:, None] * merged_width + group).ravel()
+    merged_probs = np.bincount(
+        flat_group, weights=probs.ravel(), minlength=num_rows * merged_width
+    ).reshape(num_rows, merged_width)
+    merged_values = np.zeros((num_rows, merged_width))
+    merged_values[np.arange(num_rows)[:, None], group] = values
+    _reference_pad(merged_values, merged_probs, counts)
+
+    if merged_width <= num_samples:
+        if merged_width < num_samples:
+            pad_cols = num_samples - merged_width
+            merged_values = np.concatenate(
+                [merged_values, np.repeat(merged_values[:, -1:], pad_cols, axis=1)], axis=1
+            )
+            merged_probs = np.concatenate([merged_probs, np.zeros((num_rows, pad_cols))], axis=1)
+        return merged_values, merged_probs, counts
+
+    lo = merged_values[:, :1]
+    hi = merged_values[:, -1:]
+    span = np.where(hi > lo, hi - lo, 1.0)
+    edges = lo + np.arange(num_samples + 1) * (span / num_samples)
+    edges[:, -1:] = hi
+    bin_idx = np.clip(
+        (merged_values[:, :, None] >= edges[:, None, :]).sum(axis=2) - 1, 0, num_samples - 1
+    )
+    flat_bins = (np.arange(num_rows)[:, None] * num_samples + bin_idx).ravel()
+    minlength = num_rows * num_samples
+    masses = np.bincount(
+        flat_bins, weights=merged_probs.ravel(), minlength=minlength
+    ).reshape(num_rows, num_samples)
+    sums = np.bincount(
+        flat_bins, weights=(merged_probs * merged_values).ravel(), minlength=minlength
+    ).reshape(num_rows, num_samples)
+    occupied = masses > 0
+    centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    centers = np.where(occupied, sums / np.where(occupied, masses, 1.0), centers)
+
+    keep_order = np.argsort(~occupied, axis=1, kind="stable")
+    binned_values = np.take_along_axis(centers, keep_order, axis=1)
+    binned_probs = np.take_along_axis(np.where(occupied, masses, 0.0), keep_order, axis=1)
+    binned_counts = occupied.sum(axis=1).astype(np.intp)
+    binned_probs /= binned_probs.sum(axis=1, keepdims=True)
+    _reference_pad(binned_values, binned_probs, binned_counts)
+
+    over_budget = counts > num_samples
+    out_values = np.where(over_budget[:, None], binned_values, merged_values[:, :num_samples])
+    out_probs = np.where(over_budget[:, None], binned_probs, merged_probs[:, :num_samples])
+    out_counts = np.where(over_budget, binned_counts, counts)
+    return out_values, out_probs, out_counts
+
+
+def _padded_rows(pdfs, width=DEFAULT_SAMPLES):
+    """Pdfs as a padded ``(values, probabilities)`` batch."""
+    values = np.zeros((len(pdfs), width))
+    probs = np.zeros((len(pdfs), width))
+    for row, pdf in enumerate(pdfs):
+        n = pdf.num_samples
+        values[row, :n] = pdf.values
+        values[row, n:] = pdf.values[-1]
+        probs[row, :n] = pdf.probabilities
+    return values, probs
+
+
+def _random_rows(rng, num_rows, max_width=DEFAULT_SAMPLES):
+    """A padded batch of canonical rows: widths 1 to ``max_width``, 5 % point
+    pdfs, and 20 % of rows on a 5 ps grid, whose pair sums and maxima tie."""
+    widths = rng.integers(1, max_width + 1, num_rows)
+    widths[rng.random(num_rows) < 0.05] = 1
+    values = np.sort(rng.normal(100.0, 20.0, (num_rows, max_width)), axis=1)
+    tied = np.flatnonzero(rng.random(num_rows) < 0.2)
+    steps = rng.integers(1, 3, (tied.size, max_width))
+    values[tied] = 5.0 * (rng.integers(10, 30, (tied.size, 1)) + np.cumsum(steps, axis=1))
+    probs = rng.random((num_rows, max_width)) + 1e-3
+    probs[np.arange(max_width) >= widths[:, None]] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    _reference_pad(values, probs, widths)
+    return values, probs
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_rows_match_reference_rows_bitwise(self, op):
+        rng = np.random.default_rng(11 if op == "add" else 12)
+        over = under = narrow_batches = 0
+        for batch in range(200):
+            num_rows = int(rng.integers(1, 501))
+            # Every tenth batch holds rows of at most 3 samples, so the whole
+            # call stays within budget and takes the merge-only return.
+            width = 3 if batch % 10 == 0 else DEFAULT_SAMPLES
+            a_values, a_probs = _random_rows(rng, num_rows, width)
+            b_values, b_probs = _random_rows(rng, num_rows, width)
+            got = batched_combine(a_values, a_probs, b_values, b_probs, op)
+            if op == "add":
+                pairs = a_values[:, :, None] + b_values[:, None, :]
+            else:
+                pairs = np.maximum(a_values[:, :, None], b_values[:, None, :])
+            pairs = pairs.reshape(num_rows, -1)
+            pair_probs = (a_probs[:, :, None] * b_probs[:, None, :]).reshape(num_rows, -1)
+            expected = reference_rows(pairs, pair_probs, DEFAULT_SAMPLES)
+            for got_part, expected_part in zip(got, expected, strict=True):
+                assert np.array_equal(got_part, expected_part)
+            ordered = np.sort(pairs, axis=1)
+            unique = 1 + (np.diff(ordered, axis=1) != 0).sum(axis=1)
+            over += int((unique > DEFAULT_SAMPLES).sum())
+            under += int((unique <= DEFAULT_SAMPLES).sum())
+            narrow_batches += int(unique.max() <= DEFAULT_SAMPLES)
+        assert over and under and narrow_batches
+
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_one_row_batches_agree_with_scalar_ops_to_ulps(self, op):
+        """The batched and scalar arithmetic keep the same samples but add
+        in different orders: counts agree, values and probabilities only
+        to a few ulps (so the pdf arithmetic is not yet one)."""
+        rng = np.random.default_rng(99)
+        differs = 0
+        for _ in range(2000):
+            a, b = _random_pdf(rng), _random_pdf(rng)
+            scalar = a.add(b) if op == "add" else a.maximum(b)
+            values, probs, counts = batched_combine(*_padded_rows([a]), *_padded_rows([b]), op)
+            n = int(counts[0])
+            assert n == scalar.num_samples
+            np.testing.assert_allclose(values[0, :n], scalar.values, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(probs[0, :n], scalar.probabilities, rtol=0.0, atol=1e-14)
+            differs += not (
+                np.array_equal(values[0, :n], scalar.values)
+                and np.array_equal(probs[0, :n], scalar.probabilities)
+            )
+        assert differs  # the comparison above is not vacuously bitwise
