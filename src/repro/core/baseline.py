@@ -20,14 +20,13 @@ greedy critical-path sizing template the paper cites (Coudert 1997, Fishburn
 
 Step 2 is the statistical sizer's own inner loop,
 :meth:`CostEvaluator.best_sizes <repro.core.cost.CostEvaluator.best_sizes>`,
-in its ``lambda = 0``, zero-variation configuration, with nominal STA
-arrival times as zero-sigma boundary moments: one batched evaluation of
-all targets per pass, with the same memoized extraction, exact decision
-memo and best-size rule.  The two optimizers are therefore directly
-comparable.  The settings are class
-constants; the constructor takes only the delay model.  Every STA run reads
-the packed delay stage
-(:meth:`BaseDelayModel.nominal_delays
+in its ``lambda = 0``, zero-variation configuration: one batched evaluation
+of all targets per pass, with the same memoized extraction, exact decision
+memo and best-size rule, so the two optimizers are directly comparable.
+The pass's one nominal STA run picks the targets and supplies their
+zero-sigma boundary moments.  The settings are class constants; the
+constructor takes only the delay model.  Every STA run reads the packed
+delay stage (:meth:`BaseDelayModel.nominal_delays
 <repro.library.delay_model.BaseDelayModel.nominal_delays>`); only the area
 recovery of step 4, which resizes gate by gate, asks for delays one gate at
 a time.
@@ -117,19 +116,20 @@ class MeanDelaySizer:
             passes += 1
             report = self.dsta.analyze(circuit)
             targets = self._near_critical_gates(circuit, report)
-            scheduled = self._schedule_path_resizes(circuit, targets)
+            scheduled = self._schedule_path_resizes(circuit, targets, report.arrival)
             if not scheduled:
                 break
-            snapshot = circuit.sizes()
+            undo = {name: circuit.gate(name).size_index for name in scheduled}
             for name, size in scheduled.items():
                 circuit.set_size(name, size)
             new_delay = self.dsta.max_delay(circuit)
             min_gain = self.MIN_GAIN * max(best_delay, 1.0)
             if best_delay - new_delay <= min_gain:
                 # Bulk commit did not help (resizes interact through shared
-                # loads): retry the scheduled resizes one at a time and keep
-                # only those that improve the worst delay.
-                circuit.apply_sizes(snapshot)
+                # loads): revert its gates, retry the scheduled resizes one
+                # at a time and keep only those that improve the worst delay.
+                for name, size in undo.items():
+                    circuit.set_size(name, size)
                 improved = False
                 for name, size in scheduled.items():
                     previous = circuit.gate(name).size_index
@@ -193,12 +193,11 @@ class MeanDelaySizer:
 
     # ------------------------------------------------------------------
     def _schedule_path_resizes(
-        self, circuit: Circuit, path: List[str]
+        self, circuit: Circuit, path: List[str], arrival: Dict[str, float]
     ) -> Dict[str, int]:
         """Pick the best size (by nominal subcircuit delay) for each target gate,
-        in one batched evaluation."""
-        # Arrival times for subcircuit boundaries come from nominal STA.
-        arrival, _ = self.dsta.arrival_times(circuit)
+        in one batched evaluation, with the nominal STA ``arrival`` times as
+        subcircuit boundary moments."""
 
         def arrival_of(net: str) -> NormalDelay:
             return NormalDelay(arrival.get(net, 0.0), 0.0)

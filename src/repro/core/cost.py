@@ -112,15 +112,9 @@ class YieldObjective:
         return WeightedCost(self.z)
 
     def period_for(self, distribution: Union[NormalDelay, DiscretePDF]) -> float:
-        """Smallest clock period achieving the target on ``distribution``.
-
-        Delegates to :func:`repro.analysis.timing_yield.period_for_yield`
-        (imported lazily: the analysis package imports the sizer stack at
-        module scope, so a top-level import here would be circular).
-        """
-        from repro.analysis.timing_yield import period_for_yield
-
-        return period_for_yield(distribution, self.target_yield)
+        """Smallest clock period achieving the target on ``distribution``:
+        its quantile at ``target_yield``."""
+        return distribution.quantile(self.target_yield)
 
 
 @dataclass(frozen=True)

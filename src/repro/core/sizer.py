@@ -9,7 +9,7 @@ The optimizer nests the two statistical engines:
   discrete size of that gate with FASSTA, scoring candidates with the
   weighted cost ``max_i (mu_i + lambda * sigma_i)`` over the subcircuit's
   outputs (Eq. 7).  The best size per gate is *scheduled*; all scheduled
-  resizes are committed together at the end of the pass ("Resize scheduled
+  resizes are applied together at the end of the pass ("Resize scheduled
   gates"), and the outer loop repeats.
 
 Termination follows the paper: "until constraints are satisfied or no
@@ -20,10 +20,11 @@ an optional sigma target and iteration cap provide the constrained mode.
 Throughput machinery (all exactness-preserving: results are bitwise those
 of the from-scratch engines, so the optimization trajectory is the same):
 
-* every outer-loop analysis runs through
-  :class:`~repro.core.fullssta.IncrementalReanalysis` — after each commit
-  only the resized gates' cones are re-propagated, and accept/reject trials
-  are previewed against the committed state, many per stacked preview;
+* every outer-loop state is timed once, through
+  :class:`~repro.core.fullssta.IncrementalReanalysis`: a pass's bulk resize
+  and its fallback trials (many per stacked preview) are previewed against
+  the committed state, which holds the circuit's sizes between passes, and
+  only the states kept are committed;
 * the inner loop is one :meth:`CostEvaluator.best_sizes
   <repro.core.cost.CostEvaluator.best_sizes>` call per pass, shared with
   the mean-delay baseline: memoized subcircuit extraction, an exact
@@ -289,28 +290,33 @@ class StatisticalGreedySizer:
                 converged = True
                 break
 
-            # "Resize scheduled gates" — commit the whole pass at once.
-            snapshot = circuit.sizes()
+            # "Resize scheduled gates" — preview the whole pass; commit it if kept.
+            undo = {name: circuit.gate(name).size_index for name in scheduled}
             for gate_name, size_index in scheduled.items():
                 circuit.set_size(gate_name, size_index)
 
-            new_full = reanalysis.analyze()
+            new_full = reanalysis.preview()
+            assert new_full is not None  # no structural edit happens inside a pass
             new_objective = self.cost.of(new_full.output_rv)
             new_components = self._objective_components(circuit, new_full)
 
             bulk_improved = new_components.better_than(
                 best_components
             ) and self._area_ok(circuit, area_limit)
-            if not bulk_improved:
-                # Bulk commit did not help (individually good moves can
+            if bulk_improved:
+                committed = reanalysis.commit_preview()
+                assert committed, "the circuit holds the previewed sizes"
+            else:
+                # Bulk pass did not help (individually good moves can
                 # interact through shared loads, or blow the area budget).
-                # Roll back and retry the scheduled resizes one at a time,
-                # keeping only those that improve the global objective.
-                circuit.apply_sizes(snapshot)
+                # Revert its gates to the committed state and retry them one
+                # at a time, keeping only those that improve the objective.
+                for gate_name, size_index in undo.items():
+                    circuit.set_size(gate_name, size_index)
                 accepted, accepted_full, accepted_components = self._commit_incrementally(
                     circuit, scheduled, best_components, reanalysis, area_limit
                 )
-                if accepted:
+                if accepted_full is not None:
                     scheduled = accepted
                     new_full = accepted_full
                     new_components = accepted_components
@@ -319,9 +325,11 @@ class StatisticalGreedySizer:
                     # Nothing helps individually either: keep the bulk pass
                     # (the changed loads may unlock progress next pass) and
                     # let the patience counter decide when to give up.  The
-                    # bulk-state analysis (new_full) is still valid for it.
+                    # bulk preview (new_full) is its analysis; commit it so
+                    # the next pass starts from the circuit's sizes.
                     for gate_name, size_index in scheduled.items():
                         circuit.set_size(gate_name, size_index)
+                    reanalysis.analyze()
 
             # The pass is accepted even when it does not beat the best-seen
             # objective (later passes can recover through the new loads); the
@@ -431,22 +439,20 @@ class StatisticalGreedySizer:
         best_components: CostComponents,
         reanalysis: IncrementalReanalysis,
         area_limit: Optional[float],
-    ) -> "tuple[Dict[str, int], FullSstaResult, CostComponents]":
+    ) -> "tuple[Dict[str, int], Optional[FullSstaResult], CostComponents]":
         """Apply scheduled resizes one at a time, keeping only improving ones.
 
-        Fallback used when the bulk commit of a pass does not improve the
-        global objective; returns the accepted resizes and the FULLSSTA
-        result / objective components of the resulting circuit.  Trials are
-        previewed against the committed state of ``reanalysis`` in galloping
-        stacks of 1, 2, 4, ... (one stacked preview each: an exponential
-        search for the first improving trial), restarting at 1 after each
-        acceptance.  Every trial up to and including the accepted one sees
-        the state a resize / preview / keep-or-revert loop in schedule order
-        shows it, so the decisions are that loop's.
+        Fallback used when the bulk pass does not improve the global
+        objective; returns the accepted resizes and the FULLSSTA result
+        (``None`` when nothing is kept) / objective components of the
+        resulting circuit.  The circuit holds the committed state of
+        ``reanalysis``; trials are previewed against it in galloping stacks
+        of 1, 2, 4, ... (one stacked preview each: an exponential search for
+        the first improving trial), and each accepted trial is committed,
+        restarting at 1.  Every trial up to and including the accepted one
+        sees the state a resize / preview / keep-or-revert loop in schedule
+        order shows it, so the decisions are that loop's.
         """
-        # Sync the cache to the rolled-back base state once, so each trial
-        # below is a single-cone preview on top of it.
-        reanalysis.analyze()
         trials = list(scheduled.items())
         accepted: Dict[str, int] = {}
         components = best_components
@@ -469,12 +475,11 @@ class StatisticalGreedySizer:
                 if not self._area_ok(circuit, area_limit):
                     circuit.set_size(gate_name, previous)
                     continue
-                reanalysis.commit_preview(index)
+                committed = reanalysis.commit_preview(index)
+                assert committed, "the circuit holds the previewed trial"
                 accepted[gate_name] = size_index
                 components = trial_components
                 full_result = trial_full
                 start, stack_size = start - len(stack) + index + 1, 1
                 break
-        if full_result is None:
-            full_result = reanalysis.analyze()
         return accepted, full_result, components

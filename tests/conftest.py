@@ -123,10 +123,10 @@ def reference_fold():
 class _FromScratchReanalysis:
     """``IncrementalReanalysis`` stand-in: every call is a fresh ``FULLSSTA.analyze``.
 
-    Analyses are pure, so the extra sync ``analyze()`` the sizer issues
-    before its one-at-a-time trials cannot change a decision.  The batch
-    form of ``preview`` times each ``(gate, size)`` trial by setting the
-    size, analyzing and reverting.
+    Analyses are pure, so a no-argument ``preview()`` is an ``analyze()``
+    and ``commit_preview()`` has nothing to fold in.  The batch form of
+    ``preview`` times each ``(gate, size)`` trial by setting the size,
+    analyzing and reverting.
     """
 
     def __init__(self, engine, circuit):

@@ -227,11 +227,10 @@ class TestGallopingFallback:
             assert len(accepted[0]) == 9 and accepted[0][:3] == [0, 1, 2]
         else:
             assert accepted == [[14, 17, 18], [], []]
-        # Each fallback syncs the cache once, and analyzes once more when
-        # it accepts nothing; every pass analyzes its bulk commit.
-        assert diagnostics["incremental_runs"] == len(result.iterations) + sum(
-            1 + (not positions) for positions in accepted
-        )
+        # Every pass previews its bulk resize and commits only what it
+        # keeps; only a fallback that accepts nothing analyzes, to commit
+        # the bulk sizes it keeps anyway.
+        assert diagnostics["incremental_runs"] == sum(not positions for positions in accepted)
         # Every scheduled trial was previewed at least once, and the stacks
         # hold more than one trial on average.
         assert diagnostics["preview_runs"] >= sum(len(trials) for _, trials, _ in passes)

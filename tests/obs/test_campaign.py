@@ -33,9 +33,9 @@ PINNED_FLOW_COUNTERS = {
     "sizer.eval_cache_misses": 13,
     "sizer.subcircuit_cache_hits": 7,
     "sizer.subcircuit_cache_misses": 6,
-    "incremental.runs": 5,
+    "incremental.runs": 1,
     "incremental.full_runs": 1,
-    "incremental.preview_runs": 1,
+    "incremental.preview_runs": 4,
 }
 
 
