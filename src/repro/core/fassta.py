@@ -14,6 +14,7 @@ as a levelized program over the circuit's shared array-native IR
 gate-delay moments of every gate come from the packed delay stage in one
 call (:meth:`VariationModel.delay_moments
 <repro.variation.model.VariationModel.delay_moments>`), then per logic level
+(a ``level_offsets`` window of the IR's ``fanin_matrix``)
 :func:`fold_level` folds the input positions left to right with the Clark
 fast-max over NumPy arrays of μ/σ
 (:func:`repro.core.clark.clark_max_fast_arrays`), the pairwise order of
@@ -34,6 +35,7 @@ serves the scalar reference the batch is pinned to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -85,12 +87,15 @@ def fold_level(
     :func:`~repro.core.clark.clark_max_fast_arrays` — the pairwise order of
     :meth:`NormalDelay.maximum_of` — then adds its delay
     (``mu + mu_d``, ``sqrt(sigma^2 + sigma_d^2)``).  Bitwise equal to the
-    scalar ``NormalDelay`` fold, gate by gate.
+    scalar ``NormalDelay`` fold, gate by gate.  Invalid positions trail the
+    valid ones, so the fold stops at the first column with no valid pin.
     """
     worst_mu = mu[in_slots[:, 0]]
     worst_sg = sg[in_slots[:, 0]]
     for col in range(1, in_slots.shape[1]):
         rows = np.flatnonzero(in_mask[:, col])
+        if not rows.size:
+            break
         max_mu, max_var = clark_max_fast_arrays(
             worst_mu[rows], worst_sg[rows], mu[in_slots[rows, col]], sg[in_slots[rows, col]]
         )
@@ -152,8 +157,8 @@ class FASSTA:
     ) -> Tuple[Dict[str, NormalDelay], Dict[str, NormalDelay]]:
         plan = circuit.compiled()
 
-        mu = np.zeros(plan.num_nets)
-        sg = np.zeros(plan.num_nets)
+        mu = np.zeros(plan.num_nets + 1)  # + the fanin sentinel
+        sg = np.zeros(plan.num_nets + 1)
         delay_mu, delay_sg = self.variation_model.delay_moments(circuit, self.delay_model)
         gate_delays = dict(
             zip(
@@ -162,14 +167,11 @@ class FASSTA:
                 strict=True,
             )
         )
-        for block in plan.levels:
-            mu[block.out_slots], sg[block.out_slots] = fold_level(
-                mu,
-                sg,
-                block.in_slots,
-                block.in_mask,
-                delay_mu[block.gate_ids],
-                delay_sg[block.gate_ids],
+        for lo, hi in pairwise(plan.level_offsets.tolist()):
+            in_slots = plan.fanin_matrix[lo:hi]
+            out = slice(plan.num_pis + lo, plan.num_pis + hi)
+            mu[out], sg[out] = fold_level(
+                mu, sg, in_slots, in_slots != plan.num_nets, delay_mu[lo:hi], delay_sg[lo:hi]
             )
 
         arrivals = {

@@ -5,13 +5,11 @@ discretized into a small pdf (10-15 samples, following Liou et al. DAC 2001)
 and arrival times are propagated as discrete pdfs, levelized over the
 circuit's compiled IR: every net owns one padded sample row, and each logic
 level folds its gates' input rows left to right with ``max`` and adds their
-delay rows (:meth:`LevelizedState.propagate`).  The delay rows discretize
-the gate-delay moments of the packed delay stage
-(:meth:`VariationModel.delay_moments
-<repro.variation.model.VariationModel.delay_moments>`), for the whole
-circuit on a full run and for the dirty gates of an incremental one.  A run
-always times the whole circuit, from zero-arrival primary inputs to the
-primary outputs, so every row is ``num_samples`` wide.  The batched primitives
+delay rows (:func:`fold_rows`).  The delay rows discretize the gate-delay
+moments of the packed delay stage (:meth:`VariationModel.delay_moments
+<repro.variation.model.VariationModel.delay_moments>`).  A run always times
+the whole circuit, from zero-arrival primary inputs to the primary outputs,
+so every row is ``num_samples`` wide.  The batched primitives
 (:func:`~repro.core.discrete_pdf.batched_combine`) replay the
 canonicalize/compact arithmetic of :class:`~repro.core.discrete_pdf.DiscretePDF`,
 so every net's moments agree with a gate-by-gate pdf fold within 1e-9 ps
@@ -25,17 +23,20 @@ Gate delays are independent normals, and every ``max`` treats its inputs as
 independent, so reconvergent fanout is not modelled; the paper leaves
 correlation handling to "PCA or other methods" in the outer loop.
 
-:class:`IncrementalReanalysis` wraps the engine with the levelized state
-arrays of its last run: after gate resizes it re-propagates only the
-transitive-fanout cone of the changed gates (and of their fanin drivers,
-whose loads changed) through the same per-level fold a full levelized run
-uses, and reuses the committed rows everywhere else.  Its previews stack
-many one-resize trials into one sweep whose kernel rows are (trial, cone
-gate) pairs, each trial's changed rows kept in an overlay.  Because the fold
-is row-independent and untouched nets keep bitwise-identical rows, every
-incremental result equals a from-scratch :meth:`FULLSSTA.analyze` bit for
-bit — it is a pure wall-clock optimization, which is what makes nesting
-FULLSSTA inside a sizing loop affordable at scale.
+The engine has one propagation loop, :meth:`IncrementalReanalysis._sweep`.
+:class:`IncrementalReanalysis` keeps the levelized state arrays of its last
+run: after gate resizes it re-propagates only the transitive-fanout cone of
+the changed gates (and of their fanin drivers, whose loads changed) and
+reuses the committed rows everywhere else.  A full analysis is the same
+sweep with every gate dirty, from the empty state, so
+:meth:`FULLSSTA.analyze` is a fresh wrapper's first :meth:`analyze
+<IncrementalReanalysis.analyze>`.  Previews stack many one-resize trials
+into one sweep whose kernel rows are (trial, cone gate) pairs, each trial's
+changed rows kept in an overlay.  Because the fold is row-independent and
+untouched nets keep bitwise-identical rows, every incremental result equals
+a from-scratch :meth:`FULLSSTA.analyze` bit for bit — it is a pure
+wall-clock optimization, which is what makes nesting FULLSSTA inside a
+sizing loop affordable at scale.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, overload
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, overload
 
 import numpy as np
 
@@ -145,14 +146,6 @@ class LevelizedState:
     delay_probs: np.ndarray  # (num_gates, num_samples)
     arrival_pdfs: Dict[str, DiscretePDF] = field(default_factory=dict)
 
-    def propagate(self, plan: CompiledCircuit, gate_ids: np.ndarray, num_samples: int) -> _Rows:
-        """:func:`fold_rows` of ``gate_ids`` (one level) over the current rows."""
-        in_ids = plan.fanin_matrix[gate_ids]
-        return fold_rows(
-            self.values[in_ids], self.probs[in_ids], in_ids != plan.num_nets,
-            self.delay_values[gate_ids], self.delay_probs[gate_ids], num_samples,
-        )
-
     def store(self, slots: np.ndarray, rows: _Rows) -> None:
         self.values[slots], self.probs[slots], self.counts[slots] = rows
 
@@ -197,53 +190,19 @@ class FULLSSTA:
         Primary inputs and floating nets arrive as the point pdf at zero;
         the output pdf is the max over the primary outputs.  A primary output
         no gate drives raises ``KeyError`` naming the net instead of silently
-        timing as zero.
+        timing as zero.  The run is :class:`IncrementalReanalysis`'s sweep
+        with every gate dirty.
         """
-        state = self._propagate_levelized(circuit)
-        arrivals = state.arrival_pdfs
-        return self._build_result(circuit, arrivals, _moments(arrivals))
+        return IncrementalReanalysis(self, circuit).analyze()
 
     # ------------------------------------------------------------------
     def _delay_rows(
-        self, circuit: Circuit, gate_ids: Optional[np.ndarray] = None, trial: Optional[Trial] = None
+        self, circuit: Circuit, gate_ids: np.ndarray, trial: Trial
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Discretized delay rows of every gate, or of ``gate_ids`` (at ``trial``'s sizes)."""
+        """Discretized delay rows of ``gate_ids``, at ``trial``'s sizes."""
         mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model, gate_ids, trial)
         delay_values, delay_probs, _ = batched_from_normal(mu, sigma, self.num_samples)
         return delay_values, delay_probs
-
-    def _propagate_levelized(self, circuit: Circuit) -> LevelizedState:
-        """Levelized batched propagation over padded (net, sample) arrays.
-
-        Every net owns one row of the state arrays; each level runs
-        :meth:`LevelizedState.propagate` on all its gates and scatters the
-        rows to the output nets.
-        """
-        METRICS.counter("fullssta.runs")
-        with span("fullssta.analyze") as sp:
-            plan = circuit.compiled()
-            delay_values, delay_probs = self._delay_rows(circuit)
-            slots = plan.num_nets + 1  # + the fanin sentinel
-            state = LevelizedState(
-                values=np.zeros((slots, self.num_samples)),
-                probs=np.zeros((slots, self.num_samples)),
-                counts=np.ones(slots, dtype=np.intp),
-                delay_values=delay_values,
-                delay_probs=delay_probs,
-            )
-            state.probs[:, 0] = 1.0  # every slot starts as the point pdf at 0.0
-            for block in plan.levels:
-                state.store(
-                    block.out_slots,
-                    state.propagate(plan, block.gate_ids, self.num_samples),
-                )
-            timed = np.flatnonzero(~plan.floating_mask)
-            state.arrival_pdfs = _pdfs(
-                [plan.net_names[slot] for slot in timed],
-                (state.values[timed], state.probs[timed], state.counts[timed]),
-            )
-            sp.set(gates=plan.num_gates)
-        return state
 
     # ------------------------------------------------------------------
     def _build_result(
@@ -252,11 +211,7 @@ class FULLSSTA:
         arrivals: Dict[str, DiscretePDF],
         arrival_moments: Dict[str, NormalDelay],
     ) -> FullSstaResult:
-        """Assemble a :class:`FullSstaResult` from propagated per-net state.
-
-        Shared by the from-scratch path and :class:`IncrementalReanalysis`
-        so the output max is computed identically in both.
-        """
+        """Assemble a :class:`FullSstaResult` from propagated per-net state."""
         output_nets = circuit.primary_outputs
         if not output_nets:
             raise ValueError(f"circuit {circuit.name!r} has no outputs to time")
@@ -298,13 +253,13 @@ class IncrementalReanalysis:
     holds its sizes; a rejected trial costs nothing more.  The sizer times
     every outer-loop state through this ``analyze`` / ``preview`` /
     ``commit_preview`` / ``stats`` protocol.  Every delta comes from one
-    stacked sweep (:meth:`_sweep`), and it and full rebuilds share
-    :func:`fold_rows`, so results are bitwise equal to a from-scratch
-    :meth:`FULLSSTA.analyze` of the sizes they were timed at.  Contract: all
-    persistent resizes must go through ``Circuit.set_size`` (direct
-    ``Gate.size_index`` writes bypass the log); structural edits are
-    detected via ``structure_version`` and trigger a full rebuild
-    automatically.
+    stacked sweep (:meth:`_sweep`); a full run is that sweep with every gate
+    dirty, from the empty state (:meth:`_reset`), so results are bitwise
+    equal to a from-scratch :meth:`FULLSSTA.analyze` of the sizes they were
+    timed at.  Contract: all persistent resizes must go through
+    ``Circuit.set_size`` (direct ``Gate.size_index`` writes bypass the log);
+    structural edits are detected via ``structure_version`` and trigger a
+    full run automatically.
     """
 
     def __init__(self, engine: FULLSSTA, circuit: Circuit) -> None:
@@ -337,12 +292,24 @@ class IncrementalReanalysis:
 
     # ------------------------------------------------------------------
     def analyze(self) -> FullSstaResult:
-        """Full-circuit FULLSSTA result, reusing cached rows where possible."""
+        """Full-circuit FULLSSTA result, reusing cached rows where possible.
+
+        With no committed state, or after a structural edit, the run resets
+        to the empty state and sweeps with every gate dirty.
+        """
         self._pending = None
         dirty = self._dirty_gates()
-        if dirty is None:
-            return self._full_rebuild()
         self._cursor = self.circuit.size_change_cursor
+        if dirty is None:
+            self.full_runs += 1
+            METRICS.counter("fullssta.runs")
+            METRICS.counter("incremental.full_runs")
+            with span("fullssta.analyze", gates=self.circuit.num_gates()):
+                self._reset()
+                (delta,), _ = self._sweep(*self._logged(self.circuit.gates))
+                self._apply_delta(delta)
+            self._structure_version = self.circuit.structure_version
+            return self._result()
 
         self.incremental_runs += 1
         METRICS.counter("incremental.runs")
@@ -442,17 +409,34 @@ class IncrementalReanalysis:
         )
 
     # ------------------------------------------------------------------
-    def _full_rebuild(self) -> FullSstaResult:
-        circuit = self.circuit
-        self._cursor = circuit.size_change_cursor
-        self._structure_version = circuit.structure_version
-        self._state = self.engine._propagate_levelized(circuit)
-        self._arrival_moments = _moments(self._state.arrival_pdfs)
-        self._cached_sizes = circuit.sizes()
-        self.full_runs += 1
-        self.gates_retimed += circuit.num_gates()
-        METRICS.counter("incremental.full_runs")
-        return self._result()
+    def _reset(self) -> None:
+        """The empty state of the circuit's structure, before a full sweep.
+
+        Primary-input, floating and sentinel slots hold the point pdf at
+        zero.  Gate-output slots hold no row yet (count 0), so every gate's
+        first row moves, even one equal to the point pdf at zero, and the
+        sweep's delta supplies every gate output's pdf and moments; only the
+        primary inputs' are seeded here.
+        """
+        plan = self.circuit.compiled()
+        num_samples = self.engine.num_samples
+        counts = np.ones(plan.num_nets + 1, dtype=np.intp)  # + the fanin sentinel
+        counts[plan.gate_output_slot] = 0
+        values = np.zeros((counts.size, num_samples))
+        probs = np.zeros((counts.size, num_samples))
+        probs[:, 0] = counts  # the point pdf at zero, or no row
+        inputs = slice(0, plan.num_pis)
+        pdfs = _pdfs(plan.net_names[inputs], (values[inputs], probs[inputs], counts[inputs]))
+        self._state = LevelizedState(
+            values=values,
+            probs=probs,
+            counts=counts,
+            delay_values=np.zeros((plan.num_gates, num_samples)),
+            delay_probs=np.zeros((plan.num_gates, num_samples)),
+            arrival_pdfs=pdfs,
+        )
+        self._arrival_moments = _moments(pdfs)
+        self._cached_sizes = {}
 
     def _result(self, delta: Optional["_Delta"] = None) -> FullSstaResult:
         """The committed state, with ``delta`` laid over it, as a result."""
@@ -471,7 +455,7 @@ class IncrementalReanalysis:
             yield self._result(delta)
 
     # ------------------------------------------------------------------
-    def _logged(self, dirty: Set[str]) -> "_Trials":
+    def _logged(self, dirty: Iterable[str]) -> "_Trials":
         """The logged resizes as one trial, at the sizes the IR holds."""
         plan = self.circuit.compiled()
         ids = np.array(sorted(plan.gate_index[name] for name in dirty), dtype=np.intp)
@@ -524,7 +508,7 @@ class IncrementalReanalysis:
         order = np.argsort(pair_gate, kind="stable")  # gate ids are level-major
         pair_gate, pair_trial = pair_gate[order], pair_trial[order]
         cuts = np.flatnonzero(np.diff(plan.gate_level[pair_gate])) + 1
-        max_rows = max(len(block.gate_ids) for block in plan.levels)
+        max_rows = int(np.diff(plan.level_offsets).max(initial=1))  # a gateless circuit has no level
         overlay = [np.empty((0, num_samples)), np.empty((0, num_samples)), np.empty(0, np.intp)]
         used = kernel_calls = 0
         for trials, gates in np.split(np.stack([pair_trial, pair_gate]), cuts, axis=1):

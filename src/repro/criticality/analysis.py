@@ -30,8 +30,9 @@ The computation is the classical two-pass criticality propagation:
 
 Everything is vectorized over logic levels using the circuit's shared
 array-native IR (:meth:`Circuit.compiled()
-<repro.netlist.circuit.Circuit.compiled>`) — the same schedule the levelized
-engines use; the backward pass is a reverse-level scatter-add.
+<repro.netlist.circuit.Circuit.compiled>`) — the same ``level_offsets``
+windows of ``fanin_matrix`` the levelized engines walk; the backward pass is
+a reverse-level scatter-add.
 
 Approximations inherited from the engines: arrival times at a gate's inputs
 are treated as independent (reconvergent fanout correlation is ignored) and
@@ -42,6 +43,7 @@ the max moments come from Clark's formulae.  The Monte-Carlo cross-check in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -276,9 +278,9 @@ class CriticalityAnalyzer:
             for net, p in zip(output_nets, probs, strict=True):
                 weights[net] = weights.get(net, 0.0) + float(p)
 
-        # Arrival moments per slot.
-        mu = np.zeros(plan.num_nets)
-        sg = np.zeros(plan.num_nets)
+        # Arrival moments per slot, + the fanin sentinel.
+        mu = np.zeros(plan.num_nets + 1)
+        sg = np.zeros(plan.num_nets + 1)
         for net, idx in plan.net_index.items():
             rv = arrivals.get(net)
             if rv is not None:
@@ -293,16 +295,16 @@ class CriticalityAnalyzer:
 
         gate_criticality: Dict[str, float] = {}
         edge_probabilities: Dict[str, Dict[str, float]] = {}
-        for block in reversed(plan.levels):
-            names, out_ids = block.names, block.out_slots
-            in_ids, in_mask = block.in_slots, block.in_mask
-            in_mu = mu[in_ids]
-            in_sg = sg[in_ids]
-            probs = _row_selection_probs(in_mu, in_sg, in_mask)
-            gate_crit = crit[out_ids]
+        for lo, hi in reversed(list(pairwise(plan.level_offsets.tolist()))):
+            # The level's own width: trailing all-sentinel columns would
+            # join the Clark complement folds.
+            in_ids = plan.fanin_matrix[lo:hi, : plan.fanin_counts[lo:hi].max()]
+            in_mask = in_ids != plan.num_nets
+            probs = _row_selection_probs(mu[in_ids], sg[in_ids], in_mask)
+            gate_crit = crit[plan.gate_output_slot[lo:hi]]
             contrib = gate_crit[:, None] * probs
             np.add.at(crit, in_ids[in_mask], contrib[in_mask])
-            for row, name in enumerate(names):
+            for row, name in enumerate(plan.gate_names[lo:hi]):
                 gate_criticality[name] = float(gate_crit[row])
                 gate = circuit.gate(name)
                 edges: Dict[str, float] = {}

@@ -16,6 +16,7 @@ indicator arrays route it to the inputs — no per-sample Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -113,16 +114,14 @@ class MonteCarloCriticality:
         arr = np.zeros((plan.num_nets + 1, num_samples))
         arr[plan.num_nets] = -np.inf
         fanin = plan.fanin_matrix
-        offsets = plan.level_offsets
         argmax_input: Dict[str, np.ndarray] = {}
-        for li, block in enumerate(plan.levels):
-            start, stop = offsets[li], offsets[li + 1]
+        for start, stop in pairwise(plan.level_offsets.tolist()):
             vals = arr[fanin[start:stop]]
             worst = vals.max(axis=1)
             amax = vals.argmax(axis=1)
             out = plan.num_pis + start
             arr[out: out + (stop - start)] = worst + delay[start:stop]
-            for row, name in enumerate(block.names):
+            for row, name in enumerate(plan.gate_names[start:stop]):
                 argmax_input[name] = amax[row]
 
         # Which output is the slowest, per draw.

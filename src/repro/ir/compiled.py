@@ -16,28 +16,26 @@ that *every* consumer shares:
 * **net slots** — primary inputs occupy slots ``[0, num_pis)``, gate
   outputs ``[num_pis, num_pis + num_gates)`` in gate-id order, and floating
   nets (read by some gate but neither driven nor declared primary inputs)
-  fill the tail.  ``boundary_mask`` marks every slot whose arrival time is
-  a boundary condition (primary inputs *and* floating nets — both start at
-  zero arrival unless a caller overrides them); ``floating_mask`` isolates
-  just the floating tail.  ``output_mask`` marks the primary-output slots
-  (the nets that carry the library's output load).
+  fill the tail; every engine times primary inputs and floating nets at
+  zero arrival.  ``floating_mask`` marks the floating tail and
+  ``output_mask`` the primary-output slots (the nets that carry the
+  library's output load).
 * **CSR adjacency** — ``fanin_indptr`` / ``fanin_slots`` give each gate's
   input net slots in pin order; ``fanout_indptr`` / ``fanout_gates`` give,
   per net slot, the gate ids reading that net.  Dirty-cone propagation
   (incremental re-analysis) is a breadth-first sweep over the fanout CSR.
   ``fanin_matrix`` is the dense companion: ``(num_gates, max_fanin)`` with
-  invalid positions pointing at the sentinel slot ``num_nets``, so engines
-  that park ``-inf`` there fold a whole level with a single gather +
-  ``max`` reduction — :func:`propagate_levelized`, the max-plus program
-  DSTA (one delay column) and the Monte-Carlo timers (one column per
-  sample) share.
+  invalid positions trailing each row and pointing at the sentinel slot
+  ``num_nets``.  It is the one fanin layout: every levelized engine walks
+  its ``level_offsets`` windows.  Engines that park ``-inf`` at the sentinel
+  fold a whole level with a single gather + ``max`` reduction —
+  :func:`propagate_levelized`, the max-plus program DSTA (one delay column)
+  and the Monte-Carlo timers (one column per sample) share; FASSTA,
+  FULLSSTA and the criticality analyzer mask the sentinel columns instead.
 * **per-gate arrays** — ``cell_type_ids`` (into the ``cell_types``
   vocabulary), ``size_index`` and ``fanin_counts``.  ``size_index`` is the
   only mutable array: size-only changes refresh it in place (driven by the
   circuit's size-change log) without recompiling the structure.
-* **padded level blocks** — for the vectorized engines each level also
-  carries a padded ``(gates, max_fanin)`` input-slot matrix plus validity
-  mask, the exact layout the old ``_VectorPlan`` provided.
 
 Lowering happens once per ``structure_version`` through
 :meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`, which
@@ -48,7 +46,6 @@ all see the *same* :class:`CompiledCircuit` object for a given structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -59,23 +56,6 @@ BoolArray = NDArray[np.bool_]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (circuit imports us)
     from repro.netlist.circuit import Circuit
-
-
-@dataclass
-class LevelBlock:
-    """One logic level of the compiled schedule (a contiguous gate-id range).
-
-    ``in_slots`` is padded to the level's maximum fanin; ``in_mask`` marks
-    the valid pin positions.  Pin order is preserved, so left-to-right folds
-    over the columns reproduce a gate-by-gate fold's order exactly.
-    """
-
-    level: int
-    names: List[str]
-    gate_ids: IntArray  # (G,) — contiguous: arange(start, stop)
-    out_slots: IntArray  # (G,) — net slot written by each gate
-    in_slots: IntArray  # (G, F) — input net slots, pin order, padded
-    in_mask: BoolArray  # (G, F) — valid pin positions
 
 
 class CompiledCircuit:
@@ -99,7 +79,6 @@ class CompiledCircuit:
         "gate_level",
         "level_values",
         "level_offsets",
-        "levels",
         "fanin_indptr",
         "fanin_slots",
         "fanin_counts",
@@ -109,7 +88,6 @@ class CompiledCircuit:
         "cell_types",
         "cell_type_ids",
         "size_index",
-        "boundary_mask",
         "floating_mask",
         "floating",
         "output_mask",
@@ -176,58 +154,15 @@ class CompiledCircuit:
         self.size_index = size_index
 
         floating_start = num_pis + self.num_gates
-        self.boundary_mask = np.zeros(self.num_nets, dtype=bool)
-        self.boundary_mask[:num_pis] = True
-        self.boundary_mask[floating_start:] = True
         self.floating_mask = np.zeros(self.num_nets, dtype=bool)
         self.floating_mask[floating_start:] = True
         self.floating: FrozenSet[str] = frozenset(net_names[floating_start:])
         self.output_mask = output_mask
 
-        self.levels = self._build_level_blocks()
-
     # ------------------------------------------------------------------
-    @property
-    def num_slots(self) -> int:
-        """Alias for :attr:`num_nets` (one arrival-state slot per net)."""
-        return self.num_nets
-
     @property
     def num_levels(self) -> int:
         return len(self.level_values)
-
-    # ------------------------------------------------------------------
-    def _build_level_blocks(self) -> List[LevelBlock]:
-        blocks: List[LevelBlock] = []
-        for li, level in enumerate(self.level_values):
-            start = int(self.level_offsets[li])
-            stop = int(self.level_offsets[li + 1])
-            gate_ids = np.arange(start, stop, dtype=np.intp)
-            names = self.gate_names[start:stop]
-            out_slots = self.gate_output_slot[start:stop]
-            counts = self.fanin_counts[start:stop]
-            max_fanin = int(counts.max()) if len(counts) else 0
-            in_slots = np.zeros((stop - start, max_fanin), dtype=np.intp)
-            in_mask = (
-                np.arange(max_fanin, dtype=np.intp)[None, :] < counts[:, None]
-            )
-            # Gate ids in a level are contiguous, so their CSR span is one
-            # contiguous, row-major slice of fanin_slots.
-            span = self.fanin_slots[
-                self.fanin_indptr[start]: self.fanin_indptr[stop]
-            ]
-            in_slots[in_mask] = span
-            blocks.append(
-                LevelBlock(
-                    level=level,
-                    names=names,
-                    gate_ids=gate_ids,
-                    out_slots=out_slots,
-                    in_slots=in_slots,
-                    in_mask=in_mask,
-                )
-            )
-        return blocks
 
     # ------------------------------------------------------------------
     def gate_fanin_slots(self, gate_id: int) -> IntArray:
@@ -436,4 +371,4 @@ def propagate_levelized(plan: CompiledCircuit, delay: np.ndarray) -> np.ndarray:
     return arr
 
 
-__all__: Tuple[str, ...] = ("CompiledCircuit", "LevelBlock", "lower_circuit", "propagate_levelized")
+__all__: Tuple[str, ...] = ("CompiledCircuit", "lower_circuit", "propagate_levelized")

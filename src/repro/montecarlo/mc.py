@@ -29,9 +29,9 @@ bit-compatible with the historical per-gate loop (pinned by
 ``tests/montecarlo/test_mc.py``); ``np.maximum`` and float addition are
 exact, so the levelized propagation is bit-identical too.
 
-Boundary conditions follow the IR's boundary mask, exactly like the SSTA
-engines: primary inputs *and* floating (undriven non-PI) gate inputs carry
-a zero arrival.  Undriven primary outputs remain an error.
+Boundary conditions match the SSTA engines: primary inputs *and* floating
+(undriven non-PI) gate inputs carry a zero arrival.  Undriven primary
+outputs remain an error.
 """
 
 from __future__ import annotations
@@ -69,10 +69,14 @@ class MonteCarloResult:
         return int(self.samples.size)
 
     def quantile(self, q: float) -> float:
-        """Empirical quantile of the circuit delay."""
+        """Empirical quantile of the circuit delay.
+
+        The inverted ECDF, like :func:`~repro.analysis.timing_yield.period_for_yield`:
+        the smallest sample whose empirical yield reaches ``q``.
+        """
         if not 0.0 < q < 1.0:
             raise ValueError("quantile level must be in (0, 1)")
-        return float(np.quantile(self.samples, q))
+        return float(np.quantile(self.samples, q, method="inverted_cdf"))
 
     @property
     def cv(self) -> float:

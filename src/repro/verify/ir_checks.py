@@ -3,7 +3,7 @@
 :mod:`repro.ir.compiled` documents a contract every engine silently relies
 on — level-major gate ids, the ``gate_output_slot[gid] == num_pis + gid``
 net-slot layout, CSR fanin/fanout symmetry, sentinel-padded dense fanin,
-boundary/floating masks.  A lowering bug breaks that contract quietly and
+the floating mask.  A lowering bug breaks that contract quietly and
 surfaces levels away as a wrong arrival time or a crash inside one engine.
 
 :func:`verify_compiled` asserts *every* documented invariant in one call and
@@ -113,24 +113,13 @@ def ir_problems(
     if floating_start > nn:
         p.append(f"num_pis+num_gates={floating_start} exceeds num_nets={nn}")
 
-    # -- boundary / floating masks ---------------------------------------
-    for mask_name, mask, true_lo, true_hi in (
-        ("boundary_mask", compiled.boundary_mask, None, None),
-        ("floating_mask", compiled.floating_mask, floating_start, nn),
-    ):
-        if len(mask) != nn:
-            p.append(f"{mask_name} has {len(mask)} entries for {nn} nets")
-            continue
-        if mask_name == "boundary_mask":
-            expect = np.zeros(nn, dtype=bool)
-            expect[:npi] = True
-            expect[floating_start:] = True
-        else:
-            expect = np.zeros(nn, dtype=bool)
-            expect[true_lo:true_hi] = True
-        if np.any(mask != expect):
-            bad = int(np.argmax(mask != expect))
-            p.append(f"{mask_name}[{bad}] wrong for the documented slot layout")
+    # -- floating mask -----------------------------------------------------
+    mask, expect = compiled.floating_mask, np.arange(nn) >= floating_start
+    if len(mask) != nn:
+        p.append(f"floating_mask has {len(mask)} entries for {nn} nets")
+    elif np.any(mask != expect):
+        bad = int(np.argmax(mask != expect))
+        p.append(f"floating_mask[{bad}] wrong for the documented slot layout")
     if compiled.floating != frozenset(compiled.net_names[floating_start:]):
         p.append("floating set does not match the floating net-name tail")
 
@@ -253,32 +242,6 @@ def ir_problems(
         p.append("size_index contains negative entries")
     if len(compiled.output_mask) != nn:
         p.append(f"output_mask has {len(compiled.output_mask)} entries for {nn} nets")
-
-    # -- level blocks ------------------------------------------------------
-    if len(compiled.levels) != len(compiled.level_values):
-        p.append(
-            f"{len(compiled.levels)} level blocks for "
-            f"{len(compiled.level_values)} level values"
-        )
-    elif len(offsets) == len(compiled.level_values) + 1:
-        for li, block in enumerate(compiled.levels):
-            lo, hi = int(offsets[li]), int(offsets[li + 1])
-            if block.level != compiled.level_values[li]:
-                p.append(f"level block {li} labelled {block.level}")
-                break
-            if (
-                len(block.gate_ids) != hi - lo
-                or (len(block.gate_ids) and (block.gate_ids[0] != lo
-                                             or block.gate_ids[-1] != hi - 1))
-            ):
-                p.append(f"level block {li} gate_ids not arange({lo}, {hi})")
-                break
-            if np.any(block.out_slots != compiled.gate_output_slot[lo:hi]):
-                p.append(f"level block {li} out_slots disagree")
-                break
-            if block.in_slots.shape != block.in_mask.shape:
-                p.append(f"level block {li} in_slots/in_mask shape mismatch")
-                break
 
     # -- optional cross-check against the source netlist ------------------
     if circuit is not None:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import os
+from itertools import pairwise
 
+import numpy as np
 import pytest
 
 # Verify every fresh IR lowering against its documented invariants for the
@@ -23,6 +25,8 @@ os.environ.setdefault("REPRO_VERIFY_IR", "1")
 from repro.circuits.registry import c17
 from repro.circuits.adders import ripple_carry_adder
 from repro.circuits.alu import alu
+from repro.core.discrete_pdf import batched_from_normal
+from repro.core.fullssta import _moments, _pdfs, fold_rows
 from repro.library.delay_model import LinearRCDelayModel, LookupTableDelayModel
 from repro.library.synthetic90nm import make_synthetic_90nm_library
 from repro.netlist.circuit import Circuit
@@ -118,6 +122,37 @@ def _topological_fold(circuit, gate_delay, zero, max_of, add):
 def reference_fold():
     """The gate-by-gate fold the levelized engines are pinned against."""
     return _topological_fold
+
+
+def _levelized_fold(engine, circuit):
+    """A FULLSSTA result from an independent schedule: one ``fold_rows`` per level.
+
+    Every net slot and the fanin sentinel start as the point pdf at zero;
+    each ``level_offsets`` window folds its gates' input rows with the
+    whole-circuit delay rows and stores their output rows, level by level.
+    """
+    plan, n = circuit.compiled(), engine.num_samples
+    mu, sigma = engine.variation_model.delay_moments(circuit, engine.delay_model)
+    delay_values, delay_probs, _ = batched_from_normal(mu, sigma, n)
+    values, probs = np.zeros((plan.num_nets + 1, n)), np.zeros((plan.num_nets + 1, n))
+    probs[:, 0] = 1.0
+    counts = np.ones(plan.num_nets + 1, dtype=np.intp)
+    for lo, hi in pairwise(plan.level_offsets.tolist()):
+        ids, out = plan.fanin_matrix[lo:hi], plan.gate_output_slot[lo:hi]
+        values[out], probs[out], counts[out] = fold_rows(
+            values[ids], probs[ids], ids != plan.num_nets,
+            delay_values[lo:hi], delay_probs[lo:hi], n,
+        )
+    timed = np.flatnonzero(~plan.floating_mask)
+    names = [plan.net_names[slot] for slot in timed]
+    arrivals = _pdfs(names, (values[timed], probs[timed], counts[timed]))
+    return engine._build_result(circuit, arrivals, _moments(arrivals))
+
+
+@pytest.fixture(scope="session")
+def levelized_fold():
+    """The level-by-level schedule FULLSSTA's all-dirty sweep is pinned against."""
+    return _levelized_fold
 
 
 class _FromScratchReanalysis:

@@ -4,20 +4,27 @@ The batched discrete-pdf propagation replays the scalar ``DiscretePDF``
 canonicalize/compact arithmetic over padded arrays, so its per-net moments
 must agree with a gate-by-gate pdf fold (the ``reference_fold`` fixture) to
 ~1e-9 on every registry circuit — the same contract the
-incremental-reanalysis cache carries.
+incremental-reanalysis cache carries.  A full analysis is the incremental
+sweep with every gate dirty; it must equal a level-by-level schedule (the
+``levelized_fold`` fixture) bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.circuits.registry import BENCHMARK_NAMES, build_benchmark
+from repro.circuits.registry import BENCHMARK_NAMES, build_benchmark, c17
 from repro.core.discrete_pdf import (
     DiscretePDF,
     batched_combine,
     batched_from_normal,
 )
-from repro.core.fullssta import FULLSSTA
+from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
 from repro.core.rv import NormalDelay
+from repro.library.cell import CellSize, CellType, Library
+from repro.library.delay_model import LinearRCDelayModel
+from repro.netlist.circuit import Circuit
+from repro.netlist.gate import Gate
+from repro.variation.model import VariationModel
 
 TOL = 1e-9
 
@@ -153,3 +160,97 @@ class TestVectorizedEngine:
         c17_circuit.add_primary_output("N90")
         engine.analyze(c17_circuit)
         assert c17_circuit.compiled() is not plan  # structural edit: relowered
+
+
+ZERO_SIGMA = VariationModel(proportional_alpha=0.0, random_sigma=0.0)
+
+
+def assert_fullssta_results_identical(got, want):
+    """Bitwise: every timed net's rows and moments, and the output pdf."""
+    assert list(got.arrival_pdfs) == list(want.arrival_pdfs)
+    for net, pdf in want.arrival_pdfs.items():
+        assert np.array_equal(got.arrival_pdfs[net].values, pdf.values), net
+        assert np.array_equal(got.arrival_pdfs[net].probabilities, pdf.probabilities), net
+    assert got.arrival_moments == want.arrival_moments
+    assert np.array_equal(got.output_pdf.values, want.output_pdf.values)
+    assert np.array_equal(got.output_pdf.probabilities, want.output_pdf.probabilities)
+    assert got.output_rv == want.output_rv
+
+
+def _floating_input():
+    circuit = Circuit("floating", primary_inputs=["a"], primary_outputs=["y"])
+    circuit.add("g1", "NAND2", ["a", "ghost1"], "n1")
+    circuit.add("g2", "NAND2", ["n1", "ghost2"], "y")
+    return circuit
+
+
+def _input_to_output():
+    circuit = Circuit("feedthrough", primary_inputs=["a", "b"], primary_outputs=["y", "a"])
+    circuit.add("g1", "NAND2", ["a", "b"], "n1")
+    circuit.add("g2", "INV", ["n1"], "y")
+    return circuit
+
+
+def _every_net_an_output():
+    circuit = c17()
+    for net in circuit.nets():
+        if not circuit.is_primary_output(net):
+            circuit.add_primary_output(net)
+    return circuit
+
+
+def _no_gates():
+    return Circuit("wire", primary_inputs=["a"], primary_outputs=["a"])
+
+
+class TestMatchesLevelizedSchedule:
+    """``FULLSSTA.analyze``, the all-dirty sweep, against ``levelized_fold``."""
+
+    @pytest.mark.parametrize("name", ["c17", "alu2", "c432", "c1355", "c7552"])
+    def test_registry_circuit(self, name, delay_model, variation_model, levelized_fold):
+        circuit = build_benchmark(name)
+        engine = FULLSSTA(delay_model, variation_model)
+        assert_fullssta_results_identical(engine.analyze(circuit), levelized_fold(engine, circuit))
+
+    def test_zero_sigma(self, delay_model, levelized_fold):
+        circuit = build_benchmark("c432")
+        engine = FULLSSTA(delay_model, ZERO_SIGMA)
+        assert_fullssta_results_identical(engine.analyze(circuit), levelized_fold(engine, circuit))
+
+    @pytest.mark.parametrize(
+        "build", [_floating_input, _input_to_output, _every_net_an_output, _no_gates]
+    )
+    def test_degenerate_circuit(self, build, delay_model, variation_model, levelized_fold):
+        circuit = build()
+        engine = FULLSSTA(delay_model, variation_model)
+        assert_fullssta_results_identical(engine.analyze(circuit), levelized_fold(engine, circuit))
+
+    def test_zero_delay_gate_is_timed(self, levelized_fold):
+        # A gate row equal to the point pdf at zero still lands in the result.
+        library = Library("zero", default_output_load=1.0)
+        cell = CellType("NAND2", 2)
+        cell.add_size(CellSize("NAND2_X1", 1.0, 1.0, 1.0, intrinsic_delay=0.0, drive_resistance=0.0))
+        library.add_cell(cell)
+        circuit = Circuit("zero", primary_inputs=["a", "b"], primary_outputs=["z"])
+        circuit.add("g1", "NAND2", ["a", "b"], "y")
+        circuit.add("g2", "NAND2", ["y", "a"], "z")
+        engine = FULLSSTA(LinearRCDelayModel(library), ZERO_SIGMA)
+        result = engine.analyze(circuit)
+        assert_fullssta_results_identical(result, levelized_fold(engine, circuit))
+        for net in ("y", "z"):
+            assert result.arrival_pdfs[net].num_samples == 1
+            assert result.arrival_moments[net] == NormalDelay(0.0, 0.0)
+
+    def test_cell_type_replacement_resets_once(self, delay_model, variation_model):
+        circuit = build_benchmark("c432")
+        engine = FULLSSTA(delay_model, variation_model)
+        incremental = IncrementalReanalysis(engine, circuit)
+        incremental.analyze()
+        old = next(gate for gate in circuit if gate.cell_type == "AND2")
+        circuit.replace_gate(Gate(old.name, "OR2", old.inputs, old.output, size_index=3))
+        result = incremental.analyze()
+        assert incremental.full_runs == 2
+        assert incremental.incremental_runs == 0
+        assert_fullssta_results_identical(result, engine.analyze(circuit))
+        incremental.analyze()
+        assert incremental.full_runs == 2

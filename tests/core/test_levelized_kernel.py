@@ -1,12 +1,12 @@
 """The contract of the levelized FULLSSTA kernel, pinned bitwise.
 
-Full levelized runs and incremental dirty-cone re-propagation share one
-per-level step (:meth:`repro.core.fullssta.LevelizedState.propagate`), which
-calls the batched primitives on whatever subset of a level needs
-recomputing.  That is exact only if every primitive is *row-independent*:
-row ``i`` of a batch must come out bit for bit the same whatever other rows
-share the batch.  Given that, incremental results equal a from-scratch
-levelized analysis exactly, not merely to a tolerance.
+Full levelized runs and incremental dirty-cone re-propagation are one sweep
+(:meth:`repro.core.fullssta.IncrementalReanalysis._sweep`, a full run with
+every gate dirty), which calls the batched primitives on whatever subset of
+a level needs recomputing.  That is exact only if every primitive is
+*row-independent*: row ``i`` of a batch must come out bit for bit the same
+whatever other rows share the batch.  Given that, incremental results equal
+a from-scratch levelized analysis exactly, not merely to a tolerance.
 """
 
 import numpy as np

@@ -139,7 +139,7 @@ class TestStackEqualsSequentialPreviews:
     ):
         circuit = build_benchmark("c432")
         plan = circuit.compiled()
-        widest = max(len(block.gate_ids) for block in plan.levels)
+        widest = int(np.diff(plan.level_offsets).max())
         add_rows = []
         combine = fullssta.batched_combine
 

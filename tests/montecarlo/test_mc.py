@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.timing_yield import period_for_yield, timing_yield
 from repro.montecarlo.mc import MonteCarloTimer
 from repro.netlist.circuit import Circuit
 from repro.sta.dsta import DeterministicSTA
@@ -56,6 +57,12 @@ class TestBasicProperties:
         assert result.cv == pytest.approx(result.sigma / result.mean)
         with pytest.raises(ValueError):
             result.quantile(1.5)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.9973, 0.99865])
+    def test_quantile_meets_its_yield(self, timer, c17_circuit, q):
+        result = timer.run(c17_circuit, num_samples=2000, seed=0)
+        assert result.quantile(q) == period_for_yield(result.samples, q)
+        assert timing_yield(result.samples, result.quantile(q)) >= q
 
     def test_too_few_samples_rejected(self, timer, c17_circuit):
         with pytest.raises(ValueError):

@@ -84,11 +84,6 @@ class TestCorruptions:
         problems = ir_problems(compiled, circuit)
         assert problems
 
-    def test_boundary_mask(self, compiled_pair):
-        circuit, compiled = compiled_pair
-        compiled.boundary_mask[compiled.num_pis] = True
-        _expect(compiled, circuit, "boundary_mask")
-
     def test_floating_mask(self, compiled_pair):
         circuit, compiled = compiled_pair
         compiled.floating_mask[0] = True
@@ -128,7 +123,7 @@ class TestCorruptions:
     def test_problem_lines_all_reported(self, compiled_pair):
         circuit, compiled = compiled_pair
         compiled.gate_output_slot[0] += 1
-        compiled.boundary_mask[compiled.num_pis] = True
+        compiled.floating_mask[compiled.num_pis] = True
         with pytest.raises(IRVerificationError) as exc_info:
             verify_compiled(compiled, circuit)
         assert len(exc_info.value.problems) >= 2
