@@ -82,6 +82,8 @@ class MeanDelaySizer:
     MIN_GAIN = 1e-6
     #: Relative worst-delay loss the area recovery may spend.
     AREA_RECOVERY_TOLERANCE = 0.002
+    #: Downsizing passes of the area recovery.
+    AREA_RECOVERY_PASSES = 3
     #: Output slack, as a fraction of the period, that makes a gate a target.
     NEAR_CRITICAL_FRACTION = 0.05
     #: Passes without a new best delay before giving up.
@@ -208,7 +210,7 @@ class MeanDelaySizer:
         }
 
     # ------------------------------------------------------------------
-    def _recover_area(self, circuit: Circuit, best_delay: float, passes: int = 3) -> float:
+    def _recover_area(self, circuit: Circuit, best_delay: float) -> float:
         """Downsize off-critical gates while the worst delay stays within tolerance.
 
         This is the "area is recovered as far as possible without violating
@@ -224,7 +226,7 @@ class MeanDelaySizer:
         pass back if it was violated.
         """
         limit = best_delay * (1.0 + self.AREA_RECOVERY_TOLERANCE)
-        for _ in range(passes):
+        for _ in range(self.AREA_RECOVERY_PASSES):
             report = self.dsta.analyze(circuit, clock_period=limit)
             snapshot = circuit.sizes()
             changed = False

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, overload
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -231,24 +231,24 @@ class FULLSSTA:
 
 
 class IncrementalReanalysis:
-    """Incremental FULLSSTA over one circuit, driven by its size-change log.
+    """Incremental FULLSSTA over one circuit, driven by its compiled sizes.
 
     The wrapper keeps the last committed run's :class:`LevelizedState`, its
-    per-net arrival moments and the gate sizes they were computed at.  On
-    :meth:`analyze` it reads the gates resized since the previous call
-    (logged by :meth:`~repro.netlist.circuit.Circuit.set_size`), keeps those
-    whose size differs from the cached state, and re-propagates only the
-    gates whose timing can actually have moved:
+    per-net arrival moments and the gate sizes they were computed at, one
+    entry per IR gate id.  On :meth:`analyze` it compares those sizes with
+    the IR's ``size_index`` (which
+    :meth:`~repro.netlist.circuit.Circuit.set_size` writes) and
+    re-propagates only the gates whose timing can actually have moved:
 
-    * every net-resized gate (its drive, intrinsic delay and sigma changed),
+    * every resized gate (its drive, intrinsic delay and sigma changed),
     * the drivers of its input nets (the resized gate's input capacitance is
       part of *their* load),
     * downstream gates, recursively — but propagation stops as soon as a
       recomputed row is bitwise-identical to the cached one, which happens
       quickly once a dominant side path reasserts itself.
 
-    :meth:`preview` evaluates resizes *without* committing them: the logged
-    ones, or a stack of one-resize trials against the committed state.
+    :meth:`preview` evaluates resizes *without* committing them: the ones
+    the IR holds, or a stack of one-resize trials against the committed state.
     :meth:`commit_preview` folds one previewed trial in once the circuit
     holds its sizes; a rejected trial costs nothing more.  The sizer times
     every outer-loop state through this ``analyze`` / ``preview`` /
@@ -257,19 +257,18 @@ class IncrementalReanalysis:
     dirty, from the empty state (:meth:`_reset`), so results are bitwise
     equal to a from-scratch :meth:`FULLSSTA.analyze` of the sizes they were
     timed at.  Contract: all persistent resizes must go through
-    ``Circuit.set_size`` (direct ``Gate.size_index`` writes bypass the log);
-    structural edits are detected via ``structure_version`` and trigger a
-    full run automatically.
+    ``Circuit.set_size`` (direct ``Gate.size_index`` writes do not reach the
+    IR); structural edits are detected via ``structure_version`` and trigger
+    a full run automatically.
     """
 
     def __init__(self, engine: FULLSSTA, circuit: Circuit) -> None:
         self.engine = engine
         self.circuit = circuit
-        self._cursor = 0
         self._structure_version: Optional[int] = None
         self._state: Optional[LevelizedState] = None
         self._arrival_moments: Dict[str, NormalDelay] = {}
-        self._cached_sizes: Dict[str, int] = {}
+        self._sizes = np.empty(0, dtype=np.intp)  # per gate id, the committed size
         self._pending: Optional[List[_Delta]] = None
         # Diagnostics (cumulative over the wrapper's lifetime).
         self.full_runs = 0
@@ -299,22 +298,21 @@ class IncrementalReanalysis:
         """
         self._pending = None
         dirty = self._dirty_gates()
-        self._cursor = self.circuit.size_change_cursor
         if dirty is None:
             self.full_runs += 1
             METRICS.counter("fullssta.runs")
             METRICS.counter("incremental.full_runs")
             with span("fullssta.analyze", gates=self.circuit.num_gates()):
                 self._reset()
-                (delta,), _ = self._sweep(*self._logged(self.circuit.gates))
+                (delta,), _ = self._sweep(*self._as_trial(np.arange(self.circuit.num_gates())))
                 self._apply_delta(delta)
             self._structure_version = self.circuit.structure_version
             return self._result()
 
         self.incremental_runs += 1
         METRICS.counter("incremental.runs")
-        if dirty:
-            (delta,), _ = self._sweep(*self._logged(dirty))
+        if dirty.size:
+            (delta,), _ = self._sweep(*self._as_trial(dirty))
             self._apply_delta(delta)
         return self._result()
 
@@ -344,9 +342,9 @@ class IncrementalReanalysis:
         dirty = self._dirty_gates()
         if dirty is None:
             return None
-        if trials is not None and dirty:
+        if trials is not None and dirty.size:
             raise ValueError("preview(trials) needs the committed sizes; call analyze() first")
-        stack = self._logged(dirty) if trials is None else self._stacked(trials)
+        stack = self._as_trial(dirty) if trials is None else self._stacked(trials)
         self._pending = None  # free the last preview's rows before this sweep
         with span("fullssta.preview", trials=stack[0]) as sp:
             retimed = self.gates_retimed
@@ -364,49 +362,38 @@ class IncrementalReanalysis:
 
         Returns False (and leaves the cache untouched) when no preview is
         pending or the circuit does not hold the sizes the trial was timed
-        at — the next :meth:`analyze`/:meth:`preview` then recomputes from
-        the log as usual, so a refused commit is safe, just not free.
+        at — the next :meth:`analyze`/:meth:`preview` then retimes the gates
+        whose sizes differ as usual, so a refused commit is safe, just not
+        free.
         """
-        if self._pending is None or not self._holds(self._pending[index].sizes):
+        if self._pending is None or not self._holds(self._pending[index]):
             return False
         self._apply_delta(self._pending[index])
-        self._cursor = self.circuit.size_change_cursor
         self._pending = None
         return True
 
     # ------------------------------------------------------------------
-    def _dirty_gates(self) -> Optional[Set[str]]:
-        """Gates whose delay may differ from the committed state, or None.
+    def _dirty_gates(self) -> Optional[np.ndarray]:
+        """Gate ids whose delay may differ from the committed state, or None.
 
         ``None`` means the cache cannot answer incrementally: no committed
-        run, a structural edit since, or a logged gate the circuit no longer
-        has.  Each logged gate's *current* size is compared against the size
-        the cache was computed at, so resize sequences that cancel out are
-        recognised as clean.
+        run, or a structural edit since.  The dirty gates are those whose IR
+        size differs from the committed one, plus their fanin drivers, in
+        ascending order; resizes that cancel out leave a gate clean.
         """
-        circuit = self.circuit
-        if self._state is None or self._structure_version != circuit.structure_version:
+        if self._state is None or self._structure_version != self.circuit.structure_version:
             return None
-        dirty: Set[str] = set()
-        for name in circuit.size_changes_since(self._cursor):
-            if not circuit.has_gate(name):
-                return None
-            if circuit.gate(name).size_index == self._cached_sizes.get(name):
-                continue
-            dirty.add(name)
-            for gate in circuit.fanin_gates(name):
-                dirty.add(gate.name)
-        return dirty
+        plan = self.circuit.compiled()
+        _, gates = plan.resize_rows(np.flatnonzero(plan.size_index != self._sizes))
+        return np.unique(gates)
 
-    def _holds(self, sizes: Mapping[str, int]) -> bool:
-        """Does the circuit hold the committed sizes with ``sizes`` laid over them?"""
-        circuit = self.circuit
-        if self._structure_version != circuit.structure_version:
+    def _holds(self, delta: "_Delta") -> bool:
+        """Does the IR hold the committed sizes with ``delta``'s laid over them?"""
+        if self._structure_version != self.circuit.structure_version:
             return False
-        return all(
-            circuit.gate(name).size_index == sizes.get(name, self._cached_sizes.get(name))
-            for name in set(circuit.size_changes_since(self._cursor)).union(sizes)
-        )
+        sizes = self._sizes.copy()
+        sizes[delta.gate_ids] = delta.sizes
+        return bool(np.array_equal(self.circuit.compiled().size_index, sizes))
 
     # ------------------------------------------------------------------
     def _reset(self) -> None:
@@ -436,7 +423,7 @@ class IncrementalReanalysis:
             arrival_pdfs=pdfs,
         )
         self._arrival_moments = _moments(pdfs)
-        self._cached_sizes = {}
+        self._sizes = np.full(plan.num_gates, -1, dtype=np.intp)
 
     def _result(self, delta: Optional["_Delta"] = None) -> FullSstaResult:
         """The committed state, with ``delta`` laid over it, as a result."""
@@ -455,24 +442,19 @@ class IncrementalReanalysis:
             yield self._result(delta)
 
     # ------------------------------------------------------------------
-    def _logged(self, dirty: Iterable[str]) -> "_Trials":
-        """The logged resizes as one trial, at the sizes the IR holds."""
+    def _as_trial(self, dirty: np.ndarray) -> "_Trials":
+        """Ascending gate ids ``dirty`` as one trial, at the sizes the IR holds."""
         plan = self.circuit.compiled()
-        ids = np.array(sorted(plan.gate_index[name] for name in dirty), dtype=np.intp)
-        return 1, np.zeros(ids.size, dtype=np.intp), ids, (ids, plan.size_index[ids])
+        return 1, np.zeros(dirty.size, dtype=np.intp), dirty, (dirty, plan.size_index[dirty])
 
     def _stacked(self, trials: Sequence[Tuple[str, int]]) -> "_Trials":
         """One trial per ``(gate, size)``: the gate and its fanin drivers."""
         plan = self.circuit.compiled()
         gate = np.array([plan.gate_index[name] for name, _ in trials], dtype=np.intp)
         size = np.array([size for _, size in trials], dtype=np.intp)
-        # A driver's gate id is its output slot less the primary inputs;
-        # input, floating and sentinel slots fall outside [0, num_gates).
-        members = np.concatenate([gate[:, None], plan.fanin_matrix[gate] - plan.num_pis], axis=1)
-        keep = (members >= 0) & (members < plan.num_gates)
-        keep &= (size != plan.size_index[gate])[:, None]  # a no-op trial is clean
-        keys = np.unique((np.arange(len(trials))[:, None] * plan.num_gates + members)[keep])
-        row_trial, row_gate = np.divmod(keys, plan.num_gates)
+        changed = np.flatnonzero(size != plan.size_index[gate])  # a no-op trial is clean
+        index, row_gate = plan.resize_rows(gate[changed])
+        row_trial = changed[index]
         return len(trials), row_trial, row_gate, (gate[row_trial], size[row_trial])
 
     def _sweep(
@@ -545,7 +527,6 @@ class IncrementalReanalysis:
         deltas = []
         for t in range(count):
             slots, dirty = np.flatnonzero(moved_at[t] >= 0), slice(starts[t], starts[t + 1])
-            names = [plan.gate_names[gid] for gid in row_gate[dirty]]
             at = moved_at[t, slots]
             deltas.append(_Delta(
                 plan=plan,
@@ -553,7 +534,7 @@ class IncrementalReanalysis:
                 rows=(overlay[0][at], overlay[1][at], overlay[2][at]),
                 gate_ids=row_gate[dirty],
                 delay_rows=(delay_values[dirty], delay_probs[dirty]),
-                sizes=dict(zip(names, sizes[dirty].tolist(), strict=True)),
+                sizes=sizes[dirty],
             ))
         return deltas, kernel_calls
 
@@ -563,7 +544,7 @@ class IncrementalReanalysis:
         state.delay_values[delta.gate_ids], state.delay_probs[delta.gate_ids] = delta.delay_rows
         state.arrival_pdfs.update(delta.arrival_pdfs)
         self._arrival_moments.update(delta.arrival_moments)
-        self._cached_sizes.update(delta.sizes)
+        self._sizes[delta.gate_ids] = delta.sizes
 
 
 def _overlaid(
@@ -584,7 +565,7 @@ class _Delta:
     rows: _Rows  # ... and their new rows
     gate_ids: np.ndarray  # re-derived gates ...
     delay_rows: Tuple[np.ndarray, np.ndarray]  # ... their new delay rows ...
-    sizes: Dict[str, int]  # ... and the sizes those were derived at
+    sizes: np.ndarray  # ... and the sizes those were derived at
 
     @cached_property
     def arrival_pdfs(self) -> Dict[str, DiscretePDF]:

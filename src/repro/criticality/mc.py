@@ -2,9 +2,11 @@
 
 The analytic criticalities of :mod:`repro.criticality.analysis` inherit the
 engines' approximations (Clark max moments, input independence).  This
-module provides the golden model: draw joint gate-delay samples exactly like
-:class:`~repro.montecarlo.mc.MonteCarloTimer`, and for every draw determine
-the *deterministic* critical path by backtracking argmax inputs from the
+module provides the golden model: draw joint gate-delay samples with
+:class:`~repro.montecarlo.mc.MonteCarloTimer`'s own sampler
+(:meth:`~repro.montecarlo.mc.MonteCarloTimer.sample`, so the draws and
+arrivals are the timer's), and for every draw determine the
+*deterministic* critical path by backtracking argmax inputs from the
 argmax output.  The frequency with which a gate (or a whole path) lies on
 the per-draw critical path estimates its true criticality probability.
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.criticality.paths import StatisticalPath
 from repro.library.delay_model import BaseDelayModel
-from repro.montecarlo.mc import output_slots
+from repro.montecarlo.mc import MonteCarloTimer, output_slots
 from repro.netlist.circuit import Circuit
 from repro.variation.model import VariationModel
 
@@ -88,41 +90,18 @@ class MonteCarloCriticality:
         if num_samples < 2:
             raise ValueError("num_samples must be at least 2")
         outputs = circuit.primary_outputs
-        rng = np.random.default_rng(seed)
-        # Draw order pins the RNG stream bit-for-bit against the MC timer.
-        # repro-lint: allow=RL001
-        order = circuit.topological_order()
-
-        # Forward pass over the compiled IR (identical sampling scheme to
-        # MonteCarloTimer's independent path: the packed delay stage's
-        # moments, draws in topological order, so the generator stream is
-        # unchanged; propagation is levelized across all samples at once).
-        plan = circuit.compiled()
+        sampler = MonteCarloTimer(self.delay_model, self.variation_model)
+        plan, arr = sampler.sample(circuit, num_samples, seed)
         slots = output_slots(circuit, plan)
-        draw_ids = [plan.gate_index[name] for name in order]
-        mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model)
-        delay = np.empty((plan.num_gates, num_samples))
-        for gid, mean, sd in zip(
-            draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
-        ):
-            delay[gid] = rng.normal(mean, sd, num_samples)
 
-        # The sentinel row holds -inf so the padded fanin matrix folds
-        # without a validity mask; argmax over the padded columns keeps
-        # np.argmax's first-max tie convention for the real pins (a -inf
-        # pad can never win — every gate has at least one input).
-        arr = np.zeros((plan.num_nets + 1, num_samples))
-        arr[plan.num_nets] = -np.inf
-        fanin = plan.fanin_matrix
+        # Each gate's argmax input per draw.  The sentinel row holds -inf, so
+        # argmax over the padded columns keeps np.argmax's first-max tie
+        # convention for the real pins (a -inf pad can never win — every
+        # gate has at least one input).
         argmax_input: Dict[str, np.ndarray] = {}
         for start, stop in pairwise(plan.level_offsets.tolist()):
-            vals = arr[fanin[start:stop]]
-            worst = vals.max(axis=1)
-            amax = vals.argmax(axis=1)
-            out = plan.num_pis + start
-            arr[out: out + (stop - start)] = worst + delay[start:stop]
-            for row, name in enumerate(plan.gate_names[start:stop]):
-                argmax_input[name] = amax[row]
+            amax = arr[plan.fanin_matrix[start:stop]].argmax(axis=1)
+            argmax_input.update(zip(plan.gate_names[start:stop], amax, strict=True))
 
         # Which output is the slowest, per draw.
         out_argmax = np.argmax(arr[slots], axis=0)
@@ -138,7 +117,8 @@ class MonteCarloCriticality:
             crit_net[net] = sel if existing is None else (existing | sel)
 
         gate_frequency: Dict[str, float] = {}
-        for name in reversed(order):
+        # repro-lint: allow=RL001 -- the backward pass's order is gate_frequency's
+        for name in circuit.reverse_topological_order():
             gate = circuit.gate(name)
             g_crit = crit_net.get(gate.output)
             if g_crit is None:

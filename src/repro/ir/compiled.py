@@ -34,8 +34,11 @@ that *every* consumer shares:
   FULLSSTA and the criticality analyzer mask the sentinel columns instead.
 * **per-gate arrays** — ``cell_type_ids`` (into the ``cell_types``
   vocabulary), ``size_index`` and ``fanin_counts``.  ``size_index`` is the
-  only mutable array: size-only changes refresh it in place (driven by the
-  circuit's size-change log) without recompiling the structure.
+  only mutable array and the one copy of the sizes the engines time:
+  :meth:`Circuit.set_size <repro.netlist.circuit.Circuit.set_size>` writes
+  it in place without recompiling the structure.  :meth:`resize_rows
+  <CompiledCircuit.resize_rows>` is the one rule for which gates a resize
+  retimes.
 
 Lowering happens once per ``structure_version`` through
 :meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`, which
@@ -46,7 +49,7 @@ all see the *same* :class:`CompiledCircuit` object for a given structure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -202,17 +205,22 @@ class CompiledCircuit:
         return np.nonzero(mark)[0]
 
     # ------------------------------------------------------------------
-    def refresh_sizes(self, circuit: "Circuit", gate_names: Sequence[str]) -> None:
-        """Refresh ``size_index`` in place for the named gates.
+    def resize_rows(self, gate_ids: IntArray) -> Tuple[IntArray, IntArray]:
+        """The gates whose delay a resize of each of ``gate_ids`` changes.
 
-        Called by :meth:`Circuit.compiled` with the tail of the size-change
-        log; unknown names (gates since removed — which would also have
-        bumped ``structure_version`` and forced a relower) are skipped.
+        A resize changes the gate's own delay and its fanin drivers' (their
+        load holds its input cap).  Returns ``(index into gate_ids, gate id)``
+        pairs, index-major and ascending.
         """
-        for name in gate_names:
-            gid = self.gate_index.get(name)
-            if gid is not None:
-                self.size_index[gid] = circuit.gate(name).size_index
+        # A driver's gate id is its output slot less the primary inputs;
+        # input, floating and sentinel slots fall outside [0, num_gates).
+        members = np.concatenate(
+            [gate_ids[:, None], self.fanin_matrix[gate_ids] - self.num_pis], axis=1
+        )
+        keep = (members >= 0) & (members < self.num_gates)
+        index = np.arange(len(gate_ids), dtype=np.intp)[:, None]
+        keys = np.unique((index * self.num_gates + members)[keep])
+        return keys // self.num_gates, keys % self.num_gates
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return (
@@ -226,7 +234,7 @@ def lower_circuit(circuit: "Circuit") -> CompiledCircuit:
     """Lower ``circuit`` to a fresh :class:`CompiledCircuit`.
 
     Most callers should use :meth:`Circuit.compiled`, which caches the
-    result per structure version and keeps the size array fresh.
+    result per structure version and writes resizes into its size array.
     """
     levels_map = circuit.levels()
     by_level: Dict[int, List[str]] = {}

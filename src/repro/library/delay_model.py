@@ -31,8 +31,8 @@ Each model answers the same question two ways:
   statistical ones, and so does the sizers' batched candidate sweep,
   through the stage's trial form (a gate timed as if one other gate, or
   itself, were at a trial size).  It reads sizes from the IR, which
-  follows the circuit's size-change log, so a size written straight into
-  ``Gate.size_index`` is invisible to it.
+  :meth:`Circuit.set_size <repro.netlist.circuit.Circuit.set_size>` writes,
+  so a size written straight into ``Gate.size_index`` is invisible to it.
 * **The scalar query**, :meth:`BaseDelayModel.gate_delay_at_size`: one gate,
   read from the live :class:`~repro.netlist.gate.Gate` objects.  Only the
   baseline's gate-by-gate area recovery and the DRC load rules use it, plus

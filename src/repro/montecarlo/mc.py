@@ -28,6 +28,10 @@ SSTA engines read.  Gate-delay *draws* stay in
 bit-compatible with the historical per-gate loop (pinned by
 ``tests/montecarlo/test_mc.py``); ``np.maximum`` and float addition are
 exact, so the levelized propagation is bit-identical too.
+:meth:`MonteCarloTimer.sample` is that one sampler: the timer reduces its
+arrival matrix to circuit-delay samples, and
+:class:`~repro.criticality.mc.MonteCarloCriticality` backtraces the same
+draws' critical paths.
 
 Boundary conditions match the SSTA engines: primary inputs *and* floating
 (undriven non-PI) gate inputs carry a zero arrival.  Undriven primary
@@ -37,7 +41,7 @@ outputs remain an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -134,18 +138,35 @@ class MonteCarloTimer:
         with span(
             "mc.run", circuit=circuit.name, samples=num_samples
         ) as mc_span:
-            result = self._run(circuit, num_samples, seed)
+            plan, arrivals = self.sample(circuit, num_samples, seed)
+            slots = output_slots(circuit, plan)
+            # Row views, not a gathered copy of every output's samples.
+            rows = {
+                net: arrivals[slot]
+                for net, slot in zip(circuit.primary_outputs, slots, strict=True)
+            }
+            circuit_delay = np.full(num_samples, -np.inf)
+            for row in rows.values():
+                np.maximum(circuit_delay, row, out=circuit_delay)
+            result = MonteCarloResult(
+                samples=circuit_delay,
+                per_output_mean={net: float(row.mean()) for net, row in rows.items()},
+                per_output_sigma={net: float(row.std(ddof=1)) for net, row in rows.items()},
+            )
             mc_span.set(mean=result.mean, sigma=result.sigma)
         return result
 
-    def _run(
-        self,
-        circuit: Circuit,
-        num_samples: int,
-        seed: Optional[int],
-    ) -> MonteCarloResult:
-        rng = np.random.default_rng(seed)
+    def sample(
+        self, circuit: Circuit, num_samples: int, seed: Optional[int]
+    ) -> Tuple[CompiledCircuit, np.ndarray]:
+        """Draw every gate delay ``num_samples`` times and propagate the arrivals.
 
+        Returns the circuit's IR and :func:`propagate_levelized`'s
+        ``(num_nets + 1, num_samples)`` arrival matrix, whose last row is the
+        ``-inf`` fanin sentinel.  Boundary slots (primary inputs and floating
+        gate inputs) carry a zero arrival, the SSTA engines' convention.
+        """
+        rng = np.random.default_rng(seed)
         # Draw order is part of the pinned RNG stream contract (bit-compat
         # with the scalar timer).  repro-lint: allow=RL001
         order = circuit.topological_order()
@@ -162,29 +183,4 @@ class MonteCarloTimer:
             draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
         ):
             delay[gid] = rng.normal(mean, sd, num_samples)
-
-        # Levelized propagation over all samples at once.  Boundary slots
-        # (primary inputs and floating gate inputs, per the IR boundary
-        # mask) carry a zero arrival — the same convention as the SSTA
-        # engines.
-        arr = propagate_levelized(plan, delay)
-
-        slots = output_slots(circuit, plan)
-        circuit_delay = None
-        per_output_mean: Dict[str, float] = {}
-        per_output_sigma: Dict[str, float] = {}
-        for net, slot in zip(circuit.primary_outputs, slots, strict=True):
-            samples = arr[slot]
-            per_output_mean[net] = float(samples.mean())
-            per_output_sigma[net] = float(samples.std(ddof=1))
-            circuit_delay = (
-                samples
-                if circuit_delay is None
-                else np.maximum(circuit_delay, samples)
-            )
-
-        return MonteCarloResult(
-            samples=circuit_delay,
-            per_output_mean=per_output_mean,
-            per_output_sigma=per_output_sigma,
-        )
+        return plan, propagate_levelized(plan, delay)

@@ -11,10 +11,11 @@ Design notes
   or a gate output) and any number of loads.
 * The class caches its topological order and invalidates the cache on any
   structural mutation (adding/removing gates).  Re-sizing a gate is *not* a
-  structural mutation and does not invalidate anything structural, but it is
-  recorded in an append-only *size-change log* so incremental consumers
-  (:class:`~repro.core.fullssta.IncrementalReanalysis`, the sizer's
-  evaluation caches) can find the dirty cone without re-walking the netlist.
+  structural mutation: :meth:`Circuit.set_size` writes the new size into the
+  cached compiled IR's ``size_index`` array in place, the one copy of the
+  sizes every engine times (incremental consumers such as
+  :class:`~repro.core.fullssta.IncrementalReanalysis` diff it against the
+  sizes they last timed).
 * All queries return data in deterministic order so that optimization runs
   are reproducible.
 """
@@ -81,9 +82,7 @@ class Circuit:
         self._topo_cache: Optional[List[str]] = None
         self._level_cache: Optional[Dict[str, int]] = None
         self._structure_version: int = 0
-        self._size_change_log: List[str] = []
         self._compiled_cache: Optional["CompiledCircuit"] = None
-        self._compiled_size_cursor: int = 0
 
         if len(self._pi_set) != len(self._primary_inputs):
             seen: Set[str] = set()
@@ -165,7 +164,7 @@ class Circuit:
 
         The replacement must keep the same output net; inputs may change.
         A new cell type or new inputs is a structural mutation; a replacement
-        that only changes the size is logged like :meth:`set_size`.
+        that only changes the size reaches the compiled IR like :meth:`set_size`.
         """
         old = self._gates.get(gate.name)
         if old is None:
@@ -188,20 +187,20 @@ class Circuit:
         self._gates[gate.name] = gate
         if rewired or old.cell_type != gate.cell_type:
             self._invalidate()
-        elif old.size_index != gate.size_index:
-            self._size_change_log.append(gate.name)
+        else:
+            self.set_size(gate.name, gate.size_index)
 
     def set_size(self, gate_name: str, size_index: int) -> None:
         """Set the discrete size of a gate in place (no structural invalidation).
 
-        Actual changes (new index differs from the current one) are appended
-        to the size-change log consumed by incremental re-analysis; setting a
-        gate to its current size is a no-op and is not logged.
+        A compiled IR that is current (lowered at this structure version)
+        gets the size in its ``size_index`` array at once; a stale one is
+        left alone, and the next :meth:`compiled` relowers from the gates.
         """
-        gate = self.gate(gate_name)
-        if gate.size_index != size_index:
-            gate.size_index = size_index
-            self._size_change_log.append(gate_name)
+        self.gate(gate_name).size_index = size_index
+        cache = self._compiled_cache
+        if cache is not None and cache.structure_version == self._structure_version:
+            cache.size_index[cache.gate_index[gate_name]] = size_index
 
     def _invalidate(self) -> None:
         self._topo_cache = None
@@ -218,11 +217,11 @@ class Circuit:
         incremental re-analysis) consumes the *same*
         :class:`~repro.ir.compiled.CompiledCircuit` instance for a given
         structure.  Structural mutations bump ``structure_version`` and the
-        next call relowers; size-only changes made through :meth:`set_size`
-        refresh the compiled ``size_index`` array in place without
-        recompiling.  (Direct ``Gate.size_index`` writes bypass the
-        size-change log and therefore the refresh — the same contract
-        incremental re-analysis already imposes.)
+        next call relowers; :meth:`set_size` (and a size-only
+        :meth:`replace_gate`) writes the instance's ``size_index`` array in
+        place, so it stays the circuit's one copy of the sizes.  A direct
+        ``Gate.size_index`` write bypasses it and stays invisible to every
+        engine until the next relowering.
 
         ``verify`` runs :func:`repro.verify.ir_checks.verify_compiled` over
         every *fresh* lowering (debug/test mode; the test suite enables it
@@ -243,13 +242,7 @@ class Circuit:
         if cache is None or cache.structure_version != self._structure_version:
             cache = lower_circuit(self)
             self._compiled_cache = cache
-            self._compiled_size_cursor = len(self._size_change_log)
             verify_cached = verify
-        else:
-            cursor = self._compiled_size_cursor
-            if cursor != len(self._size_change_log):
-                cache.refresh_sizes(self, self._size_change_log[cursor:])
-                self._compiled_size_cursor = len(self._size_change_log)
         if verify_cached:
             from repro.verify.ir_checks import verify_compiled  # local: cycle
 
@@ -268,28 +261,6 @@ class Circuit:
         against the version they cached at.
         """
         return self._structure_version
-
-    @property
-    def size_change_cursor(self) -> int:
-        """Current position in the append-only size-change log.
-
-        Remember the cursor, mutate sizes through :meth:`set_size`, then call
-        :meth:`size_changes_since` with the remembered value to learn exactly
-        which gates were resized in between.
-        """
-        return len(self._size_change_log)
-
-    def size_changes_since(self, cursor: int) -> List[str]:
-        """Gate names resized (via :meth:`set_size`) since ``cursor``.
-
-        Names appear in mutation order and may repeat; callers typically
-        de-duplicate into a dirty set.  Direct mutation of
-        ``Gate.size_index`` bypasses the log — incremental consumers rely on
-        all persistent resizes going through :meth:`set_size`.
-        """
-        if cursor < 0:
-            raise CircuitError("size-change cursor must be non-negative")
-        return self._size_change_log[cursor:]
 
     # ------------------------------------------------------------------
     # Basic accessors

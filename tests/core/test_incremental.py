@@ -42,6 +42,17 @@ def assert_results_close(reference, candidate, circuit, tol=TOL):
     assert candidate.output_rv.sigma == pytest.approx(reference.output_rv.sigma, abs=tol)
 
 
+def assert_results_identical(got, want):
+    """Bitwise: every net's pdf and moments, and the output pdf."""
+
+    def rows(result):
+        pdfs = {**result.arrival_pdfs, None: result.output_pdf}
+        return {net: (pdf.values.tolist(), pdf.probabilities.tolist()) for net, pdf in pdfs.items()}
+
+    assert rows(got) == rows(want)
+    assert got.arrival_moments == want.arrival_moments
+
+
 def fassta_reference(fold, engine, circuit):
     """A FASSTA result from the gate-by-gate reference fold."""
     arrivals, gate_delays = fold(
@@ -125,11 +136,16 @@ class TestIncrementalReanalysis:
         incremental = IncrementalReanalysis(
             FULLSSTA(delay_model, variation_model), circuit
         )
-        incremental.analyze()
+        first = incremental.analyze()
         retimed = incremental.gates_retimed
         gate = next(iter(circuit.gates))
-        circuit.set_size(gate, circuit.gate(gate).size_index)  # same size: no-op
+        size = circuit.gate(gate).size_index
+        circuit.set_size(gate, size)  # same size: no-op
         incremental.analyze()
+        assert incremental.gates_retimed == retimed
+        circuit.set_size(gate, size + 1)  # a resize and its revert cancel out
+        circuit.set_size(gate, size)
+        assert_results_identical(incremental.analyze(), first)
         assert incremental.gates_retimed == retimed
 
     def test_incremental_retimes_fewer_gates_than_scratch(self, delay_model, variation_model):
@@ -236,33 +252,6 @@ class TestSubcircuitCache:
 
 
 class TestSizeChangeLog:
-    def test_set_size_logs_only_real_changes(self, c17_circuit):
-        cursor = c17_circuit.size_change_cursor
-        c17_circuit.set_size("g10", c17_circuit.gate("g10").size_index)
-        assert c17_circuit.size_changes_since(cursor) == []
-        c17_circuit.set_size("g10", 4)
-        c17_circuit.set_size("g11", 2)
-        assert c17_circuit.size_changes_since(cursor) == ["g10", "g11"]
-
-    def test_cursor_is_stable_snapshot(self, c17_circuit):
-        c17_circuit.set_size("g10", 3)
-        cursor = c17_circuit.size_change_cursor
-        c17_circuit.set_size("g11", 5)
-        assert c17_circuit.size_changes_since(cursor) == ["g11"]
-
-    def test_apply_sizes_logs_through_set_size(self, c17_circuit):
-        cursor = c17_circuit.size_change_cursor
-        sizes = c17_circuit.sizes()
-        sizes["g19"] = 6
-        c17_circuit.apply_sizes(sizes)
-        assert c17_circuit.size_changes_since(cursor) == ["g19"]
-
-    def test_negative_cursor_rejected(self, c17_circuit):
-        from repro.netlist.circuit import CircuitError
-
-        with pytest.raises(CircuitError):
-            c17_circuit.size_changes_since(-1)
-
     def test_structure_version_bumps_on_mutation(self):
         circuit = Circuit("v", primary_inputs=["a"], primary_outputs=["y"])
         v0 = circuit.structure_version
@@ -319,12 +308,42 @@ class TestPreviewProtocol:
         assert incremental.preview() is not None
         circuit.set_size("g11", 5)  # a resize the preview did not see
         assert not incremental.commit_preview()
-        # The log-driven path still converges to the right answer.
+        # The next analyze still retimes what differs and converges.
         assert_results_close(
             FULLSSTA(delay_model, variation_model).analyze(circuit),
             incremental.analyze(),
             circuit,
         )
+
+    def test_two_wrappers_keep_their_own_committed_sizes(self, delay_model, variation_model):
+        circuit = build_benchmark("c432")
+        engine = FULLSSTA(delay_model, variation_model)
+        first = IncrementalReanalysis(engine, circuit)
+        second = IncrementalReanalysis(engine, circuit)
+        first.analyze()
+        second.analyze()
+        rng = np.random.default_rng(22)
+        names = list(circuit.gates)
+        for _ in range(3):
+            for gate in rng.choice(names, size=3, replace=False):
+                circuit.set_size(str(gate), int(rng.integers(0, 7)))
+            assert_results_identical(first.analyze(), engine.analyze(circuit))
+            # second still holds the sizes before this round's resizes.
+            assert_results_identical(second.preview(), engine.analyze(circuit))
+            assert second.commit_preview()
+            trials = [(str(gate), int(rng.integers(0, 7))) for gate in rng.choice(names, size=4)]
+            for (gate, size), previewed in zip(trials, first.preview(trials), strict=True):
+                previous = circuit.gate(gate).size_index
+                circuit.set_size(gate, size)
+                assert_results_identical(previewed, engine.analyze(circuit))
+                circuit.set_size(gate, previous)
+            gate, size = trials[-1]
+            circuit.set_size(gate, size)
+            assert first.commit_preview(len(trials) - 1)
+            assert_results_identical(second.analyze(), engine.analyze(circuit))
+            retimed = first.gates_retimed
+            assert_results_identical(first.analyze(), engine.analyze(circuit))
+            assert first.gates_retimed == retimed
 
     def test_preview_without_prior_analysis_returns_none(self, delay_model, variation_model, c17_circuit):
         incremental = IncrementalReanalysis(

@@ -81,7 +81,7 @@ class _ProtocolLog:
         record = sizer_module.IterationRecord
 
         def end_of_pass(*args, **kwargs):
-            self.passes[-1].clean = self._reanalysis._dirty_gates() == set()
+            self.passes[-1].clean = self._reanalysis._dirty_gates().size == 0
             return record(*args, **kwargs)
 
         monkeypatch.setattr(sizer_module, "IterationRecord", end_of_pass)

@@ -7,21 +7,21 @@ absolute error (sampling noise at 4000 draws is ~0.008), output selection
 frequencies, and per-path frequencies on the exactly-tractable c17.
 """
 
+import numpy as np
 import pytest
 
+from repro.circuits.registry import build_benchmark
 from repro.core.fassta import FASSTA
 from repro.criticality.analysis import CriticalityAnalyzer
 from repro.criticality.mc import MonteCarloCriticality
 from repro.criticality.paths import extract_top_paths
-from repro.montecarlo.mc import MonteCarloTimer
+from repro.montecarlo.mc import MonteCarloTimer, output_slots
 from repro.netlist.circuit import Circuit
 
 
 @pytest.fixture(scope="module")
 def mc_setup(delay_model, variation_model):
     def build(name, samples=4000, k=5):
-        from repro.circuits.registry import build_benchmark
-
         circuit = build_benchmark(name)
         res = FASSTA(delay_model, variation_model).analyze(
             circuit
@@ -111,3 +111,22 @@ class TestMonteCarloAgreement:
             MonteCarloCriticality(delay_model, variation_model).run(
                 circuit, num_samples=100
             )
+
+
+class TestSharedSampler:
+    def test_criticality_backtraces_the_timers_draws(self, delay_model, variation_model):
+        circuit = build_benchmark("c432")
+        timer = MonteCarloTimer(delay_model, variation_model)
+        plan, arrivals = timer.sample(circuit, 300, seed=5)
+        assert arrivals.shape == (plan.num_nets + 1, 300)
+        assert np.all(arrivals[plan.num_nets] == -np.inf)  # the fanin sentinel
+        outputs = arrivals[output_slots(circuit, plan)]
+        samples = timer.run(circuit, num_samples=300, seed=5).samples
+        assert np.array_equal(samples, outputs.max(axis=0))
+        mc = MonteCarloCriticality(delay_model, variation_model).run(
+            circuit, num_samples=300, seed=5
+        )
+        slowest = outputs.argmax(axis=0)
+        assert mc.output_frequency == {
+            net: float(np.mean(slowest == i)) for i, net in enumerate(circuit.primary_outputs)
+        }

@@ -1,5 +1,6 @@
 """Unit tests for the Circuit DAG."""
 
+import numpy as np
 import pytest
 
 from repro.circuits.registry import build_benchmark, c17
@@ -257,16 +258,49 @@ class TestMutationsReachTheCaches:
         fresh = engine.analyze(circuit).output_rv
         assert (incremental.mean, incremental.sigma) == (fresh.mean, fresh.sigma)
 
-    def test_replaced_size_is_logged(self, delay_model, variation_model):
+    @pytest.mark.parametrize("resize", [
+        lambda circuit: circuit.set_size("g10", 3),
+        lambda circuit: circuit.apply_sizes({**circuit.sizes(), "g10": 3}),
+        lambda circuit: circuit.replace_gate(circuit.gate("g10").with_size(3)),
+    ], ids=["set_size", "apply_sizes", "replace_gate"])
+    def test_resize_writes_the_cached_ir_in_place(self, resize):
+        circuit = c17()
+        plan = circuit.compiled()
+        want = plan.size_index.copy()
+        want[plan.gate_index["g10"]] = 3
+        resize(circuit)
+        assert np.array_equal(plan.size_index, want)  # before any compiled() call
+        assert circuit.compiled() is plan
+
+    def test_resize_after_a_structural_edit_reaches_the_relowered_ir(self):
+        circuit = c17()
+        stale = circuit.compiled()
+        before = stale.size_index.copy()
+        circuit.add("extra", "INV", ["N22"], "n_extra")
+        circuit.set_size("g10", 3)
+        assert np.array_equal(stale.size_index, before)
+        plan = circuit.compiled()
+        assert plan is not stale
+        assert plan.size_index[plan.gate_index["g10"]] == 3
+
+    def test_direct_gate_write_is_invisible_to_the_ir(self):
+        # The documented contract: resizes go through set_size.
+        circuit = c17()
+        plan = circuit.compiled()
+        before = plan.size_index.copy()
+        circuit.gate("g10").size_index = 3
+        assert circuit.compiled() is plan
+        assert np.array_equal(plan.size_index, before)
+        assert ir_problems(plan, circuit) != []
+
+    def test_replaced_size_reaches_the_ir(self, delay_model, variation_model):
         circuit = c17()
         engine = FULLSSTA(delay_model, variation_model)
         reanalysis = IncrementalReanalysis(engine, circuit)
         reanalysis.analyze()
         version = circuit.structure_version
-        cursor = circuit.size_change_cursor
         circuit.replace_gate(circuit.gate("g10").with_size(3))
         assert circuit.structure_version == version
-        assert circuit.size_changes_since(cursor) == ["g10"]
         assert ir_problems(circuit.compiled(), circuit) == []
         incremental = reanalysis.analyze().output_rv
         fresh = engine.analyze(circuit).output_rv
