@@ -13,7 +13,9 @@ benchmark times the engines on real registry circuits:
   the reference) vs the levelized all-samples-at-once program.
 
 The MC comparison times the *propagation stage* on shared pre-drawn gate
-delays — the code the IR refactor actually rewrote; the Gaussian draws are
+delays, held in the gate-output rows of an arrival matrix as the production
+sampler holds them (there is no separate delay matrix) — the code the IR
+refactor actually rewrote; the Gaussian draws are
 bit-identical in both paths (same generator stream) and would otherwise
 dominate the wall clock and dilute the comparison.  The end-to-end run
 (draws + propagation) is reported alongside for transparency.  Propagation
@@ -60,7 +62,7 @@ from repro.core.fassta import FASSTA  # noqa: E402
 from repro.core.fullssta import FULLSSTA  # noqa: E402
 from repro.library.delay_model import LookupTableDelayModel  # noqa: E402
 from repro.library.synthetic90nm import make_synthetic_90nm_library  # noqa: E402
-from repro.ir.compiled import propagate_levelized  # noqa: E402
+from repro.ir.compiled import arrival_matrix, propagate_levelized  # noqa: E402
 from repro.montecarlo.mc import MonteCarloTimer  # noqa: E402
 from repro.obs import clock  # noqa: E402
 from repro.sta.dsta import DeterministicSTA  # noqa: E402
@@ -122,28 +124,30 @@ def _reference_mc_samples(timer, circuit, num_samples, seed):
 
 
 def _draw_gate_delays(timer, circuit, plan, num_samples, seed):
-    """Pre-draw the (num_gates, num_samples) delay matrix in IR gate order.
+    """Pre-draw every gate's delays into its output row of an arrival matrix.
 
-    Same generator stream as both propagation paths (draws in topological
-    order), so the propagation-stage comparison below starts from literally
-    the same numbers.
+    The :func:`arrival_matrix` that :func:`propagate_levelized` takes, with
+    gate ``g``'s samples in row ``num_pis + g``.  Same generator stream as
+    both propagation paths (draws in topological order), so the
+    propagation-stage comparison below starts from literally the same numbers.
     """
     rng = np.random.default_rng(seed)
     mu, sigma = timer.variation_model.delay_moments(circuit, timer.delay_model)
-    delay = np.empty((plan.num_gates, num_samples))
+    drawn = arrival_matrix(plan, num_samples)
     for name in circuit.topological_order():
         gid = plan.gate_index[name]
-        delay[gid] = rng.normal(mu[gid], sigma[gid], num_samples)
-    return delay
+        drawn[plan.num_pis + gid] = rng.normal(mu[gid], sigma[gid], num_samples)
+    return drawn
 
 
-def _pergate_propagation(circuit, plan, delay):
+def _pergate_propagation(circuit, plan, drawn):
     """The historical per-gate dict propagation over pre-drawn delays.
 
-    The exact propagation loop the levelized array program replaced, fed
-    from the shared delay matrix so only propagation is timed.
+    The exact propagation loop the levelized array program replaced, reading
+    each gate's delays from its row of the shared drawn matrix so only
+    propagation is timed.
     """
-    num_samples = delay.shape[1]
+    num_samples = drawn.shape[1]
     arrivals = {net: np.zeros(num_samples) for net in circuit.primary_inputs}
     for name in circuit.topological_order():
         gate = circuit.gate(name)
@@ -151,7 +155,7 @@ def _pergate_propagation(circuit, plan, delay):
         for net in gate.inputs:
             arr = arrivals.setdefault(net, np.zeros(num_samples))
             worst = arr if worst is None else np.maximum(worst, arr)
-        arrivals[gate.output] = worst + delay[plan.gate_index[name]]
+        arrivals[gate.output] = worst + drawn[plan.num_pis + plan.gate_index[name]]
     return np.stack([arrivals[net] for net in circuit.primary_outputs])
 
 
@@ -200,11 +204,12 @@ def bench_circuit(
     timer = MonteCarloTimer(delay_model, variation_model)
     plan = circuit.compiled()
 
-    # Propagation stage on a shared pre-drawn delay matrix: the per-gate
-    # dict loop vs the production levelized program, bit-identity asserted.
-    delay = _draw_gate_delays(timer, circuit, plan, mc_samples, seed=0)
-    t_s, ref_po = _best_of(lambda: _pergate_propagation(circuit, plan, delay), rounds)
-    t_v, arr = _best_of(lambda: propagate_levelized(plan, delay), rounds)
+    # Propagation stage on shared pre-drawn delays: the per-gate dict loop vs
+    # the production levelized program, bit-identity asserted.  The levelized
+    # program runs in place, so each round propagates a copy of the draws.
+    drawn = _draw_gate_delays(timer, circuit, plan, mc_samples, seed=0)
+    t_s, ref_po = _best_of(lambda: _pergate_propagation(circuit, plan, drawn), rounds)
+    t_v, arr = _best_of(lambda: propagate_levelized(plan, drawn.copy()), rounds)
     out_rows = [plan.net_index[net] for net in circuit.primary_outputs]
     identical = np.array_equal(arr[out_rows], ref_po)
     ok = ok and identical

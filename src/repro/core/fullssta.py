@@ -32,19 +32,23 @@ sweep with every gate dirty, from the empty state, so
 :meth:`FULLSSTA.analyze` is a fresh wrapper's first :meth:`analyze
 <IncrementalReanalysis.analyze>`.  Previews stack many one-resize trials
 into one sweep whose kernel rows are (trial, cone gate) pairs, each trial's
-changed rows kept in an overlay.  Because the fold is row-independent and
-untouched nets keep bitwise-identical rows, every incremental result equals
-a from-scratch :meth:`FULLSSTA.analyze` bit for bit — it is a pure
-wall-clock optimization, which is what makes nesting FULLSSTA inside a
-sizing loop affordable at scale.
+changed rows kept in an overlay.  A result's maps lay its trial's moved nets
+over copies of the committed ones, each built on first read, and its output
+max folds on from the committed running maxima before the first output the
+trial moved.  Because the fold is row-independent and untouched nets keep
+bitwise-identical rows, every incremental result equals a from-scratch
+:meth:`FULLSSTA.analyze` bit for bit — a pure wall-clock optimization, which
+is what makes nesting FULLSSTA inside a sizing loop affordable at scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, overload
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar, overload)
 
 import numpy as np
 
@@ -65,14 +69,19 @@ from repro.variation.model import VariationModel
 _Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: ``_sweep``'s arguments: trial count, each dirty row's trial and gate, their trial form.
 _Trials = Tuple[int, np.ndarray, np.ndarray, Trial]
+_V = TypeVar("_V")
 
 
 @dataclass
 class FullSstaResult:
-    """Per-node pdfs and moments produced by one FULLSSTA run."""
+    """Per-node pdfs and moments produced by one FULLSSTA run.
 
-    arrival_pdfs: Dict[str, DiscretePDF]
-    arrival_moments: Dict[str, NormalDelay]
+    The maps are read-only snapshots of the sizes the result was timed at;
+    an incremental result builds each net its delta moved on first read.
+    """
+
+    arrival_pdfs: Mapping[str, DiscretePDF]
+    arrival_moments: Mapping[str, NormalDelay]
     output_pdf: DiscretePDF
     output_rv: NormalDelay
 
@@ -92,16 +101,49 @@ class FullSstaResult:
         return self.output_rv.sigma
 
 
+def _normal(pdf: DiscretePDF) -> NormalDelay:
+    """``NormalDelay(pdf.mean(), pdf.std())`` bitwise, taking the mean once."""
+    mu = pdf.mean()
+    variance = float(np.dot((pdf.values - mu) ** 2, pdf.probabilities))
+    return NormalDelay(mu, math.sqrt(max(variance, 0.0)))
+
+
+def _pdf(values: np.ndarray, probs: np.ndarray, count: int) -> DiscretePDF:
+    """The pdf of one padded row."""
+    return DiscretePDF._from_canonical(values[:count].copy(), probs[:count].copy())
+
+
 def _moments(pdfs: Mapping[str, DiscretePDF]) -> Dict[str, NormalDelay]:
-    return {net: NormalDelay(pdf.mean(), pdf.std()) for net, pdf in pdfs.items()}
+    return {net: _normal(pdf) for net, pdf in pdfs.items()}
 
 
 def _pdfs(nets: Sequence[str], rows: _Rows) -> Dict[str, DiscretePDF]:
     """Per-net pdfs of padded ``rows``, one row per net."""
     return {
-        net: DiscretePDF._from_canonical(values[:n].copy(), probs[:n].copy())
+        net: _pdf(values, probs, n)
         for net, values, probs, n in zip(nets, rows[0], rows[1], rows[2].tolist(), strict=True)
     }
+
+
+class _Overlay(Mapping[str, _V]):
+    """A copy ``base`` of a committed map with a delta's ``moved`` nets laid over it.
+
+    The moved nets are keys of ``base``; each one's value is ``build(row)``,
+    made when it is first read.
+    """
+
+    def __init__(self, base: Dict[str, _V], moved: Dict[str, int], build: Callable[[int], _V]):
+        self._base, self._moved, self._build = base, moved, build
+
+    def __getitem__(self, net: str) -> _V:
+        row = self._moved.get(net)
+        return self._base[net] if row is None else self._build(row)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._base)
+
+    def __len__(self) -> int:
+        return len(self._base)
 
 
 def fold_rows(
@@ -208,10 +250,15 @@ class FULLSSTA:
     def _build_result(
         self,
         circuit: Circuit,
-        arrivals: Dict[str, DiscretePDF],
-        arrival_moments: Dict[str, NormalDelay],
+        arrivals: Mapping[str, DiscretePDF],
+        arrival_moments: Mapping[str, NormalDelay],
+        fold: Optional[List[DiscretePDF]] = None,
     ) -> FullSstaResult:
-        """Assemble a :class:`FullSstaResult` from propagated per-net state."""
+        """Assemble a :class:`FullSstaResult` from propagated per-net state.
+
+        ``fold``, the running maxima of the first few primary outputs (the loop
+        of :meth:`DiscretePDF.maximum_of`), is folded on to the last output in place.
+        """
         output_nets = circuit.primary_outputs
         if not output_nets:
             raise ValueError(f"circuit {circuit.name!r} has no outputs to time")
@@ -220,13 +267,15 @@ class FULLSSTA:
             raise KeyError(
                 f"unknown output net(s) {missing} in circuit {circuit.name!r}"
             )
-        output_pdfs = [arrivals[net] for net in output_nets]
-        output_pdf = DiscretePDF.maximum_of(output_pdfs, self.num_samples)
+        fold = [] if fold is None else fold
+        for net in output_nets[len(fold):]:
+            pdf = arrivals[net]
+            fold.append(fold[-1].maximum(pdf, self.num_samples) if fold else pdf)
         return FullSstaResult(
             arrival_pdfs=arrivals,
             arrival_moments=arrival_moments,
-            output_pdf=output_pdf,
-            output_rv=NormalDelay(output_pdf.mean(), output_pdf.std()),
+            output_pdf=fold[-1],
+            output_rv=_normal(fold[-1]),
         )
 
 
@@ -250,8 +299,10 @@ class IncrementalReanalysis:
     :meth:`preview` evaluates resizes *without* committing them: the ones
     the IR holds, or a stack of one-resize trials against the committed state.
     :meth:`commit_preview` folds one previewed trial in once the circuit
-    holds its sizes; a rejected trial costs nothing more.  The sizer times
-    every outer-loop state through this ``analyze`` / ``preview`` /
+    holds its sizes; a rejected trial costs nothing more.  Results are lazy
+    snapshots (:meth:`_result`) that reuse the committed output fold up to
+    the first primary output their delta moves.  The sizer times every
+    outer-loop state through this ``analyze`` / ``preview`` /
     ``commit_preview`` / ``stats`` protocol.  Every delta comes from one
     stacked sweep (:meth:`_sweep`); a full run is that sweep with every gate
     dirty, from the empty state (:meth:`_reset`), so results are bitwise
@@ -269,6 +320,7 @@ class IncrementalReanalysis:
         self._state: Optional[LevelizedState] = None
         self._arrival_moments: Dict[str, NormalDelay] = {}
         self._sizes = np.empty(0, dtype=np.intp)  # per gate id, the committed size
+        self._fold: List[DiscretePDF] = []  # committed running maxima of the outputs
         self._pending: Optional[List[_Delta]] = None
         # Diagnostics (cumulative over the wrapper's lifetime).
         self.full_runs = 0
@@ -424,16 +476,29 @@ class IncrementalReanalysis:
         )
         self._arrival_moments = _moments(pdfs)
         self._sizes = np.full(plan.num_gates, -1, dtype=np.intp)
+        self._fold = []
 
     def _result(self, delta: Optional["_Delta"] = None) -> FullSstaResult:
-        """The committed state, with ``delta`` laid over it, as a result."""
-        state = self._state
-        arrivals = dict(state.arrival_pdfs)
-        arrival_moments = dict(self._arrival_moments)
-        if delta is not None:
-            arrivals.update(delta.arrival_pdfs)
-            arrival_moments.update(delta.arrival_moments)
-        return self.engine._build_result(self.circuit, arrivals, arrival_moments)
+        """The committed state, with ``delta`` laid over it, as a result.
+
+        ``delta`` keeps its output fold, which starts as the committed one
+        cut at the first output ``delta`` moves.
+        """
+        pdfs, moments = dict(self._state.arrival_pdfs), dict(self._arrival_moments)
+        if delta is None:
+            return self.engine._build_result(self.circuit, pdfs, moments, self._fold)
+        delta.fold = self._fold[:self._first_moved_output(delta)]
+        return self.engine._build_result(
+            self.circuit,
+            _Overlay(pdfs, delta.index, delta.pdf),
+            _Overlay(moments, delta.index, delta.moment),
+            delta.fold,
+        )
+
+    def _first_moved_output(self, delta: "_Delta") -> int:
+        """Index of the first primary output ``delta`` moves (their count if none)."""
+        outputs = self.circuit.primary_outputs
+        return next((k for k, net in enumerate(outputs) if net in delta.index), len(outputs))
 
     def _results(self, deltas: List["_Delta"]) -> Iterator[FullSstaResult]:
         for delta in deltas:
@@ -539,12 +604,14 @@ class IncrementalReanalysis:
         return deltas, kernel_calls
 
     def _apply_delta(self, delta: "_Delta") -> None:
+        """Commit ``delta``; an unread one cuts the committed fold at its first moved output."""
         state = self._state
         state.store(delta.slots, delta.rows)
         state.delay_values[delta.gate_ids], state.delay_probs[delta.gate_ids] = delta.delay_rows
-        state.arrival_pdfs.update(delta.arrival_pdfs)
-        self._arrival_moments.update(delta.arrival_moments)
+        for net, row in delta.index.items():
+            state.arrival_pdfs[net], self._arrival_moments[net] = delta.pdf(row), delta.moment(row)
         self._sizes[delta.gate_ids] = delta.sizes
+        self._fold = delta.fold or self._fold[:self._first_moved_output(delta)]
 
 
 def _overlaid(
@@ -566,11 +633,21 @@ class _Delta:
     gate_ids: np.ndarray  # re-derived gates ...
     delay_rows: Tuple[np.ndarray, np.ndarray]  # ... their new delay rows ...
     sizes: np.ndarray  # ... and the sizes those were derived at
+    fold: Optional[List[DiscretePDF]] = None  # its result's output fold, once built
+    pdfs: Dict[int, DiscretePDF] = field(default_factory=dict)  # per row, once read
+    moments: Dict[int, NormalDelay] = field(default_factory=dict)
 
     @cached_property
-    def arrival_pdfs(self) -> Dict[str, DiscretePDF]:
-        return _pdfs([self.plan.net_names[slot] for slot in self.slots], self.rows)
+    def index(self) -> Dict[str, int]:
+        """Each moved net's row, in slot order."""
+        return {self.plan.net_names[slot]: row for row, slot in enumerate(self.slots.tolist())}
 
-    @cached_property
-    def arrival_moments(self) -> Dict[str, NormalDelay]:
-        return _moments(self.arrival_pdfs)
+    def pdf(self, row: int) -> DiscretePDF:
+        if row not in self.pdfs:
+            self.pdfs[row] = _pdf(self.rows[0][row], self.rows[1][row], int(self.rows[2][row]))
+        return self.pdfs[row]
+
+    def moment(self, row: int) -> NormalDelay:
+        if row not in self.moments:
+            self.moments[row] = _normal(self.pdf(row))
+        return self.moments[row]

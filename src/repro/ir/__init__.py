@@ -4,6 +4,6 @@ See :mod:`repro.ir.compiled` for the lowering; consumers get at it through
 :meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`.
 """
 
-from repro.ir.compiled import CompiledCircuit, lower_circuit, propagate_levelized
+from repro.ir.compiled import CompiledCircuit, arrival_matrix, lower_circuit, propagate_levelized
 
-__all__ = ["CompiledCircuit", "lower_circuit", "propagate_levelized"]
+__all__ = ["CompiledCircuit", "arrival_matrix", "lower_circuit", "propagate_levelized"]

@@ -29,9 +29,10 @@ that *every* consumer shares:
   ``num_nets``.  It is the one fanin layout: every levelized engine walks
   its ``level_offsets`` windows.  Engines that park ``-inf`` at the sentinel
   fold a whole level with a single gather + ``max`` reduction —
-  :func:`propagate_levelized`, the max-plus program DSTA (one delay column)
-  and the Monte-Carlo timers (one column per sample) share; FASSTA,
-  FULLSSTA and the criticality analyzer mask the sentinel columns instead.
+  :func:`propagate_levelized`, the max-plus program DSTA (one column) and
+  the Monte-Carlo timers (one column per sample) share, in place on gate
+  delays held in the gate-output rows; FASSTA, FULLSSTA and the criticality
+  analyzer mask the sentinel columns instead.
 * **per-gate arrays** — ``cell_type_ids`` (into the ``cell_types``
   vocabulary), ``size_index`` and ``fanin_counts``.  ``size_index`` is the
   only mutable array and the one copy of the sizes the engines time:
@@ -338,27 +339,35 @@ def lower_circuit(circuit: "Circuit") -> CompiledCircuit:
     )
 
 
-def propagate_levelized(plan: CompiledCircuit, delay: np.ndarray) -> np.ndarray:
-    """Max-plus arrival propagation over the IR, one column per scenario.
+def arrival_matrix(plan: CompiledCircuit, columns: int) -> NDArray[np.float64]:
+    """Zero ``(num_nets + 1, columns)`` arrivals in net-slot order, for :func:`propagate_levelized`.
 
-    ``delay`` is a ``(num_gates, columns)`` gate-delay matrix in IR gate
-    order.  Returns the ``(num_nets + 1, columns)`` arrival matrix whose
-    rows follow the IR net-slot layout; boundary slots (primary inputs and
-    floating gate inputs) hold zero, and the extra sentinel row holds
-    ``-inf`` so the padded fanin matrix folds without a validity mask
-    (``max(x, -inf) == x`` exactly).
+    The extra sentinel row holds ``-inf`` so the padded fanin matrix folds
+    without a validity mask (``max(x, -inf) == x`` exactly).
+    """
+    arr = np.zeros((plan.num_nets + 1, columns))
+    arr[plan.num_nets] = -np.inf
+    return arr
+
+
+def propagate_levelized(plan: CompiledCircuit, arr: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Max-plus arrival propagation over the IR, in place, one column per scenario.
+
+    ``arr`` is an :func:`arrival_matrix` whose gate-output rows (the block
+    ``[num_pis, num_pis + num_gates)`` in gate-id order) hold the gate
+    delays, so no separate delay matrix exists; each becomes its gate's
+    arrival, boundary slots (primary inputs and floating gate inputs) stay
+    zero, and ``arr`` is returned.
 
     Per logic level the program is one ``np.take`` gather per fanin column
     folded with in-place ``np.maximum`` into a preallocated scratch buffer,
-    then one ``np.add`` into the level's contiguous output-slot block.
+    then one ``np.add`` of that fold into the level's contiguous output rows.
     ``max`` and float addition are exact, so every column equals a
     gate-by-gate topological walk bit for bit.
     """
-    num_columns = delay.shape[1]
-    arr = np.zeros((plan.num_nets + 1, num_columns))
-    arr[plan.num_nets] = -np.inf
     if not plan.num_gates:
         return arr
+    num_columns = arr.shape[1]
     fanin = plan.fanin_matrix
     offsets = plan.level_offsets
     max_fanin = fanin.shape[1]
@@ -374,9 +383,9 @@ def propagate_levelized(plan: CompiledCircuit, delay: np.ndarray) -> np.ndarray:
             other = tmp[:width]
             np.take(arr, fanin[start:stop, col], axis=0, out=other)
             np.maximum(worst, other, out=worst)
-        out = plan.num_pis + start
-        np.add(worst, delay[start:stop], out=arr[out: out + width])
+        rows = arr[plan.num_pis + start: plan.num_pis + stop]
+        np.add(worst, rows, out=rows)
     return arr
 
 
-__all__: Tuple[str, ...] = ("CompiledCircuit", "lower_circuit", "propagate_levelized")
+__all__ = ("CompiledCircuit", "arrival_matrix", "lower_circuit", "propagate_levelized")

@@ -15,13 +15,14 @@ engines' independent ``max`` ignores.
 
 Propagation runs as a levelized array program over the circuit's compiled IR
 (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): one
-``(num_nets, num_samples)`` arrival matrix, one ``np.take`` gather plus one
-``np.maximum`` fold per input position per logic level — every sample
+``(num_nets + 1, num_samples)`` arrival matrix, one ``np.take`` gather plus
+one ``np.maximum`` fold per input position per logic level — every sample
 advances through a level at once instead of one gate at a time (see
 :func:`repro.ir.compiled.propagate_levelized`, the max-plus kernel
-deterministic STA runs with a single column).  Every gate's ``(mu, sigma)``
-comes from the packed delay stage in one call
-(:meth:`VariationModel.delay_moments
+deterministic STA runs with a single column).  Each gate's delay samples are
+drawn straight into its output row, which the fold is added into, so there
+is no gate-delay matrix.  Every gate's ``(mu, sigma)`` comes from the packed
+delay stage in one call (:meth:`VariationModel.delay_moments
 <repro.variation.model.VariationModel.delay_moments>`), the same pair the
 SSTA engines read.  Gate-delay *draws* stay in
 ``circuit.topological_order()`` order so the generator stream is
@@ -45,7 +46,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.ir.compiled import CompiledCircuit, propagate_levelized
+from repro.ir.compiled import CompiledCircuit, arrival_matrix, propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
@@ -174,13 +175,13 @@ class MonteCarloTimer:
         draw_ids = [plan.gate_index[name] for name in order]
         mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model)
 
-        # Pre-draw the gate-delay samples into a (num_gates, num_samples)
-        # matrix in IR gate order.  The draw loop itself stays in
-        # topological order: the generator stream is pinned bit-for-bit by
-        # the regression tests, so only the *storage* is array-native.
-        delay = np.empty((plan.num_gates, num_samples))
+        # Draw each gate's delay samples into its output row of the arrival
+        # matrix, which propagation adds the fold into.  The draw loop stays
+        # in topological order: the generator stream is pinned bit-for-bit
+        # by the regression tests, so only the *storage* is array-native.
+        arr = arrival_matrix(plan, num_samples)
         for gid, mean, sd in zip(
             draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
         ):
-            delay[gid] = rng.normal(mean, sd, num_samples)
-        return plan, propagate_levelized(plan, delay)
+            arr[plan.num_pis + gid] = rng.normal(mean, sd, num_samples)
+        return plan, propagate_levelized(plan, arr)

@@ -9,9 +9,9 @@ generalises into the WNSS path.
 
 The forward pass is the max-plus program of the circuit's compiled IR
 (:func:`repro.ir.compiled.propagate_levelized`, the kernel the Monte-Carlo
-timer runs with one column per sample) over a single delay column, the
-nominal delays of the packed delay stage
-(:meth:`BaseDelayModel.nominal_delays
+timer runs with one column per sample) over a single column whose
+gate-output rows start out holding the nominal delays of the packed delay
+stage (:meth:`BaseDelayModel.nominal_delays
 <repro.library.delay_model.BaseDelayModel.nominal_delays>`).  ``max`` over
 floats and float addition are exact, so the arrivals equal a gate-by-gate
 topological walk bit for bit.  :meth:`DeterministicSTA.max_delay` reads the
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ir.compiled import CompiledCircuit, propagate_levelized
+from repro.ir.compiled import CompiledCircuit, arrival_matrix, propagate_levelized
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
@@ -72,7 +72,9 @@ class DeterministicSTA:
         METRICS.counter("dsta.runs")
         plan = circuit.compiled()
         delay = self.delay_model.nominal_delays(circuit)
-        return plan, delay, propagate_levelized(plan, delay[:, None])[: plan.num_nets, 0]
+        arr = arrival_matrix(plan, 1)
+        arr[plan.gate_output_slot, 0] = delay
+        return plan, delay, propagate_levelized(plan, arr)[: plan.num_nets, 0]
 
     def arrival_times(self, circuit: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
         """Forward propagation.

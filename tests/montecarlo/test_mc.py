@@ -1,5 +1,7 @@
 """Unit tests for the Monte-Carlo golden model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,21 @@ class TestLevelizedVectorization:
             result = timer.run(circuit, num_samples=200, seed=1)
             assert np.array_equal(result.samples, reference)
 
+
+class TestPeakMemory:
+    def test_sample_keeps_no_gate_delay_matrix(self, timer):
+        """Each gate's draws go straight into its arrival row.
+
+        A separate ``(num_gates, num_samples)`` delay matrix would add about
+        0.9x the arrival matrix on this circuit (a 2.2x peak in all).
+        """
+        from repro.circuits.registry import build_benchmark
+
+        circuit = build_benchmark("gen:depth=10,width=50,seed=17")
+        tracemalloc.start()
+        try:
+            _, arr = timer.sample(circuit, 4000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * arr.nbytes
