@@ -14,7 +14,7 @@ greedy critical-path sizing template the paper cites (Coudert 1997, Fishburn
 1. run deterministic STA, find the WNS critical path;
 2. for each gate on the path, evaluate every size by the resulting critical
    path delay through its two-level subcircuit (nominal delays only);
-3. commit the best size per gate, repeat until no improvement;
+3. commit the best sizes if they help, else the single resizes that do; repeat;
 4. recover area: downsize gates off the critical path as long as the
    circuit's worst delay does not degrade beyond a tolerance.
 
@@ -24,7 +24,9 @@ in its ``lambda = 0``, zero-variation configuration: one batched evaluation
 of all targets per pass, with the same memoized extraction, exact decision
 memo and best-size rule, so the two optimizers are directly comparable.
 The pass's one nominal STA run picks the targets and supplies their
-zero-sigma boundary moments.  The settings are class constants; the
+zero-sigma boundary moments.  Step 3 is the statistical sizer's
+:func:`~repro.core.sizer.resize_scheduled_gates` on nominal STA, a DSTA
+column per single resize.  The settings are class constants; the
 constructor takes only the delay model.  Every STA run reads the packed
 delay stage (:meth:`BaseDelayModel.nominal_delays
 <repro.library.delay_model.BaseDelayModel.nominal_delays>`); only the area
@@ -35,11 +37,12 @@ a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
 from repro.core.rv import NormalDelay
+from repro.core.sizer import resize_scheduled_gates
 from repro.core.subcircuit import DEFAULT_DEPTH
 
 # Extraction goes through CostEvaluator; the name stays importable here
@@ -69,6 +72,30 @@ class BaselineResult:
         if self.initial_delay == 0:
             return 0.0
         return 100.0 * (self.initial_delay - self.final_delay) / self.initial_delay
+
+
+def _beats(min_gain: float) -> Callable[[float, float], bool]:
+    """``better(new, best)``: ``new`` is more than ``min_gain`` below ``best``."""
+    return lambda new, best: new < best - min_gain
+
+
+class _NominalTimer:
+    """Nominal STA behind the ``IncrementalReanalysis`` protocol; a result is
+    the worst delay.  Nothing is cached, so a commit has nothing to fold in;
+    ``preview(trials)`` is one DSTA run with a column per trial.
+    """
+
+    def __init__(self, dsta: DeterministicSTA, circuit: Circuit) -> None:
+        self.dsta, self.circuit = dsta, circuit
+
+    def analyze(self) -> float:
+        return self.dsta.max_delay(self.circuit)
+
+    def preview(self, trials: Optional[Sequence[Tuple[str, int]]] = None):
+        return self.analyze() if trials is None else self.dsta.max_delays(self.circuit, trials)
+
+    def commit_preview(self, index: int = 0) -> bool:
+        return True
 
 
 class MeanDelaySizer:
@@ -110,6 +137,7 @@ class MeanDelaySizer:
         initial_delay = self.dsta.max_delay(circuit)
         initial_area = self.delay_model.circuit_area(circuit)
 
+        timer = _NominalTimer(self.dsta, circuit)
         best_delay = initial_delay
         best_sizes = circuit.sizes()
         passes = 0
@@ -121,43 +149,16 @@ class MeanDelaySizer:
             scheduled = self._schedule_path_resizes(circuit, targets, report.arrival)
             if not scheduled:
                 break
-            undo = {name: circuit.gate(name).size_index for name in scheduled}
-            for name, size in scheduled.items():
-                circuit.set_size(name, size)
-            new_delay = self.dsta.max_delay(circuit)
-            min_gain = self.MIN_GAIN * max(best_delay, 1.0)
-            if best_delay - new_delay <= min_gain:
-                # Bulk commit did not help (resizes interact through shared
-                # loads): revert its gates, retry the scheduled resizes one
-                # at a time and keep only those that improve the worst delay.
-                for name, size in undo.items():
-                    circuit.set_size(name, size)
-                improved = False
-                for name, size in scheduled.items():
-                    previous = circuit.gate(name).size_index
-                    circuit.set_size(name, size)
-                    trial = self.dsta.max_delay(circuit)
-                    if trial < best_delay - min_gain:
-                        best_delay = trial
-                        best_sizes = circuit.sizes()
-                        improved = True
-                    else:
-                        circuit.set_size(name, previous)
-                if improved:
-                    stall = 0
-                    continue
-                # Nothing helps individually either: keep the bulk pass so the
-                # changed loads can unlock progress, bounded by the patience
-                # counter; the best configuration is restored at the end.
-                for name, size in scheduled.items():
-                    circuit.set_size(name, size)
-                stall += 1
-                if stall >= self.PATIENCE:
-                    break
+            kept, delay, _ = resize_scheduled_gates(
+                timer, circuit, scheduled, best_delay,
+                lambda worst: worst, _beats(self.MIN_GAIN * max(best_delay, 1.0)),
+            )
+            if kept:
+                best_delay, best_sizes, stall = delay, circuit.sizes(), 0
                 continue
-            best_delay = new_delay
-            best_sizes = circuit.sizes()
-            stall = 0
+            stall += 1  # nothing helped: the pass is kept anyway, under the patience counter
+            if stall >= self.PATIENCE:
+                break
 
         circuit.apply_sizes(best_sizes)
         best_delay = self._recover_area(circuit, best_delay)

@@ -24,7 +24,8 @@ of the from-scratch engines, so the optimization trajectory is the same):
   :class:`~repro.core.fullssta.IncrementalReanalysis`: a pass's bulk resize
   and its fallback trials (many per stacked preview) are previewed against
   the committed state, which holds the circuit's sizes between passes, and
-  only the states kept are committed;
+  only the states kept are committed (:func:`resize_scheduled_gates`, the
+  accept/reject schedule the mean-delay baseline runs on nominal STA);
 * the inner loop is one :meth:`CostEvaluator.best_sizes
   <repro.core.cost.CostEvaluator.best_sizes>` call per pass, shared with
   the mean-delay baseline: memoized subcircuit extraction, an exact
@@ -39,7 +40,8 @@ of the from-scratch engines, so the optimization trajectory is the same):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.cost import CostComponents, CostEvaluator, WeightedCost, YieldObjective
 from repro.core.fassta import FASSTA
@@ -51,6 +53,9 @@ from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, clock, span
 from repro.variation.model import VariationModel
+
+_Result = TypeVar("_Result")
+_Score = TypeVar("_Score")
 
 
 @dataclass
@@ -248,6 +253,12 @@ class StatisticalGreedySizer:
         current_full = initial_full
         stall = 0
 
+        def fits() -> bool:
+            """True when the circuit respects the optional area constraint."""
+            if area_limit is None:
+                return True
+            return self.delay_model.circuit_area(circuit) <= area_limit * (1.0 + 1e-12)
+
         for iteration in range(config.max_iterations):
             # Constraint check ("until constraints met").
             if (
@@ -290,70 +301,32 @@ class StatisticalGreedySizer:
                 converged = True
                 break
 
-            # "Resize scheduled gates" — preview the whole pass; commit it if kept.
-            undo = {name: circuit.gate(name).size_index for name in scheduled}
-            for gate_name, size_index in scheduled.items():
-                circuit.set_size(gate_name, size_index)
-
-            new_full = reanalysis.preview()
-            assert new_full is not None  # no structural edit happens inside a pass
-            new_objective = self.cost.of(new_full.output_rv)
-            new_components = self._objective_components(circuit, new_full)
-
-            bulk_improved = new_components.better_than(
-                best_components
-            ) and self._area_ok(circuit, area_limit)
-            if bulk_improved:
-                committed = reanalysis.commit_preview()
-                assert committed, "the circuit holds the previewed sizes"
-            else:
-                # Bulk pass did not help (individually good moves can
-                # interact through shared loads, or blow the area budget).
-                # Revert its gates to the committed state and retry them one
-                # at a time, keeping only those that improve the objective.
-                for gate_name, size_index in undo.items():
-                    circuit.set_size(gate_name, size_index)
-                accepted, accepted_full, accepted_components = self._commit_incrementally(
-                    circuit, scheduled, best_components, reanalysis, area_limit
-                )
-                if accepted_full is not None:
-                    scheduled = accepted
-                    new_full = accepted_full
-                    new_components = accepted_components
-                    new_objective = self.cost.of(new_full.output_rv)
-                else:
-                    # Nothing helps individually either: keep the bulk pass
-                    # (the changed loads may unlock progress next pass) and
-                    # let the patience counter decide when to give up.  The
-                    # bulk preview (new_full) is its analysis; commit it so
-                    # the next pass starts from the circuit's sizes.
-                    for gate_name, size_index in scheduled.items():
-                        circuit.set_size(gate_name, size_index)
-                    reanalysis.analyze()
+            # "Resize scheduled gates", with the one-at-a-time fallback.
+            kept, current_full, new_components = resize_scheduled_gates(
+                reanalysis, circuit, scheduled, best_components,
+                partial(self._objective_components, circuit), CostComponents.better_than, fits,
+            )
 
             # The pass is accepted even when it does not beat the best-seen
             # objective (later passes can recover through the new loads); the
             # best configuration is tracked and restored at the end, and the
             # loop stops after ``patience`` passes without a new best.
-            current_full = new_full
             iterations.append(
                 IterationRecord(
                     index=iteration,
-                    objective=new_objective,
-                    mean=new_full.output_rv.mean,
-                    sigma=new_full.output_rv.sigma,
+                    objective=self.cost.of(current_full.output_rv),
+                    mean=current_full.output_rv.mean,
+                    sigma=current_full.output_rv.sigma,
                     area=self.delay_model.circuit_area(circuit),
                     wnss_length=wnss_length,
-                    resized_gates=dict(scheduled),
+                    resized_gates=kept or scheduled,
                 )
             )
 
-            if new_components.better_than(best_components) and self._area_ok(
-                circuit, area_limit
-            ):
+            if new_components.better_than(best_components) and fits():
                 best_components = new_components
                 best_sizes = circuit.sizes()
-                best_full = new_full
+                best_full = current_full
                 stall = 0
             else:
                 stall += 1
@@ -424,62 +397,68 @@ class StatisticalGreedySizer:
         )
         return CostComponents(worst=worst, total=total)
 
-    # ------------------------------------------------------------------
-    def _area_ok(self, circuit: Circuit, area_limit: Optional[float]) -> bool:
-        """True when the circuit respects the optional area constraint."""
-        if area_limit is None:
-            return True
-        return self.delay_model.circuit_area(circuit) <= area_limit * (1.0 + 1e-12)
 
-    # ------------------------------------------------------------------
-    def _commit_incrementally(
-        self,
-        circuit: Circuit,
-        scheduled: Dict[str, int],
-        best_components: CostComponents,
-        reanalysis: IncrementalReanalysis,
-        area_limit: Optional[float],
-    ) -> "tuple[Dict[str, int], Optional[FullSstaResult], CostComponents]":
-        """Apply scheduled resizes one at a time, keeping only improving ones.
+def resize_scheduled_gates(
+    timer: Any,
+    circuit: Circuit,
+    scheduled: Dict[str, int],
+    best: _Score,
+    score: Callable[[_Result], _Score],
+    better: Callable[[_Score, _Score], bool],
+    fits: Callable[[], bool] = lambda: True,
+) -> Tuple[Dict[str, int], _Result, _Score]:
+    """Fig. 2's "Resize scheduled gates" with its fallback, for both sizers.
 
-        Fallback used when the bulk pass does not improve the global
-        objective; returns the accepted resizes and the FULLSSTA result
-        (``None`` when nothing is kept) / objective components of the
-        resulting circuit.  The circuit holds the committed state of
-        ``reanalysis``; trials are previewed against it in galloping stacks
-        of 1, 2, 4, ... (one stacked preview each: an exponential search for
-        the first improving trial), and each accepted trial is committed,
-        restarting at 1.  Every trial up to and including the accepted one
-        sees the state a resize / preview / keep-or-revert loop in schedule
-        order shows it, so the decisions are that loop's.
-        """
-        trials = list(scheduled.items())
-        accepted: Dict[str, int] = {}
-        components = best_components
-        full_result: Optional[FullSstaResult] = None
-        start, stack_size = 0, 1
-        while start < len(trials):
-            stack = trials[start:start + stack_size]
-            previews = reanalysis.preview(stack)
-            # Only a structural edit makes preview() return None, and none
-            # happens inside a pass.
-            assert previews is not None
-            start, stack_size = start + len(stack), 2 * stack_size
-            for index, trial_full in enumerate(previews):
-                gate_name, size_index = stack[index]
-                trial_components = self._objective_components(circuit, trial_full)
-                if not trial_components.better_than(components):
-                    continue
-                previous = circuit.gate(gate_name).size_index
-                circuit.set_size(gate_name, size_index)
-                if not self._area_ok(circuit, area_limit):
-                    circuit.set_size(gate_name, previous)
-                    continue
-                committed = reanalysis.commit_preview(index)
-                assert committed, "the circuit holds the previewed trial"
-                accepted[gate_name] = size_index
-                components = trial_components
-                full_result = trial_full
-                start, stack_size = start - len(stack) + index + 1, 1
-                break
-        return accepted, full_result, components
+    ``timer`` speaks :class:`~repro.core.fullssta.IncrementalReanalysis`'s
+    ``analyze`` / ``preview`` / ``commit_preview`` protocol, committed at the
+    circuit's sizes.  The schedule is kept when ``better(score(result),
+    best)`` and ``fits()`` (on the circuit as it stands).  Otherwise (resizes
+    interact through shared loads) it is reverted and previewed in galloping
+    stacks of 1, 2, 4, ... trials: the first trial better than the last kept
+    one that fits is kept, and the next stack starts after it at size 1, so
+    the decisions are a one-at-a-time loop's.  If no trial is kept, the
+    schedule is kept anyway (its loads may unlock the next pass) and
+    committed with ``analyze()``.
+
+    Returns the resizes kept for beating ``best`` (empty when the schedule
+    was kept anyway) and the result and score of the circuit's new sizes.
+    """
+    undo = {name: circuit.gate(name).size_index for name in scheduled}
+    circuit.apply_sizes(scheduled)
+    bulk = timer.preview()
+    assert bulk is not None  # no structural edit happens inside a pass
+    bulk_score = score(bulk)
+    if better(bulk_score, best) and fits():
+        committed = timer.commit_preview()
+        assert committed, "the circuit holds the previewed sizes"
+        return dict(scheduled), bulk, bulk_score
+    circuit.apply_sizes(undo)
+
+    trials = list(scheduled.items())
+    kept: Dict[str, int] = {}
+    start, stack_size = 0, 1
+    while start < len(trials):
+        stack = trials[start:start + stack_size]
+        previews = timer.preview(stack)
+        assert previews is not None
+        start, stack_size = start + len(stack), 2 * stack_size
+        for index, trial_result in enumerate(previews):
+            trial_score = score(trial_result)
+            if not better(trial_score, best):
+                continue
+            name, size = stack[index]
+            circuit.set_size(name, size)
+            if not fits():
+                circuit.set_size(name, undo[name])
+                continue
+            committed = timer.commit_preview(index)
+            assert committed, "the circuit holds the previewed trial"
+            kept[name] = size
+            result, best = trial_result, trial_score
+            start, stack_size = start - len(stack) + index + 1, 1
+            break
+    if not kept:
+        circuit.apply_sizes(scheduled)
+        timer.analyze()
+        result, best = bulk, bulk_score
+    return kept, result, best

@@ -29,10 +29,10 @@ that *every* consumer shares:
   ``num_nets``.  It is the one fanin layout: every levelized engine walks
   its ``level_offsets`` windows.  Engines that park ``-inf`` at the sentinel
   fold a whole level with a single gather + ``max`` reduction —
-  :func:`propagate_levelized`, the max-plus program DSTA (one column) and
-  the Monte-Carlo timers (one column per sample) share, in place on gate
-  delays held in the gate-output rows; FASSTA, FULLSSTA and the criticality
-  analyzer mask the sentinel columns instead.
+  :func:`propagate_levelized`, the max-plus program DSTA (one column, or
+  one per resize trial) and the Monte-Carlo timers (one column per sample)
+  share, in place on gate delays held in the gate-output rows; FASSTA,
+  FULLSSTA and the criticality analyzer mask the sentinel columns instead.
 * **per-gate arrays** — ``cell_type_ids`` (into the ``cell_types``
   vocabulary), ``size_index`` and ``fanin_counts``.  ``size_index`` is the
   only mutable array and the one copy of the sizes the engines time:
@@ -359,7 +359,7 @@ def propagate_levelized(plan: CompiledCircuit, arr: NDArray[np.float64]) -> NDAr
     arrival, boundary slots (primary inputs and floating gate inputs) stay
     zero, and ``arr`` is returned.
 
-    Per logic level the program is one ``np.take`` gather per fanin column
+    Per logic level the program is one ``arr.take`` gather per fanin column
     folded with in-place ``np.maximum`` into a preallocated scratch buffer,
     then one ``np.add`` of that fold into the level's contiguous output rows.
     ``max`` and float addition are exact, so every column equals a
@@ -378,10 +378,10 @@ def propagate_levelized(plan: CompiledCircuit, arr: NDArray[np.float64]) -> NDAr
         start, stop = offsets[li], offsets[li + 1]
         width = stop - start
         worst = acc[:width]
-        np.take(arr, fanin[start:stop, 0], axis=0, out=worst)
+        arr.take(fanin[start:stop, 0], axis=0, out=worst)
         for col in range(1, max_fanin):
             other = tmp[:width]
-            np.take(arr, fanin[start:stop, col], axis=0, out=other)
+            arr.take(fanin[start:stop, col], axis=0, out=other)
             np.maximum(worst, other, out=worst)
         rows = arr[plan.num_pis + start: plan.num_pis + stop]
         np.add(worst, rows, out=rows)

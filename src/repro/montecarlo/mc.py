@@ -15,13 +15,13 @@ engines' independent ``max`` ignores.
 
 Propagation runs as a levelized array program over the circuit's compiled IR
 (:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): one
-``(num_nets + 1, num_samples)`` arrival matrix, one ``np.take`` gather plus
-one ``np.maximum`` fold per input position per logic level — every sample
-advances through a level at once instead of one gate at a time (see
+``(num_nets + 1, num_samples)`` arrival matrix, one ``ndarray.take`` gather
+plus one ``np.maximum`` fold per input position per logic level — every
+sample advances through a level at once instead of one gate at a time (see
 :func:`repro.ir.compiled.propagate_levelized`, the max-plus kernel
-deterministic STA runs with a single column).  Each gate's delay samples are
-drawn straight into its output row, which the fold is added into, so there
-is no gate-delay matrix.  Every gate's ``(mu, sigma)`` comes from the packed
+deterministic STA runs too).  Each gate's delay samples are drawn straight
+into its output row, which the fold is added into, so there is no
+gate-delay matrix.  Every gate's ``(mu, sigma)`` comes from the packed
 delay stage in one call (:meth:`VariationModel.delay_moments
 <repro.variation.model.VariationModel.delay_moments>`), the same pair the
 SSTA engines read.  Gate-delay *draws* stay in

@@ -16,12 +16,15 @@ stage (:meth:`BaseDelayModel.nominal_delays
 floats and float addition are exact, so the arrivals equal a gate-by-gate
 topological walk bit for bit.  :meth:`DeterministicSTA.max_delay` reads the
 primary-output maximum straight from the arrival array.
+:meth:`DeterministicSTA.max_delays` times resize trials in one run, a column
+each, whose retimed rows (:meth:`CompiledCircuit.resize_rows
+<repro.ir.compiled.CompiledCircuit.resize_rows>`) come from the stage's trial form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,14 +70,23 @@ class DeterministicSTA:
         self.delay_model = delay_model
 
     # ------------------------------------------------------------------
-    def _propagate(self, circuit: Circuit) -> Tuple[CompiledCircuit, np.ndarray, np.ndarray]:
-        """``(plan, gate delays, arrival per net slot)``; boundary slots hold 0."""
+    def _propagate(
+        self, circuit: Circuit, trials: Optional[Sequence[Tuple[str, int]]] = None
+    ) -> Tuple[CompiledCircuit, np.ndarray, np.ndarray]:
+        """``(plan, gate delays, arrivals per net slot and trial)``; boundary slots hold 0."""
         METRICS.counter("dsta.runs")
         plan = circuit.compiled()
         delay = self.delay_model.nominal_delays(circuit)
-        arr = arrival_matrix(plan, 1)
-        arr[plan.gate_output_slot, 0] = delay
-        return plan, delay, propagate_levelized(plan, arr)[: plan.num_nets, 0]
+        arr = arrival_matrix(plan, 1 if trials is None else len(trials))
+        arr[plan.gate_output_slot] = delay[:, None]
+        if trials:
+            gate = np.array([plan.gate_index[name] for name, _ in trials], dtype=np.intp)
+            size = np.array([size for _, size in trials], dtype=np.intp)
+            column, rows = plan.resize_rows(gate)
+            arr[plan.gate_output_slot[rows], column] = self.delay_model.nominal_delays(
+                circuit, rows, (gate[column], size[column])
+            )
+        return plan, delay, propagate_levelized(plan, arr)[: plan.num_nets]
 
     def arrival_times(self, circuit: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
         """Forward propagation.
@@ -87,7 +99,7 @@ class DeterministicSTA:
         with span("dsta.arrival_times") as sp:
             plan, delay, arr = self._propagate(circuit)
             timed = plan.num_pis + plan.num_gates
-            arrival = dict(zip(plan.net_names[:timed], arr[:timed].tolist(), strict=True))
+            arrival = dict(zip(plan.net_names[:timed], arr[:timed, 0].tolist(), strict=True))
             gate_delays = dict(zip(plan.gate_names, delay.tolist(), strict=True))
             sp.set(gates=plan.num_gates)
         return arrival, gate_delays
@@ -168,8 +180,15 @@ class DeterministicSTA:
 
         An output net no gate drives or reads arrives at 0.
         """
+        return self.max_delays(circuit)[0]
+
+    def max_delays(
+        self, circuit: Circuit, trials: Optional[Sequence[Tuple[str, int]]] = None
+    ) -> List[float]:
+        """:meth:`max_delay` at the circuit's sizes, or per ``(gate, size)``
+        trial: bitwise ``set_size`` + :meth:`max_delay` + revert, all in one run."""
         if not circuit.primary_outputs:
             raise ValueError(f"circuit {circuit.name!r} has no primary outputs")
-        plan, _, arr = self._propagate(circuit)
+        plan, _, arr = self._propagate(circuit, trials)
         outputs = arr[plan.output_mask]
-        return float(outputs.max()) if outputs.size else 0.0
+        return outputs.max(axis=0).tolist() if len(outputs) else [0.0] * arr.shape[1]

@@ -10,6 +10,7 @@ sizes.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from itertools import pairwise
 
@@ -25,6 +26,7 @@ os.environ.setdefault("REPRO_VERIFY_IR", "1")
 from repro.circuits.registry import c17
 from repro.circuits.adders import ripple_carry_adder
 from repro.circuits.alu import alu
+from repro.core.baseline import MeanDelaySizer
 from repro.core.discrete_pdf import batched_from_normal
 from repro.core.fullssta import _moments, _pdfs, fold_rows
 from repro.library.delay_model import LinearRCDelayModel, LookupTableDelayModel
@@ -203,3 +205,60 @@ def from_scratch_sizer():
             yield
 
     return from_scratch
+
+
+def _one_at_a_time(fallbacks, timer, circuit, scheduled, best, *_):
+    """The mean-delay baseline's pass acceptance, one ``max_delay`` per trial.
+
+    Keeps the bulk resize when it gains more than ``min_gain``; otherwise
+    reverts it and tries each resize in schedule order, keeping those that
+    beat the best delay by more than ``min_gain``; otherwise keeps the bulk
+    resize anyway.  ``timer.analyze()`` is a fresh ``max_delay`` of the
+    circuit as it stands.  Appends ``(trials, kept positions)`` per fallback.
+    """
+    undo = {name: circuit.gate(name).size_index for name in scheduled}
+    for name, size in scheduled.items():
+        circuit.set_size(name, size)
+    new_delay = timer.analyze()
+    min_gain = MeanDelaySizer.MIN_GAIN * max(best, 1.0)
+    if best - new_delay > min_gain:
+        return dict(scheduled), new_delay, new_delay
+    for name, size in undo.items():
+        circuit.set_size(name, size)
+    kept, positions = {}, []
+    for position, (name, size) in enumerate(scheduled.items()):
+        circuit.set_size(name, size)
+        trial = timer.analyze()
+        if trial < best - min_gain:
+            best, kept[name] = trial, size
+            positions.append(position)
+        else:
+            circuit.set_size(name, undo[name])
+    fallbacks.append((len(scheduled), positions))
+    if kept:
+        return kept, best, best
+    for name, size in scheduled.items():
+        circuit.set_size(name, size)
+    return kept, new_delay, new_delay
+
+
+@pytest.fixture
+def one_at_a_time_baseline():
+    """Context manager: inside it, ``MeanDelaySizer`` accepts each pass with
+    the one-at-a-time loop (a fresh ``max_delay`` per trial) instead of
+    ``resize_scheduled_gates``; it yields the list of fallbacks it ran.
+
+    The reference the baseline's galloping trial columns are pinned against.
+    """
+
+    @contextlib.contextmanager
+    def one_at_a_time():
+        fallbacks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.core.baseline.resize_scheduled_gates",
+                functools.partial(_one_at_a_time, fallbacks),
+            )
+            yield fallbacks
+
+    return one_at_a_time

@@ -14,6 +14,7 @@ import pytest
 
 from repro.circuits.registry import build_benchmark
 from repro.core import fullssta
+from repro.core import sizer as sizer_module
 from repro.core.baseline import MeanDelaySizer
 from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
@@ -77,16 +78,17 @@ def _fallbacks(name, delay_model, variation_model, monkeypatch):
     if name == "c432":
         MeanDelaySizer(delay_model).optimize(circuit)
     passes = []
-    fallback = StatisticalGreedySizer._commit_incrementally
+    accept = sizer_module.resize_scheduled_gates
 
-    def spy(self, circuit, scheduled, *args):
-        start = circuit.sizes()
-        outcome = fallback(self, circuit, scheduled, *args)
-        trials = list(scheduled.items())
-        passes.append((start, trials, [trials.index(t) for t in outcome[0].items()]))
+    def spy(reanalysis, circuit, scheduled, *args):
+        start, batches = circuit.sizes(), reanalysis.preview_batches
+        outcome = accept(reanalysis, circuit, scheduled, *args)
+        if reanalysis.preview_batches - batches > 1:  # the bulk resize was rejected
+            trials = list(scheduled.items())
+            passes.append((start, trials, [trials.index(t) for t in outcome[0].items()]))
         return outcome
 
-    monkeypatch.setattr(StatisticalGreedySizer, "_commit_incrementally", spy)
+    monkeypatch.setattr(sizer_module, "resize_scheduled_gates", spy)
     config = SizerConfig(lam=3.0, max_iterations=4)
     return StatisticalGreedySizer(delay_model, variation_model, config).optimize(circuit), passes
 

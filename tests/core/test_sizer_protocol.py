@@ -1,5 +1,6 @@
 """Each sizing state is timed once.
 
+Both sizers accept a pass through ``resize_scheduled_gates``.
 ``StatisticalGreedySizer`` previews every pass's bulk resize with the
 no-argument ``IncrementalReanalysis.preview()`` and commits it only when it
 is kept.  A rejected bulk pass reverts its gates, which leaves the circuit
@@ -8,7 +9,8 @@ state directly.  Only a fallback that keeps nothing calls ``analyze()``,
 to commit the bulk sizes the pass keeps anyway.  So between passes the
 cache holds exactly the circuit's sizes.  ``MeanDelaySizer`` runs one
 deterministic STA per pass, whose report supplies both the near-critical
-targets and the candidate sweep's boundary arrivals.
+targets and the candidate sweep's boundary arrivals, and its fallback
+times each galloping stack in one DSTA run, a column per trial.
 """
 
 from dataclasses import dataclass
@@ -46,8 +48,8 @@ class _ProtocolLog:
     def __init__(self, monkeypatch):
         self.passes: List[_Pass] = [_Pass()]
         self.commits: List[bool] = []
-        self.fallback_analyses = 0
-        self._in_fallback = False
+        self.previews_after_analyze = 0  # previews a pass makes after its analyze()
+        self._stacks = 0  # stacked previews of the running pass acceptance
         self._reanalysis: Optional[IncrementalReanalysis] = None
 
         def after(owner, name, record):
@@ -65,18 +67,16 @@ class _ProtocolLog:
         after(IncrementalReanalysis, "commit_preview", self._commit)
         after(CostEvaluator, "best_sizes", lambda *_, result: self.passes.append(_Pass()))
 
-        fallback = StatisticalGreedySizer._commit_incrementally
+        accept = sizer_module.resize_scheduled_gates
 
-        def spy_fallback(sizer, *args):
-            self._in_fallback = True
-            try:
-                outcome = fallback(sizer, *args)
-            finally:
-                self._in_fallback = False
-            self.passes[-1].kept = len(outcome[0])
+        def spy_accept(*args):
+            self._stacks = 0
+            outcome = accept(*args)
+            if self._stacks:  # the bulk resize was rejected and the fallback ran
+                self.passes[-1].kept = len(outcome[0])
             return outcome
 
-        monkeypatch.setattr(StatisticalGreedySizer, "_commit_incrementally", spy_fallback)
+        monkeypatch.setattr(sizer_module, "resize_scheduled_gates", spy_accept)
 
         record = sizer_module.IterationRecord
 
@@ -89,11 +89,13 @@ class _ProtocolLog:
     def _analyze(self, reanalysis, result):
         self._reanalysis = reanalysis
         self.passes[-1].analyses += 1
-        self.fallback_analyses += self._in_fallback
 
     def _preview(self, reanalysis, trials=None, *, result):
+        self.previews_after_analyze += self.passes[-1].analyses
         if trials is None:
             self.passes[-1].previews += 1
+        else:
+            self._stacks += 1
 
     def _commit(self, reanalysis, index=0, *, result):
         self.commits.append(result)
@@ -146,10 +148,10 @@ class TestStatisticalSizerTimesEachStateOnce:
         assert len(completed) == len(result.iterations)
         assert [p.kept for p in completed if p.kept is not None] == kept
         # One analysis before the first pass, then only the commit of a
-        # bulk pass whose fallback kept nothing; never one in the fallback.
+        # bulk pass whose fallback kept nothing, after its last preview.
         assert (before.analyses, before.previews) == (1, 0)
         assert [p.analyses for p in completed] == [int(p.kept == 0) for p in completed]
-        assert log.fallback_analyses == 0
+        assert log.previews_after_analyze == 0
         # One bulk preview per pass; every commit lands, and each pass ends
         # with the cache holding the circuit's sizes.
         assert [p.previews for p in completed] == [1] * len(completed)
@@ -184,3 +186,54 @@ class TestBaselineRunsOneStaPerPass:
         assert result.passes >= 2
         assert len(calls) >= result.passes
         assert all(calls)
+
+
+def _galloping_stacks(num_trials, kept):
+    """Stacks a galloping walk over ``num_trials`` previews when it keeps the
+    trials at positions ``kept``: 1, 2, 4, ... trials, back to 1 after a keep."""
+    stacks, start, size = 0, 0, 1
+    while start < num_trials:
+        stacks += 1
+        stop = min(start + size, num_trials)
+        hit = min(set(kept) & set(range(start, stop)), default=None)
+        start, size = (stop, 2 * size) if hit is None else (hit + 1, 1)
+    return stacks
+
+
+#: (circuit, baseline fallbacks, trials they time one at a time, trials they keep).
+BASELINE_CASES = [("c432", 9, 126, 20), ("c1908", 12, 374, 15)]
+
+
+class TestBaselineFallbackSweepsOncePerStack:
+    """``MeanDelaySizer`` accepts its passes through ``resize_scheduled_gates``:
+    its fallback times each galloping stack in one DSTA run, a column per
+    trial, and keeps exactly what the one-at-a-time loop keeps."""
+
+    @pytest.mark.parametrize("name, fallbacks, trials, kept", BASELINE_CASES)
+    def test_same_decisions_one_sweep_per_stack(
+        self, name, fallbacks, trials, kept, delay_model, monkeypatch, one_at_a_time_baseline
+    ):
+        with one_at_a_time_baseline() as reference_fallbacks:
+            reference = MeanDelaySizer(delay_model).optimize(build_benchmark(name))
+        assert len(reference_fallbacks) == fallbacks
+        assert sum(n for n, _ in reference_fallbacks) == trials
+        assert sum(len(positions) for _, positions in reference_fallbacks) == kept
+
+        columns = []  # per DSTA run: its trial count, or None at the circuit's sizes
+        propagate = DeterministicSTA._propagate
+
+        def spy(dsta, circuit, trials=None):
+            columns.append(None if trials is None else len(trials))
+            return propagate(dsta, circuit, trials)
+
+        monkeypatch.setattr(DeterministicSTA, "_propagate", spy)
+        result = MeanDelaySizer(delay_model).optimize(build_benchmark(name))
+        monkeypatch.undo()
+
+        # Bitwise the one-at-a-time loop's decisions.
+        assert result.circuit.sizes() == reference.circuit.sizes()
+        assert (result.passes, result.final_delay) == (reference.passes, reference.final_delay)
+        # One run per galloping stack, not one per trial.
+        stacks = [n for n in columns if n is not None]
+        assert len(stacks) == sum(_galloping_stacks(n, p) for n, p in reference_fallbacks)
+        assert len(stacks) < trials <= sum(stacks)

@@ -140,3 +140,72 @@ class TestCriticalPath:
 
     def test_critical_path_shortcut(self, dsta, c17_circuit):
         assert dsta.critical_path(c17_circuit) == dsta.analyze(c17_circuit).critical_path
+
+
+def _other_size(circuit, name, library):
+    """A size of ``name`` different from its current one."""
+    size = circuit.gate(name).size_index
+    return (size + 3) % library.num_sizes(circuit.gate(name).cell_type)
+
+
+def _one_by_one(dsta, circuit, trials):
+    """Each trial as ``set_size -> max_delay -> set_size(previous)``."""
+    delays = []
+    for name, size in trials:
+        previous = circuit.gate(name).size_index
+        circuit.set_size(name, size)
+        delays.append(dsta.max_delay(circuit))
+        circuit.set_size(name, previous)
+    return delays
+
+
+class TestTrialColumns:
+    """``max_delays(circuit, trials)`` times each trial in its own column of
+    one run; every column must equal the trial set, timed and reverted."""
+
+    @pytest.mark.parametrize("name", ["c17", "c432", "alu2", "c1355"])
+    def test_every_gate_at_another_size(self, dsta, library, name):
+        circuit = c17() if name == "c17" else build_benchmark(name)
+        trials = [(gate, _other_size(circuit, gate, library)) for gate in circuit.gates]
+        sizes = circuit.sizes()
+        delays = dsta.max_delays(circuit, trials)
+        assert circuit.sizes() == sizes  # no trial size is written into a gate
+        assert delays == _one_by_one(dsta, circuit, trials)
+
+    @pytest.mark.parametrize("name", ["c17", "c432", "alu2", "c1355"])
+    def test_output_noop_shared_driver_and_driven_trials(self, dsta, library, name):
+        circuit = c17() if name == "c17" else build_benchmark(name)
+        at_output = circuit.driver_of(circuit.primary_outputs[0]).name
+        driver, first, second = next(
+            (gate.name, *readers)
+            for gate in circuit
+            for readers in [list(dict.fromkeys(g.name for g in circuit.fanout_gates(gate.name)))]
+            if len(readers) >= 2
+        )[:3]
+        trials = [
+            (at_output, _other_size(circuit, at_output, library)),
+            (first, circuit.gate(first).size_index),  # a no-op trial
+            (first, _other_size(circuit, first, library)),  # shares a driver with second
+            (second, _other_size(circuit, second, library)),
+            (driver, _other_size(circuit, driver, library)),  # drives first and second
+        ]
+        delays = dsta.max_delays(circuit, trials)
+        assert delays == _one_by_one(dsta, circuit, trials)
+        assert delays[1] == dsta.max_delay(circuit)
+
+    def test_floating_input_and_input_wired_to_output(self, dsta, library):
+        from repro.netlist.circuit import Circuit
+
+        circuit = Circuit("f", primary_inputs=["a", "b"], primary_outputs=["y", "b"])
+        circuit.add("g", "NAND2", ["a", "ghost"], "n")
+        circuit.add("h", "INV", ["n"], "y")
+        trials = [
+            (name, size)
+            for name in ("g", "h")
+            for size in range(library.num_sizes(circuit.gate(name).cell_type))
+        ]
+        assert dsta.max_delays(circuit, trials) == _one_by_one(dsta, circuit, trials)
+
+    def test_empty_trial_list(self, dsta, c17_circuit):
+        assert dsta.max_delays(c17_circuit, []) == []
+        assert dsta.max_delays(c17_circuit) == [dsta.max_delay(c17_circuit)]
