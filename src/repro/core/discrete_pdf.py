@@ -13,6 +13,16 @@ needs only two operations:
 
 :class:`DiscretePDF` implements both with numpy outer products, plus the
 statistics (mean, variance, quantiles, cdf) the experiments report.
+
+Both kinds of op, scalar and row-batched (:func:`batched_combine`), end
+in the same two steps: canonicalize (sort, merge equal values, normalize)
+and, over budget, compact (re-bin onto equispaced bins centred on their
+conditional means).  Each kernel is a short run of whole-array numpy
+calls, pinned bitwise to a plainer reference in
+``tests/core/test_discrete_pdf.py``.  The scalar sort is numpy's default
+kind, whose order among equal values, and so the last bits of a merged
+probability, follows the SIMD sort numpy dispatches to on the host CPU;
+the batched kernel sorts stably.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class DiscretePDF:
             raise ValueError("a discrete pdf needs at least one sample")
         if np.any(probs < -1e-12):
             raise ValueError("probabilities must be non-negative")
-        self.values, self.probabilities = _canonicalize(vals, probs)
+        self.values, self.probabilities = _canonicalize(vals, np.clip(probs, 0.0, None))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -188,12 +198,7 @@ class DiscretePDF:
             raise ValueError("num_samples must be >= 1")
         if self.values.size <= num_samples:
             return self
-        lo, hi = self.support()
-        if lo == hi:
-            return DiscretePDF.point(lo)
-        return DiscretePDF._from_canonical(
-            *_canonicalize(*_rebin(self.values, self.probabilities, lo, hi, num_samples))
-        )
+        return _rebinned(self.values, self.probabilities, num_samples)
 
     # ------------------------------------------------------------------
     # Propagation operations
@@ -201,9 +206,7 @@ class DiscretePDF:
     def add(self, other: "DiscretePDF", num_samples: int = DEFAULT_SAMPLES) -> "DiscretePDF":
         """Sum of two independent random variables (discrete convolution)."""
         METRICS.counter("discrete_pdf.add")
-        values = np.add.outer(self.values, other.values).ravel()
-        probs = np.multiply.outer(self.probabilities, other.probabilities).ravel()
-        return DiscretePDF._from_canonical(*_canonicalize(values, probs)).compact(num_samples)
+        return _combined(np.add, self, other, num_samples)
 
     def shift(self, offset: float) -> "DiscretePDF":
         """Add a deterministic offset to every sample."""
@@ -212,9 +215,7 @@ class DiscretePDF:
     def maximum(self, other: "DiscretePDF", num_samples: int = DEFAULT_SAMPLES) -> "DiscretePDF":
         """Max of two independent random variables (pairwise max reduction)."""
         METRICS.counter("discrete_pdf.maximum")
-        values = np.maximum.outer(self.values, other.values).ravel()
-        probs = np.multiply.outer(self.probabilities, other.probabilities).ravel()
-        return DiscretePDF._from_canonical(*_canonicalize(values, probs)).compact(num_samples)
+        return _combined(np.maximum, self, other, num_samples)
 
     @staticmethod
     def maximum_of(pdfs: Sequence["DiscretePDF"], num_samples: int = DEFAULT_SAMPLES) -> "DiscretePDF":
@@ -239,44 +240,73 @@ class DiscretePDF:
 
 
 def _canonicalize(values: np.ndarray, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted unique values with clipped, normalized, merged probabilities.
+    """Sorted unique values with normalized, merged non-negative probabilities.
 
     The canonical form every :class:`DiscretePDF` holds.  Equal neighbours
     after the sort are merged with a diff mask and their probabilities added
     in sorted order from 0.0 (``np.bincount``): the groups and the addition
     order of ``np.unique`` plus ``np.add.at``, so the result is bitwise
-    theirs at a fraction of the cost.
+    theirs at a fraction of the cost.  The sort is numpy's default kind,
+    whose order among equal values decides that addition order.
     """
-    probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0:
         raise ValueError("probabilities must not all be zero")
-    probs = probs / total
-    order = np.argsort(values)
+    order = values.argsort()
     values = values[order]
     fresh = np.empty(values.size, dtype=bool)
     fresh[0] = True
     np.not_equal(values[1:], values[:-1], out=fresh[1:])
-    return values[fresh], np.bincount(np.cumsum(fresh) - 1, weights=probs[order])
+    # Group g of the sorted values is bin g + 1; bin 0 stays empty.
+    return values[fresh], np.bincount(fresh.cumsum(), weights=probs[order] / total)[1:]
 
 
-def _rebin(
-    values: np.ndarray, probs: np.ndarray, lo: float, hi: float, num_samples: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``num_samples`` equispaced bins over ``[lo, hi]``: the occupied bins'
-    conditional-mean centres and masses, in bin order.
+def _combined(pair: np.ufunc, a: DiscretePDF, b: DiscretePDF, num_samples: int) -> DiscretePDF:
+    """``pair`` over every pair of samples of ``a`` and ``b``, canonical and
+    compacted to ``num_samples``.  The products of canonical probabilities
+    are non-negative, so they need no clip.
+    """
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    values, probs = _canonicalize(
+        pair.outer(a.values, b.values).ravel(),
+        np.multiply.outer(a.probabilities, b.probabilities).ravel(),
+    )
+    if values.size <= num_samples:
+        return DiscretePDF._from_canonical(values, probs)
+    return _rebinned(values, probs, num_samples)
+
+
+def _rebinned(values: np.ndarray, probs: np.ndarray, num_samples: int) -> DiscretePDF:
+    """Sorted ``values`` re-binned onto ``num_samples`` equispaced bins over
+    their support: the occupied bins' conditional-mean centres and masses.
 
     Re-centring each occupied bin on its conditional mean rather than the
-    geometric centre preserves the mean exactly.
+    geometric centre preserves the mean exactly.  The edges are
+    ``np.linspace``'s own arithmetic and a value's bin is ``np.digitize``'s
+    search clipped into range, so the bins are theirs bit for bit.  The
+    centres of a sorted pdf ascend, unless a conditional mean rounds past
+    a neighbour's; only then do they need the sort and merge.
     """
-    edges = np.linspace(lo, hi, num_samples + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    idx = np.clip(np.digitize(values, edges) - 1, 0, num_samples - 1)
-    masses = np.bincount(idx, weights=probs, minlength=num_samples)
-    sums = np.bincount(idx, weights=probs * values, minlength=num_samples)
+    lo, hi = float(values[0]), float(values[-1])
+    if lo == hi:
+        return DiscretePDF.point(lo)
+    step = (hi - lo) / num_samples
+    if step == 0:  # linspace's branch for a step that underflows
+        edges = np.arange(num_samples + 1.0) / num_samples * (hi - lo) + lo
+    else:
+        edges = np.arange(num_samples + 1.0) * step + lo
+    edges[-1] = hi
+    # digitize(v, edges) - 1 is the count of edges[1:] at or below v.
+    idx = np.minimum(edges[1:].searchsorted(values, side="right"), num_samples - 1)
+    masses = np.bincount(idx, weights=probs)
+    sums = np.bincount(idx, weights=probs * values)
     occupied = masses > 0
-    centers[occupied] = sums[occupied] / masses[occupied]
-    return centers[occupied], masses[occupied]
+    masses = masses[occupied]
+    centers = sums[occupied] / masses
+    if (centers[1:] > centers[:-1]).all():
+        return DiscretePDF._from_canonical(centers, masses / masses.sum())
+    return DiscretePDF._from_canonical(*_canonicalize(centers, masses))
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +323,9 @@ def _rebin(
 # the merge.  A batched row therefore has the sample count of the scalar
 # ``add``/``maximum``/``compact`` result, with values and probabilities
 # within a few ulps of it: summing padded rows and the stable sort order
-# the floating-point additions differently.
-
-
-def _pad_rows(values: np.ndarray, probabilities: np.ndarray, counts: np.ndarray) -> None:
-    """In place, overwrite each row's trailing columns with its last sample."""
-    num_rows, width = values.shape
-    hi = values.reshape(-1)[np.arange(num_rows) * width + counts - 1]
-    pad = np.arange(width)[None, :] >= counts[:, None]
-    np.copyto(values, hi[:, None], where=pad)
-    probabilities[pad] = 0.0
+# the floating-point additions differently.  (Where two conditional means
+# round to the same centre, the scalar result merges them and the batched
+# row keeps both.)
 
 
 def batched_from_normal(
@@ -388,83 +411,77 @@ def _canonicalize_and_compact_rows(
     Mirrors the scalar pipeline: normalize, sort, merge duplicate values,
     and re-bin rows whose unique count exceeds the sample budget onto
     equispaced bins re-centred on their conditional means.  Gathers and
-    scatters go through flat indices.
+    scatters go through flat indices, into rows allocated at their final
+    width with the pads already in place.
     """
     num_rows, width = values.shape
     probs = probs / probs.sum(axis=1, keepdims=True)
     row_ids = np.arange(num_rows)[:, None]
-    order = (np.argsort(values, axis=1, kind="stable") + row_ids * width).ravel()
+    order = (values.argsort(axis=1, kind="stable") + row_ids * width).ravel()
     values = values.reshape(-1)[order].reshape(num_rows, width)
     probs = probs.reshape(-1)[order]
 
-    # Merge duplicate values (the constructor's unique/add.at step) by flat group.
-    fresh = np.ones((num_rows, width), dtype=bool)
-    fresh[:, 1:] = values[:, 1:] != values[:, :-1]
-    group = np.cumsum(fresh, axis=1)
+    # Merge duplicate values (the constructor's unique/add.at step) by flat
+    # group; a row's pads repeat its largest value.
+    fresh = np.empty((num_rows, width), dtype=bool)
+    fresh[:, 0] = True
+    np.not_equal(values[:, 1:], values[:, :-1], out=fresh[:, 1:])
+    group = fresh.cumsum(axis=1)
     counts = group[:, -1].copy()
-    merged_width = int(counts.max())
-    group += row_ids * merged_width - 1
+    merged_width = max(int(counts.max()), num_samples)
+    flat_group = (group + (row_ids * merged_width - 1)).ravel()
     merged_probs = np.bincount(
-        group.ravel(), weights=probs, minlength=num_rows * merged_width
+        flat_group, weights=probs, minlength=num_rows * merged_width
     ).reshape(num_rows, merged_width)
-    merged_values = np.zeros(num_rows * merged_width)
-    merged_values[group.ravel()] = values.ravel()
+    merged_values = np.repeat(values[:, -1], merged_width)
+    merged_values[flat_group] = values.ravel()
     merged_values = merged_values.reshape(num_rows, merged_width)
-    _pad_rows(merged_values, merged_probs, counts)
-    del values, probs, order, fresh, group  # free the sort phase's rows
-
-    if merged_width <= num_samples:
-        if merged_width < num_samples:
-            # Callers scatter fixed-width rows; grow to the full budget.
-            pad_cols = num_samples - merged_width
-            merged_values = np.concatenate(
-                [merged_values, np.repeat(merged_values[:, -1:], pad_cols, axis=1)],
-                axis=1,
-            )
-            merged_probs = np.concatenate(
-                [merged_probs, np.zeros((num_rows, pad_cols))], axis=1
-            )
+    del values, probs, order, fresh, group, flat_group  # free the sort phase's rows
+    if merged_width == num_samples:
         return merged_values, merged_probs, counts
 
-    # Re-bin rows over budget; computed for every row, selected per row.
+    # Re-bin rows over budget; computed for every row, selected per row.  A
+    # row over budget spans more than num_samples distinct values, so its
+    # step is at least the smallest subnormal; rows within budget may get
+    # any positive step, as their bins are never read.
     lo = merged_values[:, :1]
-    hi = merged_values[:, -1:]
-    span = np.where(hi > lo, hi - lo, 1.0)
-    edges = lo + np.arange(num_samples + 1) * (span / num_samples)
-    edges[:, -1:] = hi
-    # np.digitize(v, edges) - 1 clipped into range, row-wise.  Every value
-    # lies at or above the first edge, and on a row over budget (hi > lo)
-    # every interior edge lies at or below hi, so counting the interior
-    # edges at or below a value is that clipped index.
-    bin_idx = np.zeros((num_rows, merged_width), dtype=np.int16)
-    for k in range(1, num_samples):
-        bin_idx += merged_values >= edges[:, k: k + 1]
-    flat_bins = (row_ids * num_samples + bin_idx).ravel()
-    minlength = num_rows * num_samples
-    masses = np.bincount(
-        flat_bins, weights=merged_probs.ravel(), minlength=minlength
-    ).reshape(num_rows, num_samples)
-    sums = np.bincount(
-        flat_bins, weights=(merged_probs * merged_values).ravel(), minlength=minlength
-    ).reshape(num_rows, num_samples)
+    step = np.maximum((merged_values[:, -1:] - lo) / num_samples, 5e-324)
+    edges = lo + np.arange(num_samples + 1) * step
+    edges[:, -1] = np.inf
+    # A value's bin counts the interior edges at or below it (np.digitize
+    # clipped into range).  Its offset in the steps the edges are built from
+    # is off by at most one, so one compare against each neighbouring edge
+    # (the last one +inf) corrects it.  Bin k of row r is flat bin
+    # r * (num_samples + 1) + k; the last one stays empty.
+    estimate = ((merged_values - lo) / step).astype(np.intp)
+    np.minimum(estimate, num_samples - 1, out=estimate)
+    at = (estimate + row_ids * (num_samples + 1)).ravel()
+    flat_values, flat_edges = merged_values.ravel(), edges.ravel()
+    flat_bins = at - (flat_values < flat_edges[at]) + (flat_values >= flat_edges[at + 1])
+    minlength = num_rows * (num_samples + 1)
+    masses = np.bincount(flat_bins, weights=merged_probs.ravel(), minlength=minlength)
+    sums = np.bincount(flat_bins, weights=merged_probs.ravel() * flat_values, minlength=minlength)
     occupied = masses > 0
-    centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    centers = np.where(occupied, sums / np.where(occupied, masses, 1.0), centers)
+    masses = masses[occupied]
+    centers = sums[occupied] / masses
 
-    # Left-compact the occupied bins by their running count and renormalize
-    # (the constructor pass at the end of the scalar compact()).
-    slots = (np.cumsum(occupied, axis=1) - 1 + row_ids * num_samples)[occupied]
-    binned_values = np.zeros(minlength)
-    binned_values[slots] = centers[occupied]
-    binned_probs = np.zeros(minlength)
-    binned_probs[slots] = masses[occupied]
+    # Left-compact the occupied bins by their running count, pad each row
+    # with its last centre and renormalize (the constructor pass at the end
+    # of the scalar compact()).
+    running = occupied.reshape(num_rows, num_samples + 1).cumsum(axis=1)
+    binned_counts = running[:, -1]
+    slots = (running + (row_ids * num_samples - 1)).ravel()[occupied]
+    binned_values = np.repeat(centers[binned_counts.cumsum() - 1], num_samples)
+    binned_values[slots] = centers
+    binned_probs = np.zeros(num_rows * num_samples)
+    binned_probs[slots] = masses
     binned_values = binned_values.reshape(num_rows, num_samples)
     binned_probs = binned_probs.reshape(num_rows, num_samples)
-    binned_counts = occupied.sum(axis=1)
     binned_probs /= binned_probs.sum(axis=1, keepdims=True)
-    _pad_rows(binned_values, binned_probs, binned_counts)
 
     over_budget = counts > num_samples
+    if over_budget.all():
+        return binned_values, binned_probs, binned_counts
     out_values = np.where(over_budget[:, None], binned_values, merged_values[:, :num_samples])
     out_probs = np.where(over_budget[:, None], binned_probs, merged_probs[:, :num_samples])
     out_counts = np.where(over_budget, binned_counts, counts)

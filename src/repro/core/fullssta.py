@@ -322,6 +322,7 @@ class IncrementalReanalysis:
         self._sizes = np.empty(0, dtype=np.intp)  # per gate id, the committed size
         self._fold: List[DiscretePDF] = []  # committed running maxima of the outputs
         self._pending: Optional[List[_Delta]] = None
+        self._bulk: Optional[_Delta] = None  # the last no-argument preview's, until a commit
         # Diagnostics (cumulative over the wrapper's lifetime).
         self.full_runs = 0
         self.incremental_runs = 0
@@ -346,9 +347,13 @@ class IncrementalReanalysis:
         """Full-circuit FULLSSTA result, reusing cached rows where possible.
 
         With no committed state, or after a structural edit, the run resets
-        to the empty state and sweeps with every gate dirty.
+        to the empty state and sweeps with every gate dirty.  When the
+        circuit holds the sizes of the last no-argument :meth:`preview`, and
+        nothing was committed since, that preview's delta is committed
+        without a sweep.
         """
         self._pending = None
+        bulk, self._bulk = self._bulk, None
         dirty = self._dirty_gates()
         if dirty is None:
             self.full_runs += 1
@@ -363,7 +368,9 @@ class IncrementalReanalysis:
 
         self.incremental_runs += 1
         METRICS.counter("incremental.runs")
-        if dirty.size:
+        if bulk is not None and self._holds(bulk):
+            self._apply_delta(bulk)
+        elif dirty.size:
             (delta,), _ = self._sweep(*self._as_trial(dirty))
             self._apply_delta(delta)
         return self._result()
@@ -386,7 +393,8 @@ class IncrementalReanalysis:
 
         ``trials`` are ``(gate name, size)`` resizes, each timed on its own
         against the committed state, which the circuit must hold (call
-        :meth:`analyze` first); no size is written into a gate.  The kernel
+        :meth:`analyze` first); no size is written into a gate, and the last
+        no-argument preview stays held for :meth:`analyze`.  The kernel
         runs in this call, and the returned iterator builds each trial's
         result when it reaches it, so an unread trial costs only its kernel
         rows.  Keep trial ``j`` by setting its size and ``commit_preview(j)``.
@@ -407,6 +415,8 @@ class IncrementalReanalysis:
         METRICS.counter("incremental.preview_runs", len(deltas))
         METRICS.counter("incremental.preview_batches")
         self._pending = deltas
+        if trials is None:
+            self._bulk = deltas[0]
         return self._result(deltas[0]) if trials is None else self._results(deltas)
 
     def commit_preview(self, index: int = 0) -> bool:
@@ -612,6 +622,7 @@ class IncrementalReanalysis:
             state.arrival_pdfs[net], self._arrival_moments[net] = delta.pdf(row), delta.moment(row)
         self._sizes[delta.gate_ids] = delta.sizes
         self._fold = delta.fold or self._fold[:self._first_moved_output(delta)]
+        self._bulk = None
 
 
 def _overlaid(

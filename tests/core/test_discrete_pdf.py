@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.discrete_pdf import DEFAULT_SAMPLES, DiscretePDF, batched_combine
+from repro.core.discrete_pdf import (
+    DEFAULT_SAMPLES,
+    DiscretePDF,
+    batched_combine,
+    batched_from_normal,
+)
 
 
 class TestConstruction:
@@ -240,11 +245,11 @@ def reference_combine(a, b, op, num_samples=DEFAULT_SAMPLES):
     return reference_canonical(centers[occupied], masses[occupied])
 
 
-def _random_pdf(rng):
-    """Widths 1-13; some point pdfs, some supports with ties."""
+def _random_pdf(rng, max_width=DEFAULT_SAMPLES):
+    """Widths 1 to ``max_width``; some point pdfs, some supports with ties."""
     if rng.random() < 0.05:
         return DiscretePDF.point(float(rng.normal(100.0, 20.0)))
-    width = int(rng.integers(1, 14))
+    width = int(rng.integers(1, max_width + 1))
     values = rng.normal(100.0, 20.0, width)
     if rng.random() < 0.2:
         values = np.round(values / 5.0) * 5.0
@@ -430,3 +435,187 @@ class TestBatchedKernel:
                 and np.array_equal(probs[0, :n], scalar.probabilities)
             )
         assert differs  # the comparison above is not vacuously bitwise
+
+
+# ----------------------------------------------------------------------
+# Edge cases of both kernels against the oracles above
+# ----------------------------------------------------------------------
+BUDGETS = [3, 10, 15, 64, 100]
+
+
+def reference_compact(values, probs, num_samples):
+    """``compact`` of sorted ``values`` as ``np.linspace`` and ``np.digitize``
+    bin them; for pdfs whose values repeat, which no op ever makes."""
+    edges = np.linspace(values[0], values[-1], num_samples + 1)
+    idx = np.clip(np.digitize(values, edges) - 1, 0, num_samples - 1)
+    masses = np.zeros(num_samples)
+    np.add.at(masses, idx, probs)
+    sums = np.zeros(num_samples)
+    np.add.at(sums, idx, probs * values)
+    occupied = masses > 0
+    return reference_canonical(sums[occupied] / masses[occupied], masses[occupied])
+
+
+def _pairs(a_values, a_probs, b_values, b_probs, op):
+    """The pair rows ``batched_combine`` canonicalizes and compacts."""
+    num_rows = a_values.shape[0]
+    pair = np.add if op == "add" else np.maximum
+    values = pair(a_values[:, :, None], b_values[:, None, :]).reshape(num_rows, -1)
+    return values, (a_probs[:, :, None] * b_probs[:, None, :]).reshape(num_rows, -1)
+
+
+def _unique_counts(values):
+    return 1 + (np.diff(np.sort(values, axis=1), axis=1) != 0).sum(axis=1)
+
+
+def assert_rows_match_reference(a_values, a_probs, b_values, b_probs, op, num_samples):
+    """``batched_combine`` equals ``reference_rows`` bitwise; returns the
+    rows' unique pair counts."""
+    got = batched_combine(a_values, a_probs, b_values, b_probs, op, num_samples)
+    pairs, pair_probs = _pairs(a_values, a_probs, b_values, b_probs, op)
+    for got_part, expected_part in zip(
+        got, reference_rows(pairs, pair_probs, num_samples), strict=True
+    ):
+        assert got_part.dtype == expected_part.dtype
+        assert np.array_equal(got_part, expected_part)
+    return _unique_counts(pairs)
+
+
+def assert_op_matches_reference(a, b, op, num_samples):
+    got = a.add(b, num_samples) if op == "add" else a.maximum(b, num_samples)
+    values, probs = reference_combine(a, b, op, num_samples)
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(got.probabilities, probs)
+    return got
+
+
+class TestKernelEdgeCases:
+    @pytest.mark.parametrize("num_samples", BUDGETS)
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_scalar_ops_at_every_budget(self, op, num_samples):
+        rng = np.random.default_rng(num_samples)
+        pair = np.add if op == "add" else np.maximum
+        width = max(DEFAULT_SAMPLES, num_samples)
+        compacted = 0
+        for _ in range(300):
+            a, b = _random_pdf(rng, width), _random_pdf(rng, width)
+            got = assert_op_matches_reference(a, b, op, num_samples)
+            compacted += np.unique(pair.outer(a.values, b.values)).size > num_samples
+        assert compacted
+
+    @pytest.mark.parametrize("num_samples", BUDGETS)
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_batched_rows_at_every_budget(self, op, num_samples):
+        rng = np.random.default_rng(100 + num_samples)
+        width = max(DEFAULT_SAMPLES, num_samples)
+        over = under = 0
+        for _ in range(20):
+            num_rows = int(rng.integers(1, 20))
+            a_values, a_probs = _random_rows(rng, num_rows, width)
+            b_values, b_probs = _random_rows(rng, num_rows, width)
+            unique = assert_rows_match_reference(
+                a_values, a_probs, b_values, b_probs, op, num_samples
+            )
+            over += int((unique > num_samples).sum())
+            under += int((unique <= num_samples).sum())
+        assert over and under
+
+    def test_a_step_that_underflows(self):
+        # Scalar: only a pdf whose values repeat spans fewer subnormal steps
+        # than it has samples, so linspace's step underflows to zero.
+        values = np.repeat([0.0, 5e-324], [9, 8])
+        probs = np.linspace(1.0, 2.0, values.size)
+        pdf = DiscretePDF._from_canonical(values, probs)
+        expected = reference_compact(values, probs, 13)
+        assert (values[-1] - values[0]) / 13 == 0.0
+        assert np.array_equal(pdf.compact(13).values, expected[0])
+        assert np.array_equal(pdf.compact(13).probabilities, expected[1])
+        # Batched: a row within budget whose step underflows, among rows over it.
+        rng = np.random.default_rng(5)
+        a_values, a_probs = _random_rows(rng, 6)
+        b_values, b_probs = _random_rows(rng, 6)
+        a_values[0], a_probs[0] = 0.0, 0.0
+        a_values[0, 1:], a_probs[0, :2] = 5e-324, 0.5
+        b_values[0], b_probs[0] = 0.0, 0.0
+        b_probs[0, 0] = 1.0
+        for op in ("add", "max"):
+            unique = assert_rows_match_reference(a_values, a_probs, b_values, b_probs, op, 13)
+            assert unique[0] == 2 and (unique[1:] > 13).any()
+
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_zero_probability_top_samples(self, op):
+        rng = np.random.default_rng(21)
+        top_bin_empty = 0
+        for _ in range(300):
+            a, b = _random_pdf(rng), _random_pdf(rng)
+            for pdf in (a, b):
+                if pdf.num_samples > 1:
+                    pdf.probabilities[-1] = 0.0
+            assert_op_matches_reference(a, b, op, DEFAULT_SAMPLES)
+        for _ in range(20):
+            a_values, a_probs = _random_rows(rng, 40)
+            b_values, b_probs = _random_rows(rng, 40)
+            for values, probs in ((a_values, a_probs), (b_values, b_probs)):
+                # Every row's largest value (its last sample and the pads)
+                # gets probability 0, unless it is the row's only value.
+                top = (values == values[:, -1:]) & (values[:, :1] < values[:, -1:])
+                probs[top] = 0.0
+                probs /= probs.sum(axis=1, keepdims=True)
+            values, _, counts = batched_combine(a_values, a_probs, b_values, b_probs, op)
+            assert_rows_match_reference(a_values, a_probs, b_values, b_probs, op, DEFAULT_SAMPLES)
+            pairs, _ = _pairs(a_values, a_probs, b_values, b_probs, op)
+            binned = (_unique_counts(pairs) > DEFAULT_SAMPLES) & (counts < DEFAULT_SAMPLES)
+            top_bin_empty += int(binned.sum())
+            # A pad repeats its row's last sample, whatever that is.
+            last = values[np.arange(values.shape[0]), counts - 1]
+            assert np.array_equal(values[:, -1], last)
+        assert top_bin_empty
+
+    @pytest.mark.parametrize("op", ["add", "max"])
+    def test_batches_mix_rows_over_and_under_budget(self, op):
+        rng = np.random.default_rng(31)
+        mixed = all_over = 0
+        for batch in range(60):
+            num_rows = int(rng.integers(2, 40))
+            if batch % 2:  # full-width normals on both sides: every row over budget
+                a_values, a_probs, _ = batched_from_normal(
+                    rng.normal(100.0, 5.0, num_rows), rng.uniform(5.0, 20.0, num_rows)
+                )
+                b_values, b_probs, _ = batched_from_normal(
+                    rng.normal(100.0, 5.0, num_rows), rng.uniform(5.0, 20.0, num_rows)
+                )
+            else:  # point rows on one side: their pairs stay within budget
+                a_values, a_probs = _random_rows(rng, num_rows)
+                b_values, b_probs = _random_rows(rng, num_rows)
+                narrow = rng.random(num_rows) < 0.3
+                b_values[narrow], b_probs[narrow] = b_values[narrow, :1], 0.0
+                b_probs[narrow, 0] = 1.0
+            unique = assert_rows_match_reference(
+                a_values, a_probs, b_values, b_probs, op, DEFAULT_SAMPLES
+            )
+            over = unique > DEFAULT_SAMPLES
+            mixed += bool(over.any() and not over.all())
+            all_over += bool(over.all())
+        assert mixed and all_over
+
+    def test_rebinned_centres_that_do_not_ascend(self):
+        # Fourteen values on the thirteen unit bins over [0, 13]: the bins
+        # holding only 5 - ulp and only 5.0 both centre on 5.0 after the
+        # conditional mean rounds, so the scalar result merges them.
+        values = [0.0, 1.0, 2.0, 3.0, np.nextafter(5.0, 0.0), *np.arange(5.0, 14.0)]
+        pdf = DiscretePDF(values, [5, 5, 7, 9, 1, 2, 8, 9, 3, 3, 8, 4, 3, 8])
+        for other, op in ((DiscretePDF.point(0.0), "add"), (DiscretePDF.point(-1.0), "max")):
+            assert assert_op_matches_reference(pdf, other, op, 13).num_samples == 12
+            # The batched kernel keeps both bins, as its oracle does.
+            a_values, a_probs = _padded_rows([pdf], 14)
+            b_values, b_probs = _padded_rows([other], 14)
+            assert_rows_match_reference(a_values, a_probs, b_values, b_probs, op, 13)
+            assert batched_combine(a_values, a_probs, b_values, b_probs, op)[2][0] == 13
+
+    @pytest.mark.parametrize("op", ["add", "maximum"])
+    def test_a_budget_below_one_raises_even_when_the_result_fits(self, op):
+        a, b = DiscretePDF.point(1.0), DiscretePDF.point(2.0)
+        with pytest.raises(ValueError):
+            getattr(a, op)(b, 0)
+        with pytest.raises(ValueError):
+            a.compact(0)

@@ -352,6 +352,88 @@ class TestPreviewProtocol:
         assert incremental.preview() is None
 
 
+def _count_sweeps(monkeypatch):
+    """Spy on ``IncrementalReanalysis._sweep``; returns the list its calls append to."""
+    calls = []
+    sweep = IncrementalReanalysis._sweep
+
+    def spy(reanalysis, *args):
+        calls.append(args[0])
+        return sweep(reanalysis, *args)
+
+    monkeypatch.setattr(IncrementalReanalysis, "_sweep", spy)
+    return calls
+
+
+class TestHeldBulkPreview:
+    """The sizer's pass whose fallback keeps nothing: a bulk ``preview()``,
+    reverted, stacked ``preview(trials)`` that commit nothing, then the bulk
+    sizes again and ``analyze()``, which commits the held bulk delta."""
+
+    def _bulk_then_fallback(self, circuit, incremental):
+        names = circuit.topological_order()
+        bulk = {names[3]: 6, names[len(names) // 2]: 5}
+        undo = {name: circuit.gate(name).size_index for name in bulk}
+        circuit.apply_sizes(bulk)
+        bulk_result = incremental.preview()
+        circuit.apply_sizes(undo)
+        list(incremental.preview([(names[7], 4), (names[9], 2)]))
+        return bulk, bulk_result
+
+    def test_analyze_commits_the_held_bulk_preview_without_a_sweep(
+        self, delay_model, variation_model, monkeypatch
+    ):
+        circuit = build_benchmark("c432")
+        engine = FULLSSTA(delay_model, variation_model)
+        incremental = IncrementalReanalysis(engine, circuit)
+        incremental.analyze()
+        bulk, bulk_result = self._bulk_then_fallback(circuit, incremental)
+        circuit.apply_sizes(bulk)
+        sweeps, retimed = _count_sweeps(monkeypatch), incremental.gates_retimed
+        committed = incremental.analyze()
+        assert sweeps == [] and incremental.gates_retimed == retimed
+        monkeypatch.undo()
+        assert_results_identical(committed, engine.analyze(circuit))
+        assert_results_identical(bulk_result, committed)
+        assert incremental._dirty_gates().size == 0
+
+    def test_commit_analyze_and_structural_edit_drop_the_held_preview(
+        self, delay_model, variation_model, monkeypatch
+    ):
+        circuit = build_benchmark("c432")
+        engine = FULLSSTA(delay_model, variation_model)
+        incremental = IncrementalReanalysis(engine, circuit)
+        incremental.analyze()
+        sweeps = _count_sweeps(monkeypatch)
+
+        # commit_preview(): the bulk delta was committed, nothing is held.
+        bulk, _ = self._bulk_then_fallback(circuit, incremental)
+        circuit.apply_sizes(bulk)
+        assert incremental.preview() is not None and incremental.commit_preview()
+        assert incremental._bulk is None
+
+        # analyze() with the bulk reverted drops it; the sizes again then sweep.
+        bulk, _ = self._bulk_then_fallback(circuit, incremental)
+        assert incremental._bulk is not None
+        incremental.analyze()
+        assert incremental._bulk is None
+        circuit.apply_sizes(bulk)
+        del sweeps[:]
+        assert_results_identical(incremental.analyze(), engine.analyze(circuit))
+        assert sweeps == [1]
+
+        # A structural edit: the next analyze() is a full run.
+        bulk, _ = self._bulk_then_fallback(circuit, incremental)
+        circuit.apply_sizes(bulk)
+        circuit.add("extra", "INV", [circuit.primary_outputs[0]], "n_extra")
+        circuit.add_primary_output("n_extra")
+        del sweeps[:]
+        result = incremental.analyze()
+        assert incremental._bulk is None and sweeps == [1] and incremental.full_runs == 2
+        monkeypatch.undo()
+        assert_results_identical(result, engine.analyze(circuit))
+
+
 class TestFloatingNetConsistency:
     def test_floating_output_raises_in_both_fassta_paths(self, delay_model, variation_model):
         # A gate input that is neither a primary input nor driven by a gate

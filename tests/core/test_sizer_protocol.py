@@ -6,8 +6,9 @@ no-argument ``IncrementalReanalysis.preview()`` and commits it only when it
 is kept.  A rejected bulk pass reverts its gates, which leaves the circuit
 at the committed state, and the fallback previews its trials against that
 state directly.  Only a fallback that keeps nothing calls ``analyze()``,
-to commit the bulk sizes the pass keeps anyway.  So between passes the
-cache holds exactly the circuit's sizes.  ``MeanDelaySizer`` runs one
+to commit the bulk sizes the pass keeps anyway, and it commits the bulk
+preview's delta without sweeping again.  So between passes the cache holds
+exactly the circuit's sizes.  ``MeanDelaySizer`` runs one
 deterministic STA per pass, whose report supplies both the near-critical
 targets and the candidate sweep's boundary arrivals, and its fallback
 times each galloping stack in one DSTA run, a column per trial.
@@ -33,6 +34,8 @@ class _Pass:
 
     analyses: int = 0  # analyze() calls
     previews: int = 0  # no-argument preview() calls
+    stacks: int = 0  # preview(trials) calls
+    sweeps: int = 0  # IncrementalReanalysis._sweep calls
     kept: Optional[int] = None  # trials the fallback kept, when it ran
     clean: Optional[bool] = None  # cache == circuit sizes when the pass ended
 
@@ -66,6 +69,7 @@ class _ProtocolLog:
         after(IncrementalReanalysis, "preview", self._preview)
         after(IncrementalReanalysis, "commit_preview", self._commit)
         after(CostEvaluator, "best_sizes", lambda *_, result: self.passes.append(_Pass()))
+        after(IncrementalReanalysis, "_sweep", self._sweep)
 
         accept = sizer_module.resize_scheduled_gates
 
@@ -96,6 +100,10 @@ class _ProtocolLog:
             self.passes[-1].previews += 1
         else:
             self._stacks += 1
+            self.passes[-1].stacks += 1
+
+    def _sweep(self, reanalysis, *args, result):
+        self.passes[-1].sweeps += 1
 
     def _commit(self, reanalysis, index=0, *, result):
         self.commits.append(result)
@@ -152,6 +160,8 @@ class TestStatisticalSizerTimesEachStateOnce:
         assert (before.analyses, before.previews) == (1, 0)
         assert [p.analyses for p in completed] == [int(p.kept == 0) for p in completed]
         assert log.previews_after_analyze == 0
+        # That analyze() commits the held bulk preview: only previews sweep.
+        assert [p.sweeps for p in completed] == [p.previews + p.stacks for p in completed]
         # One bulk preview per pass; every commit lands, and each pass ends
         # with the cache holding the circuit's sizes.
         assert [p.previews for p in completed] == [1] * len(completed)

@@ -1,12 +1,20 @@
 """Property-based tests for discrete PDFs (hypothesis)."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.discrete_pdf import DiscretePDF
+
+# The scalar oracle lives with the unit tests of the pdf kernels.
+ORACLES = Path(__file__).resolve().parents[1] / "core" / "test_discrete_pdf.py"
+spec = importlib.util.spec_from_file_location("discrete_pdf_oracles", ORACLES)
+oracles = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(oracles)
 
 means = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 sigmas = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
@@ -107,3 +115,29 @@ class TestAgainstAnalyticNormals:
         mean, var = clark_max_exact(mu_a, s_a, mu_b, s_b)
         scale = max(s_a, s_b)
         assert abs(m.mean() - mean) <= 0.25 * scale + 1e-6
+
+
+@st.composite
+def grid_pdfs(draw):
+    """Pdfs on a value grid, so pair sums and maxima tie: point pdfs, and
+    zero probabilities anywhere but the first drawn sample."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    ticks = draw(st.lists(st.integers(min_value=0, max_value=60), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.1, 0.5, 1.0, 2.5, 7.3]))
+    offset = draw(st.floats(min_value=-100.0, max_value=100.0))
+    probs = draw(st.lists(
+        st.just(0.0) | st.floats(min_value=0.01, max_value=10.0), min_size=n, max_size=n
+    ))
+    probs[0] = max(probs[0], 0.01)
+    return DiscretePDF(np.array(ticks) * scale + offset, probs)
+
+
+class TestOpsAgainstReferenceCombine:
+    @given(grid_pdfs(), grid_pdfs(), st.integers(min_value=3, max_value=64),
+           st.sampled_from(["add", "max"]))
+    @settings(max_examples=300, deadline=None)
+    def test_ops_match_reference_combine_bitwise(self, a, b, budget, op):
+        got = a.add(b, budget) if op == "add" else a.maximum(b, budget)
+        values, probs = oracles.reference_combine(a, b, op, budget)
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.probabilities, probs)
