@@ -34,8 +34,8 @@ The public API is organised into subpackages:
     Experiment harnesses that regenerate the paper's Table 1 and
     Figures 1, 3 and 4, plus metrics and text reporting.
 ``repro.runner``
-    Parallel sweep orchestration: (circuit, lambda) cells fanned across a
-    process pool with persistent, resumable JSON artifacts.
+    Sweep orchestration: (circuit, lambda) cells run serially or on a
+    ``ProcessPoolExecutor``, with persistent, resumable JSON artifacts.
 ``repro.criticality``
     Statistical criticality subsystem: gate/net/edge criticality
     probabilities, top-k statistical path extraction, statistical slack

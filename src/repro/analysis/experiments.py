@@ -89,17 +89,14 @@ def run_table1(
     out_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 0,
 ) -> List[Table1Row]:
     """Regenerate Table 1 for the given circuits and lambda values.
 
     A thin driver over :func:`repro.runner.sweep.run_cells`: ``jobs`` fans
     the (circuit, lambda) cells across worker processes (``jobs=1`` keeps
     the historical serial in-process path), ``out_dir`` persists each cell
-    as a JSON artifact, ``resume`` skips cells whose artifact matches
-    the current configuration, and ``cell_timeout`` / ``max_retries``
-    bound and retry individual cells (see :func:`run_cells`).  Running the
+    as a JSON artifact, and ``resume`` skips cells whose artifact matches
+    the current configuration (see :func:`run_cells`).  Running the
     full 13-circuit set takes a while on the larger circuits; the
     benchmarks default to a representative subset (see
     ``benchmarks/bench_table1.py``).
@@ -113,8 +110,7 @@ def run_table1(
         seed=seed,
     )
     report = run_cells(
-        specs, jobs=jobs, out_dir=out_dir, resume=resume, progress=progress,
-        cell_timeout=cell_timeout, max_retries=max_retries,
+        specs, jobs=jobs, out_dir=out_dir, resume=resume, progress=progress
     )
     return [result.table1_row() for result in report.results]
 
@@ -243,8 +239,6 @@ def run_fig4_sweep(
     out_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 0,
 ) -> List[Fig4Point]:
     """Regenerate Figure 4: (mu, sigma) of one circuit across lambda values.
 
@@ -263,8 +257,7 @@ def run_fig4_sweep(
         circuit_name, lams, sizer_config=sizer_config, substrates=substrates
     )
     report = run_cells(
-        specs, jobs=jobs, out_dir=out_dir, resume=resume, progress=progress,
-        cell_timeout=cell_timeout, max_retries=max_retries,
+        specs, jobs=jobs, out_dir=out_dir, resume=resume, progress=progress
     )
     results = [result.result for result in report.results]
     if not results:

@@ -21,14 +21,12 @@ exposes the main flows without writing any Python:
 * ``stats``  — summarize a ``trace.json`` (from ``size --trace`` or a sweep
   directory): per-span aggregates, root coverage and the metrics snapshot,
   as text or JSON;
-* ``dashboard`` — render a sweep output directory (cell artifacts, per-cell
-  traces, campaign trace, failure ledger) as one markdown or HTML page;
-* ``sweep``  — parallel, resumable, fault-tolerant (circuit, lambda) sweep:
-  fans the cells across a process pool (``--jobs``), persists each
-  completed cell as a JSON artifact (``--out``), skips up-to-date cells on
-  ``--resume``, bounds each attempt's wall clock (``--cell-timeout``),
-  retries transient failures (``--max-retries``), records every failure in
-  ``failures.json`` and survives Ctrl-C with a resumable checkpoint;
+* ``sweep``  — parallel, resumable (circuit, lambda) sweep: fans the cells
+  across a process pool (``--jobs``), persists each completed cell as a
+  JSON artifact (``--out``) and skips up-to-date cells on ``--resume``.  A
+  failed cell ends the sweep with one ``error:`` line and exit 1, Ctrl-C
+  with exit 130; either way every finished cell stays saved for
+  ``--resume``;
 * ``benchmarks`` — list the available benchmark circuits and their stand-in
   gate counts versus the paper's.
 
@@ -55,8 +53,7 @@ from repro.analysis.report import (
     format_table,
     format_table1,
 )
-from repro.runner.errors import DeterministicError, SweepInterrupted
-from repro.runner.ledger import LEDGER_FILENAME
+from repro.runner.errors import DeterministicError
 from repro.runner.sweep import (
     SubstrateSpec,
     criticality_specs,
@@ -80,14 +77,7 @@ from repro.flow import run_sizing_flow
 from repro.montecarlo.mc import MonteCarloTimer
 from repro.netlist.bench import parse_bench_file
 from repro.obs import load_trace, write_trace
-from repro.obs.report import (
-    dashboard_data,
-    format_stats_text,
-    render_dashboard_html,
-    render_dashboard_markdown,
-    resolve_trace_path,
-    stats_data,
-)
+from repro.obs.report import format_stats_text, resolve_trace_path, stats_data
 from repro.netlist.circuit import Circuit
 from repro.netlist.verilog import parse_verilog_file
 from repro.netlist.validate import validate_circuit
@@ -532,6 +522,8 @@ def cmd_sweep(args) -> int:
             flush=True,
         )
 
+    resume_hint = (f"finished cells are saved in {args.out}; rerun with "
+                   "--resume to compute only the rest")
     try:
         report = run_cells(
             specs,
@@ -539,10 +531,6 @@ def cmd_sweep(args) -> int:
             out_dir=args.out,
             resume=args.resume,
             progress=progress,
-            cell_timeout=args.cell_timeout,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            on_error=args.on_error,
             preflight=not args.no_preflight,
         )
     except DeterministicError as exc:
@@ -550,12 +538,13 @@ def cmd_sweep(args) -> int:
         print("run `repro-sizer lint` for the full diagnostics, or "
               "--no-preflight to proceed anyway", file=sys.stderr)
         return 1
-    except SweepInterrupted as exc:
-        print()
-        if exc.report is not None:
-            print(exc.report.summary())
-        print("interrupted: rerun with --resume to pick up where this sweep "
-              "stopped", file=sys.stderr)
+    except RuntimeError as exc:
+        # Every other cell ran and its artifact persisted.
+        print(f"error: {exc}", file=sys.stderr)
+        print(resume_hint, file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print(f"interrupted: {resume_hint}", file=sys.stderr)
         return 130
     print()
     if args.kind == "table1":
@@ -603,13 +592,6 @@ def cmd_sweep(args) -> int:
             ))
         print(format_table(headers, body))
     print(report.summary())
-    if report.failed:
-        for record in report.failures:
-            print(f"failed: {record.cell} [{record.category}] "
-                  f"{record.error}: {record.message}", file=sys.stderr)
-        print(f"full tracebacks in {Path(args.out) / LEDGER_FILENAME}",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -630,25 +612,6 @@ def cmd_stats(args) -> int:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(format_stats_text(data, top=args.top))
-    return 0
-
-
-def cmd_dashboard(args) -> int:
-    """Render a sweep output directory as a markdown or HTML page."""
-    try:
-        data = dashboard_data(args.dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "html":
-        text = render_dashboard_html(data)
-    else:
-        text = render_dashboard_markdown(data)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"dashboard written to {args.out}")
-    else:
-        print(text, end="")
     return 0
 
 
@@ -815,26 +778,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "MC samples")
     p_sweep.add_argument("--max-iterations", type=int, default=None,
                          help="cap the sizer's outer-loop passes per cell")
-    p_sweep.add_argument("--cell-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="kill any attempt exceeding this wall clock "
-                              "(requires --jobs > 1; the cell counts as a "
-                              "timeout failure and retries if budget remains)")
-    p_sweep.add_argument("--max-retries", type=int, default=2,
-                         help="extra attempts per cell for transient/timeout/"
-                              "crash failures (deterministic errors never "
-                              "retry)")
-    p_sweep.add_argument("--retry-backoff", type=float, default=0.5,
-                         metavar="SECONDS",
-                         help="base delay before retrying; doubles per attempt")
-    p_sweep.add_argument("--on-error", choices=["fail", "continue"],
-                         default="fail",
-                         help="fail: raise after running every cell (default); "
-                              "continue: report failures and exit 1")
     p_sweep.add_argument("--no-preflight", action="store_true",
                          help="skip the pre-flight DRC lint of each pending "
-                              "circuit (defective netlists then fail inside "
-                              "the workers instead of up front)")
+                              "circuit (defective netlists then fail as cells "
+                              "instead of up front)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress per-cell progress lines (stderr)")
@@ -855,18 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--top", type=int, default=20,
                          help="span names shown in the text table")
     p_stats.set_defaults(func=cmd_stats)
-
-    p_dash = sub.add_parser(
-        "dashboard",
-        help="render a sweep directory (artifacts + traces + failures) as "
-             "markdown or HTML",
-    )
-    p_dash.add_argument("dir", help="sweep output directory (see sweep --out)")
-    p_dash.add_argument("--format", choices=["markdown", "html"],
-                        default="markdown")
-    p_dash.add_argument("--out", default=None, metavar="FILE",
-                        help="write the page to FILE instead of stdout")
-    p_dash.set_defaults(func=cmd_dashboard)
 
     p_bench = sub.add_parser("benchmarks", help="list available benchmark circuits")
     _add_common_options(p_bench)

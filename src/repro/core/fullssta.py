@@ -292,9 +292,17 @@ class IncrementalReanalysis:
     * every resized gate (its drive, intrinsic delay and sigma changed),
     * the drivers of its input nets (the resized gate's input capacitance is
       part of *their* load),
-    * downstream gates, recursively — but propagation stops as soon as a
-      recomputed row is bitwise-identical to the cached one, which happens
-      quickly once a dominant side path reasserts itself.
+    * downstream gates, recursively.  A recomputed row that is bitwise
+      identical to the committed one (:meth:`LevelizedState.holds`) stays
+      out of the delta and does not dirty its fanout.  In practice that
+      almost never fires: unlike a deterministic max, a discrete-pdf max
+      depends on every input's whole distribution, so a moved input moves
+      the row.  Over whole cost-objective flows at lambda = 3, c432
+      kept 2 of 7,225 recomputed rows unchanged (sparing 4 of 7,229 cone
+      gates); c1908, c880, a 500-gate generated circuit and c5315 kept
+      none of 31,630, 2,880, 28,609 and 191,708; and on c1355 and c7552 the
+      gates retimed equal the static fanout-cone sizes (64,407 and 9,812).
+      So a sweep costs its whole static fanout cone.
 
     :meth:`preview` evaluates resizes *without* committing them: the ones
     the IR holds, or a stack of one-resize trials against the committed state.

@@ -10,15 +10,15 @@ Every other layer of the reproduction measures itself through this package
   null span, so instrumentation is free when tracing is off.  Set
   ``REPRO_TRACE=1`` (inherited by sweep workers) to enable it globally.
 * :mod:`repro.obs.metrics` — an always-on registry of counters, gauges and
-  histograms (cache hits, dirty-cone sizes, retries, ...).  Snapshots
-  merge across processes, which is how sweep workers ship their numbers
-  back to the parent.
+  histograms (cache hits, dirty-cone sizes, ...).  Snapshots merge across
+  processes, which is how sweep workers ship their numbers back to the
+  parent.
 * :mod:`repro.obs.traceio` — the persisted ``trace.json`` artifact:
   schema, validation, and the campaign merge that re-roots per-cell
   worker traces under one tree.
-* :mod:`repro.obs.report` — rendering: ``repro-sizer stats`` (per-span
-  aggregates + metrics of one trace) and ``repro-sizer dashboard`` (one
-  markdown/HTML page for a whole sweep directory).
+* :mod:`repro.obs.report` — rendering for ``repro-sizer stats``: per-span
+  aggregates, root coverage and the metrics of one trace (a flow's, a
+  cell's or a sweep's merged campaign trace).
 """
 
 from repro.obs.metrics import METRICS, MetricsRegistry

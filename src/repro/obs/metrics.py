@@ -2,11 +2,12 @@
 
 Unlike spans (which are opt-in because they read the clock), metric updates
 are a dict write and stay enabled everywhere: cache hit/miss counts,
-dirty-cone sizes, retry totals and the like cost integers, not syscalls.
+dirty-cone sizes, sweep cell totals and the like cost integers, not
+syscalls.
 
 The module-level :data:`METRICS` registry is the process-wide default.
 Sweep workers reset it per cell and ship ``snapshot()`` dicts back to the
-parent over the existing result pipe; the parent folds them into a
+parent with each cell's result; the parent folds them into a
 campaign-level registry with :meth:`MetricsRegistry.merge`.
 """
 

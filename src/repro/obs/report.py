@@ -1,30 +1,18 @@
-"""Rendering of traces and campaign directories: ``stats`` and ``dashboard``.
+"""Rendering of trace payloads: ``repro-sizer stats``.
 
 ``repro-sizer stats`` summarizes one trace payload (or a sweep directory's
 campaign ``trace.json``): per-span-name aggregates, root coverage and the
 metrics registry snapshot, as text or JSON.
-
-``repro-sizer dashboard`` walks a sweep output directory — cell artifacts,
-per-cell ``*.trace.json`` files, the merged campaign trace and the failure
-ledger — and renders one self-contained markdown or HTML status page.
 """
 
 from __future__ import annotations
 
-import html
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Union
 
-from repro.obs.traceio import load_trace, span_tree_coverage
-
-#: Files in a sweep directory that are not cell artifacts.
-_RESERVED = ("trace.json", "failures.json", "checkpoint.json")
+from repro.obs.traceio import span_tree_coverage
 
 
-# ---------------------------------------------------------------------------
-# Span aggregation (stats)
-# ---------------------------------------------------------------------------
 def aggregate_spans(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Per-span-name aggregates of one payload, sorted by total time.
 
@@ -115,224 +103,3 @@ def format_stats_text(data: Dict[str, Any], top: int = 20) -> str:
                 f"min={h['min']:g} max={h['max']:g}"
             )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Campaign dashboard
-# ---------------------------------------------------------------------------
-def _load_json(path: Path) -> Optional[Any]:
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-
-
-def dashboard_data(out_dir: Union[str, Path]) -> Dict[str, Any]:
-    """Collect everything in a sweep directory into one report object."""
-    out_path = Path(out_dir)
-    if not out_path.is_dir():
-        raise FileNotFoundError(f"{out_path} is not a directory")
-
-    cells: List[Dict[str, Any]] = []
-    for path in sorted(out_path.glob("*.json")):
-        if path.name in _RESERVED or path.name.endswith(".trace.json"):
-            continue
-        artifact = _load_json(path)
-        if not isinstance(artifact, dict) or "result" not in artifact:
-            continue
-        spec = artifact.get("spec", {})
-        trace_file = path.with_suffix(".trace.json")
-        coverage = None
-        if trace_file.is_file():
-            trace = _load_json(trace_file)
-            if trace:
-                coverage = span_tree_coverage(trace)["coverage"]
-        cells.append(
-            {
-                "cell": path.stem,
-                "kind": spec.get("kind"),
-                "circuit": spec.get("circuit"),
-                "lam": spec.get("lam"),
-                "target_yield": spec.get("target_yield"),
-                "runtime_seconds": float(artifact.get("runtime_seconds", 0.0)),
-                "trace_coverage": coverage,
-            }
-        )
-
-    campaign = None
-    campaign_file = out_path / "trace.json"
-    if campaign_file.is_file():
-        try:
-            campaign = load_trace(campaign_file)
-        except ValueError:
-            campaign = None
-
-    ledger = _load_json(out_path / "failures.json")
-    failures = []
-    quarantines = []
-    if isinstance(ledger, dict):
-        failures = ledger.get("events", [])
-        quarantines = ledger.get("quarantines", [])
-
-    return {
-        "out_dir": str(out_path),
-        "cells": cells,
-        "campaign": stats_data(campaign) if campaign else None,
-        "failures": failures,
-        "quarantines": quarantines,
-    }
-
-
-def _md_table(headers: List[str], rows: List[List[str]]) -> List[str]:
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join([" --- "] * len(headers)) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
-
-
-def _cell_rows(data: Dict[str, Any]) -> Tuple[List[str], List[List[str]]]:
-    headers = ["cell", "kind", "circuit", "axis", "runtime (s)", "trace coverage"]
-    rows = []
-    for cell in data["cells"]:
-        if cell["target_yield"] is not None:
-            axis = f"y={cell['target_yield']:g}"
-        else:
-            axis = f"lam={cell['lam']:g}" if cell["lam"] is not None else "-"
-        coverage = (
-            f"{100.0 * cell['trace_coverage']:.1f} %"
-            if cell["trace_coverage"] is not None
-            else "-"
-        )
-        rows.append(
-            [
-                cell["cell"], str(cell["kind"]), str(cell["circuit"]), axis,
-                f"{cell['runtime_seconds']:.2f}", coverage,
-            ]
-        )
-    return headers, rows
-
-
-def _failure_rows(data: Dict[str, Any]) -> Tuple[List[str], List[List[str]]]:
-    headers = ["cell", "attempt", "category", "error", "retried"]
-    rows = [
-        [
-            str(f.get("cell")), str(f.get("attempt")), str(f.get("category")),
-            str(f.get("error")), "yes" if f.get("retried") else "no",
-        ]
-        for f in data["failures"]
-    ]
-    return headers, rows
-
-
-def _span_rows(data: Dict[str, Any], top: int = 12) -> Tuple[List[str], List[List[str]]]:
-    headers = ["span", "count", "total (s)", "mean (s)"]
-    rows = [
-        [
-            row["name"], str(row["count"]),
-            f"{row['total_s']:.3f}", f"{row['mean_s']:.4f}",
-        ]
-        for row in data["campaign"]["by_name"][:top]
-    ]
-    return headers, rows
-
-
-def render_dashboard_markdown(data: Dict[str, Any]) -> str:
-    lines: List[str] = [f"# Sweep dashboard — `{data['out_dir']}`", ""]
-    lines.append(
-        f"{len(data['cells'])} cell artifact(s), {len(data['failures'])} "
-        f"failed attempt(s), {len(data['quarantines'])} quarantined "
-        f"artifact(s)."
-    )
-    lines.append("")
-
-    lines.append("## Cells")
-    lines.append("")
-    if data["cells"]:
-        lines.extend(_md_table(*_cell_rows(data)))
-    else:
-        lines.append("No cell artifacts found.")
-    lines.append("")
-
-    if data["failures"]:
-        lines.append("## Failures")
-        lines.append("")
-        lines.extend(_md_table(*_failure_rows(data)))
-        lines.append("")
-
-    if data["campaign"]:
-        coverage = data["campaign"]["coverage"]
-        lines.append("## Campaign trace")
-        lines.append("")
-        lines.append(
-            f"Root span {coverage['root_s']:.2f} s; direct children cover "
-            f"{100.0 * coverage['coverage']:.1f} % of it."
-        )
-        lines.append("")
-        lines.extend(_md_table(*_span_rows(data)))
-        lines.append("")
-        counters = data["campaign"]["metrics"].get("counters", {})
-        if counters:
-            lines.append("## Metrics")
-            lines.append("")
-            lines.extend(
-                _md_table(
-                    ["counter", "value"],
-                    [[name, str(counters[name])] for name in sorted(counters)],
-                )
-            )
-            lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def _html_table(headers: List[str], rows: List[List[str]]) -> str:
-    head = "".join(f"<th>{html.escape(h)}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{html.escape(c)}</td>" for c in row) + "</tr>"
-        for row in rows
-    )
-    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
-
-
-def render_dashboard_html(data: Dict[str, Any]) -> str:
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        f"<title>Sweep dashboard — {html.escape(data['out_dir'])}</title>",
-        "<style>body{font-family:sans-serif;margin:2em}"
-        "table{border-collapse:collapse;margin:1em 0}"
-        "th,td{border:1px solid #999;padding:4px 10px;text-align:left}"
-        "th{background:#eee}</style>",
-        "</head><body>",
-        f"<h1>Sweep dashboard — <code>{html.escape(data['out_dir'])}</code></h1>",
-        f"<p>{len(data['cells'])} cell artifact(s), "
-        f"{len(data['failures'])} failed attempt(s), "
-        f"{len(data['quarantines'])} quarantined artifact(s).</p>",
-        "<h2>Cells</h2>",
-    ]
-    if data["cells"]:
-        parts.append(_html_table(*_cell_rows(data)))
-    else:
-        parts.append("<p>No cell artifacts found.</p>")
-    if data["failures"]:
-        parts.append("<h2>Failures</h2>")
-        parts.append(_html_table(*_failure_rows(data)))
-    if data["campaign"]:
-        coverage = data["campaign"]["coverage"]
-        parts.append("<h2>Campaign trace</h2>")
-        parts.append(
-            f"<p>Root span {coverage['root_s']:.2f} s; direct children "
-            f"cover {100.0 * coverage['coverage']:.1f} % of it.</p>"
-        )
-        parts.append(_html_table(*_span_rows(data)))
-        counters = data["campaign"]["metrics"].get("counters", {})
-        if counters:
-            parts.append("<h2>Metrics</h2>")
-            parts.append(
-                _html_table(
-                    ["counter", "value"],
-                    [[name, str(counters[name])] for name in sorted(counters)],
-                )
-            )
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"

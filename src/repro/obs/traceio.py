@@ -131,15 +131,12 @@ def merge_traces(
     children: Iterable[Dict[str, Any]],
     name: str = "campaign",
     metrics: Optional[Dict[str, Any]] = None,
-    extra_spans: Sequence[Dict[str, Any]] = (),
 ) -> Dict[str, Any]:
-    """One campaign payload from per-cell payloads (+ synthesized spans).
+    """One campaign payload from per-cell payloads.
 
     Every child's spans are id-prefixed with its ordinal (worker pids can
     be recycled across cells) and re-rooted: spans whose parent is missing
     from their own payload hang off the synthetic campaign root.
-    ``extra_spans`` (e.g. spans synthesized for crashed attempts that could
-    never ship theirs) attach to the root likewise.
     """
     root_id = "campaign.0"
     merged: List[Dict[str, Any]] = []
@@ -164,7 +161,6 @@ def merge_traces(
 
     for i, child in enumerate(children):
         _adopt(child.get("spans", []), f"c{i}/")
-    _adopt(list(extra_spans), "x/")
 
     start = min(starts) if starts else time.time()
     duration = max(0.0, (max(ends) - start)) if ends else 0.0
@@ -176,8 +172,7 @@ def merge_traces(
         "duration_s": duration,
         "attrs": {"cells": sum(1 for s in merged if s["parent"] == root_id)},
     }
-    payload = trace_payload(name, [root, *merged], metrics=metrics)
-    return payload
+    return trace_payload(name, [root, *merged], metrics=metrics)
 
 
 def span_tree_coverage(payload: Dict[str, Any]) -> Dict[str, float]:

@@ -1,108 +1,22 @@
-"""Parallel sweep orchestration with persistent, resumable artifacts.
+"""Sweep orchestration with persistent, resumable artifacts.
 
 The experiment layer regenerates the paper's evidence as grids of
 independent (circuit, lambda) cells — Table 1 is 13 circuits x 2 lambdas,
-Figure 4 is one circuit x 4 lambdas.  This package fans those cells across
-a process pool, persists every completed cell as a JSON artifact keyed by a
-hash of its full input spec, and on resume skips any cell whose artifact
-still matches the current configuration.
+Figure 4 is one circuit x 4 lambdas.  This package runs those cells
+serially or on a ``concurrent.futures.ProcessPoolExecutor``, persists every
+completed cell as a JSON artifact keyed by a hash of its full input spec,
+and on resume skips any cell whose artifact still matches the current
+configuration.
 
-* :mod:`repro.runner.artifacts` — artifact layout, spec hashing, load/save,
-  quarantine of corrupt artifacts;
-* :mod:`repro.runner.errors` — error taxonomy (retryable vs deterministic)
-  and numerical-health guards;
-* :mod:`repro.runner.pool` — crash-aware worker pool with per-task
-  attribution and per-worker hang kills;
-* :mod:`repro.runner.ledger` — structured failure ledger
-  (``failures.json``) and interrupt checkpoint;
-* :mod:`repro.runner.faults` — deterministic fault-injection harness
-  (``REPRO_FAULTS``) used by the chaos test suite;
+* :mod:`repro.runner.artifacts` — artifact layout, spec hashing, atomic
+  save and checked load;
+* :mod:`repro.runner.errors` — :class:`~repro.runner.errors.DeterministicError`
+  and the numerical-health guards;
 * :mod:`repro.runner.sweep` — cell specs, the per-cell evaluators (plain
-  module-level functions so they pickle into worker processes) and the
-  fault-tolerant :func:`~repro.runner.sweep.run_cells` orchestrator.
+  module-level functions so they pickle into worker processes) and
+  :func:`~repro.runner.sweep.run_cells`.
 
 ``repro.analysis.experiments`` drives its Table-1/Fig-4 runners through
 this package, and the ``repro-sizer sweep`` CLI command exposes it
 directly.
 """
-
-from repro.runner.artifacts import (
-    ARTIFACT_SCHEMA,
-    QUARANTINE_SUFFIX,
-    artifact_path,
-    load_artifact,
-    load_artifact_status,
-    quarantine_artifact,
-    spec_key,
-    write_artifact,
-)
-from repro.runner.errors import (
-    CellTimeoutError,
-    NumericalHealthError,
-    SweepInterrupted,
-    TransientCellError,
-    WorkerCrashError,
-    classify_exception,
-    is_retryable,
-)
-from repro.runner.faults import FAULTS_ENV, FaultRule, fault_env_value, parse_fault_rules
-from repro.runner.ledger import (
-    CHECKPOINT_FILENAME,
-    LEDGER_FILENAME,
-    FailureLedger,
-    FailureRecord,
-    QuarantineRecord,
-    load_ledger,
-)
-from repro.runner.sweep import (
-    CellResult,
-    CellSpec,
-    SubstrateSpec,
-    SweepReport,
-    config_with_lam,
-    criticality_specs,
-    evaluate_cell,
-    fig4_specs,
-    run_cells,
-    table1_specs,
-    yield_specs,
-)
-
-__all__ = [
-    "ARTIFACT_SCHEMA",
-    "QUARANTINE_SUFFIX",
-    "artifact_path",
-    "load_artifact",
-    "load_artifact_status",
-    "quarantine_artifact",
-    "spec_key",
-    "write_artifact",
-    "CellTimeoutError",
-    "NumericalHealthError",
-    "SweepInterrupted",
-    "TransientCellError",
-    "WorkerCrashError",
-    "classify_exception",
-    "is_retryable",
-    "FAULTS_ENV",
-    "FaultRule",
-    "fault_env_value",
-    "parse_fault_rules",
-    "CHECKPOINT_FILENAME",
-    "LEDGER_FILENAME",
-    "FailureLedger",
-    "FailureRecord",
-    "QuarantineRecord",
-    "load_ledger",
-    "CellResult",
-    "CellSpec",
-    "SubstrateSpec",
-    "SweepReport",
-    "config_with_lam",
-    "criticality_specs",
-    "evaluate_cell",
-    "fig4_specs",
-    "run_cells",
-    "table1_specs",
-    "yield_specs",
-]

@@ -24,12 +24,10 @@ behind under their old digests rather than overwritten; they are inert
 
 Resume semantics: a cell is skipped if and only if its artifact exists,
 parses, carries the current schema number and its ``key`` equals the hash
-of the *current* spec.  Artifacts are written atomically (temp file +
-``os.replace``) so a killed sweep never leaves a half-written cell behind.
-Artifacts that exist but are unreadable — truncated JSON, wrong schema,
-missing fields — are distinguishable via :func:`load_artifact_status` so
-the runner can quarantine them (rename to ``*.corrupt``) instead of
-silently recomputing over them.
+of the *current* spec.  Any other artifact — truncated JSON, a wrong
+schema, a stale key — is recomputed and overwritten.  Artifacts are
+written atomically (temp file + ``os.replace``) so a killed sweep never
+leaves a half-written cell behind.
 """
 
 from __future__ import annotations
@@ -38,15 +36,12 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 #: Bump when the artifact layout or the result payloads change shape;
-#: older artifacts are then quarantined/recomputed instead of trusted.
+#: older artifacts are then recomputed instead of trusted.
 #: 2: filenames carry a spec-key digest (top_k/mc/seed collision fix).
 ARTIFACT_SCHEMA = 2
-
-#: Suffix appended to quarantined (corrupt or schema-mismatched) artifacts.
-QUARANTINE_SUFFIX = ".corrupt"
 
 #: Length of the spec-key digest embedded in artifact filenames.  8 hex
 #: chars = 32 bits; collisions would additionally need every explicit
@@ -107,53 +102,22 @@ def write_artifact(
     os.replace(tmp, path)
 
 
-def load_artifact_status(
-    path: Union[str, Path],
-) -> Tuple[Optional[Dict[str, Any]], str]:
-    """Load an artifact and say why it is (un)usable.
-
-    Returns ``(payload, status)`` where status is one of
-
-    * ``"ok"`` — payload is usable (but the caller still owns the key check);
-    * ``"missing"`` — no file;
-    * ``"schema"`` — parses, but written under a different schema number;
-    * ``"corrupt"`` — unparsable JSON or a structurally-invalid payload.
-
-    Only ``"ok"`` comes with a payload.
-    """
-    path = Path(path)
-    if not path.is_file():
-        return None, "missing"
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None, "corrupt"
-    if not isinstance(payload, dict):
-        return None, "corrupt"
-    if payload.get("schema") != ARTIFACT_SCHEMA:
-        return None, "schema"
-    if not isinstance(payload.get("key"), str) or not isinstance(
-        payload.get("result"), dict
-    ):
-        return None, "corrupt"
-    return payload, "ok"
-
-
 def load_artifact(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """Load an artifact; ``None`` if missing, unparsable or schema-mismatched."""
-    payload, _ = load_artifact_status(path)
-    return payload
+    """Load an artifact; ``None`` unless it is current and well formed.
 
-
-def quarantine_artifact(path: Union[str, Path]) -> Path:
-    """Move a damaged artifact aside as ``<name>.json.corrupt``.
-
-    The rename keeps the evidence for post-mortems while guaranteeing the
-    cell recomputes (and rewrites a healthy artifact) on this run — a
-    silently-ignored corrupt file would be re-parsed, and re-ignored, on
-    every future resume.
+    Current and well formed means: the file exists and parses as a JSON
+    object carrying the current schema number, a string ``key`` and a
+    ``result`` object.  The caller still owns the key check.
     """
-    path = Path(path)
-    target = path.with_name(path.name + QUARANTINE_SUFFIX)
-    os.replace(path, target)
-    return target
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError):  # missing, unreadable, not UTF-8 or not JSON
+        return None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("schema") != ARTIFACT_SCHEMA
+        or not isinstance(payload.get("key"), str)
+        or not isinstance(payload.get("result"), dict)
+    ):
+        return None
+    return payload

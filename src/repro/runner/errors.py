@@ -1,63 +1,26 @@
-"""Structured error taxonomy for fault-tolerant sweep execution.
+"""Errors and numerical-health guards shared by the flow and the sweep runner.
 
-The retry machinery in :mod:`repro.runner.sweep` must decide, for every
-failed cell attempt, whether trying again can possibly help.  That decision
-is driven by *categories*, not exception identity, because errors cross
-process boundaries as ``(class name, message, traceback, category)`` tuples
-— a live exception object raised inside a worker cannot be re-raised
-faithfully in the parent.
-
-Categories
-----------
-``transient``
-    Resource exhaustion or an explicitly-transient failure
-    (:class:`TransientCellError`, ``MemoryError``, interrupted I/O).
-    Retrying after a backoff is worthwhile.
-``timeout``
-    The cell exceeded its wall-clock budget and its worker was killed
-    (:class:`CellTimeoutError`, raised parent-side).  A hang is usually a
-    scheduling/paging artifact, so timeouts retry.
-``crash``
-    The worker process died under the cell — OOM-killed, segfaulted or
-    ``os._exit`` (:class:`WorkerCrashError`, raised parent-side).  Crashes
-    retry: the most common real cause is the OS reclaiming memory.
-``deterministic``
-    Everything else — bad circuit names, numerical-health violations,
-    plain bugs.  Retrying would reproduce the failure, so these fail the
-    cell immediately.
+:class:`DeterministicError` marks a failure the same inputs always
+reproduce (pre-flight DRC raises it before any compute is spent), and
+:class:`NumericalHealthError` is raised by the finite-moment guards below,
+so NaN/inf moments or negative sigmas fail loudly instead of reaching an
+artifact or a table.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
-
-
-class TransientCellError(RuntimeError):
-    """A cell failure that is expected to heal on retry.
-
-    Evaluators (and the fault-injection harness) raise this to mark a
-    failure as retryable; anything else they raise is treated as
-    deterministic.
-    """
+from typing import Optional
 
 
 class DeterministicError(RuntimeError):
-    """A failure the same inputs will always reproduce; never retried.
+    """A failure the same inputs will always reproduce.
 
-    The explicit counterpart of :class:`TransientCellError`: raised when a
-    defect is *provably* input-determined — most prominently by the
-    pre-flight DRC hooks (:class:`repro.verify.preflight.PreflightError`),
-    which fail a defective netlist before any worker is spawned.
+    Raised when a defect is *provably* input-determined — most prominently
+    by the pre-flight DRC hooks
+    (:class:`repro.verify.preflight.PreflightError`), which fail a
+    defective netlist before any cell is evaluated.
     """
-
-
-class CellTimeoutError(TransientCellError):
-    """Raised parent-side when a cell exceeds its wall-clock budget."""
-
-
-class WorkerCrashError(TransientCellError):
-    """Raised parent-side when the worker process evaluating a cell died."""
 
 
 class NumericalHealthError(ValueError):
@@ -68,43 +31,6 @@ class NumericalHealthError(ValueError):
     results fail loudly instead of propagating silently into artifacts.
     Deterministic by definition — the same inputs reproduce it.
     """
-
-
-class SweepInterrupted(KeyboardInterrupt):
-    """SIGINT landed during a sweep; in-flight cells were drained first.
-
-    Subclasses ``KeyboardInterrupt`` so generic ``except Exception``
-    handlers cannot swallow a user interrupt, while callers that care
-    (the CLI) can catch it specifically and report the partial progress
-    carried in ``report`` (a :class:`repro.runner.sweep.SweepReport`).
-    """
-
-    def __init__(self, message: str, report: Optional[Any] = None) -> None:
-        super().__init__(message)
-        self.report: Optional[Any] = report
-
-
-#: Categories whose failures are worth retrying (see module docstring).
-RETRYABLE_CATEGORIES = frozenset({"transient", "timeout", "crash"})
-
-
-def classify_exception(exc: BaseException) -> str:
-    """Map a live exception onto its retry category."""
-    if isinstance(exc, CellTimeoutError):
-        return "timeout"
-    if isinstance(exc, WorkerCrashError):
-        return "crash"
-    if isinstance(exc, TransientCellError):
-        return "transient"
-    if isinstance(exc, DeterministicError):
-        return "deterministic"
-    if isinstance(exc, (MemoryError, BlockingIOError, InterruptedError)):
-        return "transient"
-    return "deterministic"
-
-
-def is_retryable(category: str) -> bool:
-    return category in RETRYABLE_CATEGORIES
 
 
 def ensure_finite_moments(

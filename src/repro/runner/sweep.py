@@ -3,11 +3,10 @@
 Every cell of a Table-1 or Fig-4 sweep is an independent job: build the
 benchmark, size it for minimum mean delay, re-size it statistically at one
 lambda, and measure the before/after moments.  :func:`run_cells` executes a
-list of such cells either serially (``jobs=1`` — the exact code path the
-single-process experiment runners always used) or across a
-``ProcessPoolExecutor``, persisting each completed cell through
-:mod:`repro.runner.artifacts` and skipping cells whose artifact already
-matches the current spec when ``resume=True``.
+list of such cells either serially (``jobs=1``, in-process) or across a
+``concurrent.futures.ProcessPoolExecutor``, persisting each completed cell
+through :mod:`repro.runner.artifacts` and skipping cells whose artifact
+already matches the current spec when ``resume=True``.
 
 Cell specs and the evaluators are plain module-level dataclasses/functions
 so they pickle cleanly into worker processes.  Results are deterministic —
@@ -16,49 +15,27 @@ the sizing flow has no randomness outside the seeded Monte-Carlo validator
 ``tests/runner/test_sweep.py``); only the recorded wall-clock runtimes
 differ.
 
-Fault tolerance
----------------
-Long campaigns hit failures a plain process pool cannot survive; the
-orchestrator layers the following on top (all off/no-op by default, so
-fault-free sweeps behave bit-identically to the historical implementation):
-
-* **timeouts** — ``cell_timeout`` bounds each attempt's wall clock; a hung
-  worker is killed (and only that worker; its siblings keep computing) and
-  the cell counts as a ``timeout`` failure;
-* **retries** — ``max_retries`` extra attempts per cell with exponential
-  backoff, but only for *retryable* categories (transient / timeout /
-  crash — see :mod:`repro.runner.errors`); deterministic failures never
-  burn retry budget;
-* **crash recovery** — a worker that dies (OOM-kill, segfault) is
-  attributed to exactly the cell it was evaluating, respawned, and the
-  cell retried; pending and in-flight sibling cells are unaffected
-  (:class:`repro.runner.pool.FaultTolerantPool` replaces
-  ``ProcessPoolExecutor``, whose ``BrokenProcessPool`` failed every
-  in-flight future);
-* **graceful interrupts** — SIGINT drains in-flight cells, persists their
-  artifacts, writes ``checkpoint.json``, and raises
-  :class:`~repro.runner.errors.SweepInterrupted` carrying the partial
-  report — identically for serial and parallel sweeps;
-* **failure ledger** — every failed attempt is appended to
-  ``<out_dir>/failures.json`` (:mod:`repro.runner.ledger`), and corrupt or
-  schema-mismatched artifacts found during resume are quarantined as
-  ``*.corrupt`` instead of silently recomputed over;
-* **fault injection** — :mod:`repro.runner.faults` threads deterministic
-  crash/hang/transient/corrupt injectors through :func:`evaluate_cell`
-  via the ``REPRO_FAULTS`` environment variable, which is how the chaos
-  suite (``tests/runner/test_faults.py``) proves all of the above.
+Failures have one behaviour.  A cell that raises does not stop its
+siblings: every other cell still runs and persists its artifact, and
+:func:`run_cells` then raises one ``RuntimeError`` naming each failed cell.
+A worker process that dies surfaces as ``BrokenProcessPool`` on the cells
+still in its pool, which fail the same way.  Ctrl-C is a plain
+``KeyboardInterrupt``: the cells not yet started are cancelled and the
+interrupt propagates.  Either way every finished artifact stays on disk,
+so a rerun with ``resume=True`` computes only the rest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import time
-import traceback as traceback_module
-from collections import deque
+import signal
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.circuits.registry import build_benchmark
 from repro.core.sizer import SizerConfig
@@ -78,27 +55,11 @@ from repro.obs import (
 from repro.runner.artifacts import (
     DIGEST_LEN,
     artifact_path,
-    load_artifact_status,
-    quarantine_artifact,
+    load_artifact,
     spec_key,
     write_artifact,
 )
-from repro.runner.errors import (
-    SweepInterrupted,
-    check_payload_health,
-    classify_exception,
-    is_retryable,
-)
-from repro.runner.faults import corrupt_artifact_if_injected, inject_evaluation_faults
-from repro.runner.ledger import (
-    CHECKPOINT_FILENAME,
-    LEDGER_FILENAME,
-    FailureLedger,
-    FailureRecord,
-    QuarantineRecord,
-    write_checkpoint,
-)
-from repro.runner.pool import FaultTolerantPool
+from repro.runner.errors import check_payload_health
 from repro.variation.model import VariationModel
 
 #: Cell kinds understood by :func:`evaluate_cell`.
@@ -221,12 +182,8 @@ class CellSpec:
             digest=self.digest(),
         )
 
-    def artifact_stem(self) -> str:
-        """Filename stem identifying this cell (used by the failure ledger)."""
-        return self.artifact_path(".").stem
-
     def describe(self) -> str:
-        """Human-readable one-liner for error messages and ledgers."""
+        """Human-readable one-liner for progress and error messages."""
         text = f"{self.kind} {self.circuit} lam={self.lam:g}"
         if self.target_yield is not None:
             text += f" y={self.target_yield:g}"
@@ -243,8 +200,8 @@ class CellResult:
     runtime_seconds: float
     from_cache: bool = False
     #: Schema-1 trace payload of this cell's evaluation (span tree + the
-    #: worker's per-cell metrics snapshot); ships back to the parent over
-    #: the existing result pipe and is persisted beside the artifact.
+    #: worker's per-cell metrics snapshot); ships back to the parent with
+    #: the result and is persisted beside the artifact.
     trace: Optional[Dict[str, Any]] = field(default=None, compare=False, repr=False)
 
     def table1_row(self) -> "Table1Row":
@@ -260,12 +217,7 @@ class CellResult:
 
 @dataclass
 class SweepReport:
-    """Summary of one :func:`run_cells` invocation.
-
-    ``computed`` counts only cells that *succeeded* this run (historically
-    it reported the whole pending count even when cells failed); failed,
-    quarantined and never-run cells are reported separately.
-    """
+    """Summary of one successful :func:`run_cells` invocation."""
 
     results: List[CellResult]
     computed: int
@@ -273,41 +225,16 @@ class SweepReport:
     wall_seconds: float
     jobs: int
     out_dir: Optional[Path]
-    total: int = 0                 #: cells requested (defaults to len(results))
-    failed: int = 0                #: cells whose retry budget was exhausted
-    quarantined: int = 0           #: corrupt/schema artifacts moved aside
-    retries: int = 0               #: extra attempts scheduled across all cells
-    interrupted: bool = False      #: SIGINT drained the sweep early
-    failures: List[FailureRecord] = field(default_factory=list)
     #: Campaign-level metrics snapshot: every cell's registry merged, plus
-    #: the orchestrator's own counters (retries, backoff waits, respawns).
+    #: the orchestrator's own ``sweep.*`` counters.
     metrics: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def pending(self) -> int:
-        """Cells that never reached a final state (only after an interrupt)."""
-        total = self.total or len(self.results)
-        return max(0, total - len(self.results) - self.failed)
-
     def summary(self) -> str:
-        total = self.total or len(self.results)
-        head = (
-            f"{total} cell(s): {self.computed} computed, "
-            f"{self.skipped} reused from artifacts"
-        )
-        if self.failed:
-            head += f", {self.failed} failed"
-        if self.pending:
-            head += f", {self.pending} not run"
-        parts = [head]
-        if self.quarantined:
-            parts.append(f"{self.quarantined} corrupt artifact(s) quarantined")
-        if self.retries:
-            noun = "retry" if self.retries == 1 else "retries"
-            parts.append(f"{self.retries} {noun}")
-        if self.interrupted:
-            parts.append("interrupted -- completed artifacts and checkpoint persisted")
-        parts.append(f"wall {self.wall_seconds:.1f} s with jobs={self.jobs}")
+        parts = [
+            f"{len(self.results)} cell(s): {self.computed} computed, "
+            f"{self.skipped} reused from artifacts",
+            f"wall {self.wall_seconds:.1f} s with jobs={self.jobs}",
+        ]
         if self.out_dir is not None:
             parts.append(f"artifacts in {self.out_dir}")
         return "; ".join(parts)
@@ -579,34 +506,28 @@ _EVALUATORS: Dict[str, Callable[[CellSpec], Dict[str, Any]]] = {
 }
 
 
-def evaluate_cell(spec: CellSpec, attempt: int = 0) -> CellResult:
+def evaluate_cell(spec: CellSpec) -> CellResult:
     """Run one sweep cell to completion (this is the worker entry point).
 
-    ``attempt`` is the zero-based retry counter; it feeds the
-    fault-injection harness (so injected faults can heal on a chosen
-    attempt) and is otherwise inert — evaluation itself is deterministic.
     The result payload is health-checked before it can ever reach an
     artifact: NaN/inf values or negative sigmas raise
     :class:`~repro.runner.errors.NumericalHealthError`.
     """
-    inject_evaluation_faults(spec, attempt)
-    # Each attempt records its own span tree and metrics from scratch: the
+    # Each cell records its own span tree and metrics from scratch: the
     # process-wide registry is reset so a worker reused across cells ships
-    # per-cell (not cumulative) numbers back over the result pipe.
+    # per-cell (not cumulative) numbers back with its result.
     METRICS.reset()
     tracer = Tracer(enabled=True)
     with activate(tracer):
         with tracer.span(
-            "cell",
-            kind=spec.kind,
-            circuit=spec.circuit,
-            lam=spec.lam,
-            attempt=attempt,
+            "cell", kind=spec.kind, circuit=spec.circuit, lam=spec.lam
         ) as cell_span:
             result = _EVALUATORS[spec.kind](spec)
     check_payload_health(result, context=spec.describe())
     trace = trace_payload(
-        f"cell {spec.artifact_stem()}", tracer.spans, metrics=METRICS.snapshot()
+        f"cell {spec.artifact_path('.').stem}",
+        tracer.spans,
+        metrics=METRICS.snapshot(),
     )
     return CellResult(
         spec=spec,
@@ -626,6 +547,29 @@ ProgressFn = Callable[[int, int, CellResult], None]
 def _cell_trace_path(artifact: Path) -> Path:
     """The per-cell trace file living beside ``artifact`` (``*.trace.json``)."""
     return artifact.with_suffix(".trace.json")
+
+
+def _cached_result(spec: CellSpec, out_path: Path) -> Optional[CellResult]:
+    """The cell's result from its artifact, when that artifact is current."""
+    path = spec.artifact_path(out_path)
+    artifact = load_artifact(path)
+    if artifact is None or artifact["key"] != spec.key():
+        return None
+    trace = None
+    trace_file = _cell_trace_path(path)
+    if trace_file.exists():
+        try:
+            trace = load_trace(trace_file)
+        except (ValueError, OSError):
+            trace = None
+    return CellResult(
+        spec=spec,
+        key=artifact["key"],
+        result=artifact["result"],
+        runtime_seconds=float(artifact.get("runtime_seconds", 0.0)),
+        from_cache=True,
+        trace=trace,
+    )
 
 
 def _preflight_cells(specs: Sequence[CellSpec]) -> None:
@@ -650,14 +594,63 @@ def _preflight_cells(specs: Sequence[CellSpec]) -> None:
         try:
             circuit = build_benchmark(spec.circuit)
         except Exception:
-            # An unresolvable circuit name is not a lint finding: leave the
-            # cell to fail through the normal per-cell machinery, so sibling
-            # cells still run and the failure lands in the ledger.
+            # An unresolvable circuit name is not a lint finding: the cell
+            # fails on its own, so sibling cells still run and the sweep's
+            # error names it.
             continue
         library = make_synthetic_90nm_library(
             sizes_per_cell=spec.substrates.sizes_per_cell
         )
         preflight_circuit(circuit, library=library)
+
+
+def _die_on_sigint() -> None:
+    """Worker initializer: Ctrl-C kills a worker instead of unwinding it.
+
+    A ``KeyboardInterrupt`` caught inside a worker would come back as its
+    cell's result while the worker goes on to the next cell the pool has
+    already queued for it, and one that lands while the worker reads the
+    pool's shared call queue can leave that queue unreadable and hang the
+    pool's shutdown.  A worker killed by the signal breaks the pool cleanly
+    while the parent handles the interrupt.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _evaluate_pending(
+    specs: Sequence[CellSpec], pending: Sequence[int], jobs: int
+) -> Iterator[Tuple[int, Union[CellResult, Exception]]]:
+    """Yield each pending cell's result, or the exception it raised.
+
+    ``jobs == 1`` evaluates in-process, in spec order; otherwise a
+    ``ProcessPoolExecutor`` of up to ``jobs`` workers runs the cells and
+    they come back in completion order.  Closing the generator early (a
+    ``KeyboardInterrupt``) cancels the cells the executor has not yet
+    queued for a worker and waits for the workers to stop.
+    """
+    if jobs == 1:
+        for index in pending:
+            try:
+                outcome: Union[CellResult, Exception] = evaluate_cell(specs[index])
+            except Exception as exc:
+                outcome = exc
+            yield index, outcome
+        return
+    if not pending:
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(pending)), initializer=_die_on_sigint
+    )
+    try:
+        futures = {pool.submit(evaluate_cell, specs[i]): i for i in pending}
+        for future in as_completed(futures):
+            try:
+                outcome = future.result()
+            except Exception as exc:
+                outcome = exc
+            yield futures[future], outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_cells(
@@ -666,462 +659,150 @@ def run_cells(
     out_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    retry_backoff: float = 0.5,
-    backoff_factor: float = 2.0,
-    backoff_max: float = 60.0,
-    on_error: str = "fail",
     preflight: bool = True,
 ) -> SweepReport:
-    """Execute sweep cells, optionally in parallel, resumably and fault-tolerantly.
+    """Execute sweep cells, serially or on a process pool, resumably.
 
     Parameters
     ----------
     specs:
         The cells to run; results come back in the same order.
     jobs:
-        ``1`` runs everything in-process (no workers involved); ``> 1``
-        fans pending cells across a
-        :class:`~repro.runner.pool.FaultTolerantPool` of worker processes.
+        ``1`` runs everything in-process; ``> 1`` fans pending cells across
+        a ``ProcessPoolExecutor`` of up to ``jobs`` worker processes.
     out_dir:
-        Results directory for per-cell JSON artifacts.  ``None`` disables
-        persistence (and therefore resume, the failure ledger and the
-        interrupt checkpoint).
+        Results directory for per-cell JSON artifacts and traces, and the
+        merged campaign ``trace.json``.  ``None`` disables persistence (and
+        therefore resume).
     resume:
-        Skip cells whose artifact exists under ``out_dir`` and whose stored
-        key matches the current spec hash.  Corrupt or schema-mismatched
-        artifacts encountered during the scan are quarantined as
-        ``*.corrupt`` (and recorded in the ledger) before recomputing.
+        Skip cells whose artifact under ``out_dir`` parses, carries the
+        current schema and stores the current spec's key.  Any other
+        artifact is recomputed and overwritten.
     progress:
         Optional callback invoked as ``progress(done, total, result)``
         after every successful cell (cached or computed), in completion
-        order.
-    cell_timeout:
-        Wall-clock budget in seconds per attempt.  Enforced only with
-        ``jobs > 1`` (a hung in-process cell cannot be preempted); the
-        hung worker is killed and the cell counts as a ``timeout`` failure.
-    max_retries:
-        Extra attempts per cell for retryable failures (transient /
-        timeout / worker crash).  Deterministic failures never retry.
-    retry_backoff / backoff_factor / backoff_max:
-        Attempt ``n`` (zero-based) waits
-        ``min(backoff_max, retry_backoff * backoff_factor**n)`` seconds
-        before retrying.
-    on_error:
-        ``"fail"`` (default, historical behavior): every cell still runs —
-        a failing cell never discards siblings — but a ``RuntimeError``
-        aggregating the final failures is raised at the end.
-        ``"continue"``: no raise; failures are reported in the returned
-        :class:`SweepReport` for the caller to inspect.
+        order, once the cell's artifact is on disk.
     preflight:
         Lint each distinct (circuit, substrates) pair among the *pending*
         cells against the DRC catalogue before any evaluation starts.
         ERROR diagnostics raise
-        :class:`~repro.runner.errors.DeterministicError` in the parent —
-        before a single worker is spawned — regardless of ``on_error``,
-        because retrying or continuing cannot fix a defective netlist.
-        The CLI exposes ``--no-preflight`` to opt out.
+        :class:`~repro.runner.errors.DeterministicError` in the parent,
+        before a single cell runs.  The CLI exposes ``--no-preflight`` to
+        opt out.
 
     Raises
     ------
-    SweepInterrupted
-        On SIGINT, after draining in-flight cells, persisting their
-        artifacts and writing ``checkpoint.json`` — identically for serial
-        and parallel sweeps.  Carries the partial report.
     DeterministicError
         When ``preflight=True`` and a pending cell's circuit fails DRC.
     RuntimeError
-        With ``on_error="fail"``, when any cell exhausted its retry budget.
+        After every cell has run, when any cell failed; the message names
+        each failed cell.
+    KeyboardInterrupt
+        Propagated as is, after cancelling the cells not yet started.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if on_error not in ("fail", "continue"):
-        raise ValueError(f"on_error must be 'fail' or 'continue', got {on_error!r}")
     start = clock()
-    start_unix = time.time()
-    respawn_base = METRICS.get_counter("pool.respawns")
-    campaign_metrics = MetricsRegistry()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-    ledger = FailureLedger(out_path / LEDGER_FILENAME if out_path else None)
 
     total = len(specs)
     results: List[Optional[CellResult]] = [None] * total
     done = 0
-    quarantined = 0
     pending: List[int] = []
     for i, spec in enumerate(specs):
-        cached = None
-        if resume and out_path is not None:
-            path = spec.artifact_path(out_path)
-            artifact, status = load_artifact_status(path)
-            if status in ("corrupt", "schema"):
-                target = quarantine_artifact(path)
-                quarantined += 1
-                ledger.record_quarantine(
-                    QuarantineRecord(
-                        artifact=path.name,
-                        quarantined_as=target.name,
-                        reason=status,
-                    )
-                )
-            elif status == "ok" and artifact["key"] == spec.key():
-                trace = None
-                trace_file = _cell_trace_path(path)
-                if trace_file.exists():
-                    try:
-                        trace = load_trace(trace_file)
-                    except (ValueError, OSError):
-                        trace = None
-                cached = CellResult(
-                    spec=spec,
-                    key=artifact["key"],
-                    result=artifact["result"],
-                    runtime_seconds=float(artifact.get("runtime_seconds", 0.0)),
-                    from_cache=True,
-                    trace=trace,
-                )
-        if cached is not None:
-            results[i] = cached
-            done += 1
-            if progress is not None:
-                progress(done, total, cached)
-        else:
+        cached = (
+            _cached_result(spec, out_path)
+            if resume and out_path is not None
+            else None
+        )
+        if cached is None:
             pending.append(i)
+            continue
+        results[i] = cached
+        done += 1
+        if progress is not None:
+            progress(done, total, cached)
+    skipped = done
 
     if preflight and pending:
         _preflight_cells([specs[i] for i in pending])
 
-    computed = 0
-    retries = 0
-    final_failures: List[FailureRecord] = []
-    all_failures: List[FailureRecord] = []
-
-    def _finish(index: int, result: CellResult, attempt: int = 0) -> None:
-        nonlocal done, computed
-        results[index] = result
-        if out_path is not None:
-            path = result.spec.artifact_path(out_path)
-            write_artifact(
-                path,
-                key=result.key,
-                spec=result.spec.payload(),
-                result=result.result,
-                runtime_seconds=result.runtime_seconds,
-            )
-            if result.trace is not None:
-                write_trace(_cell_trace_path(path), result.trace)
-            corrupt_artifact_if_injected(result.spec, attempt, path)
-        done += 1
-        computed += 1
-        if progress is not None:
-            progress(done, total, result)
-
-    def _backoff_delay(attempt: int) -> float:
-        return min(backoff_max, retry_backoff * backoff_factor**attempt)
-
-    def _record_failure(
-        index: int,
-        attempt: int,
-        category: str,
-        error: str,
-        message: str,
-        tb: str,
-        elapsed: float,
-        allow_retry: bool = True,
-    ) -> bool:
-        """Ledger one failed attempt; True iff a retry should be scheduled."""
-        nonlocal retries
-        spec = specs[index]
-        will_retry = allow_retry and is_retryable(category) and attempt < max_retries
-        record = FailureRecord(
-            cell=spec.artifact_stem(),
-            key=spec.key(),
-            kind=spec.kind,
-            circuit=spec.circuit,
-            lam=spec.lam,
-            target_yield=spec.target_yield,
-            attempt=attempt,
-            category=category,
-            error=error,
-            message=message,
-            traceback=tb,
-            elapsed_seconds=elapsed,
-            retried=will_retry,
-        )
-        ledger.record_failure(record)
-        all_failures.append(record)
-        campaign_metrics.counter(f"sweep.failures.{category}")
-        if will_retry:
-            retries += 1
-            campaign_metrics.histogram(
-                "sweep.backoff_wait_s", _backoff_delay(attempt)
-            )
-        else:
-            final_failures.append(record)
-        return will_retry
-
-    interrupted = False
     # A failing cell must not discard its siblings: every other cell still
-    # runs, completed cells persist to artifacts (so a later --resume only
+    # runs, completed cells persist to artifacts (so a later resume only
     # pays for the failures), and the errors are reported together at the end.
-    if jobs == 1 or not pending:
-        interrupted = _run_serial(
-            specs, pending, _finish, _record_failure, _backoff_delay
-        )
-    else:
-        interrupted = _run_parallel(
-            specs,
-            pending,
-            min(jobs, len(pending)),
-            cell_timeout,
-            _finish,
-            _record_failure,
-            _backoff_delay,
-        )
+    failures: List[Tuple[CellSpec, Exception]] = []
+    with closing(_evaluate_pending(specs, pending, jobs)) as outcomes:
+        for index, outcome in outcomes:
+            if isinstance(outcome, Exception):
+                failures.append((specs[index], outcome))
+                continue
+            results[index] = outcome
+            if out_path is not None:
+                path = outcome.spec.artifact_path(out_path)
+                write_artifact(
+                    path,
+                    key=outcome.key,
+                    spec=outcome.spec.payload(),
+                    result=outcome.result,
+                    runtime_seconds=outcome.runtime_seconds,
+                )
+                if outcome.trace is not None:
+                    write_trace(_cell_trace_path(path), outcome.trace)
+            done += 1
+            if progress is not None:
+                progress(done, total, outcome)
+    computed = done - skipped
 
     # Fold every cell's shipped metrics (cached cells included, so the
     # campaign numbers describe the whole grid) plus the orchestrator's own
     # counters into one registry; the snapshot rides on the report and the
     # campaign trace.
     completed = [r for r in results if r is not None]
+    campaign_metrics = MetricsRegistry()
     for result in completed:
         if result.trace is not None:
             campaign_metrics.merge(result.trace.get("metrics", {}))
     campaign_metrics.counter("sweep.cells_total", total)
     campaign_metrics.counter("sweep.cells_computed", computed)
-    campaign_metrics.counter("sweep.cells_cached", done - computed)
-    campaign_metrics.counter("sweep.retries", retries)
-    campaign_metrics.counter("sweep.failed", len(final_failures))
-    campaign_metrics.counter("sweep.quarantined", quarantined)
-    # Serial sweeps reset the process registry per cell, so clamp the delta.
-    respawns = max(0, METRICS.get_counter("pool.respawns") - respawn_base)
-    if respawns:
-        campaign_metrics.counter("pool.respawns", respawns)
-
-    report = SweepReport(
-        results=completed,
-        computed=computed,
-        skipped=done - computed,
-        wall_seconds=clock() - start,
-        jobs=jobs,
-        out_dir=out_path,
-        total=total,
-        failed=len(final_failures),
-        quarantined=quarantined,
-        retries=retries,
-        interrupted=interrupted,
-        failures=final_failures,
-        metrics=campaign_metrics.snapshot(),
-    )
+    campaign_metrics.counter("sweep.cells_cached", skipped)
+    campaign_metrics.counter("sweep.failed", len(failures))
+    metrics = campaign_metrics.snapshot()
 
     # One merged campaign trace: every completed cell's span tree under a
-    # synthetic root, plus one synthesized span per failed attempt
-    # (crashed/hung workers can never ship theirs).  A fully-cached resume
-    # leaves the existing file untouched — nothing ran, nothing changed.
+    # synthetic root.  A fully-cached resume leaves the existing file
+    # untouched — nothing ran, nothing changed.
     if out_path is not None and (
-        computed or all_failures or not (out_path / "trace.json").exists()
+        computed or not (out_path / "trace.json").exists()
     ):
-        failure_spans = [
-            {
-                "id": f"fail.{n}",
-                "parent": None,
-                "name": "cell.failure",
-                "start_unix": start_unix,
-                "duration_s": max(0.0, float(record.elapsed_seconds)),
-                "attrs": {
-                    "cell": record.cell,
-                    "category": record.category,
-                    "attempt": record.attempt,
-                    "retried": record.retried,
-                },
-            }
-            for n, record in enumerate(all_failures)
-        ]
         write_trace(
             out_path / "trace.json",
             merge_traces(
                 [r.trace for r in completed if r.trace is not None],
                 name="sweep",
-                metrics=report.metrics,
-                extra_spans=failure_spans,
+                metrics=metrics,
             ),
         )
 
-    if interrupted:
-        if out_path is not None:
-            write_checkpoint(
-                out_path / CHECKPOINT_FILENAME,
-                {
-                    "total": total,
-                    "completed": [r.spec.artifact_stem() for r in report.results],
-                    "failed": [record.cell for record in final_failures],
-                    "pending": [
-                        specs[i].artifact_stem()
-                        for i in pending
-                        if results[i] is None
-                        and not any(
-                            record.cell == specs[i].artifact_stem()
-                            for record in final_failures
-                        )
-                    ],
-                },
-            )
-        raise SweepInterrupted(
-            f"sweep interrupted: {report.summary()}", report=report
-        )
-
-    if final_failures and on_error == "fail":
+    if failures:
         details = "; ".join(
-            f"{record.kind} {record.circuit} lam={record.lam:g}: {record.message}"
-            for record in final_failures
+            f"{spec.describe()}: {type(exc).__name__}: {exc}"
+            for spec, exc in failures
         )
+        # The first failure rides along as the cause, with its traceback.
         raise RuntimeError(
-            f"{len(final_failures)} of {total} sweep cell(s) failed ({details})"
+            f"{len(failures)} of {total} sweep cell(s) failed ({details})"
             + ("; completed cells were persisted to artifacts"
                if out_path is not None else "")
-        )
+        ) from failures[0][1]
 
-    return report
-
-
-def _run_serial(
-    specs: Sequence[CellSpec],
-    pending: Sequence[int],
-    finish: Callable[[int, CellResult, int], None],
-    record_failure: Callable[..., bool],
-    backoff_delay: Callable[[int], float],
-) -> bool:
-    """In-process execution with retries; returns True if interrupted."""
-    try:
-        for i in pending:
-            attempt = 0
-            while True:
-                cell_start = clock()
-                try:
-                    result = evaluate_cell(specs[i], attempt=attempt)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    elapsed = clock() - cell_start
-                    if record_failure(
-                        i,
-                        attempt,
-                        classify_exception(exc),
-                        type(exc).__name__,
-                        str(exc),
-                        traceback_module.format_exc(),
-                        elapsed,
-                    ):
-                        time.sleep(backoff_delay(attempt))
-                        attempt += 1
-                        continue
-                    break
-                finish(i, result, attempt)
-                break
-    except KeyboardInterrupt:
-        return True
-    return False
-
-
-def _run_parallel(
-    specs: Sequence[CellSpec],
-    pending: Sequence[int],
-    workers: int,
-    cell_timeout: Optional[float],
-    finish: Callable[[int, CellResult, int], None],
-    record_failure: Callable[..., bool],
-    backoff_delay: Callable[[int], float],
-) -> bool:
-    """Worker-pool execution with retries, timeouts and crash recovery.
-
-    Returns True if interrupted (after draining in-flight cells).
-    """
-    runnable = deque((i, 0) for i in pending)
-    waiting: List[Tuple[float, int, int]] = []  # (eligible_at, index, attempt)
-    outstanding = len(pending)
-    interrupted = False
-
-    def _handle_event(event, allow_retry: bool) -> bool:
-        """Process one pool event; True iff the cell reached a final state."""
-        index, attempt = event.tag
-        if event.kind == "ok":
-            finish(index, event.value, attempt)
-            return True
-        if event.kind == "error":
-            remote = event.value
-            category, error = remote.category, remote.error
-            message, tb = remote.message, remote.traceback
-        elif event.kind == "crash":
-            category, error = "crash", "WorkerCrashError"
-            message = (
-                f"worker died (exit code {event.value}) while evaluating "
-                f"{specs[index].describe()}"
-            )
-            tb = ""
-        else:  # timeout
-            category, error = "timeout", "CellTimeoutError"
-            message = (
-                f"{specs[index].describe()} exceeded the cell timeout of "
-                f"{cell_timeout:g} s; worker killed"
-            )
-            tb = ""
-        if record_failure(
-            index, attempt, category, error, message, tb,
-            event.elapsed_seconds, allow_retry,
-        ):
-            heapq.heappush(
-                waiting,
-                (time.monotonic() + backoff_delay(attempt), index, attempt + 1),
-            )
-            return False
-        return True
-
-    pool = FaultTolerantPool(evaluate_cell, workers)
-    try:
-        try:
-            while outstanding > 0:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    _, index, attempt = heapq.heappop(waiting)
-                    runnable.append((index, attempt))
-                idle = pool.idle_workers()
-                while runnable and idle:
-                    index, attempt = runnable.popleft()
-                    idle.pop()
-                    pool.submit(
-                        (index, attempt),
-                        (specs[index], attempt),
-                        timeout=cell_timeout,
-                    )
-                if pool.busy_count() == 0:
-                    if runnable:
-                        continue
-                    if waiting:
-                        time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
-                        continue
-                    break  # defensive; outstanding bookkeeping says otherwise
-                timeout = (
-                    max(0.0, waiting[0][0] - time.monotonic()) if waiting else None
-                )
-                for event in pool.wait(timeout):
-                    if _handle_event(event, allow_retry=True):
-                        outstanding -= 1
-        except KeyboardInterrupt:
-            interrupted = True
-            # Graceful drain: in-flight cells finish (timeouts still
-            # enforced) and persist; queued work and retries are dropped.
-            # A second SIGINT abandons the drain immediately.
-            try:
-                while pool.busy_count() > 0:
-                    for event in pool.wait(None):
-                        _handle_event(event, allow_retry=False)
-            except KeyboardInterrupt:
-                pass
-    finally:
-        pool.shutdown(kill=pool.busy_count() > 0)
-    return interrupted
+    return SweepReport(
+        results=completed,
+        computed=computed,
+        skipped=skipped,
+        wall_seconds=clock() - start,
+        jobs=jobs,
+        out_dir=out_path,
+        metrics=metrics,
+    )

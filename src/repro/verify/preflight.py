@@ -1,12 +1,12 @@
 """Pre-flight validation: lint circuits *before* compute is spent on them.
 
-Expensive campaigns used to discover bad inputs dynamically — a multi-driver
-net surfaced as a mid-sweep exception, a combinational cycle hung
-levelization inside a worker, an out-of-table load silently extrapolated a
-delay.  :func:`preflight_circuit` runs the DRC catalogue up front and turns
-ERROR diagnostics into :class:`~repro.runner.errors.DeterministicError` (the
-never-retryable category), so a defective netlist fails in the parent
-process before a single worker is spawned or a single level is timed.
+Without it, bad inputs surface only once compute is spent on them — a
+multi-driver net as a mid-sweep exception, a combinational cycle deep in
+levelization, an out-of-table load as a silently extrapolated delay.
+:func:`preflight_circuit` runs the DRC catalogue up front and turns ERROR
+diagnostics into :class:`~repro.runner.errors.DeterministicError` (a
+failure the same inputs always reproduce), so a defective netlist fails in
+the parent process before a single cell runs or a single level is timed.
 
 Wired into :func:`repro.flow.run_sizing_flow` (``preflight=`` parameter) and
 :func:`repro.runner.sweep.run_cells` (``preflight=`` parameter, CLI
@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 
 class PreflightError(DeterministicError):
-    """A circuit failed pre-flight DRC; retrying cannot help.
+    """A circuit failed pre-flight DRC; rerunning cannot help.
 
     Carries the full :class:`~repro.verify.diagnostics.LintReport` so
     callers (and tests) can inspect exactly which rules fired.

@@ -14,13 +14,10 @@ from repro.circuits.registry import build_benchmark
 from repro.core.sizer import SizerConfig
 from repro.flow import run_sizing_flow
 from repro.obs import METRICS, load_trace, span_tree_coverage, validate_trace
-from repro.runner.faults import FAULTS_ENV, FaultRule, fault_env_value
 from repro.runner.sweep import run_cells, table1_specs
 
-#: Smallest useful sizer budget (mirrors tests/runner/test_faults.py).
+#: Smallest useful sizer budget: every cell is a c17 run of tens of ms.
 FAST = SizerConfig(lam=3.0, max_iterations=2, max_outputs_per_pass=1, patience=1)
-
-QUICK_RETRY = {"retry_backoff": 0.01, "backoff_factor": 1.0}
 
 #: The exact memoization counters of a deterministic c17 flow at this
 #: budget.  These pin the *wiring* (a refactor that stops counting cache
@@ -177,40 +174,6 @@ class TestSweepTraces:
         assert report.metrics["counters"]["sweep.cells_cached"] == 1
         assert cell_runs >= 1
         assert report.metrics["counters"]["fullssta.runs"] == cell_runs
-
-
-class TestCrashedWorkerTrace:
-    def test_crashed_attempt_synthesizes_failure_span(
-        self, tmp_path, monkeypatch
-    ):
-        # The crashed worker can never ship its partial spans back; the
-        # orchestrator synthesizes a cell.failure span from the ledger
-        # record so the campaign trace still accounts for the lost attempt.
-        monkeypatch.setenv(FAULTS_ENV, fault_env_value([
-            FaultRule(mode="crash", circuit="c17", lam=9.0, attempts=(0,)),
-        ]))
-        specs = table1_specs(["c17"], (3.0, 9.0), sizer_config=FAST)
-        report = run_cells(specs, jobs=2, out_dir=tmp_path,
-                           max_retries=2, **QUICK_RETRY)
-        assert report.computed == 2 and report.failed == 0
-
-        campaign = load_trace(tmp_path / "trace.json")
-        assert validate_trace(campaign) == []
-        failures = [s for s in campaign["spans"] if s["name"] == "cell.failure"]
-        assert len(failures) == 1
-        attrs = failures[0]["attrs"]
-        assert attrs["category"] == "crash"
-        assert attrs["attempt"] == 0
-        assert attrs["retried"] is True
-        root = next(s for s in campaign["spans"] if s["parent"] is None)
-        assert failures[0]["parent"] == root["id"]
-        # The successful retry's span tree is present alongside it.
-        cell_spans = [s for s in campaign["spans"] if s["name"] == "cell"]
-        assert len(cell_spans) == 2
-        # The respawned worker shows up in the campaign metrics.
-        assert report.metrics["counters"].get("pool.respawns", 0) >= 1
-        assert report.metrics["counters"]["sweep.failures.crash"] == 1
-        assert report.metrics["counters"]["sweep.retries"] == 1
 
 
 class TestArtifactHygiene:

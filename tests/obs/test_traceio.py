@@ -96,15 +96,6 @@ class TestMergeTraces:
         assert by_id["c1/a.1"]["parent"] == "campaign.0"
         assert root["attrs"]["cells"] == 2
 
-    def test_extra_spans_attach_to_root(self):
-        failure = {"id": "fail.0", "parent": None, "name": "cell.failure",
-                   "start_unix": 0.0, "duration_s": 0.5,
-                   "attrs": {"category": "crash"}}
-        merged = merge_traces([], name="sweep", extra_spans=[failure])
-        by_id = {s["id"]: s for s in merged["spans"]}
-        assert by_id["x/fail.0"]["parent"] == "campaign.0"
-        assert validate_trace(merged) == []
-
     def test_root_duration_spans_children(self):
         early = _payload([("a.1", None, "cell")])
         early["spans"][0].update(start_unix=10.0, duration_s=2.0)

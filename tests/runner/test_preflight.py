@@ -1,12 +1,12 @@
 """Pre-flight DRC hooks: defective netlists must fail in the parent process
-before any compute is spent — no worker pool, no sizer pass, no artifact.
+before any compute is spent — no process pool, no sizer pass, no artifact.
 """
 
 import pytest
 
 from repro.flow import run_sizing_flow
 from repro.netlist.circuit import Circuit
-from repro.runner.errors import DeterministicError, classify_exception
+from repro.runner.errors import DeterministicError
 from repro.runner.sweep import CellSpec, run_cells
 from repro.verify import PreflightError, preflight_circuit
 
@@ -35,7 +35,6 @@ class TestPreflightCircuit:
             preflight_circuit(_defective_circuit())
         except PreflightError as exc:
             assert isinstance(exc, DeterministicError)
-            assert classify_exception(exc) == "deterministic"
         else:  # pragma: no cover - defect must raise
             pytest.fail("expected PreflightError")
 
@@ -77,7 +76,7 @@ class TestSweepPreflight:
                 constructed.append(self)
                 raise AssertionError("pool constructed despite preflight")
 
-        monkeypatch.setattr(sweep_mod, "FaultTolerantPool", _SentinelPool)
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", _SentinelPool)
 
         spec = CellSpec(kind="table1", circuit="c17", lam=3.0)
         with pytest.raises(DeterministicError) as exc_info:
@@ -87,14 +86,19 @@ class TestSweepPreflight:
         # No artifacts were produced for the doomed sweep.
         assert list(tmp_path.glob("table1__*.json")) == []
 
-    def test_preflight_raises_even_with_on_error_continue(self, monkeypatch):
+    def test_preflight_error_is_not_a_cell_failure(self, monkeypatch):
+        # The serial path raises the PreflightError itself, before any
+        # cell runs, not the sweep's aggregated cell-failure RuntimeError.
         import repro.runner.sweep as sweep_mod
 
         monkeypatch.setattr(sweep_mod, "build_benchmark",
                             lambda name: _defective_circuit(name))
+        evaluated = []
+        monkeypatch.setattr(sweep_mod, "evaluate_cell", evaluated.append)
         spec = CellSpec(kind="table1", circuit="c17", lam=3.0)
-        with pytest.raises(DeterministicError):
-            run_cells([spec], jobs=1, on_error="continue")
+        with pytest.raises(PreflightError):
+            run_cells([spec], jobs=1)
+        assert evaluated == []
 
     def test_opt_out_falls_through_to_cell_failure(self, monkeypatch):
         import repro.runner.sweep as sweep_mod
@@ -102,16 +106,20 @@ class TestSweepPreflight:
         monkeypatch.setattr(sweep_mod, "build_benchmark",
                             lambda name: _defective_circuit(name))
         spec = CellSpec(kind="table1", circuit="c17", lam=3.0)
-        report = run_cells([spec], jobs=1, on_error="continue", preflight=False)
-        assert len(report.failures) == 1
+        with pytest.raises(RuntimeError, match="1 of 1 sweep cell") as exc_info:
+            run_cells([spec], jobs=1, preflight=False)
+        assert not isinstance(exc_info.value, DeterministicError)
+        assert "table1 c17 lam=3" in str(exc_info.value)
 
     def test_unresolvable_circuit_name_is_not_a_preflight_error(self, monkeypatch):
-        # Pre-flight only lints circuits it can build; a bad name falls
-        # through to the per-cell failure machinery so sibling cells still
-        # run and the ledger records it.
+        # Pre-flight only lints circuits it can build; a bad name fails as
+        # its own cell, so sibling cells still run and the sweep's error
+        # names it.
         spec = CellSpec(kind="table1", circuit="no_such_circuit", lam=3.0)
-        report = run_cells([spec], jobs=1, on_error="continue")
-        assert len(report.failures) == 1
+        with pytest.raises(RuntimeError, match="1 of 1 sweep cell") as exc_info:
+            run_cells([spec], jobs=1)
+        assert not isinstance(exc_info.value, DeterministicError)
+        assert "no_such_circuit" in str(exc_info.value)
 
     def test_clean_sweep_unaffected_by_preflight(self, tmp_path):
         from repro.core.sizer import SizerConfig

@@ -7,9 +7,13 @@ full-scale serial-vs-parallel comparison lives in
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
+import repro.runner.sweep as sweep_module
 from repro.core.sizer import SizerConfig
 from repro.runner.artifacts import (
     ARTIFACT_SCHEMA,
@@ -18,10 +22,16 @@ from repro.runner.artifacts import (
     spec_key,
     write_artifact,
 )
+from repro.runner.errors import (
+    NumericalHealthError,
+    check_payload_health,
+    ensure_finite_moments,
+)
 from repro.runner.sweep import (
     CellSpec,
     SubstrateSpec,
     config_with_lam,
+    criticality_specs,
     evaluate_cell,
     fig4_specs,
     run_cells,
@@ -153,6 +163,43 @@ class TestArtifacts:
         b = artifact_path(tmp_path, "table1", "c17", 3.0000001)
         assert a != b
 
+    def test_criticality_cells_with_different_knobs_do_not_collide(self, tmp_path):
+        # All three cells are (criticality, c17, lam=0.0); only the spec-key
+        # digest in the filename tells top_k/monte_carlo_samples/seed apart.
+        (a,) = criticality_specs(["c17"], top_k=3)
+        (b,) = criticality_specs(["c17"], top_k=7)
+        (c,) = criticality_specs(["c17"], top_k=3, monte_carlo_samples=50, seed=1)
+        paths = {a.artifact_path(tmp_path), b.artifact_path(tmp_path),
+                 c.artifact_path(tmp_path)}
+        assert len(paths) == 3
+
+    def test_digest_is_stable_and_key_derived(self):
+        (spec,) = table1_specs(["c17"], (3.0,), sizer_config=FAST)
+        assert spec.digest() == spec.key()[:8]
+        assert spec.artifact_path(".").stem.endswith(spec.digest())
+
+
+class TestHealthGuards:
+    def test_finite_moment_guard(self):
+        ensure_finite_moments(100.0, 5.0, context="ok", area=10.0)
+        with pytest.raises(NumericalHealthError, match="non-finite"):
+            ensure_finite_moments(float("nan"), 5.0, context="bad")
+        with pytest.raises(NumericalHealthError, match="negative sigma"):
+            ensure_finite_moments(100.0, -1.0, context="bad")
+        with pytest.raises(NumericalHealthError, match="area"):
+            ensure_finite_moments(100.0, 5.0, context="bad", area=float("inf"))
+
+    def test_payload_health_rejects_nan_and_negative_sigma(self):
+        check_payload_health({"mean": 1.0, "nested": {"sigma": 0.5}}, "cell")
+        with pytest.raises(NumericalHealthError, match="non-finite"):
+            check_payload_health({"rows": [1.0, float("inf")]}, "cell")
+        with pytest.raises(NumericalHealthError, match="negative sigma"):
+            check_payload_health({"original_sigma": -2.0}, "cell")
+
+    def test_payload_health_allows_negative_deltas(self):
+        # The paper reports sigma *reductions* as negative percentages.
+        check_payload_health({"sigma_reduction_pct": -35.2}, "cell")
+
 
 class TestRunCells:
     def test_serial_matches_parallel(self, tmp_path):
@@ -210,14 +257,100 @@ class TestRunCells:
         with pytest.raises(ValueError):
             run_cells([], jobs=0)
 
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "binary", "old-schema", "stale-key"]
+    )
+    def test_resume_recomputes_a_damaged_artifact(self, tmp_path, damage):
+        # Resume trusts only an artifact that parses, carries the current
+        # schema and matches the spec key; anything else is recomputed and
+        # overwritten with a valid artifact.
+        specs = table1_specs(["c17"], (3.0, 9.0), sizer_config=FAST)
+        first = run_cells(specs, jobs=1, out_dir=tmp_path)
+        damaged = specs[1].artifact_path(tmp_path)
+        text = damaged.read_text()
+        if damage == "truncated":
+            damaged.write_text(text[: len(text) // 2])
+        elif damage == "binary":
+            damaged.write_bytes(b"\xff\xfe not even UTF-8")
+        else:
+            payload = json.loads(text)
+            if damage == "old-schema":
+                payload["schema"] = ARTIFACT_SCHEMA - 1
+            else:  # a well-formed artifact whose spec key is not this cell's
+                payload["key"] = "0" * 64
+            damaged.write_text(json.dumps(payload))
+        report = run_cells(specs, jobs=1, out_dir=tmp_path, resume=True)
+        assert report.skipped == 1 and report.computed == 1
+        assert not report.results[1].from_cache
+        assert load_artifact(damaged)["key"] == specs[1].key()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            name for spec in specs
+            for name in (spec.artifact_path(tmp_path).name,
+                         spec.artifact_path(tmp_path).stem + ".trace.json")
+        ) + ["trace.json"]
+        for a, b in zip(first.results, report.results, strict=True):
+            assert _row_fields_except_runtime(a) == _row_fields_except_runtime(b)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_keeps_finished_artifacts_for_resume(self, tmp_path, jobs):
+        # A KeyboardInterrupt raised from the progress callback lands in the
+        # orchestration loop where a real Ctrl-C would, after the first
+        # computed cell's artifact is on disk.
+        specs = table1_specs(["c17"], (3.0, 6.0, 9.0), sizer_config=FAST)
+        finished = []
+
+        def interrupt(done, total, result):
+            finished.append(result.spec)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_cells(specs, jobs=jobs, out_dir=tmp_path, progress=interrupt)
+        (first,) = finished
+        assert load_artifact(first.artifact_path(tmp_path))["key"] == first.key()
+
+        resumed = run_cells(specs, jobs=1, out_dir=tmp_path, resume=True)
+        assert resumed.skipped == 1 and resumed.computed == 2
+        cached = [r.spec for r in resumed.results if r.from_cache]
+        assert cached == [first]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the patched evaluator only when forked",
+    )
+    @pytest.mark.parametrize("death", ["exit", "sigint"])
+    def test_dead_worker_fails_its_cell(self, tmp_path, monkeypatch, death):
+        # A worker that exits, or takes a Ctrl-C, breaks the pool: its cell
+        # fails with BrokenProcessPool.  The SIGINT must kill the worker
+        # rather than unwind it into a KeyboardInterrupt result.
+        evaluate = sweep_module._EVALUATORS["table1"]
+
+        def die_at_lam9(spec):
+            if spec.lam == 9.0:
+                if death == "exit":
+                    os._exit(13)
+                os.kill(os.getpid(), signal.SIGINT)
+            return evaluate(spec)
+
+        monkeypatch.setitem(sweep_module._EVALUATORS, "table1", die_at_lam9)
+        specs = table1_specs(["c17"], (3.0, 9.0), sizer_config=FAST)
+        try:
+            with pytest.raises(RuntimeError,
+                               match=r"table1 c17 lam=9: BrokenProcessPool"):
+                run_cells(specs, jobs=2, out_dir=tmp_path)
+        except KeyboardInterrupt:
+            pytest.fail("the worker's SIGINT reached the parent")
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_cell_preserves_siblings(self, tmp_path, jobs):
         # One bad cell must not discard the completed ones: their artifacts
         # persist, and a later resume only pays for the failure.
         specs = table1_specs(["c17", "no_such_circuit"], (3.0,),
                              sizer_config=FAST)
-        with pytest.raises(RuntimeError, match="no_such_circuit"):
+        with pytest.raises(RuntimeError, match="no_such_circuit") as exc_info:
             run_cells(specs, jobs=jobs, out_dir=tmp_path)
+        # The cell's own error, traceback included, is the cause.
+        assert isinstance(exc_info.value.__cause__, KeyError)
+        assert exc_info.value.__cause__.__traceback__ is not None
         good = load_artifact(specs[0].artifact_path(tmp_path))
         assert good is not None
         report = run_cells(specs[:1], jobs=1, out_dir=tmp_path, resume=True)
@@ -242,8 +375,6 @@ class TestFig4Cells:
     def test_baseline_memoized_across_lambdas(self):
         # A serial fig4 sweep derives the deterministic mean-delay baseline
         # once per (circuit, substrates), not once per lambda.
-        import repro.runner.sweep as sweep_module
-
         sweep_module._FIG4_BASELINES.clear()
         results = [
             evaluate_cell(spec).result

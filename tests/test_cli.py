@@ -255,6 +255,32 @@ class TestSweepCommand:
         table = lambda text: [l for l in text.splitlines() if l.startswith("c17")]
         assert table(first) == table(second)
 
+    def test_failed_cell_prints_an_error_line_not_a_traceback(self, tmp_path,
+                                                              capsys):
+        out_dir = tmp_path / "artifacts"
+        assert main(["sweep", "c17", "no_such_circuit", "--quick", "--lam", "3",
+                     "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error: 1 of 2 sweep cell(s) failed" in err
+        assert "no_such_circuit" in err
+        assert "Traceback" not in err
+        assert "--resume" in err
+        # The healthy sibling ran and persisted its artifact.
+        assert [p.name for p in out_dir.glob("table1__c17__lam3.0__*.json")
+                if not p.name.endswith(".trace.json")]
+
+    def test_interrupt_exits_130_with_the_resume_hint(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import repro.cli as cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_cells", interrupted)
+        assert main(["sweep", "c17", "--quick", "--out", str(tmp_path)]) == 130
+        err = capsys.readouterr().err
+        assert err.startswith("interrupted:") and "--resume" in err
+
     def test_fig4_rejects_monte_carlo(self, tmp_path, capsys):
         # fig4 cells have no MC validation path; silently dropping the flag
         # would let the user believe the points were validated.

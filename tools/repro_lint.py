@@ -11,9 +11,9 @@ RL002  no unseeded randomness in ``src/``: ``np.random.default_rng()``
        without a seed argument, any legacy ``np.random.<fn>()`` global-state
        call, and any stdlib ``random.<fn>()`` call are all flagged —
        reproducibility is a stated invariant of every engine.
-RL003  no bare ``except:`` in ``src/repro/runner/``: the fault-tolerant
-       sweep machinery must never be able to swallow ``KeyboardInterrupt``
-       (graceful-interrupt draining depends on it propagating).
+RL003  no bare ``except:`` in ``src/repro/runner/``: the sweep runner
+       must never be able to swallow ``KeyboardInterrupt`` (Ctrl-C must
+       propagate so the cells not yet started are cancelled).
 RL004  no float-literal equality on statistical moments in ``tests/``:
        ``assert rv.mean == 103.7`` style comparisons (attributes ``mean`` /
        ``sigma`` / ``variance`` / ``cv`` against a float literal) are
@@ -154,7 +154,7 @@ def check_rl002(tree: ast.AST, path: Path) -> Iterator[Finding]:
 
 
 def check_rl003(tree: ast.AST, path: Path) -> Iterator[Finding]:
-    """No bare ``except:`` in the fault-tolerant runner."""
+    """No bare ``except:`` in the sweep runner."""
     parts = path.parts
     if "repro" not in parts:
         return
@@ -166,7 +166,7 @@ def check_rl003(tree: ast.AST, path: Path) -> Iterator[Finding]:
             yield Finding(
                 path, node.lineno, "RL003",
                 "bare 'except:' in runner/ can swallow KeyboardInterrupt "
-                "and break graceful-interrupt draining -- name the "
+                "and keep Ctrl-C from cancelling the sweep -- name the "
                 "exception types",
             )
 
