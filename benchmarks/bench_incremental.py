@@ -4,16 +4,17 @@ Times the raw engine under random resize sequences: after every step of
 three random resizes, :meth:`IncrementalReanalysis.analyze
 <repro.core.fullssta.IncrementalReanalysis.analyze>` (which re-propagates
 only the dirty cones) against a from-scratch :meth:`FULLSSTA.analyze
-<repro.core.fullssta.FULLSSTA.analyze>`.  The two must report the same
-output moments (to 1e-6; in practice they agree bitwise), and the script
-exits 1 when they do not.  The sizer times every outer-loop state through
+<repro.core.fullssta.FULLSSTA.analyze>`.  The engine's contract is bitwise,
+so the two must report bit-identical output moments, and the script exits 1
+when they do not.  The sizer times every outer-loop state through
 the incremental path; its decisions are pinned equal to a from-scratch
 reference by ``tests/core/test_incremental.py``.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_incremental.py --quick   # CI smoke
+    PYTHONPATH=src python benchmarks/bench_incremental.py --quick   # c432, seconds
     PYTHONPATH=src python benchmarks/bench_incremental.py           # largest circuit
+    PYTHONPATH=src python benchmarks/bench_incremental.py --circuits c432,c6288 --no-trajectory
 
 The report is written to ``benchmarks/results/incremental.txt``.
 """
@@ -44,7 +45,6 @@ FULL_CIRCUITS = ["c6288"]
 #: Quick (CI smoke) configuration.
 QUICK_CIRCUITS = ["c432"]
 
-MOMENT_TOLERANCE = 1e-6
 #: Resize steps per circuit (three random resizes each).
 STEPS = 8
 
@@ -78,7 +78,7 @@ def _time_engines(circuit_name: str, delay_model, variation_model) -> Tuple[str,
             abs(inc_result.sigma - full_result.sigma),
         )
 
-    ok = max_err <= MOMENT_TOLERANCE
+    ok = max_err == 0.0
     speedup = t_full / max(t_inc, 1e-12)
     row = (
         f"{circuit_name:8s} {circuit.num_gates():6d} {t_full / STEPS * 1e3:12.1f} "
@@ -103,8 +103,7 @@ def run(circuits: List[str]) -> Tuple[str, List[dict], bool]:
     delay_model, variation_model = _substrates()
     lines = [
         "From-scratch vs incremental FULLSSTA",
-        f"({STEPS} steps of 3 random resizes; tolerance on output moments = "
-        f"{MOMENT_TOLERANCE:g})",
+        f"({STEPS} steps of 3 random resizes; output moments must match bitwise)",
         "",
         f"{'circuit':8s} {'gates':>6s} {'scratch (ms)':>12s} {'incremental (ms)':>16s} "
         f"{'speedup':>8s} {'max diff':>10s}",

@@ -81,18 +81,21 @@ def _beats(min_gain: float) -> Callable[[float, float], bool]:
 
 class _NominalTimer:
     """Nominal STA behind the ``IncrementalReanalysis`` protocol; a result is
-    the worst delay.  Nothing is cached, so a commit has nothing to fold in;
-    ``preview(trials)`` is one DSTA run with a column per trial.
+    the worst delay.  Nothing is cached, so ``analyze()`` and a commit have
+    nothing to fold in; ``preview()`` is one DSTA run, ``preview(trials)``
+    one with a column per trial.
     """
 
     def __init__(self, dsta: DeterministicSTA, circuit: Circuit) -> None:
         self.dsta, self.circuit = dsta, circuit
 
-    def analyze(self) -> float:
-        return self.dsta.max_delay(self.circuit)
+    def analyze(self) -> None:
+        """Commit the circuit's sizes: nothing is cached, so nothing to do."""
 
     def preview(self, trials: Optional[Sequence[Tuple[str, int]]] = None):
-        return self.analyze() if trials is None else self.dsta.max_delays(self.circuit, trials)
+        if trials is None:
+            return self.dsta.max_delay(self.circuit)
+        return self.dsta.max_delays(self.circuit, trials)
 
     def commit_preview(self, index: int = 0) -> bool:
         return True

@@ -32,10 +32,10 @@ sweep with every gate dirty, from the empty state, so
 :meth:`FULLSSTA.analyze` is a fresh wrapper's first :meth:`analyze
 <IncrementalReanalysis.analyze>`.  Previews stack many one-resize trials
 into one sweep whose kernel rows are (trial, cone gate) pairs, each trial's
-changed rows kept in an overlay.  A result's maps lay its trial's moved nets
-over copies of the committed ones, each built on first read, and its output
-max folds on from the committed running maxima before the first output the
-trial moved.  Because the fold is row-independent and untouched nets keep
+retimed rows kept in an overlay.  A result's maps lay its trial's retimed
+nets over copies of the committed ones, each built on first read, and its
+output max folds on from the committed running maxima before the first
+output the trial retimed.  Because the fold is row-independent and untouched nets keep
 bitwise-identical rows, every incremental result equals a from-scratch
 :meth:`FULLSSTA.analyze` bit for bit — a pure wall-clock optimization, which
 is what makes nesting FULLSSTA inside a sizing loop affordable at scale.
@@ -191,11 +191,6 @@ class LevelizedState:
     def store(self, slots: np.ndarray, rows: _Rows) -> None:
         self.values[slots], self.probs[slots], self.counts[slots] = rows
 
-    def holds(self, slots: np.ndarray, rows: _Rows) -> np.ndarray:
-        """Per slot: is its row bitwise equal to ``rows``?"""
-        same = (self.values[slots] == rows[0]) & (self.probs[slots] == rows[1])
-        return same.all(axis=1) & (self.counts[slots] == rows[2])
-
 
 class FULLSSTA:
     """Discrete-PDF statistical static timing analysis.
@@ -292,17 +287,19 @@ class IncrementalReanalysis:
     * every resized gate (its drive, intrinsic delay and sigma changed),
     * the drivers of its input nets (the resized gate's input capacitance is
       part of *their* load),
-    * downstream gates, recursively.  A recomputed row that is bitwise
-      identical to the committed one (:meth:`LevelizedState.holds`) stays
-      out of the delta and does not dirty its fanout.  In practice that
-      almost never fires: unlike a deterministic max, a discrete-pdf max
-      depends on every input's whole distribution, so a moved input moves
-      the row.  Over whole cost-objective flows at lambda = 3, c432
-      kept 2 of 7,225 recomputed rows unchanged (sparing 4 of 7,229 cone
-      gates); c1908, c880, a 500-gate generated circuit and c5315 kept
-      none of 31,630, 2,880, 28,609 and 191,708; and on c1355 and c7552 the
-      gates retimed equal the static fanout-cone sizes (64,407 and 9,812).
-      So a sweep costs its whole static fanout cone.
+    * downstream gates, recursively: the static fanout cone of those gates,
+      which one array computation over the IR gives for every stacked trial
+      at once (:meth:`CompiledCircuit.fanout_cones
+      <repro.ir.compiled.CompiledCircuit.fanout_cones>`).  Every cone gate
+      is retimed; the sweep does not stop where a recomputed row equals the
+      committed one.  Such a stop would almost never fire: unlike a
+      deterministic max, a discrete-pdf max depends on every input's whole
+      distribution, so a moved input moves the row.  Counted over whole
+      flows, a bitwise row check matched none of the 64,407 / 9,812 /
+      17,388 rows recomputed on the ``c1355_cost`` / ``c7552_cost`` /
+      ``gen500_yield_mc`` benchmark flows, none on c880 and c1908, and 2 of
+      c432's 7,225 cost-flow rows (lambda = 3), which spared 4 of its 7,229
+      cone gates.
 
     :meth:`preview` evaluates resizes *without* committing them: the ones
     the IR holds, or a stack of one-resize trials against the committed state.
@@ -469,19 +466,16 @@ class IncrementalReanalysis:
     def _reset(self) -> None:
         """The empty state of the circuit's structure, before a full sweep.
 
-        Primary-input, floating and sentinel slots hold the point pdf at
-        zero.  Gate-output slots hold no row yet (count 0), so every gate's
-        first row moves, even one equal to the point pdf at zero, and the
-        sweep's delta supplies every gate output's pdf and moments; only the
-        primary inputs' are seeded here.
+        Every slot holds the point pdf at zero.  The sweep that follows
+        retimes every gate, so its delta supplies every gate output's row,
+        pdf and moments; only the primary inputs' are seeded here.
         """
         plan = self.circuit.compiled()
         num_samples = self.engine.num_samples
         counts = np.ones(plan.num_nets + 1, dtype=np.intp)  # + the fanin sentinel
-        counts[plan.gate_output_slot] = 0
         values = np.zeros((counts.size, num_samples))
         probs = np.zeros((counts.size, num_samples))
-        probs[:, 0] = counts  # the point pdf at zero, or no row
+        probs[:, 0] = 1.0  # the point pdf at zero
         inputs = slice(0, plan.num_pis)
         pdfs = _pdfs(plan.net_names[inputs], (values[inputs], probs[inputs], counts[inputs]))
         self._state = LevelizedState(
@@ -543,74 +537,65 @@ class IncrementalReanalysis:
     def _sweep(
         self, count: int, row_trial: np.ndarray, row_gate: np.ndarray, trial: Trial
     ) -> Tuple[List["_Delta"], int]:
-        """Re-propagate the dirty cones of ``count`` trials against the committed state.
+        """Re-propagate the static fanout cones of ``count`` trials against the committed state.
 
         ``row_gate`` lists every trial's dirty gates (trial-major, ascending,
         ``row_trial`` naming the trial), ``trial`` their sizes in the delay
-        stage's trial form.  The cones merge level-major into (trial, gate)
-        pairs.  A pair is recomputed when its gate is dirty in that trial or
-        an input slot changed in that trial; each input reads the committed
-        row unless the trial holds an overlay row for that slot.  A moved row
-        goes into the trial's overlay; an unmoved one ends the trial's
-        wavefront there.  No kernel call takes more rows than the widest
+        stage's trial form.  The cones come from one array computation
+        (:meth:`CompiledCircuit.fanout_cones`) as level-major (trial, gate)
+        pairs, and every pair is recomputed: there is no early termination,
+        because a discrete-pdf max depends on every input's whole
+        distribution, so a retimed row practically always moves (see the
+        class docstring).  Each pair's overlay row is its position in the
+        pair list; each input reads the committed row unless the trial
+        retimes that slot.  No kernel call takes more rows than the widest
         level, the largest call a full analysis makes.  Returns one delta
         per trial and the number of ``batched_combine`` calls.
         """
         state, plan = self._state, self.circuit.compiled()
         num_samples = self.engine.num_samples
         delay_values, delay_probs = self.engine._delay_rows(self.circuit, row_gate, trial)
-        dirty_at = np.full((count, plan.num_gates), -1, dtype=np.intp)
-        dirty_at[row_trial, row_gate] = np.arange(row_gate.size)
-        moved_at = np.full((count, plan.num_nets + 1), -1, dtype=np.intp)
-        starts = np.searchsorted(row_trial, np.arange(count + 1))
-        cones = [plan.fanout_cone(row_gate[a:b]) for a, b in pairwise(starts)]
-        for cone in cones:
+        pair_trial, pair_gate = plan.fanout_cones(row_trial, row_gate, count)
+        for size in np.bincount(pair_trial, minlength=count).tolist():
             # The per-resize dirty-cone size is the quantity that makes (or
             # breaks) the incremental win: the headline metric of this layer.
-            METRICS.histogram("incremental.dirty_cone_gates", len(cone))
-        pair_gate = np.concatenate([np.empty(0, dtype=np.intp), *cones])
-        pair_trial = np.repeat(np.arange(count), [len(cone) for cone in cones])
-        order = np.argsort(pair_gate, kind="stable")  # gate ids are level-major
-        pair_gate, pair_trial = pair_gate[order], pair_trial[order]
+            METRICS.histogram("incremental.dirty_cone_gates", size)
+        self.gates_retimed += pair_gate.size
+        dirty_at = np.full((count, plan.num_gates), -1, dtype=np.intp)
+        dirty_at[row_trial, row_gate] = np.arange(row_gate.size)
+        retimed_at = np.full((count, plan.num_nets + 1), -1, dtype=np.intp)
+        retimed_at[pair_trial, plan.gate_output_slot[pair_gate]] = np.arange(pair_gate.size)
+        overlay = (
+            np.empty((pair_gate.size, num_samples)),
+            np.empty((pair_gate.size, num_samples)),
+            np.empty(pair_gate.size, dtype=np.intp),
+        )
         cuts = np.flatnonzero(np.diff(plan.gate_level[pair_gate])) + 1
         max_rows = int(np.diff(plan.level_offsets).max(initial=1))  # a gateless circuit has no level
-        overlay = [np.empty((0, num_samples)), np.empty((0, num_samples)), np.empty(0, np.intp)]
-        used = kernel_calls = 0
-        for trials, gates in np.split(np.stack([pair_trial, pair_gate]), cuts, axis=1):
-            in_ids = plan.fanin_matrix[gates]
-            sources = moved_at[trials[:, None], in_ids]
-            own = dirty_at[trials, gates]
-            redo = np.flatnonzero((own >= 0) | (sources >= 0).any(axis=1))
-            self.gates_retimed += redo.size
-            for start in range(0, redo.size, max_rows):
-                part = redo[start:start + max_rows]
-                ids, gate_ids = in_ids[part], gates[part]
+        kernel_calls = 0
+        for lo, hi in pairwise([0, *cuts.tolist(), pair_gate.size]):
+            for start in range(lo, hi, max_rows):
+                part = slice(start, min(start + max_rows, hi))
+                trials, gate_ids = pair_trial[part], pair_gate[part]
+                ids = plan.fanin_matrix[gate_ids]
+                sources, own = retimed_at[trials[:, None], ids], dirty_at[trials, gate_ids]
                 rows = fold_rows(
-                    _overlaid(state.values, ids, overlay[0], sources[part]),
-                    _overlaid(state.probs, ids, overlay[1], sources[part]),
+                    _overlaid(state.values, ids, overlay[0], sources),
+                    _overlaid(state.probs, ids, overlay[1], sources),
                     ids != plan.num_nets,
-                    _overlaid(state.delay_values, gate_ids, delay_values, own[part]),
-                    _overlaid(state.delay_probs, gate_ids, delay_probs, own[part]),
+                    _overlaid(state.delay_values, gate_ids, delay_values, own),
+                    _overlaid(state.delay_probs, gate_ids, delay_probs, own),
                     num_samples,
                 )
                 kernel_calls += int(plan.fanin_counts[gate_ids].max())
-                slots = plan.gate_output_slot[gate_ids]
-                moved = ~state.holds(slots, rows)
-                end = used + int(moved.sum())
-                if end > len(overlay[2]):  # grow geometrically
-                    overlay = [
-                        np.concatenate([kept[:used], np.empty((end, *kept.shape[1:]), kept.dtype)])
-                        for kept in overlay
-                    ]
                 for kept, row in zip(overlay, rows, strict=True):
-                    kept[used:end] = row[moved]
-                moved_at[trials[part][moved], slots[moved]] = np.arange(used, end)
-                used = end
+                    kept[part] = row
         sizes = np.where(row_gate == trial[0], trial[1], plan.size_index[row_gate])
+        starts = np.searchsorted(row_trial, np.arange(count + 1))
         deltas = []
         for t in range(count):
-            slots, dirty = np.flatnonzero(moved_at[t] >= 0), slice(starts[t], starts[t + 1])
-            at = moved_at[t, slots]
+            slots, dirty = np.flatnonzero(retimed_at[t] >= 0), slice(starts[t], starts[t + 1])
+            at = retimed_at[t, slots]
             deltas.append(_Delta(
                 plan=plan,
                 slots=slots,
@@ -647,7 +632,7 @@ class _Delta:
     """One trial's re-propagation against the committed state."""
 
     plan: CompiledCircuit
-    slots: np.ndarray  # changed net slots, ascending ...
+    slots: np.ndarray  # retimed net slots, ascending ...
     rows: _Rows  # ... and their new rows
     gate_ids: np.ndarray  # re-derived gates ...
     delay_rows: Tuple[np.ndarray, np.ndarray]  # ... their new delay rows ...
@@ -658,7 +643,7 @@ class _Delta:
 
     @cached_property
     def index(self) -> Dict[str, int]:
-        """Each moved net's row, in slot order."""
+        """Each retimed net's row, in slot order."""
         return {self.plan.net_names[slot]: row for row, slot in enumerate(self.slots.tolist())}
 
     def pdf(self, row: int) -> DiscretePDF:

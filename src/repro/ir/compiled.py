@@ -22,8 +22,7 @@ that *every* consumer shares:
   library's output load).
 * **CSR adjacency** — ``fanin_indptr`` / ``fanin_slots`` give each gate's
   input net slots in pin order; ``fanout_indptr`` / ``fanout_gates`` give,
-  per net slot, the gate ids reading that net.  Dirty-cone propagation
-  (incremental re-analysis) is a breadth-first sweep over the fanout CSR.
+  per net slot, the gate ids reading that net.
   ``fanin_matrix`` is the dense companion: ``(num_gates, max_fanin)`` with
   invalid positions trailing each row and pointing at the sentinel slot
   ``num_nets``.  It is the one fanin layout: every levelized engine walks
@@ -33,6 +32,10 @@ that *every* consumer shares:
   one per resize trial) and the Monte-Carlo timers (one column per sample)
   share, in place on gate delays held in the gate-output rows; FASSTA,
   FULLSSTA and the criticality analyzer mask the sentinel columns instead.
+  Incremental re-analysis walks the same windows for its dirty cones:
+  :meth:`fanout_cones <CompiledCircuit.fanout_cones>` propagates one reach
+  mask per stacked trial level by level, so every trial's static fanout
+  cone comes from one array computation, with no per-gate Python walk.
 * **per-gate arrays** — ``cell_type_ids`` (into the ``cell_types``
   vocabulary), ``size_index`` and ``fanin_counts``.  ``size_index`` is the
   only mutable array and the one copy of the sizes the engines time:
@@ -50,7 +53,8 @@ all see the *same* :class:`CompiledCircuit` object for a given structure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple
+from itertools import pairwise
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -175,35 +179,29 @@ class CompiledCircuit:
             self.fanin_indptr[gate_id]: self.fanin_indptr[gate_id + 1]
         ]
 
-    def net_fanout_gates(self, slot: int) -> IntArray:
-        """Gate ids reading the net in ``slot``."""
-        return self.fanout_gates[
-            self.fanout_indptr[slot]: self.fanout_indptr[slot + 1]
-        ]
-
     # ------------------------------------------------------------------
-    def fanout_cone(self, seed_gate_ids: Iterable[int]) -> IntArray:
-        """Seed gates plus their transitive fanout, topologically sorted.
+    def fanout_cones(
+        self, seed_trial: IntArray, seed_gate: IntArray, count: int
+    ) -> Tuple[IntArray, IntArray]:
+        """Each of ``count`` trials' seed gates plus their transitive fanout.
 
-        Breadth-first reachability over the fanout CSR.  The returned array
-        is ascending, and because gate ids are level-major, ascending id
-        order is a valid topological order — callers can recompute the cone
-        front to back without consulting the netlist.
+        Seed ``i`` puts gate ``seed_gate[i]`` into trial ``seed_trial[i]``'s
+        cone.  One reach mask per (net slot, trial) is propagated level by
+        level over ``fanin_matrix``, from the lowest seeded level: a gate is
+        in a trial's cone when it is seeded there or one of its inputs is.
+        Returns the ``(trial, gate)`` pairs gate-major (trials ascending per
+        gate); gate ids are level-major, so every trial's gates come out in
+        a valid topological order.
         """
-        mark = np.zeros(self.num_gates, dtype=bool)
-        stack: List[int] = []
-        for gid in seed_gate_ids:
-            if not mark[gid]:
-                mark[gid] = True
-                stack.append(int(gid))
-        while stack:
-            gid = stack.pop()
-            slot = self.gate_output_slot[gid]
-            for nxt in self.net_fanout_gates(int(slot)):
-                if not mark[nxt]:
-                    mark[nxt] = True
-                    stack.append(int(nxt))
-        return np.nonzero(mark)[0]
+        reach = np.zeros((self.num_nets + 1, count), dtype=bool)  # + the fanin sentinel
+        reach[self.gate_output_slot[seed_gate], seed_trial] = True
+        first = int(np.searchsorted(
+            self.level_offsets, seed_gate.min(initial=self.num_gates), side="right")) - 1
+        for start, stop in pairwise(self.level_offsets[first:].tolist()):
+            level = reach[self.num_pis + start: self.num_pis + stop]
+            level |= reach[self.fanin_matrix[start:stop]].any(axis=1)
+        pair_gate, pair_trial = np.nonzero(reach[self.num_pis: self.num_pis + self.num_gates])
+        return pair_trial, pair_gate
 
     # ------------------------------------------------------------------
     def resize_rows(self, gate_ids: IntArray) -> Tuple[IntArray, IntArray]:

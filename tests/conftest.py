@@ -213,13 +213,13 @@ def _one_at_a_time(fallbacks, timer, circuit, scheduled, best, *_):
     Keeps the bulk resize when it gains more than ``min_gain``; otherwise
     reverts it and tries each resize in schedule order, keeping those that
     beat the best delay by more than ``min_gain``; otherwise keeps the bulk
-    resize anyway.  ``timer.analyze()`` is a fresh ``max_delay`` of the
+    resize anyway.  ``timer.preview()`` is a fresh ``max_delay`` of the
     circuit as it stands.  Appends ``(trials, kept positions)`` per fallback.
     """
     undo = {name: circuit.gate(name).size_index for name in scheduled}
     for name, size in scheduled.items():
         circuit.set_size(name, size)
-    new_delay = timer.analyze()
+    new_delay = timer.preview()
     min_gain = MeanDelaySizer.MIN_GAIN * max(best, 1.0)
     if best - new_delay > min_gain:
         return dict(scheduled), new_delay, new_delay
@@ -228,7 +228,7 @@ def _one_at_a_time(fallbacks, timer, circuit, scheduled, best, *_):
     kept, positions = {}, []
     for position, (name, size) in enumerate(scheduled.items()):
         circuit.set_size(name, size)
-        trial = timer.analyze()
+        trial = timer.preview()
         if trial < best - min_gain:
             best, kept[name] = trial, size
             positions.append(position)

@@ -21,6 +21,7 @@ from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
 from repro.core.rv import ZERO_DELAY, NormalDelay
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
 from repro.core.subcircuit import SubcircuitCache, extract_subcircuit
+from repro.flow import run_sizing_flow
 from repro.netlist.circuit import Circuit
 
 TOL = 1e-9
@@ -213,6 +214,35 @@ class TestSizerPipelineEquivalence:
         assert diag["evaluation_cache_misses"] > 0
         assert diag["subcircuit_cache_misses"] > 0
         assert "incremental_runs" in diag
+
+
+class TestStaticCones:
+    def test_c432_flow_retimes_every_static_cone_gate(self, monkeypatch, from_scratch_sizer):
+        """Each sweep retimes its trials' whole static fanout cones (the seeds'
+        netlist transitive fanout), with no early termination, and decides
+        as a from-scratch analysis of every state does."""
+        cones = []
+        sweep = IncrementalReanalysis._sweep
+
+        def spy(reanalysis, count, row_trial, row_gate, trial):
+            circuit, names = reanalysis.circuit, reanalysis.circuit.compiled().gate_names
+            for t in range(count):
+                seeds = {names[g] for g in row_gate[row_trial == t]}
+                cones.append(len(seeds.union(*map(circuit.transitive_fanout, seeds))))
+            return sweep(reanalysis, count, row_trial, row_gate, trial)
+
+        monkeypatch.setattr(IncrementalReanalysis, "_sweep", spy)
+        flow = run_sizing_flow(build_benchmark("c432"), lam=3.0)
+        monkeypatch.undo()
+        assert flow.sizer_result.diagnostics["gates_retimed"] == sum(cones) == 7229
+
+        with from_scratch_sizer():
+            scratch = run_sizing_flow(build_benchmark("c432"), lam=3.0)
+        assert flow.circuit.sizes() == scratch.circuit.sizes()
+        assert flow.final_rv == scratch.final_rv
+        assert (flow.final_rv.mean, flow.final_rv.sigma) == pytest.approx(
+            (1303.3006729355177, 25.537541527679405), abs=1e-9
+        )
 
 
 class TestSubcircuitCache:

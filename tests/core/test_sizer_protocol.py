@@ -212,6 +212,8 @@ def _galloping_stacks(num_trials, kept):
 
 #: (circuit, baseline fallbacks, trials they time one at a time, trials they keep).
 BASELINE_CASES = [("c432", 9, 126, 20), ("c1908", 12, 374, 15)]
+#: DSTA runs per baseline optimize.
+BASELINE_RUNS = {"c432": 98, "c1908": 141}
 
 
 class TestBaselineFallbackSweepsOncePerStack:
@@ -247,3 +249,5 @@ class TestBaselineFallbackSweepsOncePerStack:
         stacks = [n for n in columns if n is not None]
         assert len(stacks) == sum(_galloping_stacks(n, p) for n, p in reference_fallbacks)
         assert len(stacks) < trials <= sum(stacks)
+        # A pass that keeps nothing commits its bulk resize without a DSTA run.
+        assert len(columns) == BASELINE_RUNS[name]

@@ -79,8 +79,8 @@ def assert_lowering_invariants(circuit, plan):
 
     # --- fanout CSR matches loads_of ---------------------------------
     for slot, net in enumerate(plan.net_names):
-        readers = [plan.gate_names[g] for g in plan.net_fanout_gates(slot)]
-        assert readers == [g.name for g in circuit.loads_of(net)]
+        readers = plan.fanout_gates[plan.fanout_indptr[slot]: plan.fanout_indptr[slot + 1]]
+        assert [plan.gate_names[g] for g in readers] == [g.name for g in circuit.loads_of(net)]
 
     # --- level-major gate order --------------------------------------
     levels_map = circuit.levels()
@@ -186,29 +186,72 @@ class TestCacheSemantics:
         )
 
 
+def stacked_cones(plan, stack):
+    """``plan.fanout_cones`` of one stack, a trial per list of seed gate names,
+    as one gate-name set per trial; checks the pairs come out gate-major."""
+    seed_trial = np.repeat(np.arange(len(stack)), [len(seeds) for seeds in stack])
+    seed_gate = np.array([plan.gate_index[name] for seeds in stack for name in seeds], dtype=np.intp)
+    pair_trial, pair_gate = plan.fanout_cones(seed_trial, seed_gate, len(stack))
+    # Gate-major, trials ascending per gate, each pair once: level-major,
+    # so every trial's gates come out in a topological order.
+    assert (np.diff(pair_gate * len(stack) + pair_trial) > 0).all()
+    return [{plan.gate_names[g] for g in pair_gate[pair_trial == t]} for t in range(len(stack))]
+
+
+def static_cone(circuit, seeds):
+    """The seeds plus their transitive fanout, from the netlist."""
+    cone = set(seeds)
+    for seed in seeds:
+        cone |= circuit.transitive_fanout(seed)
+    return cone
+
+
 class TestFanoutCone:
-    @pytest.mark.parametrize("name", ["c17", "c432", "c880"])
+    #: Seed every STRIDE-th gate: the netlist walk over every c6288 gate
+    #: (125 levels) takes seconds; every other circuit seeds every gate.
+    STRIDE = {"c6288": 7}
+
+    @pytest.mark.parametrize("name", ["c17", "c432", "c880", "c6288"])
     def test_cone_matches_transitive_fanout(self, name):
         circuit = build(name)
         plan = circuit.compiled()
-        for seed in list(circuit.gates)[:: max(1, len(circuit) // 10)]:
-            cone = plan.fanout_cone([plan.gate_index[seed]])
-            got = {plan.gate_names[g] for g in cone}
-            want = circuit.transitive_fanout(seed) | {seed}
-            assert got == want
-            # Ascending ids: a valid topological order of the cone.
-            assert list(cone) == sorted(cone)
+        seeds = plan.gate_names[:: self.STRIDE.get(name, 1)]
+        # One stack, one trial per seed gate.
+        got = stacked_cones(plan, [[seed] for seed in seeds])
+        assert got == [static_cone(circuit, [seed]) for seed in seeds]
 
     def test_multi_seed_union(self):
         circuit = build("c432")
         plan = circuit.compiled()
-        seeds = list(circuit.gates)[:3]
-        cone = plan.fanout_cone(plan.gate_index[s] for s in seeds)
-        got = {plan.gate_names[g] for g in cone}
-        want = set(seeds)
-        for s in seeds:
-            want |= circuit.transitive_fanout(s)
-        assert got == want
+        first, last = plan.level_offsets[1], plan.level_offsets[-2]
+        names = plan.gate_names
+        stack = [
+            names[:3],
+            [],  # a no-op trial
+            [names[0], names[len(names) // 2], names[last]],  # three levels
+            names[1:4],  # overlaps the first trial
+            [names[first], names[0]],  # seeds out of level order
+            names[:3],  # the first trial again
+        ]
+        got = stacked_cones(plan, stack)
+        assert got == [static_cone(circuit, seeds) for seeds in stack]
+        assert got[1] == set()
+        assert stacked_cones(plan, [[], []]) == [set(), set()]
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=1000),
+        st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_generated_circuits(self, depth, width, seed, data):
+        circuit = build_benchmark(f"gen:depth={depth},width={width},seed={seed}")
+        plan = circuit.compiled()
+        stack = data.draw(st.lists(
+            st.lists(st.sampled_from(plan.gate_names), max_size=4), min_size=1, max_size=6
+        ))
+        assert stacked_cones(plan, stack) == [static_cone(circuit, seeds) for seeds in stack]
 
 
 def test_lower_circuit_smoke_repr():
