@@ -20,24 +20,24 @@ greedy critical-path sizing template the paper cites (Coudert 1997, Fishburn
 
 Step 2 is the statistical sizer's own inner loop,
 :meth:`CostEvaluator.best_sizes <repro.core.cost.CostEvaluator.best_sizes>`,
-in its ``lambda = 0``, zero-variation configuration: one batched evaluation
-of all targets per pass, with the same memoized extraction, exact decision
-memo and best-size rule, so the two optimizers are directly comparable.
-The pass's one nominal STA run picks the targets and supplies their
-zero-sigma boundary moments.  Step 3 is the statistical sizer's
-:func:`~repro.core.sizer.resize_scheduled_gates` on nominal STA, a DSTA
-column per single resize.  The settings are class constants; the
-constructor takes only the delay model.  Every STA run reads the packed
-delay stage (:meth:`BaseDelayModel.nominal_delays
-<repro.library.delay_model.BaseDelayModel.nominal_delays>`); only the area
-recovery of step 4, which resizes gate by gate, asks for delays one gate at
-a time.
+in its ``lambda = 0``, zero-variation configuration, so the two optimizers
+are directly comparable.  Steps 1 and 3 run on one committed
+:class:`~repro.sta.dsta.NominalTimer`: a pass's report (one reverse
+levelized pass) gives the near-critical targets and their zero-sigma
+boundary arrivals, and the statistical sizer's
+:func:`~repro.core.sizer.resize_scheduled_gates` previews the bulk resize
+and each galloping stack of single resizes (a column each) from the lowest
+dirty level.  Only step 4, which resizes gate by gate, asks for delays one
+gate at a time.  The settings are class constants.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List
+
+import numpy as np
 
 from repro.core.cost import CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
@@ -51,7 +51,7 @@ from repro.core.subcircuit import extract_subcircuit  # noqa: F401
 from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import clock, span
-from repro.sta.dsta import DeterministicSTA
+from repro.sta.dsta import DeterministicSTA, DeterministicTimingReport, NominalTimer
 from repro.variation.model import VariationModel
 
 
@@ -77,28 +77,6 @@ class BaselineResult:
 def _beats(min_gain: float) -> Callable[[float, float], bool]:
     """``better(new, best)``: ``new`` is more than ``min_gain`` below ``best``."""
     return lambda new, best: new < best - min_gain
-
-
-class _NominalTimer:
-    """Nominal STA behind the ``IncrementalReanalysis`` protocol; a result is
-    the worst delay.  Nothing is cached, so ``analyze()`` and a commit have
-    nothing to fold in; ``preview()`` is one DSTA run, ``preview(trials)``
-    one with a column per trial.
-    """
-
-    def __init__(self, dsta: DeterministicSTA, circuit: Circuit) -> None:
-        self.dsta, self.circuit = dsta, circuit
-
-    def analyze(self) -> None:
-        """Commit the circuit's sizes: nothing is cached, so nothing to do."""
-
-    def preview(self, trials: Optional[Sequence[Tuple[str, int]]] = None):
-        if trials is None:
-            return self.dsta.max_delay(self.circuit)
-        return self.dsta.max_delays(self.circuit, trials)
-
-    def commit_preview(self, index: int = 0) -> bool:
-        return True
 
 
 class MeanDelaySizer:
@@ -137,19 +115,22 @@ class MeanDelaySizer:
 
     def _optimize(self, circuit: Circuit) -> BaselineResult:
         start = clock()
-        initial_delay = self.dsta.max_delay(circuit)
+        timer = NominalTimer(self.delay_model, circuit)
+        initial_delay = timer.analyze()
         initial_area = self.delay_model.circuit_area(circuit)
+        plan = circuit.compiled()
+        # The targets' order sets the fallback's trial order.  repro-lint: allow=RL001
+        order = np.array([plan.gate_index[name] for name in circuit.topological_order()])
 
-        timer = _NominalTimer(self.dsta, circuit)
         best_delay = initial_delay
-        best_sizes = circuit.sizes()
+        best_sizes = plan.size_index.copy()
         passes = 0
         stall = 0
         for _ in range(self.MAX_PASSES):
             passes += 1
-            report = self.dsta.analyze(circuit)
-            targets = self._near_critical_gates(circuit, report)
-            scheduled = self._schedule_path_resizes(circuit, targets, report.arrival)
+            report = timer.report()
+            targets = self._near_critical_gates(report, order)
+            scheduled = self._schedule_path_resizes(circuit, targets, report.arrivals.tolist())
             if not scheduled:
                 break
             kept, delay, _ = resize_scheduled_gates(
@@ -157,13 +138,13 @@ class MeanDelaySizer:
                 lambda worst: worst, _beats(self.MIN_GAIN * max(best_delay, 1.0)),
             )
             if kept:
-                best_delay, best_sizes, stall = delay, circuit.sizes(), 0
+                best_delay, best_sizes, stall = delay, plan.size_index.copy(), 0
                 continue
             stall += 1  # nothing helped: the pass is kept anyway, under the patience counter
             if stall >= self.PATIENCE:
                 break
 
-        circuit.apply_sizes(best_sizes)
+        circuit.apply_sizes(dict(zip(plan.gate_names, best_sizes.tolist(), strict=True)))
         best_delay = self._recover_area(circuit, best_delay)
 
         runtime = clock() - start
@@ -178,36 +159,33 @@ class MeanDelaySizer:
         )
 
     # ------------------------------------------------------------------
-    def _near_critical_gates(self, circuit: Circuit, report) -> List[str]:
-        """Gates whose output slack is within a small fraction of the period.
+    def _near_critical_gates(
+        self, report: DeterministicTimingReport, order: np.ndarray
+    ) -> List[str]:
+        """The critical path and the gates whose output slack is within a
+        small fraction of the period, in ``order`` (gate ids in the
+        circuit's topological order, which sets the fallback's trial order).
 
         Working on all near-critical gates (rather than the single worst
         path) lets circuits with many parallel, similar-length paths — the
         ECC and multi-output datapath benchmarks — converge in a handful of
         passes instead of one pass per path.
         """
+        plan = report.plan
         threshold = self.NEAR_CRITICAL_FRACTION * max(report.clock_period, 1.0)
-        critical = set(report.critical_path)
-        names = []
-        # Optimizer pass over gate objects, not a per-sample engine loop.
-        # repro-lint: allow=RL001
-        for name in circuit.topological_order():
-            gate = circuit.gate(name)
-            if name in critical or report.slack.get(gate.output, threshold) <= threshold:
-                names.append(name)
-        return names
+        near = report.slacks[plan.gate_output_slot] <= threshold
+        near[[plan.gate_index[name] for name in report.critical_path]] = True
+        return [plan.gate_names[gid] for gid in order[near[order]].tolist()]
 
     # ------------------------------------------------------------------
     def _schedule_path_resizes(
-        self, circuit: Circuit, path: List[str], arrival: Dict[str, float]
+        self, circuit: Circuit, path: List[str], arrival: List[float]
     ) -> Dict[str, int]:
         """Pick the best size (by nominal subcircuit delay) for each target gate,
-        in one batched evaluation, with the nominal STA ``arrival`` times as
-        subcircuit boundary moments."""
-
-        def arrival_of(net: str) -> NormalDelay:
-            return NormalDelay(arrival.get(net, 0.0), 0.0)
-
+        in one batched evaluation, with the nominal STA ``arrival`` times (per
+        net slot) as subcircuit boundary moments."""
+        slot = circuit.compiled().net_index
+        arrival_of = functools.cache(lambda net: NormalDelay(arrival[slot[net]], 0.0))
         best = self.evaluator.best_sizes(circuit, path, self.SUBCIRCUIT_DEPTH, arrival_of)
         return {
             name: best[name] for name in path if best[name] != circuit.gate(name).size_index
@@ -221,17 +199,15 @@ class MeanDelaySizer:
         a delay constraint" step the paper describes for constrained-mode
         deterministic sizers; it keeps the baseline honest (otherwise every
         gate would simply end up at maximum size and the statistical sizer
-        would have nothing left to upsize).
-
-        To stay fast on multi-thousand-gate circuits the check is slack
-        based: a gate may step down one size per pass if the local delay
-        increase fits comfortably inside the slack at its output; a full STA
-        run after each pass verifies the global constraint and rolls the
-        pass back if it was violated.
+        would have nothing left to upsize).  A gate steps down one size per
+        pass when the local delay increase fits well inside the slack at its
+        output; a preview of the pass's resizes rolls it back if it breaks
+        the global constraint.
         """
         limit = best_delay * (1.0 + self.AREA_RECOVERY_TOLERANCE)
+        timer = NominalTimer(self.delay_model, circuit)
         for _ in range(self.AREA_RECOVERY_PASSES):
-            report = self.dsta.analyze(circuit, clock_period=limit)
+            report = timer.report(clock_period=limit)  # commits the last pass's preview
             snapshot = circuit.sizes()
             changed = False
             # repro-lint: allow=RL001 -- optimizer pass, mutates sizes
@@ -251,7 +227,7 @@ class MeanDelaySizer:
                     changed = True
             if not changed:
                 break
-            if self.dsta.max_delay(circuit) > limit:
+            if timer.preview() > limit:
                 circuit.apply_sizes(snapshot)
                 break
-        return self.dsta.max_delay(circuit)
+        return timer.analyze()

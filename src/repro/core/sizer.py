@@ -418,8 +418,8 @@ def resize_scheduled_gates(
     one that fits is kept, and the next stack starts after it at size 1, so
     the decisions are a one-at-a-time loop's.  If no trial is kept, the
     schedule is kept anyway (its loads may unlock the next pass) and
-    committed with ``analyze()``, which reuses the held bulk preview (a timer
-    that caches nothing, like the baseline's, has nothing to commit).
+    committed with ``analyze()``, which reuses the held bulk preview (both
+    ``IncrementalReanalysis`` and the baseline's ``NominalTimer`` hold it).
 
     Returns the resizes kept for beating ``best`` (empty when the schedule
     was kept anyway) and the result and score of the circuit's new sizes.

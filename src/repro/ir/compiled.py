@@ -26,12 +26,12 @@ that *every* consumer shares:
   ``fanin_matrix`` is the dense companion: ``(num_gates, max_fanin)`` with
   invalid positions trailing each row and pointing at the sentinel slot
   ``num_nets``.  It is the one fanin layout: every levelized engine walks
-  its ``level_offsets`` windows.  Engines that park ``-inf`` at the sentinel
-  fold a whole level with a single gather + ``max`` reduction —
-  :func:`propagate_levelized`, the max-plus program DSTA (one column, or
-  one per resize trial) and the Monte-Carlo timers (one column per sample)
-  share, in place on gate delays held in the gate-output rows; FASSTA,
-  FULLSSTA and the criticality analyzer mask the sentinel columns instead.
+  its ``level_offsets`` windows.  :func:`propagate_levelized`, the max-plus
+  program of DSTA's committed timer (a column per previewed trial, from the
+  lowest dirty level) and of Monte Carlo (column blocks of samples), parks
+  ``-inf`` at the sentinel and folds a level with one gather through
+  ``fanin_matrix.T`` and one ``max``; FASSTA, FULLSSTA and the criticality
+  analyzer mask the sentinel columns instead.
   Incremental re-analysis walks the same windows for its dirty cones:
   :meth:`fanout_cones <CompiledCircuit.fanout_cones>` propagates one reach
   mask per stacked trial level by level, so every trial's static fanout
@@ -348,41 +348,24 @@ def arrival_matrix(plan: CompiledCircuit, columns: int) -> NDArray[np.float64]:
     return arr
 
 
-def propagate_levelized(plan: CompiledCircuit, arr: NDArray[np.float64]) -> NDArray[np.float64]:
+def propagate_levelized(
+    plan: CompiledCircuit, arr: NDArray[np.float64], first_level: int = 0
+) -> NDArray[np.float64]:
     """Max-plus arrival propagation over the IR, in place, one column per scenario.
 
-    ``arr`` is an :func:`arrival_matrix` whose gate-output rows (the block
-    ``[num_pis, num_pis + num_gates)`` in gate-id order) hold the gate
-    delays, so no separate delay matrix exists; each becomes its gate's
-    arrival, boundary slots (primary inputs and floating gate inputs) stay
-    zero, and ``arr`` is returned.
-
-    Per logic level the program is one ``arr.take`` gather per fanin column
-    folded with in-place ``np.maximum`` into a preallocated scratch buffer,
-    then one ``np.add`` of that fold into the level's contiguous output rows.
-    ``max`` and float addition are exact, so every column equals a
-    gate-by-gate topological walk bit for bit.
+    ``arr`` is an :func:`arrival_matrix` (or a column block of one) whose
+    gate-output rows hold arrivals below level index ``first_level`` and
+    gate delays from it on; each delay becomes its gate's arrival and
+    ``arr`` is returned.  Per level, one gather through ``fanin_matrix.T``
+    gives a ``(max_fanin, width, columns)`` block, whose ``max`` over the
+    pins is added into the level's contiguous output rows.  ``max`` and
+    float addition are exact, so every column equals a gate-by-gate
+    topological walk bit for bit.
     """
-    if not plan.num_gates:
-        return arr
-    num_columns = arr.shape[1]
-    fanin = plan.fanin_matrix
-    offsets = plan.level_offsets
-    max_fanin = fanin.shape[1]
-    max_width = int(np.diff(offsets).max())
-    acc = np.empty((max_width, num_columns))
-    tmp = np.empty((max_width, num_columns))
-    for li in range(plan.num_levels):
-        start, stop = offsets[li], offsets[li + 1]
-        width = stop - start
-        worst = acc[:width]
-        arr.take(fanin[start:stop, 0], axis=0, out=worst)
-        for col in range(1, max_fanin):
-            other = tmp[:width]
-            arr.take(fanin[start:stop, col], axis=0, out=other)
-            np.maximum(worst, other, out=worst)
-        rows = arr[plan.num_pis + start: plan.num_pis + stop]
-        np.add(worst, rows, out=rows)
+    fanin = plan.fanin_matrix.T
+    for lo, hi in pairwise(plan.level_offsets[first_level:].tolist()):
+        rows = arr[plan.num_pis + lo: plan.num_pis + hi]
+        rows += arr[fanin[:, lo:hi]].max(axis=0)
     return arr
 
 

@@ -76,6 +76,7 @@ class PackedCells:
     width: int
     num_sizes: IntArray  # (cells,)
     drive: List[float]  # (rows,)
+    area: FloatArray  # (rows,)
     input_cap: FloatArray  # (rows,)
     intrinsic: FloatArray  # (rows,)
     resistance: FloatArray  # (rows,)
@@ -106,6 +107,7 @@ class PackedCells:
             width=width,
             num_sizes=np.array([cell.num_sizes for cell in cells], dtype=np.intp),
             drive=[size.drive if size else 1.0 for size in sizes],
+            area=np.array([size.area if size else 0.0 for size in sizes]),
             input_cap=np.array([size.input_cap if size else 0.0 for size in sizes]),
             intrinsic=np.array([size.intrinsic_delay if size else 0.0 for size in sizes]),
             resistance=np.array([size.drive_resistance if size else 0.0 for size in sizes]),
@@ -283,10 +285,12 @@ class BaseDelayModel:
         raise NotImplementedError
 
     def circuit_area(self, circuit: Circuit) -> float:
-        """Total cell area (µm²) of the circuit."""
-        return sum(
-            self.library.area(g.cell_type, g.size_index) for g in circuit.gates.values()
-        )
+        """Total cell area (µm²) at the IR's sizes: the packed per-(cell, size)
+        areas, added by ``sum`` in ``circuit.gates`` order, as gate by gate."""
+        plan = circuit.compiled()
+        pack = self.packed(plan)
+        area = pack.area[pack.rows(plan)]
+        return sum(area[[plan.gate_index[name] for name in circuit.gates]].tolist())
 
 
 class LinearRCDelayModel(BaseDelayModel):

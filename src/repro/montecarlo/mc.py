@@ -13,22 +13,17 @@ Every gate delay is an independent ``Normal(mu, sigma)`` draw with
 Arrival samples still correlate wherever paths reconverge, which is what the
 engines' independent ``max`` ignores.
 
-Propagation runs as a levelized array program over the circuit's compiled IR
-(:meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`): one
-``(num_nets + 1, num_samples)`` arrival matrix, one ``ndarray.take`` gather
-plus one ``np.maximum`` fold per input position per logic level — every
-sample advances through a level at once instead of one gate at a time (see
-:func:`repro.ir.compiled.propagate_levelized`, the max-plus kernel
-deterministic STA runs too).  Each gate's delay samples are drawn straight
-into its output row, which the fold is added into, so there is no
-gate-delay matrix.  Every gate's ``(mu, sigma)`` comes from the packed
-delay stage in one call (:meth:`VariationModel.delay_moments
-<repro.variation.model.VariationModel.delay_moments>`), the same pair the
-SSTA engines read.  Gate-delay *draws* stay in
-``circuit.topological_order()`` order so the generator stream is
-bit-compatible with the historical per-gate loop (pinned by
-``tests/montecarlo/test_mc.py``); ``np.maximum`` and float addition are
-exact, so the levelized propagation is bit-identical too.
+Propagation runs over the circuit's compiled IR with the max-plus kernel
+deterministic STA runs too (:func:`repro.ir.compiled.propagate_levelized`),
+every sample a column of one ``(num_nets + 1, num_samples)`` arrival
+matrix, :data:`BLOCK_COLUMNS` columns at a time so the kernel's scratch
+does not grow with the sample count.  Each gate's samples are drawn
+straight into its output row (no gate-delay matrix) from the packed delay
+stage's ``(mu, sigma)`` (:meth:`VariationModel.delay_moments
+<repro.variation.model.VariationModel.delay_moments>`), in
+``circuit.topological_order()`` order, so the generator stream, and with
+exact ``max`` and addition the samples, are bit-identical to the historical
+per-gate loop (``tests/montecarlo/test_mc.py``).
 :meth:`MonteCarloTimer.sample` is that one sampler: the timer reduces its
 arrival matrix to circuit-delay samples, and
 :class:`~repro.criticality.mc.MonteCarloCriticality` backtraces the same
@@ -51,6 +46,9 @@ from repro.library.delay_model import BaseDelayModel
 from repro.netlist.circuit import Circuit
 from repro.obs import METRICS, span
 from repro.variation.model import VariationModel
+
+#: Sample columns :meth:`MonteCarloTimer.sample` propagates at a time.
+BLOCK_COLUMNS = 1024
 
 
 @dataclass
@@ -184,4 +182,6 @@ class MonteCarloTimer:
             draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
         ):
             arr[plan.num_pis + gid] = rng.normal(mean, sd, num_samples)
-        return plan, propagate_levelized(plan, arr)
+        for start in range(0, num_samples, BLOCK_COLUMNS):
+            propagate_levelized(plan, arr[:, start:start + BLOCK_COLUMNS])
+        return plan, arr

@@ -6,6 +6,6 @@ Worst Negative Slack (WNS) critical path.  The deterministic critical path
 is also what the baseline mean-delay sizer optimizes.
 """
 
-from repro.sta.dsta import DeterministicTimingReport, DeterministicSTA
+from repro.sta.dsta import DeterministicSTA, DeterministicTimingReport, NominalTimer
 
-__all__ = ["DeterministicSTA", "DeterministicTimingReport"]
+__all__ = ["DeterministicSTA", "DeterministicTimingReport", "NominalTimer"]

@@ -32,6 +32,7 @@ from repro.core.fullssta import _moments, _pdfs, fold_rows
 from repro.library.delay_model import LinearRCDelayModel, LookupTableDelayModel
 from repro.library.synthetic90nm import make_synthetic_90nm_library
 from repro.netlist.circuit import Circuit
+from repro.sta.dsta import DeterministicSTA
 from repro.variation.model import VariationModel
 
 
@@ -213,13 +214,16 @@ def _one_at_a_time(fallbacks, timer, circuit, scheduled, best, *_):
     Keeps the bulk resize when it gains more than ``min_gain``; otherwise
     reverts it and tries each resize in schedule order, keeping those that
     beat the best delay by more than ``min_gain``; otherwise keeps the bulk
-    resize anyway.  ``timer.preview()`` is a fresh ``max_delay`` of the
-    circuit as it stands.  Appends ``(trials, kept positions)`` per fallback.
+    resize anyway.  Every state is timed with a fresh
+    ``DeterministicSTA.max_delay``, never with ``timer``, the baseline's
+    committed timer under test.  Appends ``(trials, kept positions)`` per
+    fallback.
     """
+    max_delay = DeterministicSTA(timer.delay_model).max_delay
     undo = {name: circuit.gate(name).size_index for name in scheduled}
     for name, size in scheduled.items():
         circuit.set_size(name, size)
-    new_delay = timer.preview()
+    new_delay = max_delay(circuit)
     min_gain = MeanDelaySizer.MIN_GAIN * max(best, 1.0)
     if best - new_delay > min_gain:
         return dict(scheduled), new_delay, new_delay
@@ -228,7 +232,7 @@ def _one_at_a_time(fallbacks, timer, circuit, scheduled, best, *_):
     kept, positions = {}, []
     for position, (name, size) in enumerate(scheduled.items()):
         circuit.set_size(name, size)
-        trial = timer.preview()
+        trial = max_delay(circuit)
         if trial < best - min_gain:
             best, kept[name] = trial, size
             positions.append(position)
@@ -245,8 +249,9 @@ def _one_at_a_time(fallbacks, timer, circuit, scheduled, best, *_):
 @pytest.fixture
 def one_at_a_time_baseline():
     """Context manager: inside it, ``MeanDelaySizer`` accepts each pass with
-    the one-at-a-time loop (a fresh ``max_delay`` per trial) instead of
-    ``resize_scheduled_gates``; it yields the list of fallbacks it ran.
+    the one-at-a-time loop (a fresh ``DeterministicSTA.max_delay`` per
+    trial) instead of ``resize_scheduled_gates``; it yields the list of
+    fallbacks it ran.
 
     The reference the baseline's galloping trial columns are pinned against.
     """

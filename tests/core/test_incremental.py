@@ -3,9 +3,8 @@
 The whole point of the pipeline is that it is *exactness-preserving*: the
 levelized FASSTA, the incremental FULLSSTA re-analysis and the sizer's
 caches must reproduce a gate-by-gate reference fold and the from-scratch
-engines' moments (to ~1e-9; in practice they agree bitwise) while doing
-less work.  These tests pin that contract across registry circuits and
-randomized resize sequences.
+engines' moments bit for bit while doing less work.  These tests pin that
+contract across registry circuits and randomized resize sequences.
 """
 
 import operator
@@ -24,23 +23,20 @@ from repro.core.subcircuit import SubcircuitCache, extract_subcircuit
 from repro.flow import run_sizing_flow
 from repro.netlist.circuit import Circuit
 
-TOL = 1e-9
-
 #: Registry circuits used for equivalence sweeps (kept small enough that the
 #: whole module runs in a few seconds; shapes cover wide/shallow c499,
 #: reconvergent c432 and the larger c880).
 EQUIV_CIRCUITS = ["alu1", "c432", "c499", "c880"]
 
 
-def assert_results_close(reference, candidate, circuit, tol=TOL):
-    """All per-net moments and the output moments agree within ``tol``."""
+def assert_moments_identical(reference, candidate, circuit):
+    """Every per-net mean and sigma, and the output moments, are bitwise equal."""
     for net in circuit.nets():
         ref = reference.arrival(net)
         cand = candidate.arrival(net)
-        assert cand.mean == pytest.approx(ref.mean, abs=tol), net
-        assert cand.sigma == pytest.approx(ref.sigma, abs=tol), net
-    assert candidate.output_rv.mean == pytest.approx(reference.output_rv.mean, abs=tol)
-    assert candidate.output_rv.sigma == pytest.approx(reference.output_rv.sigma, abs=tol)
+        assert (cand.mean, cand.sigma) == (ref.mean, ref.sigma), net
+    assert (candidate.output_rv.mean, candidate.output_rv.sigma) == (
+        reference.output_rv.mean, reference.output_rv.sigma)
 
 
 def assert_results_identical(got, want):
@@ -73,7 +69,7 @@ class TestVectorizedFassta:
     ):
         circuit = build_benchmark(name)
         engine = FASSTA(delay_model, variation_model)
-        assert_results_close(
+        assert_moments_identical(
             fassta_reference(reference_fold, engine, circuit), engine.analyze(circuit), circuit
         )
 
@@ -87,7 +83,7 @@ class TestVectorizedFassta:
         for _ in range(5):
             for gate in rng.choice(names, size=4, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
-            assert_results_close(
+            assert_moments_identical(
                 fassta_reference(reference_fold, engine, circuit),
                 engine.analyze(circuit),
                 circuit,
@@ -102,7 +98,7 @@ class TestVectorizedFassta:
         circuit.add("extra", "INV", ["N22"], "n_extra")
         circuit.add_primary_output("n_extra")
         fresh = fassta_reference(reference_fold, engine, circuit)
-        assert_results_close(fresh, engine.analyze(circuit), circuit)
+        assert_moments_identical(fresh, engine.analyze(circuit), circuit)
 
 
 class TestIncrementalReanalysis:
@@ -117,7 +113,7 @@ class TestIncrementalReanalysis:
         for _ in range(4):
             for gate in rng.choice(names, size=3, replace=False):
                 circuit.set_size(str(gate), int(rng.integers(0, 7)))
-            assert_results_close(incremental.analyze(), engine.analyze(circuit), circuit)
+            assert_moments_identical(incremental.analyze(), engine.analyze(circuit), circuit)
 
     def test_resize_and_revert_matches_original(self, delay_model, variation_model):
         circuit = build_benchmark("c432")
@@ -130,7 +126,7 @@ class TestIncrementalReanalysis:
         incremental.analyze()
         circuit.set_size(gate, original)
         after = incremental.analyze()
-        assert_results_close(before, after, circuit, tol=0.0)
+        assert_moments_identical(before, after, circuit)
 
     def test_noop_resize_recomputes_nothing(self, delay_model, variation_model):
         circuit = build_benchmark("alu1")
@@ -173,7 +169,7 @@ class TestIncrementalReanalysis:
         circuit.add_primary_output("n_extra")
         result = incremental.analyze()
         assert incremental.full_runs == 2
-        assert_results_close(engine.analyze(circuit), result, circuit)
+        assert_moments_identical(engine.analyze(circuit), result, circuit)
 
 
 class TestSizerPipelineEquivalence:
@@ -202,8 +198,7 @@ class TestSizerPipelineEquivalence:
         assert [it.resized_gates for it in fast.iterations] == [
             it.resized_gates for it in scratch.iterations
         ]
-        assert fast.final.mean == pytest.approx(scratch.final.mean, abs=1e-9)
-        assert fast.final.sigma == pytest.approx(scratch.final.sigma, abs=1e-9)
+        assert (fast.final.mean, fast.final.sigma) == (scratch.final.mean, scratch.final.sigma)
 
     def test_diagnostics_populated(self, delay_model, variation_model, small_adder):
         result = StatisticalGreedySizer(
@@ -304,14 +299,14 @@ class TestPreviewProtocol:
         circuit.set_size(gate, 6)
         previewed = incremental.preview()
         assert previewed is not None
-        assert_results_close(engine.analyze(circuit), previewed, circuit)
+        assert_moments_identical(engine.analyze(circuit), previewed, circuit)
         # Reverting discards the trial for free: the next analyze sees a
         # clean circuit and recomputes nothing.
         circuit.set_size(gate, 0)
         retimed = incremental.gates_retimed
         after = incremental.analyze()
         assert incremental.gates_retimed == retimed
-        assert_results_close(base, after, circuit, tol=0.0)
+        assert_moments_identical(base, after, circuit)
 
     def test_commit_preview_folds_delta_in(self, delay_model, variation_model):
         circuit = build_benchmark("c432")
@@ -325,8 +320,8 @@ class TestPreviewProtocol:
         retimed = incremental.gates_retimed
         committed = incremental.analyze()
         assert incremental.gates_retimed == retimed  # nothing left to do
-        assert_results_close(previewed, committed, circuit, tol=0.0)
-        assert_results_close(engine.analyze(circuit), committed, circuit)
+        assert_moments_identical(previewed, committed, circuit)
+        assert_moments_identical(engine.analyze(circuit), committed, circuit)
 
     def test_commit_preview_refused_after_further_resizes(self, delay_model, variation_model):
         circuit = build_benchmark("c17")
@@ -339,7 +334,7 @@ class TestPreviewProtocol:
         circuit.set_size("g11", 5)  # a resize the preview did not see
         assert not incremental.commit_preview()
         # The next analyze still retimes what differs and converges.
-        assert_results_close(
+        assert_moments_identical(
             FULLSSTA(delay_model, variation_model).analyze(circuit),
             incremental.analyze(),
             circuit,

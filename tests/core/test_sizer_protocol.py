@@ -8,24 +8,27 @@ at the committed state, and the fallback previews its trials against that
 state directly.  Only a fallback that keeps nothing calls ``analyze()``,
 to commit the bulk sizes the pass keeps anyway, and it commits the bulk
 preview's delta without sweeping again.  So between passes the cache holds
-exactly the circuit's sizes.  ``MeanDelaySizer`` runs one
-deterministic STA per pass, whose report supplies both the near-critical
-targets and the candidate sweep's boundary arrivals, and its fallback
-times each galloping stack in one DSTA run, a column per trial.
+exactly the circuit's sizes.  ``MeanDelaySizer`` does the same on a
+committed ``NominalTimer``: each pass's report (the near-critical targets
+and the candidate sweep's boundary arrivals) propagates nothing, and each
+bulk preview and each galloping stack, a column per trial, is one
+propagation.
 """
 
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
 import pytest
 
 from repro.circuits.registry import build_benchmark
+from repro.core import baseline as baseline_module
 from repro.core import sizer as sizer_module
 from repro.core.baseline import MeanDelaySizer
 from repro.core.cost import CostEvaluator
 from repro.core.fullssta import IncrementalReanalysis
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
-from repro.sta.dsta import DeterministicSTA
+from repro.sta.dsta import NominalTimer
 
 
 @dataclass
@@ -172,30 +175,113 @@ class TestStatisticalSizerTimesEachStateOnce:
         assert [(p.analyses, p.previews) for p in passes[len(completed):]] in ([], [(0, 0)])
 
 
-class TestBaselineRunsOneStaPerPass:
-    @pytest.mark.parametrize("name", ["alu2", "c432"])
-    def test_every_arrival_times_call_is_an_analyze(self, name, delay_model, monkeypatch):
-        calls = []  # per arrival_times call: is it inside an analyze()?
-        inside = []
-        analyze, arrival_times = DeterministicSTA.analyze, DeterministicSTA.arrival_times
+class _TimerLog:
+    """Records the calls the baseline's main ``NominalTimer`` makes, pass by pass.
 
-        def spy_analyze(dsta, *args, **kwargs):
-            inside.append(True)
+    The main timer is the first one an optimize times with (the area
+    recovery makes its own).  ``passes[0]`` holds the calls before the first
+    pass; pass ``k`` starts at the ``k``-th ``report()``.  ``starts`` counts,
+    per pass, the propagations its ``report()`` made.
+    """
+
+    def __init__(self, monkeypatch):
+        self.timer = None
+        self.passes: List[_Pass] = [_Pass()]
+        self.starts: List[int] = []
+        self.stack_sizes: List[int] = []
+        self._in_report = False
+
+        def spy(name, record):
+            original = getattr(NominalTimer, name)
+
+            def wrapper(timer, *args, **kwargs):
+                self.timer = self.timer or timer
+                if timer is not self.timer:
+                    return original(timer, *args, **kwargs)
+                record(*args)
+                return original(timer, *args, **kwargs)
+
+            monkeypatch.setattr(NominalTimer, name, wrapper)
+
+        spy("analyze", self._analyze)
+        spy("preview", self._preview)
+        spy("_time", self._time)
+        report = NominalTimer.report
+
+        def spy_report(timer, *args, **kwargs):
+            if timer is not self.timer:
+                return report(timer, *args, **kwargs)
+            # The previous pass ended with the timer holding the circuit's sizes.
+            self.passes[-1].clean = bool(np.array_equal(
+                timer._state.sizes[:, 0], timer.circuit.compiled().size_index))
+            self.passes.append(_Pass())
+            self.starts.append(0)
+            self._in_report = True
             try:
-                return analyze(dsta, *args, **kwargs)
+                return report(timer, *args, **kwargs)
             finally:
-                inside.pop()
+                self._in_report = False
 
-        def spy_arrival_times(dsta, *args, **kwargs):
-            calls.append(bool(inside))
-            return arrival_times(dsta, *args, **kwargs)
+        monkeypatch.setattr(NominalTimer, "report", spy_report)
+        accept = baseline_module.resize_scheduled_gates
 
-        monkeypatch.setattr(DeterministicSTA, "analyze", spy_analyze)
-        monkeypatch.setattr(DeterministicSTA, "arrival_times", spy_arrival_times)
+        def spy_accept(*args):
+            stacks = self.passes[-1].stacks
+            outcome = accept(*args)
+            if self.passes[-1].stacks > stacks:  # the bulk resize was rejected
+                self.passes[-1].kept = len(outcome[0])
+            return outcome
+
+        monkeypatch.setattr(baseline_module, "resize_scheduled_gates", spy_accept)
+
+    def _analyze(self):
+        if not self._in_report:
+            self.passes[-1].analyses += 1
+
+    def _preview(self, trials=None):
+        if trials is None:
+            self.passes[-1].previews += 1
+        else:
+            self.passes[-1].stacks += 1
+            self.stack_sizes.append(len(trials))
+
+    def _time(self, *args):
+        if self._in_report:
+            self.starts[-1] += 1
+        else:
+            self.passes[-1].sweeps += 1
+
+
+class TestBaselinePassTiming:
+    """``MeanDelaySizer`` times each pass on one committed ``NominalTimer``:
+    its ``report()`` propagates nothing (the timer already holds the
+    circuit's sizes), and each bulk preview and each galloping stack is one
+    propagation from the lowest dirty level.  A pass whose fallback keeps
+    nothing commits the held bulk preview without propagating again.
+    ``kept`` lists the trials each fallback keeps, in pass order."""
+
+    @pytest.mark.parametrize(
+        "name, kept", [("alu2", []), ("c432", [7, 5, 3, 2, 2, 1, 0, 0, 0])], ids=["alu2", "c432"]
+    )
+    def test_no_propagation_at_pass_start(self, name, kept, delay_model, monkeypatch):
+        log = _TimerLog(monkeypatch)
         result = MeanDelaySizer(delay_model).optimize(build_benchmark(name))
-        assert result.passes >= 2
-        assert len(calls) >= result.passes
-        assert all(calls)
+        monkeypatch.undo()
+
+        before, passes = log.passes[0], log.passes[1:]
+        assert result.passes >= 2 and len(passes) == result.passes
+        # The first run times every gate; no pass start propagates.
+        assert (before.analyses, before.sweeps) == (1, 1)
+        assert log.starts == [0] * len(passes)
+        # One propagation per bulk preview and per galloping stack, and one
+        # bulk preview per pass that schedules anything.
+        assert [p.sweeps for p in passes] == [p.previews + p.stacks for p in passes]
+        assert all(p.previews == 1 for p in passes[:-1])
+        # Only a fallback that keeps nothing calls analyze(), which commits
+        # the held bulk preview; every pass leaves the circuit's sizes committed.
+        assert [p.kept for p in passes if p.kept is not None] == kept
+        assert [p.analyses for p in passes] == [int(p.kept == 0) for p in passes]
+        assert [p.clean for p in passes[:-1]] == [True] * (len(passes) - 1)
 
 
 def _galloping_stacks(num_trials, kept):
@@ -212,14 +298,13 @@ def _galloping_stacks(num_trials, kept):
 
 #: (circuit, baseline fallbacks, trials they time one at a time, trials they keep).
 BASELINE_CASES = [("c432", 9, 126, 20), ("c1908", 12, 374, 15)]
-#: DSTA runs per baseline optimize.
-BASELINE_RUNS = {"c432": 98, "c1908": 141}
 
 
 class TestBaselineFallbackSweepsOncePerStack:
     """``MeanDelaySizer`` accepts its passes through ``resize_scheduled_gates``:
-    its fallback times each galloping stack in one DSTA run, a column per
-    trial, and keeps exactly what the one-at-a-time loop keeps."""
+    its fallback times each galloping stack in one propagation of the
+    committed timer, a column per trial, and keeps exactly what the
+    one-at-a-time loop of fresh ``DeterministicSTA.max_delay`` runs keeps."""
 
     @pytest.mark.parametrize("name, fallbacks, trials, kept", BASELINE_CASES)
     def test_same_decisions_one_sweep_per_stack(
@@ -231,23 +316,18 @@ class TestBaselineFallbackSweepsOncePerStack:
         assert sum(n for n, _ in reference_fallbacks) == trials
         assert sum(len(positions) for _, positions in reference_fallbacks) == kept
 
-        columns = []  # per DSTA run: its trial count, or None at the circuit's sizes
-        propagate = DeterministicSTA._propagate
-
-        def spy(dsta, circuit, trials=None):
-            columns.append(None if trials is None else len(trials))
-            return propagate(dsta, circuit, trials)
-
-        monkeypatch.setattr(DeterministicSTA, "_propagate", spy)
+        log = _TimerLog(monkeypatch)
         result = MeanDelaySizer(delay_model).optimize(build_benchmark(name))
         monkeypatch.undo()
 
         # Bitwise the one-at-a-time loop's decisions.
         assert result.circuit.sizes() == reference.circuit.sizes()
         assert (result.passes, result.final_delay) == (reference.passes, reference.final_delay)
-        # One run per galloping stack, not one per trial.
-        stacks = [n for n in columns if n is not None]
+        # One propagation per galloping stack, not one per trial.
+        stacks = log.stack_sizes
         assert len(stacks) == sum(_galloping_stacks(n, p) for n, p in reference_fallbacks)
         assert len(stacks) < trials <= sum(stacks)
-        # A pass that keeps nothing commits its bulk resize without a DSTA run.
-        assert len(columns) == BASELINE_RUNS[name]
+        # Every propagation after the first run is a bulk preview or a stack.
+        passes = log.passes[1:]
+        assert sum(p.sweeps for p in passes) == sum(p.previews for p in passes) + len(stacks)
+        assert log.starts == [0] * len(passes)

@@ -1,7 +1,9 @@
 """Unit tests for the delay models (load computation, gate delay, area)."""
 
+import numpy as np
 import pytest
 
+from repro.circuits.registry import build_benchmark, c17
 from repro.library.delay_model import (
     LinearRCDelayModel,
     LookupTableDelayModel,
@@ -72,6 +74,23 @@ class TestArea:
         before = delay_model.circuit_area(chain_circuit)
         chain_circuit.set_size("i1", 6)
         assert delay_model.circuit_area(chain_circuit) > before
+
+    @pytest.mark.parametrize("name", ["c17", "alu2", "c432", "c1908", "c7552"])
+    def test_packed_area_is_bitwise_the_per_gate_sum(self, library, name):
+        """The packed per-(cell, size) areas, summed in ``circuit.gates``
+        order, equal the per-gate sum bit for bit after random resizes."""
+        circuit = c17() if name == "c17" else build_benchmark(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        names = list(circuit.gates)
+        for model in (LookupTableDelayModel(library), LinearRCDelayModel(library)):
+            for _ in range(3):
+                for gate in rng.choice(names, size=min(40, len(names)), replace=False):
+                    cell = circuit.gate(str(gate)).cell_type
+                    circuit.set_size(str(gate), int(rng.integers(library.num_sizes(cell))))
+                per_gate = sum(
+                    library.area(g.cell_type, g.size_index) for g in circuit.gates.values()
+                )
+                assert model.circuit_area(circuit) == per_gate
 
 
 class TestFactory:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.timing_yield import period_for_yield, timing_yield
-from repro.montecarlo.mc import MonteCarloTimer
+from repro.montecarlo.mc import BLOCK_COLUMNS, MonteCarloTimer
 from repro.netlist.circuit import Circuit
 from repro.sta.dsta import DeterministicSTA
 from repro.variation.model import VariationModel
@@ -186,6 +186,15 @@ class TestLevelizedVectorization:
         result = timer.run(circuit, num_samples=300, seed=7)
         assert np.array_equal(result.samples, reference)
 
+    def test_bit_identical_across_column_blocks(self, timer):
+        """More samples than one propagation block, the last block ragged."""
+        from repro.circuits.registry import build_benchmark
+
+        circuit = build_benchmark("c432")
+        samples = 2 * BLOCK_COLUMNS + 37
+        reference = _reference_independent_samples(timer, circuit, samples, seed=5)
+        assert np.array_equal(timer.run(circuit, num_samples=samples, seed=5).samples, reference)
+
     def test_bit_identical_on_fixtures(self, timer, small_adder, small_alu):
         for circuit in (small_adder, small_alu):
             reference = _reference_independent_samples(
@@ -212,3 +221,21 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * arr.nbytes
+
+    def test_propagation_scratch_does_not_grow_with_samples(self, timer):
+        """Propagation runs ``BLOCK_COLUMNS`` sample columns at a time, so the
+        peak above the arrival matrix stays flat as the sample count grows
+        (a whole-matrix fold's scratch grows with it, 4x here)."""
+        from repro.circuits.registry import build_benchmark
+
+        circuit = build_benchmark("gen:depth=10,width=50,seed=17")
+        extra = []
+        for samples in (2 * BLOCK_COLUMNS, 8 * BLOCK_COLUMNS):
+            tracemalloc.start()
+            try:
+                _, arr = timer.sample(circuit, samples, seed=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - arr.nbytes)
+        assert extra[1] <= 1.25 * extra[0]
