@@ -33,15 +33,13 @@ gate at a time.  The settings are class constants.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
 from repro.core.cost import CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
-from repro.core.rv import NormalDelay
 from repro.core.sizer import resize_scheduled_gates
 from repro.core.subcircuit import DEFAULT_DEPTH
 
@@ -119,6 +117,7 @@ class MeanDelaySizer:
         initial_delay = timer.analyze()
         initial_area = self.delay_model.circuit_area(circuit)
         plan = circuit.compiled()
+        no_sigma = np.zeros(plan.num_nets)
         # The targets' order sets the fallback's trial order.  repro-lint: allow=RL001
         order = np.array([plan.gate_index[name] for name in circuit.topological_order()])
 
@@ -128,9 +127,14 @@ class MeanDelaySizer:
         stall = 0
         for _ in range(self.MAX_PASSES):
             passes += 1
-            report = timer.report()
-            targets = self._near_critical_gates(report, order)
-            scheduled = self._schedule_path_resizes(circuit, targets, report.arrivals.tolist())
+            targets = self._near_critical_gates(timer.report(), order)
+            # The sweep's boundary moments: committed nominal arrivals, zero sigma.
+            best = self.evaluator.best_sizes(
+                circuit, targets, self.SUBCIRCUIT_DEPTH, timer.arrivals, no_sigma
+            )
+            scheduled = {
+                name: best[name] for name in targets if best[name] != circuit.gate(name).size_index
+            }
             if not scheduled:
                 break
             kept, delay, _ = resize_scheduled_gates(
@@ -176,20 +180,6 @@ class MeanDelaySizer:
         near = report.slacks[plan.gate_output_slot] <= threshold
         near[[plan.gate_index[name] for name in report.critical_path]] = True
         return [plan.gate_names[gid] for gid in order[near[order]].tolist()]
-
-    # ------------------------------------------------------------------
-    def _schedule_path_resizes(
-        self, circuit: Circuit, path: List[str], arrival: List[float]
-    ) -> Dict[str, int]:
-        """Pick the best size (by nominal subcircuit delay) for each target gate,
-        in one batched evaluation, with the nominal STA ``arrival`` times (per
-        net slot) as subcircuit boundary moments."""
-        slot = circuit.compiled().net_index
-        arrival_of = functools.cache(lambda net: NormalDelay(arrival[slot[net]], 0.0))
-        best = self.evaluator.best_sizes(circuit, path, self.SUBCIRCUIT_DEPTH, arrival_of)
-        return {
-            name: best[name] for name in path if best[name] != circuit.gate(name).size_index
-        }
 
     # ------------------------------------------------------------------
     def _recover_area(self, circuit: Circuit, best_delay: float) -> float:

@@ -197,7 +197,10 @@ def clark_max_fast_arrays(
     operation (same dominance test, same quadratic cdf, same order of
     additions), and ``exp`` — where numpy's vectorized version may differ
     from libm in the last bit — is ``math.exp``, applied only to the
-    elements that take the Clark branch.
+    elements that take the Clark branch.  When every pair is deterministic
+    (both sigmas zero, as in the mean-delay baseline's zero-variation
+    sweeps) the result is the plain max with zero variance, returned
+    before any Clark arithmetic; a NaN sigma takes the general path.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     sigma_a = np.asarray(sigma_a, dtype=float)
@@ -208,6 +211,8 @@ def clark_max_fast_arrays(
     var_b = sigma_b * sigma_b
     a2 = var_a + var_b
     deterministic = a2 <= 0.0
+    if deterministic.all():
+        return np.maximum(mu_a, mu_b), np.zeros(deterministic.shape)
     a = np.sqrt(np.where(deterministic, 1.0, a2))
     alpha = (mu_a - mu_b) / a
     dom_a = alpha >= threshold

@@ -35,7 +35,7 @@ reference the batch is pinned to bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from repro.core.discrete_pdf import DiscretePDF
 from repro.core.fassta import FASSTA, fold_level
 from repro.core.rv import NormalDelay, ZERO_DELAY, _standard_normal_quantile
 from repro.core.subcircuit import Subcircuit, SubcircuitCache
-from repro.ir.compiled import IntArray
+from repro.ir.compiled import CompiledCircuit, IntArray
+from repro.library.delay_model import FloatArray
 from repro.netlist.circuit import Circuit
 from repro.obs import span
 
@@ -148,14 +149,16 @@ class CostEvaluator:
     ``structure_version`` changes:
 
     * subcircuit extraction per (seed, depth), with each region's
-      :meth:`~repro.core.subcircuit.Subcircuit.local_program`
+      :meth:`~repro.core.subcircuit.Subcircuit.local_program` and
+      :meth:`~repro.core.subcircuit.Subcircuit.dependencies`
       (:class:`~repro.core.subcircuit.SubcircuitCache`);
-    * every decision, keyed on (gate, depth,
-      :meth:`~repro.core.subcircuit.Subcircuit.context_signature`, boundary
-      moments), which is all a decision depends on.  Unchanged regions keep
-      bitwise-identical boundary moments between passes, so gates far from
-      the action hit it every pass.  Hits and misses count distinct gates
-      per call.
+    * every decision per (gate, depth), reused while none of its region's
+      :meth:`~repro.core.subcircuit.Subcircuit.dependencies` (member and
+      fringe sizes, boundary moments) changed since the call that made it.
+      Each call stamps the gate sizes and net-slot moments that differ, bit
+      for bit, from the previous call's.  A resize reverted after a call
+      saw it misses, which recomputes the same answer.  Hits and misses
+      count distinct gates per call.
 
     Delays come from the packed delay stage, which reads sizes from the
     compiled IR, so sizes must change through ``Circuit.set_size``.
@@ -168,10 +171,6 @@ class CostEvaluator:
         The weighted cost (carries lambda).
     """
 
-    #: Decision memo entries kept before a wholesale reset.  Boundary moments
-    #: are part of the key, so entries from passes whose upstream arrivals
-    #: moved never hit again; the reset bounds memory on very long runs.
-    MEMO_LIMIT = 200_000
     #: Most (row, member) entries one vectorized evaluation holds; a sweep
     #: with more is evaluated in consecutive groups of seeds.  Each entry
     #: costs a few hundred bytes of temporaries.
@@ -183,7 +182,11 @@ class CostEvaluator:
         self.subcircuits = SubcircuitCache()
         self.memo_hits = 0
         self.memo_misses = 0
-        self._memo: Dict[Tuple[object, ...], int] = {}
+        self._plan: Optional[CompiledCircuit] = None  # the IR the stamps index
+        self._calls = 0
+        self._seen = (np.empty(0, dtype=np.intp), np.empty((2, 0), dtype=np.int64))
+        self._stamps = np.empty(0, dtype=np.intp)  # last change: per gate id, then net slot
+        self._decisions: Dict[int, IntArray] = {}  # per depth and gate id: size, call made
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -200,56 +203,48 @@ class CostEvaluator:
         circuit: Circuit,
         gate_names: Iterable[str],
         depth: int,
-        arrival_of: Callable[[str], NormalDelay],
+        mean: FloatArray,
+        sigma: FloatArray,
     ) -> Dict[str, int]:
         """Best size of each of ``gate_names`` by the cost of its ``depth``-level subcircuit.
 
-        ``arrival_of`` gives the arrival moments of each subcircuit input
-        net (FULLSSTA moments for the statistical sizer, nominal STA times
-        with zero sigma for the baseline).  Each distinct gate's answer is
+        ``mean`` and ``sigma`` give the arrival moments per net slot of the
+        compiled circuit, past ``num_nets`` ignored (committed FULLSSTA
+        moments for the statistical sizer, nominal STA times with zero
+        sigma for the baseline).  Each distinct gate's answer is
         :meth:`best_seed_size` of its extracted region, memoized as the
         class docstring describes; the misses are swept in one batch.  A
         gate's answer is its current size when no candidate beats it.
         """
-        if self.subcircuits.sync(circuit):
-            self._memo.clear()
-        best: Dict[str, int] = {}
-        keys: List[Tuple[object, ...]] = []
-        requests: List[Tuple[Subcircuit, Dict[str, NormalDelay]]] = []
-        for gate_name in dict.fromkeys(gate_names):
-            subcircuit = self.subcircuits.get(circuit, gate_name, depth)
-            boundary = {net: arrival_of(net) for net in subcircuit.input_nets}
-            key = (
-                gate_name,
-                depth,
-                subcircuit.context_signature(),
-                tuple((rv.mean, rv.sigma) for rv in boundary.values()),
-            )
-            size = self._memo.get(key)
-            if size is not None:
-                self.memo_hits += 1
-                best[gate_name] = size
-            else:
-                self.memo_misses += 1
-                keys.append(key)
-                requests.append((subcircuit, boundary))
-        for key, (subcircuit, _), sweep in zip(
-            keys, requests, self.size_sweep_components(requests), strict=True
-        ):
-            if len(self._memo) >= self.MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = best[subcircuit.seed] = self._pick(subcircuit, sweep)
-        return best
+        plan = circuit.compiled()
+        sizes = plan.size_index.copy()
+        moments = np.stack([mean[:plan.num_nets], sigma[:plan.num_nets]]).view(np.int64)
+        if plan is not self._plan:  # another circuit, or a structural edit
+            self._plan, self._calls, self._seen, self._decisions = plan, 0, (sizes, moments), {}
+            self._stamps = np.zeros(plan.num_gates + plan.num_nets, dtype=np.intp)
+        self._calls += 1
+        self._stamps[:plan.num_gates][sizes != self._seen[0]] = self._calls
+        self._stamps[plan.num_gates:][(moments != self._seen[1]).any(axis=0)] = self._calls
+        self._seen = sizes, moments
 
-    def best_size(
-        self,
-        circuit: Circuit,
-        gate_name: str,
-        depth: int,
-        arrival_of: Callable[[str], NormalDelay],
-    ) -> int:
-        """:meth:`best_sizes` of one gate."""
-        return self.best_sizes(circuit, [gate_name], depth, arrival_of)[gate_name]
+        names = list(dict.fromkeys(gate_names))
+        if not names:
+            return {}
+        regions = [self.subcircuits.get(circuit, name, depth) for name in names]
+        seeds = np.array([plan.gate_index[name] for name in names], dtype=np.intp)
+        watched = [region.dependencies() for region in regions]
+        changed = np.maximum.reduceat(
+            self._stamps[np.concatenate(watched)],
+            _starts(np.array([w.size for w in watched], dtype=np.intp)),
+        )
+        best, made = self._decisions.setdefault(depth, np.zeros((2, plan.num_gates), dtype=np.intp))
+        miss = np.flatnonzero((made[seeds] == 0) | (changed > made[seeds]))
+        self.memo_hits += len(names) - miss.size
+        self.memo_misses += miss.size
+        if miss.size:
+            best[seeds[miss]] = self._best([regions[i] for i in miss.tolist()], mean, sigma)
+            made[seeds[miss]] = self._calls
+        return dict(zip(names, best[seeds].tolist(), strict=True))
 
     # ------------------------------------------------------------------
     # The scalar reference: one (subcircuit, size) at a time, gate by gate,
@@ -322,28 +317,26 @@ class CostEvaluator:
 
     # ------------------------------------------------------------------
     def size_sweep_components(
-        self, requests: Sequence[Tuple[Subcircuit, Mapping[str, NormalDelay]]]
-    ) -> List[Dict[int, CostComponents]]:
-        """(worst, total) cost for every library size of every request's seed.
+        self, subcircuits: Sequence[Subcircuit], mean: FloatArray, sigma: FloatArray
+    ) -> Tuple[FloatArray, FloatArray, IntArray]:
+        """(worst, total) cost for every library size of every subcircuit's seed.
 
-        Each request is a subcircuit and its boundary moments; the result
-        holds one ``{size: CostComponents}`` per request, bitwise equal to
-        :meth:`candidate_size_cost_components` per size.  The batch is one
+        ``mean`` and ``sigma`` hold the boundary moments per net slot of
+        the parent circuit.  Returns the worst and total cost per row, one
+        row per (subcircuit, size) in subcircuit order and ascending size,
+        each bitwise equal to :meth:`candidate_size_cost_components` at that
+        size, and each subcircuit's number of sizes.  The batch is one
         vectorized FASSTA evaluation (:meth:`_evaluate`), taken in
         consecutive groups of seeds of at most :attr:`BATCH_ENTRIES`
         (row, member) entries each, which bounds its temporaries.  No gate
         is resized, not even temporarily.
         """
-        results: List[Dict[int, CostComponents]] = []
-        if not requests:
-            return results
         library = self.fassta.delay_model.library
-        sizes = [
-            library.num_sizes(sub.parent.gate(sub.seed).cell_type) for sub, _ in requests
-        ]
-        entries = [
-            count * sub.num_gates for count, (sub, _) in zip(sizes, requests, strict=True)
-        ]
+        plan = subcircuits[0].parent.compiled()
+        seeds = np.array([plan.gate_index[sub.seed] for sub in subcircuits], dtype=np.intp)
+        counts = np.array([library.num_sizes(cell) for cell in plan.cell_types], dtype=np.intp)
+        num_sizes = counts[plan.cell_type_ids[seeds]]
+        entries = (num_sizes * [sub.num_gates for sub in subcircuits]).tolist()
         with span("cost.sweep") as sp:
             group = [0]
             load = 0
@@ -352,50 +345,53 @@ class CostEvaluator:
                     group.append(index)
                     load = 0
                 load += count
-            group.append(len(requests))
-            for lo, hi in zip(group[:-1], group[1:], strict=True):
-                results += self._evaluate(requests[lo:hi], np.array(sizes[lo:hi]))
-            sp.set(seeds=len(requests), rows=sum(sizes), entries=sum(entries))
-        return results
+            group.append(len(subcircuits))
+            costs = [
+                self._evaluate(subcircuits[lo:hi], seeds[lo:hi], num_sizes[lo:hi], mean, sigma)
+                for lo, hi in zip(group[:-1], group[1:], strict=True)
+            ]
+            sp.set(seeds=len(subcircuits), rows=int(num_sizes.sum()), entries=sum(entries))
+        worst, total = (np.concatenate(column) for column in zip(*costs, strict=True))
+        return worst, total, num_sizes
 
     def _evaluate(
         self,
-        requests: Sequence[Tuple[Subcircuit, Mapping[str, NormalDelay]]],
+        subcircuits: Sequence[Subcircuit],
+        seeds: IntArray,
         num_sizes: IntArray,
-    ) -> List[Dict[int, CostComponents]]:
+        mean: FloatArray,
+        sigma: FloatArray,
+    ) -> Tuple[FloatArray, FloatArray]:
         """One vectorized FASSTA evaluation of every (seed, size) row.
 
         Each row is one copy of its seed's
         :meth:`~repro.core.subcircuit.Subcircuit.local_program` with its own
         block of local slots, timed level by level across all rows with
-        :func:`~repro.core.fassta.fold_level`.  Unaffected members are timed
-        once per distinct gate, the affected ones per row on the packed
-        stage's trial form (:meth:`VariationModel.delay_moments
+        :func:`~repro.core.fassta.fold_level`.  The boundary inputs read
+        ``mean`` and ``sigma`` at their net slots.  Unaffected members are
+        timed once per distinct gate, the affected ones per row on the
+        packed stage's trial form (:meth:`VariationModel.delay_moments
         <repro.variation.model.VariationModel.delay_moments>`).
         """
-        circuit = requests[0][0].parent
-        plan = circuit.compiled()
-        num_inputs = np.array([len(sub.input_nets) for sub, _ in requests], dtype=np.intp)
-        num_members = np.array([sub.num_gates for sub, _ in requests], dtype=np.intp)
-        program = np.concatenate([sub.local_program() for sub, _ in requests])
+        circuit = subcircuits[0].parent
+        num_inputs = np.array([len(sub.input_nets) for sub in subcircuits], dtype=np.intp)
+        num_members = np.array([sub.num_gates for sub in subcircuits], dtype=np.intp)
+        program = np.concatenate([sub.local_program() for sub in subcircuits])
         gate_ids, level, affected, rank = program[:, :4].T
 
-        # Rows: one per (request, candidate size), each with its own block
+        # Rows: one per (subcircuit, candidate size), each with its own block
         # of local slots (boundary inputs, then member outputs).
-        row_request = np.repeat(np.arange(len(requests)), num_sizes)
+        row_request = np.repeat(np.arange(len(subcircuits)), num_sizes)
         row_size = _ranges(np.zeros_like(num_sizes), num_sizes)
         row_inputs = num_inputs[row_request]
         row_members = num_members[row_request]
         row_base = _starts(row_inputs + row_members)
         mu = np.empty(int((row_inputs + row_members).sum()))
         sg = np.empty_like(mu)
-        boundary = [
-            arrivals.get(net, ZERO_DELAY) for sub, arrivals in requests for net in sub.input_nets
-        ]
-        inputs = _ranges(_starts(num_inputs)[row_request], row_inputs)
+        boundary = np.concatenate([sub.input_slots() for sub in subcircuits])
+        inputs = boundary[_ranges(_starts(num_inputs)[row_request], row_inputs)]
         slots = _ranges(row_base, row_inputs)
-        mu[slots] = np.array([rv.mean for rv in boundary])[inputs]
-        sg[slots] = np.array([rv.sigma for rv in boundary])[inputs]
+        mu[slots], sg[slots] = mean[inputs], sigma[inputs]
 
         # Entries: one per (row, member), sorted by local level so that each
         # level is one slice; ``member`` indexes the concatenated programs.
@@ -417,7 +413,6 @@ class CostEvaluator:
         delay_mu, delay_sg = delay_mu[which], delay_sg[which]
         trials = np.flatnonzero(affected[member])
         trial_rows = entry_row[trials]
-        seeds = np.array([plan.gate_index[sub.seed] for sub, _ in requests])
         delay_mu[trials], delay_sg[trials] = variation.delay_moments(
             circuit,
             delay_model,
@@ -444,34 +439,37 @@ class CostEvaluator:
             here = out[:, col] >= 0
             worst = np.where(here & (cost[:, col] > worst), cost[:, col], worst)
             total = np.where(here, total + cost[:, col], total)
-        rows = zip(worst.tolist(), total.tolist(), strict=True)
-        return [
-            {size: CostComponents(*next(rows)) for size in range(count)}
-            for count in num_sizes.tolist()
-        ]
+        return worst, total
 
-    def best_seed_size(
-        self, subcircuit: Subcircuit, boundary_arrivals: Mapping[str, NormalDelay]
-    ) -> int:
+    def best_seed_size(self, subcircuit: Subcircuit, mean: FloatArray, sigma: FloatArray) -> int:
         """The seed size with the best subcircuit cost, by one size sweep.
 
         Unmemoized; :meth:`best_sizes` is the memoized entry point both
         sizers use.
         """
-        return self._pick(
-            subcircuit, self.size_sweep_components([(subcircuit, boundary_arrivals)])[0]
-        )
+        return int(self._best([subcircuit], mean, sigma)[0])
 
-    @staticmethod
-    def _pick(subcircuit: Subcircuit, sweep: Dict[int, CostComponents]) -> int:
-        """The best-size rule: in library order, a candidate wins when it is
-        strictly better than the best so far, starting from the seed's
-        current size, which it returns when no candidate beats it."""
-        current = subcircuit.parent.gate(subcircuit.seed).size_index
-        best = current
-        for size_index, cost in sweep.items():
-            if size_index != current and cost.better_than(sweep[best]):
-                best = size_index
+    def _best(
+        self, subcircuits: Sequence[Subcircuit], mean: FloatArray, sigma: FloatArray
+    ) -> IntArray:
+        """The best-size rule over one sweep of every subcircuit, all rows at once.
+
+        Per seed, in library order, a candidate wins when it is strictly
+        better (:meth:`CostComponents.better_than`, elementwise) than the
+        best so far, starting from the seed's current size, which it keeps
+        when no candidate beats it.
+        """
+        worst, total, num_sizes = self.size_sweep_components(subcircuits, mean, sigma)
+        plan = subcircuits[0].parent.compiled()
+        current = plan.size_index[[plan.gate_index[sub.seed] for sub in subcircuits]]
+        first, best = _starts(num_sizes), current.copy()
+        for size in range(int(num_sizes.max())):
+            live = (size < num_sizes) & (size != current)
+            row, held = first + np.where(live, size, best), first + best
+            w, w_best = worst[row], worst[held]
+            tol = CostComponents.REL_TOL * np.maximum(np.maximum(np.abs(w), np.abs(w_best)), 1.0)
+            better = (w < w_best - tol) | (~(w > w_best + tol) & (total[row] < total[held] - tol))
+            best[live & better] = size
         return best
 
 

@@ -295,11 +295,14 @@ class IncrementalReanalysis:
       committed one.  Such a stop would almost never fire: unlike a
       deterministic max, a discrete-pdf max depends on every input's whole
       distribution, so a moved input moves the row.  Counted over whole
-      flows, a bitwise row check matched none of the 64,407 / 9,812 /
-      17,388 rows recomputed on the ``c1355_cost`` / ``c7552_cost`` /
-      ``gen500_yield_mc`` benchmark flows, none on c880 and c1908, and 2 of
-      c432's 7,225 cost-flow rows (lambda = 3), which spared 4 of its 7,229
-      cone gates.
+      flows with fallback stacks of one trial, a row check matched none
+      of the 64,407 / 9,812 / 17,388 rows recomputed on the ``c1355_cost``
+      / ``c7552_cost`` / ``gen500_yield_mc`` benchmark flows, none on c880
+      and c1908, and 2 of c432's 7,225 cost-flow rows (lambda = 3), which
+      spared 4 of its 7,229 cone gates.
+
+    ``mean`` and ``sigma`` hold, per net slot, the committed result's
+    ``arrival(net)`` bit for bit: the sizer's inner-loop boundary moments.
 
     :meth:`preview` evaluates resizes *without* committing them: the ones
     the IR holds, or a stack of one-resize trials against the committed state.
@@ -324,6 +327,8 @@ class IncrementalReanalysis:
         self._structure_version: Optional[int] = None
         self._state: Optional[LevelizedState] = None
         self._arrival_moments: Dict[str, NormalDelay] = {}
+        self.mean = np.empty(0)  # per net slot, the committed arrival moments
+        self.sigma = np.empty(0)
         self._sizes = np.empty(0, dtype=np.intp)  # per gate id, the committed size
         self._fold: List[DiscretePDF] = []  # committed running maxima of the outputs
         self._pending: Optional[List[_Delta]] = None
@@ -487,6 +492,7 @@ class IncrementalReanalysis:
             arrival_pdfs=pdfs,
         )
         self._arrival_moments = _moments(pdfs)
+        self.mean, self.sigma = np.zeros((2, plan.num_nets))  # the point pdf's moments
         self._sizes = np.full(plan.num_gates, -1, dtype=np.intp)
         self._fold = []
 
@@ -611,8 +617,11 @@ class IncrementalReanalysis:
         state = self._state
         state.store(delta.slots, delta.rows)
         state.delay_values[delta.gate_ids], state.delay_probs[delta.gate_ids] = delta.delay_rows
+        moments = [delta.moment(row) for row in range(delta.slots.size)]
         for net, row in delta.index.items():
-            state.arrival_pdfs[net], self._arrival_moments[net] = delta.pdf(row), delta.moment(row)
+            state.arrival_pdfs[net], self._arrival_moments[net] = delta.pdf(row), moments[row]
+        self.mean[delta.slots] = [rv.mean for rv in moments]
+        self.sigma[delta.slots] = [rv.sigma for rv in moments]
         self._sizes[delta.gate_ids] = delta.sizes
         self._fold = delta.fold or self._fold[:self._first_moved_output(delta)]
         self._bulk = None

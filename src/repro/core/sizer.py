@@ -30,11 +30,12 @@ of the from-scratch engines, so the optimization trajectory is the same):
   <repro.core.cost.CostEvaluator.best_sizes>` call per pass, shared with
   the mean-delay baseline: memoized subcircuit extraction, an exact
   decision memo, and one vectorized FASSTA batch for every miss at every
-  candidate size.  The WNSS traces read only the pass's FULLSSTA result
-  and resizes are committed only at the end of the pass, so the batch
-  makes exactly the decisions a gate-by-gate loop would.  With incremental
-  FULLSSTA, untouched regions keep bitwise-identical moments between
-  passes, so gates far from the action hit the memo every pass.
+  candidate size, with the committed per-net-slot moments of the
+  incremental FULLSSTA as boundary moments.  The WNSS traces read only the
+  pass's FULLSSTA result and resizes are committed only at the end of the
+  pass, so the batch makes exactly the decisions a gate-by-gate loop
+  would.  A decision stands while its region's sizes and boundary moments
+  do, so gates far from the action hit the memo every pass.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from repro.variation.model import VariationModel
 
 _Result = TypeVar("_Result")
 _Score = TypeVar("_Score")
+
+#: Trials in the fallback's first stacked preview and in the first after each keep.
+FIRST_STACK = 8
 
 
 @dataclass
@@ -289,7 +293,7 @@ class StatisticalGreedySizer:
             wnss_length = max((len(wnss) for wnss in paths), default=0)
             visits = [gate_name for wnss in paths for gate_name in wnss.gates]
             best = self.evaluator.best_sizes(
-                circuit, visits, config.subcircuit_depth, current_full.arrival
+                circuit, visits, config.subcircuit_depth, reanalysis.mean, reanalysis.sigma
             )
             scheduled = {
                 name: best[name]
@@ -414,9 +418,10 @@ def resize_scheduled_gates(
     circuit's sizes.  The schedule is kept when ``better(score(result),
     best)`` and ``fits()`` (on the circuit as it stands).  Otherwise (resizes
     interact through shared loads) it is reverted and previewed in galloping
-    stacks of 1, 2, 4, ... trials: the first trial better than the last kept
-    one that fits is kept, and the next stack starts after it at size 1, so
-    the decisions are a one-at-a-time loop's.  If no trial is kept, the
+    stacks of :data:`FIRST_STACK`, twice that, and so on: the first trial
+    better than the last kept one that fits is kept, and the next stack
+    starts right after it at :data:`FIRST_STACK` again, so the decisions
+    are a one-at-a-time loop's.  If no trial is kept, the
     schedule is kept anyway (its loads may unlock the next pass) and
     committed with ``analyze()``, which reuses the held bulk preview (both
     ``IncrementalReanalysis`` and the baseline's ``NominalTimer`` hold it).
@@ -437,7 +442,7 @@ def resize_scheduled_gates(
 
     trials = list(scheduled.items())
     kept: Dict[str, int] = {}
-    start, stack_size = 0, 1
+    start, stack_size = 0, FIRST_STACK
     while start < len(trials):
         stack = trials[start:start + stack_size]
         previews = timer.preview(stack)
@@ -456,7 +461,7 @@ def resize_scheduled_gates(
             assert committed, "the circuit holds the previewed trial"
             kept[name] = size
             result, best = trial_result, trial_score
-            start, stack_size = start - len(stack) + index + 1, 1
+            start, stack_size = start - len(stack) + index + 1, FIRST_STACK
             break
     if not kept:
         circuit.apply_sizes(scheduled)

@@ -11,7 +11,9 @@ copy: member gates are referenced by name, and all electrical queries (loads
 in particular) are answered against the parent.  This keeps boundary loads
 exact — a member gate driving non-member gates still sees their input
 capacitance.  :meth:`Subcircuit.local_program` lowers the region once onto
-the parent's compiled IR, the compact form the batched candidate sweep runs.
+the parent's compiled IR, the compact form the batched candidate sweep runs,
+and :meth:`Subcircuit.dependencies` lists, as IR indices, everything its
+costs read, which is what the sweep's decision memo watches.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class Subcircuit:
     _member_set: Optional[Set[str]] = field(default=None, repr=False, compare=False)
     _fringe_gates: Optional[List[str]] = field(default=None, repr=False, compare=False)
     _program: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _input_slots: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _dependencies: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def num_gates(self) -> int:
@@ -90,20 +94,28 @@ class Subcircuit:
             self._fringe_gates = fringe
         return self._fringe_gates
 
-    def context_signature(self) -> Tuple[int, ...]:
-        """Size indices of every gate that can influence this region's timing
-        given fixed boundary arrivals: the members (delays) plus the fringe
-        loads (member output capacitance).  Two evaluations with the same
-        seed, depth, boundary arrivals and context signature are guaranteed
-        to produce identical costs, which is what makes the decision memo of
-        :meth:`CostEvaluator.best_sizes <repro.core.cost.CostEvaluator.best_sizes>`
-        exact.
+    def input_slots(self) -> np.ndarray:
+        """The parent's net slot of each of ``input_nets``."""
+        if self._input_slots is None:
+            slot = self.parent.compiled().net_index
+            self._input_slots = np.array([slot[net] for net in self.input_nets], dtype=np.intp)
+        return self._input_slots
+
+    def dependencies(self) -> np.ndarray:
+        """Everything this region's costs depend on, as one IR index array:
+        the gate ids of the members (delays) and fringe loads (member output
+        capacitance), then ``num_gates`` plus each input slot (boundary
+        moments).  While none of them changes, neither do the costs, which
+        makes the memo of :meth:`CostEvaluator.best_sizes
+        <repro.core.cost.CostEvaluator.best_sizes>` exact.
         """
-        gates = self.parent.gates
-        return tuple(
-            gates[name].size_index
-            for name in self.gate_names + self.fringe_gates()
-        )
+        if self._dependencies is None:
+            plan = self.parent.compiled()
+            gates = [plan.gate_index[name] for name in self.gate_names + self.fringe_gates()]
+            self._dependencies = np.concatenate(
+                [np.array(gates, dtype=np.intp), plan.num_gates + self.input_slots()]
+            )
+        return self._dependencies
 
     def local_program(self) -> np.ndarray:
         """The region lowered onto the parent's IR, built once per subcircuit.
@@ -157,7 +169,9 @@ def extract_subcircuit(
 
     The seed gate is always included.  Member gates are returned in the
     parent circuit's topological order so moment propagation can run over
-    them directly.
+    them directly: sorted by IR gate id, which ascends along
+    ``circuit.topological_order()`` (its first-in-first-out walk visits the
+    gates level by level, the order the lowering numbers them in).
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -166,10 +180,7 @@ def extract_subcircuit(
     members: Set[str] = {seed_gate}
     members.update(circuit.transitive_fanin(seed_gate, depth=depth))
     members.update(circuit.transitive_fanout(seed_gate, depth=depth))
-
-    # Structural extraction, not an analysis loop; the IR has no subcircuit
-    # view.  repro-lint: allow=RL001
-    order = [name for name in circuit.topological_order() if name in members]
+    order = sorted(members, key=circuit.compiled().gate_index.__getitem__)
 
     driven_inside = {circuit.gate(name).output for name in members}
     input_nets: List[str] = []
@@ -201,11 +212,12 @@ def extract_subcircuit(
 class SubcircuitCache:
     """Memoizes :func:`extract_subcircuit` per (seed, depth) for one circuit.
 
-    Extraction walks the parent's full topological order, so the greedy
-    sizer — which extracts around every WNSS-path gate every pass — pays
-    O(gates) per visit without a cache.  Subcircuit structure only depends
-    on the netlist, not on gate sizes, so entries stay valid until the
-    circuit's :attr:`~repro.netlist.circuit.Circuit.structure_version`
+    The greedy sizers extract around every WNSS-path (or near-critical)
+    gate every pass, and each region keeps its lowered
+    :meth:`~Subcircuit.local_program` and :meth:`~Subcircuit.dependencies`,
+    so a cached region costs one dict lookup.  Subcircuit structure only
+    depends on the netlist, not on gate sizes, so entries stay valid until
+    the circuit's :attr:`~repro.netlist.circuit.Circuit.structure_version`
     changes (or a different circuit is queried), at which point the cache
     resets itself.
     """
@@ -217,22 +229,11 @@ class SubcircuitCache:
         self.hits = 0
         self.misses = 0
 
-    def sync(self, circuit: Circuit) -> bool:
-        """Follow ``circuit``; True, after a reset, if it is another circuit
-        or its structure changed since the last call."""
-        if (
-            self._circuit is circuit
-            and self._structure_version == circuit.structure_version
-        ):
-            return False
-        self._entries.clear()
-        self._circuit = circuit
-        self._structure_version = circuit.structure_version
-        return True
-
     def get(self, circuit: Circuit, seed: str, depth: int = DEFAULT_DEPTH) -> Subcircuit:
         """Cached extraction of the (seed, depth) region of ``circuit``."""
-        self.sync(circuit)
+        if self._circuit is not circuit or self._structure_version != circuit.structure_version:
+            self._entries.clear()
+            self._circuit, self._structure_version = circuit, circuit.structure_version
         key = (seed, depth)
         subcircuit = self._entries.get(key)
         if subcircuit is None:
@@ -246,11 +247,7 @@ class SubcircuitCache:
 
 def extraction_statistics(circuit: Circuit, depth: int = DEFAULT_DEPTH) -> Dict[str, float]:
     """Average/maximum subcircuit size over all gates (used in reports/tests)."""
-    sizes = [
-        extract_subcircuit(circuit, name, depth).num_gates
-        # repro-lint: allow=RL001 -- reporting helper, not a hot path
-        for name in circuit.topological_order()
-    ]
+    sizes = [extract_subcircuit(circuit, name, depth).num_gates for name in circuit.gates]
     if not sizes:
         return {"avg_gates": 0.0, "max_gates": 0.0, "min_gates": 0.0}
     return {

@@ -28,6 +28,7 @@ so a rerun with ``resume=True`` computes only the rest.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import signal
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
@@ -625,8 +626,8 @@ def _evaluate_pending(
     ``jobs == 1`` evaluates in-process, in spec order; otherwise a
     ``ProcessPoolExecutor`` of up to ``jobs`` workers runs the cells and
     they come back in completion order.  Closing the generator early (a
-    ``KeyboardInterrupt``) cancels the cells the executor has not yet
-    queued for a worker and waits for the workers to stop.
+    ``KeyboardInterrupt``, even one sent to this process alone) terminates
+    the workers, then cancels the cells not yet started.
     """
     if jobs == 1:
         for index in pending:
@@ -638,6 +639,7 @@ def _evaluate_pending(
         return
     if not pending:
         return
+    others = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(
         max_workers=min(jobs, len(pending)), initializer=_die_on_sigint
     )
@@ -649,6 +651,10 @@ def _evaluate_pending(
             except Exception as exc:
                 outcome = exc
             yield futures[future], outcome
+    except BaseException:  # closed early: running cells' results would be discarded
+        for worker in set(multiprocessing.active_children()) - others:
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

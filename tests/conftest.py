@@ -161,33 +161,49 @@ def levelized_fold():
 class _FromScratchReanalysis:
     """``IncrementalReanalysis`` stand-in: every call is a fresh ``FULLSSTA.analyze``.
 
-    Analyses are pure, so a no-argument ``preview()`` is an ``analyze()``
-    and ``commit_preview()`` has nothing to fold in.  The batch form of
-    ``preview`` times each ``(gate, size)`` trial by setting the size,
-    analyzing and reverting.
+    Analyses are pure, so a no-argument ``preview()`` is an analysis and
+    ``commit_preview(j)`` only makes trial ``j``'s result the committed
+    one.  The batch form of ``preview`` times each ``(gate, size)`` trial
+    by setting the size, analyzing and reverting.  ``mean`` / ``sigma``
+    read the committed result's ``arrival(net)`` per net slot.
     """
 
     def __init__(self, engine, circuit):
         self.engine = engine
         self.circuit = circuit
         self.stats = {}
+        self._committed = self._pending = None
 
     def analyze(self):
-        return self.engine.analyze(self.circuit)
+        self._committed = self.engine.analyze(self.circuit)
+        return self._committed
 
     def preview(self, trials=None):
         if trials is None:
-            return self.analyze()
-        results = []
+            self._pending = [self.engine.analyze(self.circuit)]
+            return self._pending[0]
+        self._pending = []
         for gate_name, size_index in trials:
             previous = self.circuit.gate(gate_name).size_index
             self.circuit.set_size(gate_name, size_index)
-            results.append(self.analyze())
+            self._pending.append(self.engine.analyze(self.circuit))
             self.circuit.set_size(gate_name, previous)
-        return results
+        return list(self._pending)
 
     def commit_preview(self, index=0):
+        self._committed = self._pending[index]
         return True
+
+    @property
+    def mean(self):
+        return np.array([self._committed.arrival(net).mean for net in self._nets()])
+
+    @property
+    def sigma(self):
+        return np.array([self._committed.arrival(net).sigma for net in self._nets()])
+
+    def _nets(self):
+        return self.circuit.compiled().net_names
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Unit tests for Clark's max moments and the paper's approximations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -208,6 +209,35 @@ class TestClarkMaxFastArrays:
         )
         assert mean.tolist() == [5.0, 7.0]
         assert var.tolist() == [0.0, 0.0]
+
+    def test_zero_variation_shortcut_equals_general_path_bitwise(self):
+        # Deterministic pairs: tied means, signed zeros, infinities and NaN.
+        values = [3.0, 3.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 7.5, -2.0]
+        pairs = list(itertools.product(values, values))
+        mu_a, mu_b = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+        zeros = np.zeros(mu_a.size)
+
+        def general(mu_a, sigma_a, mu_b, sigma_b):
+            # One trailing pair with sigma > 0 keeps every call on the general path.
+            with np.errstate(invalid="ignore"):
+                mean, var = clark.clark_max_fast_arrays(
+                    *(np.append(x, 1.0) for x in (mu_a, sigma_a, mu_b, sigma_b))
+                )
+            return mean[:-1], var[:-1]
+
+        def bits(arrays):
+            return [array.view(np.int64).tolist() for array in arrays]
+
+        shortcut = clark.clark_max_fast_arrays(mu_a, zeros, mu_b, zeros)
+        assert bits(shortcut) == bits(general(mu_a, zeros, mu_b, zeros))
+        assert not np.signbit(shortcut[1]).any()
+        # A NaN sigma is not "zero variation": that call takes the general path.
+        sigma_a = zeros.copy()
+        sigma_a[::7] = np.nan
+        with np.errstate(invalid="ignore"):
+            mean, var = clark.clark_max_fast_arrays(mu_a, sigma_a, mu_b, zeros)
+        assert bits((mean, var)) == bits(general(mu_a, sigma_a, mu_b, zeros))
+        assert np.isnan(var[::7]).all()
 
     def test_dominant_operand_passes_through(self):
         import numpy as np

@@ -7,11 +7,12 @@ from repro.circuits.registry import build_benchmark
 from repro.core.baseline import MeanDelaySizer
 from repro.core.cost import CostComponents, CostEvaluator, WeightedCost
 from repro.core.fassta import FASSTA
-from repro.core.fullssta import FULLSSTA
-from repro.core.rv import NormalDelay
+from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
+from repro.core.rv import ZERO_DELAY, NormalDelay
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
 from repro.core.subcircuit import DEFAULT_DEPTH, SubcircuitCache, extract_subcircuit
-from repro.sta.dsta import DeterministicSTA
+from repro.netlist.gate import Gate
+from repro.sta.dsta import DeterministicSTA, NominalTimer
 from repro.variation.model import VariationModel
 
 
@@ -111,6 +112,12 @@ class TestCostEvaluator:
         assert better.better_than(current)
 
 
+def _slot_moments(circuit, arrival):
+    """(mean, sigma) per net slot of ``circuit`` from ``arrival(net) -> NormalDelay``."""
+    moments = [arrival(net) for net in circuit.compiled().net_names]
+    return np.array([rv.mean for rv in moments]), np.array([rv.sigma for rv in moments])
+
+
 class TestSizeSweep:
     """The batched size sweep both sizers pick sizes with, against the
     scalar reference that evaluates one candidate size at a time."""
@@ -130,58 +137,73 @@ class TestSizeSweep:
             boundary = {net: NormalDelay(t, 0.0) for net, t in arrival.items()}
         else:
             boundary = FULLSSTA(delay_model, variation).analyze(circuit).arrival_moments
+        mean, sigma = _slot_moments(circuit, lambda net: boundary.get(net, ZERO_DELAY))
         evaluator = CostEvaluator(FASSTA(delay_model, variation), WeightedCost(lam))
         subcircuits = SubcircuitCache()
         sizes_before = circuit.sizes()
-        requests = [(subcircuits.get(circuit, name), boundary) for name in circuit.gates]
+        regions = [subcircuits.get(circuit, name) for name in circuit.gates]
         # One batched call over every gate of the circuit.
-        sweeps = evaluator.size_sweep_components(requests)
-        assert len(sweeps) == len(requests)
-        for (sub, _), sweep in zip(requests, sweeps, strict=True):
+        worst, total, num_sizes = evaluator.size_sweep_components(regions, mean, sigma)
+        assert worst.size == total.size == num_sizes.sum()
+        rows = iter(zip(worst.tolist(), total.tolist(), strict=True))
+        for sub, count in zip(regions, num_sizes.tolist(), strict=True):
             gate = circuit.gate(sub.seed)
             sizes = library.size_indices(gate.cell_type)
+            assert count == len(sizes), sub.seed
             scratch = {
                 size: evaluator.candidate_size_cost_components(sub, boundary, size)
                 for size in sizes
             }
-            assert sweep == scratch, sub.seed
+            assert [CostComponents(*next(rows)) for _ in sizes] == list(scratch.values())
             # The best-size rule: the first candidate strictly better than
             # the best so far, starting from the current size.
             best = gate.size_index
             for size in sizes:
                 if scratch[size].better_than(scratch[best]):
                     best = size
-            assert evaluator.best_seed_size(sub, boundary) == best, sub.seed
+            assert evaluator.best_seed_size(sub, mean, sigma) == best, sub.seed
         assert circuit.sizes() == sizes_before
 
 
 class TestBestSize:
     """The memoized size selector both sizers call, against an unmemoized
     sweep of a freshly extracted subcircuit, across every kind of edit the
-    memo key must see."""
+    memo must see: sizes of members, fringe loads and unrelated gates, a
+    resize reverted after a call, boundary moments changed in place, and a
+    structural edit."""
 
     @pytest.fixture(params=["baseline-mean-delay", "sizer-lam3"])
     def owner(self, request, delay_model, variation_model):
-        """(evaluator, boundary-moment source) of one of the two sizers."""
+        """(evaluator, per-net-slot boundary moments) of one of the two sizers."""
         if request.param == "baseline-mean-delay":
-            dsta = DeterministicSTA(delay_model)
 
             def boundary_source(circuit):
-                arrival, _ = dsta.arrival_times(circuit)
-                return lambda net: NormalDelay(arrival.get(net, 0.0), 0.0)
+                timer = NominalTimer(delay_model, circuit)
+                timer.analyze()
+                return timer.arrivals.copy(), np.zeros(timer.arrivals.size)
 
             return MeanDelaySizer(delay_model).evaluator, boundary_source
         config = SizerConfig(lam=3.0)
         sizer = StatisticalGreedySizer(delay_model, variation_model, config)
-        return sizer.evaluator, lambda circuit: sizer.fullssta.analyze(circuit).arrival
+
+        def boundary_source(circuit):
+            reanalysis = IncrementalReanalysis(sizer.fullssta, circuit)
+            reanalysis.analyze()
+            return reanalysis.mean.copy(), reanalysis.sigma.copy()
+
+        return sizer.evaluator, boundary_source
 
     @staticmethod
-    def assert_exact(evaluator, circuit, arrival_of, names):
+    def assert_exact(evaluator, circuit, moments, names, hits=None):
+        """Every gate's memoized answer is a fresh sweep's; with ``hits``,
+        the gates named there hit the memo and the others miss."""
         for name in names:
-            sub = extract_subcircuit(circuit, name)
-            boundary = {net: arrival_of(net) for net in sub.input_nets}
-            expected = evaluator.best_seed_size(sub, boundary)
-            assert evaluator.best_size(circuit, name, DEFAULT_DEPTH, arrival_of) == expected, name
+            expected = evaluator.best_seed_size(extract_subcircuit(circuit, name), *moments)
+            before = evaluator.memo_hits
+            best = evaluator.best_sizes(circuit, [name], DEFAULT_DEPTH, *moments)
+            assert best == {name: expected}, name
+            if hits is not None:
+                assert (evaluator.memo_hits > before) == (name in hits), name
 
     def test_memoized_selection_is_exact(self, owner, library):
         evaluator, boundary_source = owner
@@ -190,22 +212,27 @@ class TestBestSize:
         for name, gate in circuit.gates.items():
             circuit.set_size(name, int(rng.integers(library.num_sizes(gate.cell_type))))
         names = list(circuit.gates)
-        arrival_of = boundary_source(circuit)
-        self.assert_exact(evaluator, circuit, arrival_of, names)
+        moments = boundary_source(circuit)
+        self.assert_exact(evaluator, circuit, moments, names, hits=())
 
         # An identical repeat query is answered by the memo.
-        hits, misses = evaluator.memo_hits, evaluator.memo_misses
-        evaluator.best_size(circuit, names[0], DEFAULT_DEPTH, arrival_of)
-        assert (evaluator.memo_hits, evaluator.memo_misses) == (hits + 1, misses)
+        self.assert_exact(evaluator, circuit, moments, names[:1], hits=names[:1])
 
         # Resize members, fringe loads and unrelated gates of a region under
         # fixed boundary moments.  After each edit, every gate whose region
-        # holds the resized gate as a member or fringe load is checked, plus
-        # a few random gates; their regions depend only on the structure.
+        # holds the resized gate as a member or fringe load misses; a few
+        # random gates decided since the last edit hit.
         regions = {name: extract_subcircuit(circuit, name) for name in names}
         context = {
             name: sub.member_set() | set(sub.fringe_gates()) for name, sub in regions.items()
         }
+
+        def resize(gate):
+            num_sizes = library.num_sizes(gate.cell_type)
+            circuit.set_size(
+                gate.name, (gate.size_index + 1 + int(rng.integers(num_sizes - 1))) % num_sizes
+            )
+
         for seed in map(str, rng.choice(names, size=6, replace=False)):
             sub = regions[seed]
             members = [name for name in sub.gate_names if name != seed]
@@ -214,17 +241,45 @@ class TestBestSize:
                 if not group:
                     continue
                 gate = circuit.gate(str(rng.choice(group)))
-                num_sizes = library.num_sizes(gate.cell_type)
-                circuit.set_size(
-                    gate.name, (gate.size_index + 1 + int(rng.integers(num_sizes - 1))) % num_sizes
-                )
+                resize(gate)
                 affected = [name for name in names if gate.name in context[name]]
+                self.assert_exact(evaluator, circuit, moments, affected, hits=())
                 spot = [str(name) for name in rng.choice(names, size=5, replace=False)]
-                self.assert_exact(evaluator, circuit, arrival_of, affected + spot)
+                self.assert_exact(evaluator, circuit, moments, spot)
+                decided = [name for name in spot if name not in affected]
+                self.assert_exact(evaluator, circuit, moments, decided, hits=decided)
+
+        # A resize that a call saw, then reverted: the regions holding the
+        # gate miss, though their sizes are back where their decisions were made.
+        seed = names[len(names) // 3]
+        gate = circuit.gate(regions[seed].gate_names[0])
+        affected = [name for name in names if gate.name in context[name]]
+        self.assert_exact(evaluator, circuit, moments, affected)
+        undo = gate.size_index
+        resize(gate)
+        self.assert_exact(evaluator, circuit, moments, [seed], hits=())
+        circuit.set_size(gate.name, undo)
+        self.assert_exact(evaluator, circuit, moments, affected, hits=())
+
+        # Boundary moments changed in place in the caller's arrays: the
+        # regions reading that slot miss, the others hit.
+        self.assert_exact(evaluator, circuit, moments, names)
+        slot = regions[seed].input_slots()[0]
+        readers = [name for name in names if slot in regions[name].input_slots()]
+        for array in moments:
+            array[slot] += 1.5
+            self.assert_exact(evaluator, circuit, moments, names, hits=set(names) - set(readers))
 
         # New boundary moments for the new sizes, then a structural edit.
         self.assert_exact(evaluator, circuit, boundary_source(circuit), names)
         driver = circuit.gate(names[len(names) // 2])
         circuit.add("extra_load", "NAND2", [driver.output, driver.output], "n_extra")
         circuit.add_primary_output("n_extra")
-        self.assert_exact(evaluator, circuit, boundary_source(circuit), list(circuit.gates))
+        moments = boundary_source(circuit)
+        self.assert_exact(evaluator, circuit, moments, list(circuit.gates), hits=())
+
+        # A cell swap keeps every array's shape but is a structural edit too:
+        # the memo drops every decision.
+        gate = next(g for g in circuit.gates.values() if g.cell_type == "NAND2")
+        circuit.replace_gate(Gate(gate.name, "NOR2", list(gate.inputs), gate.output, gate.size_index))
+        self.assert_exact(evaluator, circuit, moments, list(circuit.gates), hits=())

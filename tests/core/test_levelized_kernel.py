@@ -162,3 +162,58 @@ class TestIncrementalMatchesScratchBitwise:
         )
         circuit.set_size(downstream, 6 if circuit.gate(downstream).size_index != 6 else 0)
         _assert_bitwise_equal(incremental.analyze(), scratch.analyze(circuit))
+
+
+class TestCommittedSlotMoments:
+    """``IncrementalReanalysis.mean`` / ``sigma``, the sizer's boundary
+    moments, hold the committed result's ``arrival(net)`` per net slot."""
+
+    @pytest.mark.parametrize("name", ["c432", "alu2"])
+    def test_slot_arrays_follow_every_commit(self, name, delay_model, variation_model, library):
+        circuit = build_benchmark(name)
+        scratch = FULLSSTA(delay_model, variation_model)
+        incremental = IncrementalReanalysis(FULLSSTA(delay_model, variation_model), circuit)
+        nets = circuit.compiled().net_names
+
+        def assert_committed(result):
+            assert result.arrival_moments == scratch.analyze(circuit).arrival_moments
+            for array, field in ((incremental.mean, "mean"), (incremental.sigma, "sigma")):
+                expected = np.array([getattr(result.arrival(net), field) for net in nets])
+                assert array.view(np.int64).tolist() == expected.view(np.int64).tolist(), field
+
+        assert_committed(incremental.analyze())
+        rng = np.random.default_rng(sum(map(ord, name)))
+        names = list(circuit.gates)
+
+        def other_size(gate):
+            num_sizes = library.num_sizes(circuit.gate(gate).cell_type)
+            size = circuit.gate(gate).size_index
+            return (size + 1 + int(rng.integers(num_sizes - 1))) % num_sizes
+
+        for _ in range(10):
+            action = rng.choice(["stack", "bulk", "held", "unread", "revert"])
+            if action == "stack":  # keep one trial of a stacked preview, read or not
+                trials = [(str(g), other_size(str(g))) for g in rng.choice(names, 5, replace=False)]
+                results = incremental.preview(trials)
+                keep = int(rng.integers(len(trials)))
+                kept = [next(results) for _ in range(keep + 1)][-1] if rng.random() < 0.5 else None
+                circuit.set_size(*trials[keep])
+                assert incremental.commit_preview(keep)
+                assert_committed(kept or incremental.analyze())
+                continue
+            resized = {}
+            for gate in map(str, rng.choice(names, size=int(rng.integers(1, 4)), replace=False)):
+                resized.setdefault(gate, circuit.gate(gate).size_index)
+                circuit.set_size(gate, other_size(gate))
+            if action == "unread":  # an analyze() that sweeps
+                assert_committed(incremental.analyze())
+                continue
+            bulk = incremental.preview()
+            if action == "revert":
+                circuit.apply_sizes(resized)
+                assert_committed(incremental.analyze())
+            elif action == "held":  # analyze() commits the held preview
+                assert_committed(incremental.analyze())
+            else:
+                assert incremental.commit_preview()
+                assert_committed(bulk)

@@ -3,7 +3,7 @@
 ``IncrementalReanalysis.preview(trials)`` times a stack of ``(gate, size)``
 trials in one sweep whose kernel rows are (trial, cone gate) pairs, each
 trial keeping its moved rows in an overlay over the committed state.  The
-sizer's fallback previews its schedule in galloping stacks of 1, 2, 4, ...
+sizer's fallback previews its schedule in galloping stacks of 8, 16, 32, ...
 and commits the first improving trial.  Both are exact only if every trial
 of a stack comes out bit for bit as ``set_size -> preview() -> set_size
 (previous)`` shows it; these tests pin that, trial by trial.

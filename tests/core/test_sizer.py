@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.adders import ripple_carry_adder
-from repro.core.fullssta import FULLSSTA
+from repro.core.fullssta import FULLSSTA, IncrementalReanalysis
 from repro.core.sizer import SizerConfig, StatisticalGreedySizer
 from repro.netlist.validate import validate_circuit
 
@@ -114,10 +114,12 @@ class TestLambdaBehaviour:
 
 class TestBestSizeSelection:
     def test_best_sizes_returns_a_valid_size_per_gate(self, sizer, c17_circuit, library):
-        full = sizer.fullssta.analyze(c17_circuit)
+        reanalysis = IncrementalReanalysis(sizer.fullssta, c17_circuit)
+        reanalysis.analyze()
         names = c17_circuit.topological_order()
         best = sizer.evaluator.best_sizes(
-            c17_circuit, names + names, sizer.config.subcircuit_depth, full.arrival
+            c17_circuit, names + names, sizer.config.subcircuit_depth,
+            reanalysis.mean, reanalysis.sigma,
         )
         assert sorted(best) == sorted(names)
         for name, choice in best.items():

@@ -15,6 +15,7 @@ bulk preview and each galloping stack, a column per trial, is one
 propagation.
 """
 
+import zlib
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -27,7 +28,7 @@ from repro.core import sizer as sizer_module
 from repro.core.baseline import MeanDelaySizer
 from repro.core.cost import CostEvaluator
 from repro.core.fullssta import IncrementalReanalysis
-from repro.core.sizer import SizerConfig, StatisticalGreedySizer
+from repro.core.sizer import FIRST_STACK, SizerConfig, StatisticalGreedySizer
 from repro.sta.dsta import NominalTimer
 
 
@@ -286,13 +287,14 @@ class TestBaselinePassTiming:
 
 def _galloping_stacks(num_trials, kept):
     """Stacks a galloping walk over ``num_trials`` previews when it keeps the
-    trials at positions ``kept``: 1, 2, 4, ... trials, back to 1 after a keep."""
-    stacks, start, size = 0, 0, 1
+    trials at positions ``kept``: ``FIRST_STACK`` trials, then twice as many
+    and so on, back to ``FIRST_STACK`` right after a keep."""
+    stacks, start, size = 0, 0, FIRST_STACK
     while start < num_trials:
         stacks += 1
         stop = min(start + size, num_trials)
         hit = min(set(kept) & set(range(start, stop)), default=None)
-        start, size = (stop, 2 * size) if hit is None else (hit + 1, 1)
+        start, size = (stop, 2 * size) if hit is None else (hit + 1, FIRST_STACK)
     return stacks
 
 
@@ -331,3 +333,118 @@ class TestBaselineFallbackSweepsOncePerStack:
         passes = log.passes[1:]
         assert sum(p.sweeps for p in passes) == sum(p.previews for p in passes) + len(stacks)
         assert log.starts == [0] * len(passes)
+
+
+def _pseudo_random(state, salt):
+    """A uniform [0, 1) value that depends only on ``state`` (a size dict) and ``salt``."""
+    key = repr((salt, sorted(state.items()))).encode()
+    return zlib.crc32(key) / 2**32
+
+
+class _ScriptedTimer:
+    """A timer whose result for any sizes is a fixed pseudo-random score.
+
+    It speaks the ``analyze`` / ``preview`` / ``commit_preview`` protocol
+    with the same preconditions as the real timers, and records each
+    stacked preview's trials.
+    """
+
+    def __init__(self, circuit, salt):
+        self.circuit, self.salt = circuit, salt
+        self.committed = circuit.sizes()
+        self.stacks = []
+        self._pending = None
+
+    def score(self, state):
+        return _pseudo_random(state, self.salt)
+
+    def analyze(self):
+        self.committed, self._pending = self.circuit.sizes(), None
+        return self.score(self.committed)
+
+    def preview(self, trials=None):
+        if trials is None:
+            self._pending = [self.circuit.sizes()]
+            return self.score(self._pending[0])
+        assert self.circuit.sizes() == self.committed, "trials need the committed sizes"
+        self.stacks.append(list(trials))
+        self._pending = [{**self.committed, name: size} for name, size in trials]
+        return [self.score(state) for state in self._pending]
+
+    def commit_preview(self, index=0):
+        if self._pending is None or self.circuit.sizes() != self._pending[index]:
+            return False
+        self.committed, self._pending = self._pending[index], None
+        return True
+
+
+def _one_at_a_time_pass(circuit, scheduled, best, score, better, fits):
+    """The reference pass: the bulk resize, else each trial in order, kept
+    when it beats the last kept one and fits; else the bulk resize anyway."""
+    undo = {name: circuit.gate(name).size_index for name in scheduled}
+    circuit.apply_sizes(scheduled)
+    bulk = score(circuit.sizes())
+    if better(bulk, best) and fits():
+        return dict(scheduled), bulk
+    circuit.apply_sizes(undo)
+    kept = {}
+    for name, size in scheduled.items():
+        circuit.set_size(name, size)
+        trial = score(circuit.sizes())
+        if better(trial, best) and fits():
+            kept[name], best = size, trial
+        else:
+            circuit.set_size(name, undo[name])
+    if not kept:
+        circuit.apply_sizes(scheduled)
+        return kept, bulk
+    return kept, best
+
+
+class TestFallbackKeepsTheOneAtATimeTrials:
+    """``resize_scheduled_gates`` previews its fallback in stacks of
+    ``FIRST_STACK`` and more, yet keeps exactly the trials a one-at-a-time
+    loop keeps, for scripted scores and area verdicts of every state."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_accept_patterns(self, seed, library):
+        rng = np.random.default_rng(seed)
+        circuit = build_benchmark("c432")
+        names = list(map(str, rng.choice(list(circuit.gates), size=int(rng.integers(1, 60)),
+                                         replace=False)))
+        scheduled = {}
+        for name in names:
+            num_sizes = library.num_sizes(circuit.gate(name).cell_type)
+            size = circuit.gate(name).size_index
+            scheduled[name] = (size + int(rng.integers(1, num_sizes))) % num_sizes
+        best, slack, fit_rate = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.3), rng.uniform(0.3, 1.0)
+
+        def better(new, old):
+            return new < old + slack
+
+        def fits(circuit):
+            return lambda: _pseudo_random(circuit.sizes(), "fits") < fit_rate
+
+        reference_circuit = build_benchmark("c432")
+        timer = _ScriptedTimer(reference_circuit, seed)
+        expected = _one_at_a_time_pass(
+            reference_circuit, scheduled, best, timer.score, better, fits(reference_circuit)
+        )
+
+        timer = _ScriptedTimer(circuit, seed)
+        kept, result, score = sizer_module.resize_scheduled_gates(
+            timer, circuit, scheduled, best, lambda result: result, better, fits(circuit)
+        )
+        assert (kept, score) == expected and result == score
+        assert circuit.sizes() == reference_circuit.sizes() == timer.committed
+        # Trials are previewed in order; each stack starts right after the
+        # last trial kept (or read) and holds FIRST_STACK, then twice as many.
+        trials = list(scheduled.items())
+        start, size = 0, FIRST_STACK
+        for stack in timer.stacks:
+            assert stack == trials[start:start + size]
+            hits = [trial for trial in stack if trial in kept.items()]
+            start, size = (
+                (trials.index(hits[0]) + 1, FIRST_STACK) if hits else (start + size, 2 * size)
+            )
+        assert start >= len(trials) or not timer.stacks

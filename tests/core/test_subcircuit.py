@@ -1,9 +1,39 @@
 """Unit tests for subcircuit extraction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.registry import build_benchmark
-from repro.core.subcircuit import extract_subcircuit, extraction_statistics
+from repro.core.subcircuit import SubcircuitCache, extract_subcircuit, extraction_statistics
+
+
+def _scan_extract(circuit, seed, depth):
+    """Extraction by a scan of the whole topological order, the reference
+    the id-sorted members are pinned to: (gate_names, input_nets, output_nets)."""
+    members = {seed} | circuit.transitive_fanin(seed, depth)
+    members |= circuit.transitive_fanout(seed, depth)
+    order = [name for name in circuit.topological_order() if name in members]
+    driven = {circuit.gate(name).output for name in order}
+    inputs = [net for name in order for net in circuit.gate(name).inputs if net not in driven]
+    outputs = [
+        circuit.gate(name).output
+        for name in order
+        if circuit.is_primary_output(circuit.gate(name).output)
+        or not circuit.loads_of(circuit.gate(name).output)
+        or any(load.name not in members for load in circuit.loads_of(circuit.gate(name).output))
+    ]
+    return order, list(dict.fromkeys(inputs)), outputs
+
+
+def _assert_extractions_match_scan(circuit, depths=range(4)):
+    cache = SubcircuitCache()
+    for depth in depths:
+        for seed in circuit.gates:
+            sub = cache.get(circuit, seed, depth)
+            assert (sub.gate_names, sub.input_nets, sub.output_nets) == _scan_extract(
+                circuit, seed, depth
+            ), (seed, depth)
 
 
 class TestExtraction:
@@ -68,6 +98,26 @@ class TestExtraction:
 
     def test_repr_contains_seed(self, c17_circuit):
         assert "g16" in repr(extract_subcircuit(c17_circuit, "g16"))
+
+
+class TestIdOrderedExtraction:
+    """Members sorted by IR gate id, against a scan of the whole topological order."""
+
+    @pytest.mark.parametrize(
+        "name", ["c17", "c432", "c880", "c1355", "c7552", "gen:depth=10,width=50,seed=17"]
+    )
+    def test_every_gate_at_depths_0_to_3(self, name):
+        _assert_extractions_match_scan(build_benchmark(name))
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_generated_circuits(self, depth, width, seed):
+        spec = f"gen:depth={depth},width={width},seed={seed}"
+        _assert_extractions_match_scan(build_benchmark(spec))
 
 
 class TestExtractionStatistics:

@@ -94,12 +94,15 @@ def assert_lowering_invariants(circuit, plan):
         for gid in range(start, stop):
             assert levels_map[plan.gate_names[gid]] == level
             assert plan.gate_level[gid] == level
-    # Within a level, gates keep their relative topological order.
+    # Within a level, gates keep their relative topological order; and the
+    # netlist's first-in-first-out topological walk is itself level-major,
+    # so gate ids ascend along it (subcircuit extraction sorts by gate id).
     topo_pos = {n: i for i, n in enumerate(circuit.topological_order())}
     for li in range(plan.num_levels):
         start, stop = plan.level_offsets[li], plan.level_offsets[li + 1]
         positions = [topo_pos[n] for n in plan.gate_names[start:stop]]
         assert positions == sorted(positions)
+    assert plan.gate_names == circuit.topological_order()
     # Ascending gate id is a valid topological order overall.
     for gid, _name in enumerate(plan.gate_names):
         for slot in plan.gate_fanin_slots(gid):

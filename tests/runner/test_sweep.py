@@ -5,11 +5,15 @@ full-scale serial-vs-parallel comparison lives in
 ``benchmarks/bench_sweep.py``.
 """
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -340,6 +344,62 @@ class TestRunCells:
         except KeyboardInterrupt:
             pytest.fail("the worker's SIGINT reached the parent")
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the slowed evaluator only when forked",
+    )
+    def test_sigint_to_the_parent_alone_stops_the_workers(self, tmp_path):
+        # ``kill -INT`` on the sweep's process (not its group) while two
+        # workers are inside long cells: the parent must stop them rather
+        # than wait out their cells, keep the two finished artifacts, and
+        # leave a resume only the rest to compute.
+        out = tmp_path / "out"
+        args = ["sweep", "c17", "--lam", "1", "2", "3", "4", "5", "--jobs", "2",
+                "--max-iterations", "1", "--out", str(out), "--quiet"]
+        script = (
+            "import sys, time\n"
+            "from repro import cli\n"
+            "from repro.runner import sweep\n"
+            "evaluate = sweep._EVALUATORS['table1']\n"
+            "def slow(spec):\n"
+            "    if spec.lam > 2:\n"
+            "        time.sleep(60)\n"
+            "    return evaluate(spec)\n"
+            "sweep._EVALUATORS['table1'] = slow\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *args], env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(_cell_artifacts(out)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(_cell_artifacts(out)) == 2
+            time.sleep(0.5)  # both workers are now inside a slow cell
+            os.kill(proc.pid, signal.SIGINT)
+            start = time.monotonic()
+            try:
+                status = proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the interrupted sweep waited for its running cells")
+            assert time.monotonic() - start < 2.0
+            assert status == 130
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # the sweep's own session only
+            proc.wait()
+        finished = _cell_artifacts(out)
+        assert len(finished) == 2
+        resumed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *args[:-1], "--resume"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert "3 computed, 2 reused" in resumed.stdout
+        assert all(load_artifact(path) for path in finished)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_cell_preserves_siblings(self, tmp_path, jobs):
         # One bad cell must not discard the completed ones: their artifacts
@@ -355,6 +415,11 @@ class TestRunCells:
         assert good is not None
         report = run_cells(specs[:1], jobs=1, out_dir=tmp_path, resume=True)
         assert report.computed == 0 and report.skipped == 1
+
+
+def _cell_artifacts(out):
+    """The cell artifacts a sweep has written to ``out`` (not the traces)."""
+    return sorted(p for p in out.glob("*.json") if not p.name.endswith("trace.json"))
 
 
 class TestFig4Cells:
