@@ -118,8 +118,6 @@ class MeanDelaySizer:
         initial_area = self.delay_model.circuit_area(circuit)
         plan = circuit.compiled()
         no_sigma = np.zeros(plan.num_nets)
-        # The targets' order sets the fallback's trial order.  repro-lint: allow=RL001
-        order = np.array([plan.gate_index[name] for name in circuit.topological_order()])
 
         best_delay = initial_delay
         best_sizes = plan.size_index.copy()
@@ -127,7 +125,7 @@ class MeanDelaySizer:
         stall = 0
         for _ in range(self.MAX_PASSES):
             passes += 1
-            targets = self._near_critical_gates(timer.report(), order)
+            targets = self._near_critical_gates(timer.report())
             # The sweep's boundary moments: committed nominal arrivals, zero sigma.
             best = self.evaluator.best_sizes(
                 circuit, targets, self.SUBCIRCUIT_DEPTH, timer.arrivals, no_sigma
@@ -163,12 +161,10 @@ class MeanDelaySizer:
         )
 
     # ------------------------------------------------------------------
-    def _near_critical_gates(
-        self, report: DeterministicTimingReport, order: np.ndarray
-    ) -> List[str]:
+    def _near_critical_gates(self, report: DeterministicTimingReport) -> List[str]:
         """The critical path and the gates whose output slack is within a
-        small fraction of the period, in ``order`` (gate ids in the
-        circuit's topological order, which sets the fallback's trial order).
+        small fraction of the period, in gate-id order (the circuit's
+        topological order, which sets the fallback's trial order).
 
         Working on all near-critical gates (rather than the single worst
         path) lets circuits with many parallel, similar-length paths — the
@@ -179,7 +175,7 @@ class MeanDelaySizer:
         threshold = self.NEAR_CRITICAL_FRACTION * max(report.clock_period, 1.0)
         near = report.slacks[plan.gate_output_slot] <= threshold
         near[[plan.gate_index[name] for name in report.critical_path]] = True
-        return [plan.gate_names[gid] for gid in order[near[order]].tolist()]
+        return [plan.gate_names[gid] for gid in np.flatnonzero(near).tolist()]
 
     # ------------------------------------------------------------------
     def _recover_area(self, circuit: Circuit, best_delay: float) -> float:
@@ -200,8 +196,7 @@ class MeanDelaySizer:
             report = timer.report(clock_period=limit)  # commits the last pass's preview
             snapshot = circuit.sizes()
             changed = False
-            # repro-lint: allow=RL001 -- optimizer pass, mutates sizes
-            for gate_name in circuit.reverse_topological_order():
+            for gate_name in reversed(circuit.compiled().gate_names):  # descending gate id
                 gate = circuit.gate(gate_name)
                 if gate.size_index == 0:
                     continue

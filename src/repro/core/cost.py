@@ -148,12 +148,11 @@ class CostEvaluator:
     both when a different circuit object is queried or the circuit's
     ``structure_version`` changes:
 
-    * subcircuit extraction per (seed, depth), with each region's
-      :meth:`~repro.core.subcircuit.Subcircuit.local_program` and
-      :meth:`~repro.core.subcircuit.Subcircuit.dependencies`
+    * subcircuit extraction per (seed, depth): each region's IR index
+      arrays, lowered program included, built once
       (:class:`~repro.core.subcircuit.SubcircuitCache`);
     * every decision per (gate, depth), reused while none of its region's
-      :meth:`~repro.core.subcircuit.Subcircuit.dependencies` (member and
+      :attr:`~repro.core.subcircuit.Subcircuit.dependencies` (member and
       fringe sizes, boundary moments) changed since the call that made it.
       Each call stamps the gate sizes and net-slot moments that differ, bit
       for bit, from the previous call's.  A resize reverted after a call
@@ -232,7 +231,7 @@ class CostEvaluator:
             return {}
         regions = [self.subcircuits.get(circuit, name, depth) for name in names]
         seeds = np.array([plan.gate_index[name] for name in names], dtype=np.intp)
-        watched = [region.dependencies() for region in regions]
+        watched = [region.dependencies for region in regions]
         changed = np.maximum.reduceat(
             self._stamps[np.concatenate(watched)],
             _starts(np.array([w.size for w in watched], dtype=np.intp)),
@@ -365,7 +364,7 @@ class CostEvaluator:
         """One vectorized FASSTA evaluation of every (seed, size) row.
 
         Each row is one copy of its seed's
-        :meth:`~repro.core.subcircuit.Subcircuit.local_program` with its own
+        :attr:`~repro.core.subcircuit.Subcircuit.program` with its own
         block of local slots, timed level by level across all rows with
         :func:`~repro.core.fassta.fold_level`.  The boundary inputs read
         ``mean`` and ``sigma`` at their net slots.  Unaffected members are
@@ -374,9 +373,9 @@ class CostEvaluator:
         <repro.variation.model.VariationModel.delay_moments>`).
         """
         circuit = subcircuits[0].parent
-        num_inputs = np.array([len(sub.input_nets) for sub in subcircuits], dtype=np.intp)
+        num_inputs = np.array([len(sub.input_slots) for sub in subcircuits], dtype=np.intp)
         num_members = np.array([sub.num_gates for sub in subcircuits], dtype=np.intp)
-        program = np.concatenate([sub.local_program() for sub in subcircuits])
+        program = np.concatenate([sub.program for sub in subcircuits])
         gate_ids, level, affected, rank = program[:, :4].T
 
         # Rows: one per (subcircuit, candidate size), each with its own block
@@ -388,7 +387,7 @@ class CostEvaluator:
         row_base = _starts(row_inputs + row_members)
         mu = np.empty(int((row_inputs + row_members).sum()))
         sg = np.empty_like(mu)
-        boundary = np.concatenate([sub.input_slots() for sub in subcircuits])
+        boundary = np.concatenate([sub.input_slots for sub in subcircuits])
         inputs = boundary[_ranges(_starts(num_inputs)[row_request], row_inputs)]
         slots = _ranges(row_base, row_inputs)
         mu[slots], sg[slots] = mean[inputs], sigma[inputs]
@@ -428,7 +427,7 @@ class CostEvaluator:
             raise ValueError("mean and sigma must be finite")
 
         # Cost per output, then worst and total column by column in
-        # ``output_nets`` order: Python's max and left-to-right sum.
+        # ``output_slots`` order: Python's max and left-to-right sum.
         observed = np.flatnonzero(rank[member] >= 0)
         out = np.full((row_request.size, int(rank.max()) + 1), -1, dtype=np.intp)
         out[entry_row[observed], rank[member[observed]]] = out_slots[observed]

@@ -96,9 +96,9 @@ class DiscretePDF:
         mean: float,
         sigma: float,
         num_samples: int = DEFAULT_SAMPLES,
-        span_sigmas: float = NORMAL_SPAN_SIGMAS,
     ) -> "DiscretePDF":
-        """Discretize ``Normal(mean, sigma)`` onto ``num_samples`` equispaced points.
+        """Discretize ``Normal(mean, sigma)`` onto ``num_samples`` equispaced
+        points over :data:`NORMAL_SPAN_SIGMAS` sigmas each side of the mean.
 
         Each point receives the probability mass of its surrounding interval
         (difference of the normal cdf at the bin edges) so the discrete mean
@@ -110,9 +110,8 @@ class DiscretePDF:
             raise ValueError("sigma must be non-negative")
         if sigma == 0 or num_samples == 1:
             return cls.point(mean)
-        edges = np.linspace(
-            mean - span_sigmas * sigma, mean + span_sigmas * sigma, num_samples + 1
-        )
+        span = NORMAL_SPAN_SIGMAS * sigma
+        edges = np.linspace(mean - span, mean + span, num_samples + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         z = (edges - mean) / sigma
         cdf = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
@@ -332,7 +331,6 @@ def batched_from_normal(
     means: np.ndarray,
     sigmas: np.ndarray,
     num_samples: int = DEFAULT_SAMPLES,
-    span_sigmas: float = NORMAL_SPAN_SIGMAS,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise :meth:`DiscretePDF.from_normal` over ``(means, sigmas)`` arrays.
 
@@ -349,10 +347,10 @@ def batched_from_normal(
         raise ValueError("batched_from_normal needs num_samples >= 2")
 
     safe_sigma = np.where(sigmas > 0, sigmas, 1.0)
-    lo = means - span_sigmas * safe_sigma
-    step = (2.0 * span_sigmas * safe_sigma) / num_samples
+    lo = means - NORMAL_SPAN_SIGMAS * safe_sigma
+    step = (2.0 * NORMAL_SPAN_SIGMAS * safe_sigma) / num_samples
     edges = lo[:, None] + np.arange(num_samples + 1) * step[:, None]
-    edges[:, -1] = means + span_sigmas * safe_sigma
+    edges[:, -1] = means + NORMAL_SPAN_SIGMAS * safe_sigma
     centers = 0.5 * (edges[:, :-1] + edges[:, 1:])
     z = (edges - means[:, None]) / safe_sigma[:, None]
     cdf = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))

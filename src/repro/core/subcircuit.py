@@ -6,160 +6,112 @@ transitive fanout, the depth the paper found "sufficiently accurate without
 being too costly to evaluate" — and scores candidate sizes by running FASSTA
 on that region only.
 
-A :class:`Subcircuit` is a *view* onto the parent circuit rather than a
-copy: member gates are referenced by name, and all electrical queries (loads
-in particular) are answered against the parent.  This keeps boundary loads
-exact — a member gate driving non-member gates still sees their input
-capacitance.  :meth:`Subcircuit.local_program` lowers the region once onto
-the parent's compiled IR, the compact form the batched candidate sweep runs,
-and :meth:`Subcircuit.dependencies` lists, as IR indices, everything its
-costs read, which is what the sweep's decision memo watches.
+A :class:`Subcircuit` is a set of index arrays into the parent's compiled
+IR rather than a copy: member gate ids, boundary and observed net slots,
+fringe gate ids, the region lowered into the program the batched candidate
+sweep runs, and the indices its costs depend on, which the sweep's decision
+memo watches.  Loads stay the parent's, so a member gate driving non-member
+gates still sees their input capacitance.  :func:`extract_subcircuit` fills
+every array in one walk over the IR's fanin and fanout adjacency; the name
+lists are derived from them for the scalar reference and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
-from repro.netlist.circuit import Circuit
+from repro.ir.compiled import IntArray
+from repro.netlist.circuit import Circuit, CircuitError
 
 #: Default extraction depth (levels of transitive fanin and fanout).
 DEFAULT_DEPTH = 2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Subcircuit:
-    """A region of a parent circuit centred on ``seed``.
+    """A region of a parent circuit centred on ``seed``, as IR index arrays.
 
     Attributes
     ----------
     parent:
-        The full circuit the region was extracted from.
+        The full circuit the region was extracted from; every id and slot
+        indexes its compiled IR.
     seed:
         Name of the candidate gate at the centre of the region.
-    gate_names:
-        Member gate names in parent topological order.
-    input_nets:
-        Nets read by member gates but driven outside the region (or primary
-        inputs); their arrival times must be supplied as boundary conditions.
-    output_nets:
-        Nets driven by member gates that are observed outside the region
-        (primary outputs or inputs of non-member gates); the cost function
-        is evaluated over these.
+    gate_ids:
+        Member gate ids, ascending, which is a topological order.
+    input_slots:
+        Net slots read by members but driven outside the region (or primary
+        inputs), in first-read order; their arrival moments are the
+        boundary conditions.
+    output_slots:
+        Member output slots observed outside the region (primary outputs,
+        inputs of non-member gates, or read by nothing), in member order;
+        the cost function is evaluated over these.
+    fringe_ids:
+        Non-member gates reading a member output, in first-seen order.  Their
+        sizes set the input capacitance member drivers see, so a member's
+        delay depends on them even though they are outside the region.
+    program:
+        The region lowered onto the IR, the form the batched candidate
+        sweep runs.  One int32 row per member: its gate id, its level inside
+        the region (0 when it reads only boundary inputs), 1 when its delay
+        depends on the seed's size (the seed and the member drivers of its
+        input nets, whose loads hold its input cap), the position of its
+        output in ``output_slots`` (-1 if not an output), then its local
+        input slots in pin order, padded with -1 to the parent's largest
+        fanin.  Local slots are the boundary inputs (in ``input_slots``
+        order), then the member outputs (in member order).
+    dependencies:
+        Everything the region's costs depend on, as one IR index array:
+        the member and fringe gate ids (delays and member output loads),
+        then ``num_gates`` plus each input slot (boundary moments).  While
+        none of them changes, neither do the costs, which makes the memo of
+        :meth:`CostEvaluator.best_sizes <repro.core.cost.CostEvaluator.best_sizes>`
+        exact.
     """
 
     parent: Circuit
     seed: str
-    gate_names: List[str]
-    input_nets: List[str]
-    output_nets: List[str]
-    _member_set: Optional[Set[str]] = field(default=None, repr=False, compare=False)
-    _fringe_gates: Optional[List[str]] = field(default=None, repr=False, compare=False)
-    _program: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _input_slots: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _dependencies: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    gate_ids: IntArray
+    input_slots: IntArray
+    output_slots: IntArray
+    fringe_ids: IntArray
+    program: NDArray[np.int32]
+    dependencies: IntArray
 
     @property
     def num_gates(self) -> int:
-        return len(self.gate_names)
+        return len(self.gate_ids)
 
-    def member_set(self) -> Set[str]:
-        if self._member_set is None:
-            self._member_set = set(self.gate_names)
-        return self._member_set
+    @property
+    def gate_names(self) -> List[str]:
+        """Member gate names, in ``gate_ids`` order."""
+        return _names(self.parent.compiled().gate_names, self.gate_ids)
 
-    def __contains__(self, gate_name: str) -> bool:
-        return gate_name in self.member_set()
+    @property
+    def input_nets(self) -> List[str]:
+        """Names of the nets at ``input_slots``."""
+        return _names(self.parent.compiled().net_names, self.input_slots)
 
-    # ------------------------------------------------------------------
-    def fringe_gates(self) -> List[str]:
-        """Non-member gates loading a member output net, in deterministic order.
-
-        Their sizes set the input capacitance seen by member drivers, so a
-        member gate's delay depends on them even though they are outside the
-        evaluated region.
-        """
-        if self._fringe_gates is None:
-            members = self.member_set()
-            fringe: List[str] = []
-            seen: Set[str] = set()
-            for name in self.gate_names:
-                net = self.parent.gate(name).output
-                for load in self.parent.loads_of(net):
-                    if load.name not in members and load.name not in seen:
-                        seen.add(load.name)
-                        fringe.append(load.name)
-            self._fringe_gates = fringe
-        return self._fringe_gates
-
-    def input_slots(self) -> np.ndarray:
-        """The parent's net slot of each of ``input_nets``."""
-        if self._input_slots is None:
-            slot = self.parent.compiled().net_index
-            self._input_slots = np.array([slot[net] for net in self.input_nets], dtype=np.intp)
-        return self._input_slots
-
-    def dependencies(self) -> np.ndarray:
-        """Everything this region's costs depend on, as one IR index array:
-        the gate ids of the members (delays) and fringe loads (member output
-        capacitance), then ``num_gates`` plus each input slot (boundary
-        moments).  While none of them changes, neither do the costs, which
-        makes the memo of :meth:`CostEvaluator.best_sizes
-        <repro.core.cost.CostEvaluator.best_sizes>` exact.
-        """
-        if self._dependencies is None:
-            plan = self.parent.compiled()
-            gates = [plan.gate_index[name] for name in self.gate_names + self.fringe_gates()]
-            self._dependencies = np.concatenate(
-                [np.array(gates, dtype=np.intp), plan.num_gates + self.input_slots()]
-            )
-        return self._dependencies
-
-    def local_program(self) -> np.ndarray:
-        """The region lowered onto the parent's IR, built once per subcircuit.
-
-        One int32 row per member, in ``gate_names`` order: its IR gate id,
-        its level inside the region (0 when it reads only boundary inputs),
-        1 when its delay depends on the seed's size (the seed and the member
-        drivers of its input nets, whose loads hold its input cap), the
-        position of its output in ``output_nets`` (-1 if not an output),
-        then its input slots in pin order, padded with -1 to the parent's
-        largest fanin.  Local slots are the boundary inputs (in
-        ``input_nets`` order), then the member outputs (in member order).
-        This is the form the batched candidate sweep runs.
-        """
-        if self._program is None:
-            circuit = self.parent
-            plan = circuit.compiled()
-            num_inputs = len(self.input_nets)
-            slot = {net: i for i, net in enumerate(self.input_nets)}
-            for position, name in enumerate(self.gate_names, num_inputs):
-                slot[circuit.gate(name).output] = position
-            outputs = {net: rank for rank, net in enumerate(self.output_nets)}
-            seed_inputs = set(circuit.gate(self.seed).inputs)
-            width = 4 + plan.fanin_matrix.shape[1]
-            program = np.full((self.num_gates, width), -1, dtype=np.int32)
-            for row, name in zip(program, self.gate_names, strict=True):
-                gate = circuit.gate(name)
-                pins = [slot[net] for net in gate.inputs]
-                drivers = [program[pin - num_inputs, 1] for pin in pins if pin >= num_inputs]
-                row[:4] = (
-                    plan.gate_index[name],
-                    1 + max(drivers, default=-1),
-                    name == self.seed or gate.output in seed_inputs,
-                    outputs.get(gate.output, -1),
-                )
-                row[4 : 4 + len(pins)] = pins
-            self._program = program
-        return self._program
+    @property
+    def output_nets(self) -> List[str]:
+        """Names of the nets at ``output_slots``."""
+        return _names(self.parent.compiled().net_names, self.output_slots)
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return (
             f"Subcircuit(seed={self.seed!r}, gates={self.num_gates}, "
-            f"inputs={len(self.input_nets)}, outputs={len(self.output_nets)})"
+            f"inputs={len(self.input_slots)}, outputs={len(self.output_slots)})"
         )
+
+
+def _names(names: Sequence[str], ids: IntArray) -> List[str]:
+    return [names[i] for i in ids.tolist()]
 
 
 def extract_subcircuit(
@@ -167,45 +119,77 @@ def extract_subcircuit(
 ) -> Subcircuit:
     """Extract the TFI/TFO region of ``seed_gate`` up to ``depth`` levels each way.
 
-    The seed gate is always included.  Member gates are returned in the
-    parent circuit's topological order so moment propagation can run over
-    them directly: sorted by IR gate id, which ascends along
-    ``circuit.topological_order()`` (its first-in-first-out walk visits the
-    gates level by level, the order the lowering numbers them in).
+    The seed gate is always included.  One walk over the compiled IR's
+    fanin and fanout adjacency finds the members, sorts them by gate id
+    (ids ascend along ``circuit.topological_order()``, whose
+    first-in-first-out walk visits the gates level by level, the order the
+    lowering numbers them in) and lowers them, member by member, into every
+    array of the :class:`Subcircuit`.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    circuit.gate(seed_gate)  # raises for unknown seeds
+    plan = circuit.compiled()
+    seed = plan.gate_index.get(seed_gate)
+    if seed is None:
+        raise CircuitError(f"no gate named {seed_gate!r}")
+    num_pis, fanin, sentinel = plan.num_pis, plan.fanin_matrix, plan.num_nets
+    driven = num_pis + plan.num_gates  # gate output slots end here
 
-    members: Set[str] = {seed_gate}
-    members.update(circuit.transitive_fanin(seed_gate, depth=depth))
-    members.update(circuit.transitive_fanout(seed_gate, depth=depth))
-    order = sorted(members, key=circuit.compiled().gate_index.__getitem__)
+    def drivers(gate: int) -> List[int]:
+        return [slot - num_pis for slot in fanin[gate].tolist() if num_pis <= slot < driven]
 
-    driven_inside = {circuit.gate(name).output for name in members}
-    input_nets: List[str] = []
-    seen_inputs: Set[str] = set()
-    for name in order:
-        for net in circuit.gate(name).inputs:
-            if net not in driven_inside and net not in seen_inputs:
-                seen_inputs.add(net)
-                input_nets.append(net)
+    def readers(gate: int) -> List[int]:
+        slot = num_pis + gate
+        return plan.fanout_gates[plan.fanout_indptr[slot]: plan.fanout_indptr[slot + 1]].tolist()
 
-    output_nets: List[str] = []
-    for name in order:
-        net = circuit.gate(name).output
-        external_load = any(
-            load.name not in members for load in circuit.loads_of(net)
-        )
-        if circuit.is_primary_output(net) or external_load or not circuit.loads_of(net):
-            output_nets.append(net)
+    members = {seed}
+    for step in (drivers, readers):
+        reached, frontier = {seed}, {seed}
+        for _ in range(depth):
+            frontier = {near for gate in frontier for near in step(gate)} - reached
+            reached |= frontier
+        members |= reached
+    gate_ids = sorted(members)
 
+    # Local slots: the boundary inputs in first-read order, then the member
+    # outputs in member order; the fanin sentinel reads -1.
+    pins = fanin[gate_ids].tolist()
+    member_at = {num_pis + gate: i for i, gate in enumerate(gate_ids)}
+    inputs = list(dict.fromkeys(
+        slot for row in pins for slot in row if slot not in member_at and slot != sentinel))
+    base = len(inputs)
+    local = {sentinel: -1, **{slot: i for i, slot in enumerate(inputs)}}
+    local.update((slot, base + i) for slot, i in member_at.items())
+    seed_pins = set(fanin[seed].tolist())
+    observed = plan.output_mask[np.add(gate_ids, num_pis)].tolist()
+    program: List[List[int]] = []
+    fringe: Dict[int, None] = {}
+    outputs: List[int] = []
+    for gate, row, primary in zip(gate_ids, pins, observed, strict=True):
+        row_local = [local[slot] for slot in row]
+        level = 1 + max([program[pin - base][1] for pin in row_local if pin >= base], default=-1)
+        loads = readers(gate)
+        outside = [load for load in loads if num_pis + load not in member_at]
+        fringe.update(dict.fromkeys(outside))
+        rank = -1
+        if primary or outside or not loads:
+            rank = len(outputs)
+            outputs.append(num_pis + gate)
+        affected = gate == seed or num_pis + gate in seed_pins
+        program.append([gate, level, affected, rank, *row_local])
+
+    ids = np.array(gate_ids, dtype=np.intp)
+    boundary = np.array(inputs, dtype=np.intp)
+    fringe_ids = np.array(list(fringe), dtype=np.intp)
     return Subcircuit(
         parent=circuit,
         seed=seed_gate,
-        gate_names=order,
-        input_nets=input_nets,
-        output_nets=output_nets,
+        gate_ids=ids,
+        input_slots=boundary,
+        output_slots=np.array(outputs, dtype=np.intp),
+        fringe_ids=fringe_ids,
+        program=np.array(program, dtype=np.int32),
+        dependencies=np.concatenate([ids, fringe_ids, plan.num_gates + boundary]),
     )
 
 
@@ -213,13 +197,12 @@ class SubcircuitCache:
     """Memoizes :func:`extract_subcircuit` per (seed, depth) for one circuit.
 
     The greedy sizers extract around every WNSS-path (or near-critical)
-    gate every pass, and each region keeps its lowered
-    :meth:`~Subcircuit.local_program` and :meth:`~Subcircuit.dependencies`,
-    so a cached region costs one dict lookup.  Subcircuit structure only
-    depends on the netlist, not on gate sizes, so entries stay valid until
-    the circuit's :attr:`~repro.netlist.circuit.Circuit.structure_version`
-    changes (or a different circuit is queried), at which point the cache
-    resets itself.
+    gate every pass, and each region carries its lowered program and
+    dependencies, so a cached region costs one dict lookup.  Subcircuit
+    structure only depends on the netlist, not on gate sizes, so entries
+    stay valid until the circuit's
+    :attr:`~repro.netlist.circuit.Circuit.structure_version` changes (or a
+    different circuit is queried), at which point the cache resets itself.
     """
 
     def __init__(self) -> None:

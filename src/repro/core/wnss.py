@@ -75,29 +75,20 @@ class WNSSTracer:
     lam:
         Weight used to pick the starting output (``mu + lam*sigma``); the
         same lambda the optimizer is run with.
-    dominance_threshold:
-        Normalized mean separation beyond which an input is considered
-        fully dominant (2.6 in the paper).
-    rel_step:
-        Relative finite-difference step for the sensitivity comparison
-        (the paper uses "values for h of the order of 1% of the mean").
+
+    An input dominates beyond the paper's normalized mean separation of 2.6
+    (:data:`~repro.core.clark.DOMINANCE_THRESHOLD`), and the sensitivity
+    comparison steps 1 % of the mean ("values for h of the order of 1% of
+    the mean"), :func:`~repro.core.clark.variance_sensitivities`' default.
     """
 
-    def __init__(
-        self,
-        coupling: float,
-        lam: float = 3.0,
-        dominance_threshold: float = clark.DOMINANCE_THRESHOLD,
-        rel_step: float = 0.01,
-    ) -> None:
+    def __init__(self, coupling: float, lam: float = 3.0) -> None:
         if coupling < 0:
             raise ValueError("coupling must be non-negative")
         if lam < 0:
             raise ValueError("lambda must be non-negative")
         self.coupling = coupling
         self.lam = lam
-        self.dominance_threshold = dominance_threshold
-        self.rel_step = rel_step
 
     # ------------------------------------------------------------------
     def select_start_output(
@@ -137,16 +128,14 @@ class WNSSTracer:
         for challenger in nets[1:]:
             a = candidates[winner]
             b = candidates[challenger]
-            dom = clark.dominance(
-                a.mean, a.sigma, b.mean, b.sigma, self.dominance_threshold
-            )
+            dom = clark.dominance(a.mean, a.sigma, b.mean, b.sigma)
             if dom != 0:
                 # Eq. 5/6 satisfied: the input with the higher mean dominates.
                 if b.mean > a.mean:
                     winner = challenger
                 continue
             sens_a, sens_b = clark.variance_sensitivities(
-                a.mean, a.sigma, b.mean, b.sigma, self.coupling, self.rel_step
+                a.mean, a.sigma, b.mean, b.sigma, self.coupling
             )
             method = "sensitivity"
             if sens_b > sens_a:

@@ -117,8 +117,7 @@ class MonteCarloCriticality:
             crit_net[net] = sel if existing is None else (existing | sel)
 
         gate_frequency: Dict[str, float] = {}
-        # repro-lint: allow=RL001 -- the backward pass's order is gate_frequency's
-        for name in circuit.reverse_topological_order():
+        for name in reversed(plan.gate_names):  # gate ids descend: a reverse topological order
             gate = circuit.gate(name)
             g_crit = crit_net.get(gate.output)
             if g_crit is None:

@@ -113,9 +113,9 @@ def compute_slacks(
     period_rv = NormalDelay(float(clock_period), 0.0)
     required: Dict[str, NormalDelay] = {net: period_rv for net in outputs}
 
-    # Backward required-time pass; the compiled IR only orders forward
-    # levels and this path is not per-sample.  repro-lint: allow=RL001
-    for name in circuit.reverse_topological_order():
+    # Backward required-time pass, in descending gate id: a reverse
+    # topological order.
+    for name in reversed(circuit.compiled().gate_names):
         gate = circuit.gate(name)
         # A gate output that neither reaches an output nor another gate
         # (dangling) imposes no requirement; pin it at the period — and

@@ -20,8 +20,8 @@ matrix, :data:`BLOCK_COLUMNS` columns at a time so the kernel's scratch
 does not grow with the sample count.  Each gate's samples are drawn
 straight into its output row (no gate-delay matrix) from the packed delay
 stage's ``(mu, sigma)`` (:meth:`VariationModel.delay_moments
-<repro.variation.model.VariationModel.delay_moments>`), in
-``circuit.topological_order()`` order, so the generator stream, and with
+<repro.variation.model.VariationModel.delay_moments>`), in gate-id order
+(``circuit.topological_order()``), so the generator stream, and with
 exact ``max`` and addition the samples, are bit-identical to the historical
 per-gate loop (``tests/montecarlo/test_mc.py``).
 :meth:`MonteCarloTimer.sample` is that one sampler: the timer reduces its
@@ -166,21 +166,15 @@ class MonteCarloTimer:
         gate inputs) carry a zero arrival, the SSTA engines' convention.
         """
         rng = np.random.default_rng(seed)
-        # Draw order is part of the pinned RNG stream contract (bit-compat
-        # with the scalar timer).  repro-lint: allow=RL001
-        order = circuit.topological_order()
         plan = circuit.compiled()
-        draw_ids = [plan.gate_index[name] for name in order]
         mu, sigma = self.variation_model.delay_moments(circuit, self.delay_model)
 
         # Draw each gate's delay samples into its output row of the arrival
-        # matrix, which propagation adds the fold into.  The draw loop stays
-        # in topological order: the generator stream is pinned bit-for-bit
-        # by the regression tests, so only the *storage* is array-native.
+        # matrix, which propagation adds the fold into.  Gates draw in id
+        # order, which is the circuit's topological order: the generator
+        # stream is pinned bit for bit by the regression tests.
         arr = arrival_matrix(plan, num_samples)
-        for gid, mean, sd in zip(
-            draw_ids, mu[draw_ids].tolist(), sigma[draw_ids].tolist(), strict=True
-        ):
+        for gid, (mean, sd) in enumerate(zip(mu.tolist(), sigma.tolist(), strict=True)):
             arr[plan.num_pis + gid] = rng.normal(mean, sd, num_samples)
         for start in range(0, num_samples, BLOCK_COLUMNS):
             propagate_levelized(plan, arr[:, start:start + BLOCK_COLUMNS])

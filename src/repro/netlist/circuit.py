@@ -377,10 +377,6 @@ class Circuit:
         self._topo_cache = order
         return list(order)
 
-    def reverse_topological_order(self) -> List[str]:
-        """Gate names in fanout-before-fanin order."""
-        return list(reversed(self.topological_order()))
-
     def levels(self) -> Dict[str, int]:
         """Logic level of every gate (primary inputs are level 0).
 

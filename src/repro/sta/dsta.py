@@ -7,13 +7,14 @@ no constraint is given); slack = required - arrival.  The critical path is
 the chain of gates with the smallest slack — the classic WNS path the paper
 generalises into the WNSS path.
 
-:class:`NominalTimer` is the one timer: committed delays and arrivals,
-previews from the lowest dirty level (a column per trial, through the IR's
-max-plus kernel :func:`repro.ir.compiled.propagate_levelized`) and a
-report from one reverse levelized pass; a first run is a preview with every
-gate dirty.  ``max`` and float addition are exact, so every column equals a
-gate-by-gate topological walk bit for bit.  :class:`DeterministicSTA`'s
-queries wrap a fresh timer.
+:class:`NominalTimer` is the one timer: committed sizes, delays and
+arrivals, previews as deltas against them (the retimed delay rows and an
+arrival column per trial, propagated from the lowest dirty level through
+the IR's max-plus kernel :func:`repro.ir.compiled.propagate_levelized`)
+and a report from one reverse levelized pass; a first run is a preview
+with every gate dirty.  ``max`` and float addition are exact, so every
+column equals a gate-by-gate topological walk bit for bit.
+:class:`DeterministicSTA`'s queries wrap a fresh timer.
 """
 
 from __future__ import annotations
@@ -84,16 +85,16 @@ class DeterministicTimingReport:
         return sum(self.gate_delays[g] for g in self.critical_path)
 
 
-class _Timing(NamedTuple):
-    """Timed states, one per column: size and nominal delay per gate id, and
-    arrival per net slot plus the ``-inf`` fanin sentinel."""
+class _Delta(NamedTuple):
+    """One timed state against the committed one: the resized gate ids and
+    their sizes, the retimed delay rows and their delays, and the arrival
+    column per net slot plus the ``-inf`` fanin sentinel."""
 
+    gate_ids: np.ndarray
     sizes: np.ndarray
+    rows: np.ndarray
     delays: np.ndarray
     arrivals: np.ndarray
-
-    def column(self, j: int) -> "_Timing":
-        return _Timing(*(matrix[:, j:j + 1].copy() for matrix in self))
 
 
 class NominalTimer:
@@ -104,61 +105,57 @@ class NominalTimer:
     and stays held, so an ``analyze()`` at those sizes commits it without
     propagating; ``preview(trials)`` times each ``(gate, size)`` against the
     committed sizes, which the circuit must hold, and ``commit_preview(j)``
-    keeps trial ``j`` once the circuit holds it.  A structural edit resets
-    the timer, so its next run retimes every gate.
+    keeps trial ``j`` once the circuit holds it.  The committed state is
+    three vectors (size and delay per gate id, arrival per net slot); a
+    previewed state is a delta against them, and a commit replaces them, so
+    an earlier :meth:`report` keeps its own.  A structural edit resets the
+    timer, so its next run retimes every gate.
     """
 
     def __init__(self, delay_model: BaseDelayModel, circuit: Circuit) -> None:
         self.delay_model, self.circuit = delay_model, circuit
         self._version: Optional[int] = None
-        self._state = _Timing(*[np.empty((0, 1))] * 3)  # the committed column
-        self._bulk: Optional[_Timing] = None  # the last no-argument preview
-        self._pending: Optional[_Timing] = None  # the last preview, until a commit
-
-    @property
-    def arrivals(self) -> np.ndarray:
-        """Committed arrival per net slot; the last entry is the ``-inf`` fanin sentinel."""
-        return self._state.arrivals[:, 0]
-
-    @property
-    def delays(self) -> np.ndarray:
-        """Committed nominal delay per gate id."""
-        return self._state.delays[:, 0]
+        self._sizes = np.empty(0, dtype=np.intp)  # the committed size per gate id ...
+        self.delays = np.empty(0)  # ... nominal delay per gate id ...
+        self.arrivals = np.empty(0)  # ... and arrival per net slot, then the -inf sentinel
+        self._bulk: Optional[_Delta] = None  # the last no-argument preview
+        self._pending: Optional[List[_Delta]] = None  # the last preview, until a commit
 
     def analyze(self) -> float:
         """Commit the circuit's sizes (the held preview, when it has them) and time them."""
         plan = self._plan()
-        bulk, self._bulk, self._pending = self._bulk, None, None
-        held = bulk is not None and np.array_equal(bulk.sizes[:, 0], plan.size_index)
-        self._state = bulk if held else self._retime(plan)
-        return float(self._worst(plan, self._state.arrivals)[0])
+        bulk = self._bulk
+        self._commit(bulk if bulk is not None and self._holds(bulk) else self._retime(plan))
+        return float(self._worst(plan, self.arrivals))
 
     def preview(self, trials: Optional[Sequence[Tuple[str, int]]] = None):
         """Worst delay at the circuit's sizes, or a list of one per ``(gate, size)`` trial."""
         plan = self._plan()
         if trials is None:
-            self._pending = self._bulk = self._retime(plan)
-            return float(self._worst(plan, self._bulk.arrivals)[0])
-        if not np.array_equal(plan.size_index, self._state.sizes[:, 0]):
+            self._bulk = self._retime(plan)
+            self._pending = [self._bulk]
+            return float(self._worst(plan, self._bulk.arrivals))
+        if not np.array_equal(plan.size_index, self._sizes):
             raise ValueError("preview(trials) needs the committed sizes; call analyze() first")
         gates = np.array([plan.gate_index[name] for name, _ in trials], dtype=np.intp)
         sizes = np.array([size for _, size in trials], dtype=np.intp)
-        trial_sizes, delays = (np.repeat(m, len(trials), axis=1) for m in self._state[:2])
-        trial_sizes[gates, np.arange(len(trials))] = sizes
         trial, rows = plan.resize_rows(gates)
-        delays[rows, trial] = self.delay_model.nominal_delays(
-            self.circuit, rows, (gates[trial], sizes[trial]))
-        self._pending = self._time(plan, trial_sizes, delays, rows)
-        return self._worst(plan, self._pending.arrivals).tolist()
+        delays = self.delay_model.nominal_delays(self.circuit, rows, (gates[trial], sizes[trial]))
+        arrivals = self._time(plan, len(trials), trial, rows, delays)
+        cuts = np.searchsorted(trial, np.arange(len(trials) + 1)).tolist()
+        self._pending = [
+            _Delta(gates[j:j + 1], sizes[j:j + 1], rows[lo:hi], delays[lo:hi], arrivals[:, j])
+            for j, (lo, hi) in enumerate(pairwise(cuts))
+        ]
+        return self._worst(plan, arrivals).tolist()
 
     def commit_preview(self, index: int = 0) -> bool:
-        """Commit column ``index`` of the last preview; False (committing
+        """Commit trial ``index`` of the last preview; False (committing
         nothing) without one or when the circuit does not hold its sizes."""
-        plan = self._plan()
-        timing = None if self._pending is None else self._pending.column(index)
-        if timing is None or not np.array_equal(timing.sizes[:, 0], plan.size_index):
+        self._plan()
+        if self._pending is None or not self._holds(self._pending[index]):
             return False
-        self._state, self._pending = timing, None
+        self._commit(self._pending[index])
         return True
 
     def report(self, clock_period: Optional[float] = None) -> DeterministicTimingReport:
@@ -202,39 +199,57 @@ class NominalTimer:
             if not self.circuit.primary_outputs:
                 raise ValueError(f"circuit {self.circuit.name!r} has no primary outputs")
             self._version, self._bulk, self._pending = plan.structure_version, None, None
-            unsized = np.full((plan.num_gates, 1), -1, dtype=np.intp)
-            self._state = _Timing(unsized, np.zeros((plan.num_gates, 1)), arrival_matrix(plan, 1))
+            self._sizes = np.full(plan.num_gates, -1, dtype=np.intp)
+            self.delays = np.zeros(plan.num_gates)
+            self.arrivals = arrival_matrix(plan, 1)[:, 0]
         return plan
 
-    def _retime(self, plan: CompiledCircuit) -> _Timing:
-        """The committed state moved to the sizes the IR holds (itself when they match)."""
-        changed = np.flatnonzero(plan.size_index != self._state.sizes[:, 0])
+    def _holds(self, delta: _Delta) -> bool:
+        """Does the IR hold the committed sizes with ``delta``'s laid over them?"""
+        sizes = self._sizes.copy()
+        sizes[delta.gate_ids] = delta.sizes
+        return bool(np.array_equal(self.circuit.compiled().size_index, sizes))
+
+    def _commit(self, delta: _Delta) -> None:
+        """Make ``delta`` the committed state, in new vectors; drops every preview."""
+        self._sizes, self.delays = self._sizes.copy(), self.delays.copy()
+        self._sizes[delta.gate_ids], self.delays[delta.rows] = delta.sizes, delta.delays
+        self.arrivals = np.ascontiguousarray(delta.arrivals)
+        self._bulk = self._pending = None
+
+    def _retime(self, plan: CompiledCircuit) -> _Delta:
+        """The sizes the IR holds as a delta (an empty one when they are committed)."""
+        changed = np.flatnonzero(plan.size_index != self._sizes)
         if not changed.size:
-            return self._state
+            return _Delta(changed, changed, changed, np.empty(0), self.arrivals)
         rows = np.unique(plan.resize_rows(changed)[1]) if changed.size < plan.num_gates else changed
-        delays = self._state.delays.copy()
-        delays[rows, 0] = self.delay_model.nominal_delays(self.circuit, rows)
-        return self._time(plan, plan.size_index[:, None].copy(), delays, rows)
+        delays = self.delay_model.nominal_delays(self.circuit, rows)
+        arrivals = self._time(plan, 1, np.zeros(rows.size, dtype=np.intp), rows, delays)
+        return _Delta(changed, plan.size_index[changed], rows, delays, arrivals[:, 0])
 
     def _time(
-        self, plan: CompiledCircuit, sizes: np.ndarray, delays: np.ndarray, rows: np.ndarray
-    ) -> _Timing:
-        """Arrival columns of states whose delays differ from the committed
-        ones only at gate ids ``rows``, propagated from the lowest of their levels."""
+        self, plan: CompiledCircuit, count: int, trial: np.ndarray, rows: np.ndarray,
+        delays: np.ndarray,
+    ) -> np.ndarray:
+        """Arrival columns of ``count`` states, column ``trial[i]`` with the
+        delay of gate id ``rows[i]`` at ``delays[i]`` and every other one
+        committed, propagated from the lowest level of ``rows``."""
         first = int(plan.level_offsets.searchsorted(rows.min(initial=plan.num_gates), "right")) - 1
         METRICS.counter("dsta.runs")
-        with span("dsta.preview", trials=sizes.shape[1], first_level=first, rows=rows.size):
-            arrivals = np.repeat(self._state.arrivals, sizes.shape[1], axis=1)
+        with span("dsta.preview", trials=count, first_level=first, rows=rows.size):
+            arrivals = np.empty((plan.num_nets + 1, count))
+            arrivals[:] = self.arrivals[:, None]
             start = plan.level_offsets[first]
-            arrivals[plan.num_pis + start: plan.num_pis + plan.num_gates] = delays[start:]
+            arrivals[plan.num_pis + start: plan.num_pis + plan.num_gates] = self.delays[start:, None]
+            arrivals[plan.num_pis + rows, trial] = delays
             propagate_levelized(plan, arrivals, first)
-        return _Timing(sizes, delays, arrivals)
+        return arrivals
 
     @staticmethod
     def _worst(plan: CompiledCircuit, arrivals: np.ndarray) -> np.ndarray:
         """Per column, the latest arrival over the output slots (0.0 without any)."""
         outputs = arrivals[np.flatnonzero(plan.output_mask)]
-        return outputs.max(axis=0) if len(outputs) else np.zeros(arrivals.shape[1])
+        return outputs.max(axis=0) if len(outputs) else np.zeros(arrivals.shape[1:])
 
 
 class DeterministicSTA:

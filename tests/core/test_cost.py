@@ -223,9 +223,11 @@ class TestBestSize:
         # holds the resized gate as a member or fringe load misses; a few
         # random gates decided since the last edit hit.
         regions = {name: extract_subcircuit(circuit, name) for name in names}
-        context = {
-            name: sub.member_set() | set(sub.fringe_gates()) for name, sub in regions.items()
+        plan = circuit.compiled()
+        fringe = {
+            name: [plan.gate_names[g] for g in sub.fringe_ids] for name, sub in regions.items()
         }
+        context = {name: set(sub.gate_names) | set(fringe[name]) for name, sub in regions.items()}
 
         def resize(gate):
             num_sizes = library.num_sizes(gate.cell_type)
@@ -237,7 +239,7 @@ class TestBestSize:
             sub = regions[seed]
             members = [name for name in sub.gate_names if name != seed]
             unrelated = sorted(set(names) - context[seed])
-            for group in (members, sub.fringe_gates(), unrelated):
+            for group in (members, fringe[seed], unrelated):
                 if not group:
                     continue
                 gate = circuit.gate(str(rng.choice(group)))
@@ -264,8 +266,8 @@ class TestBestSize:
         # Boundary moments changed in place in the caller's arrays: the
         # regions reading that slot miss, the others hit.
         self.assert_exact(evaluator, circuit, moments, names)
-        slot = regions[seed].input_slots()[0]
-        readers = [name for name in names if slot in regions[name].input_slots()]
+        slot = regions[seed].input_slots[0]
+        readers = [name for name in names if slot in regions[name].input_slots]
         for array in moments:
             array[slot] += 1.5
             self.assert_exact(evaluator, circuit, moments, names, hits=set(names) - set(readers))

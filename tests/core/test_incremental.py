@@ -273,8 +273,9 @@ class TestSubcircuitCache:
         # and the input slots' moments, through one IR index array.
         sub = extract_subcircuit(c17_circuit, "g16", depth=1)
         plan = c17_circuit.compiled()
-        gates, slots = np.split(sub.dependencies(), [sub.num_gates + len(sub.fringe_gates())])
-        assert [plan.gate_names[g] for g in gates] == sub.gate_names + sub.fringe_gates()
+        gates, slots = np.split(sub.dependencies, [sub.num_gates + len(sub.fringe_ids)])
+        fringe = [plan.gate_names[g] for g in sub.fringe_ids]
+        assert [plan.gate_names[g] for g in gates] == sub.gate_names + fringe
         assert [plan.net_names[s] for s in slots - plan.num_gates] == sub.input_nets
         base = plan.size_index[gates].copy()
         member = sub.gate_names[0]

@@ -214,7 +214,7 @@ class _TimerLog:
                 return report(timer, *args, **kwargs)
             # The previous pass ended with the timer holding the circuit's sizes.
             self.passes[-1].clean = bool(np.array_equal(
-                timer._state.sizes[:, 0], timer.circuit.compiled().size_index))
+                timer._sizes, timer.circuit.compiled().size_index))
             self.passes.append(_Pass())
             self.starts.append(0)
             self._in_report = True

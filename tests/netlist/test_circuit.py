@@ -100,9 +100,6 @@ class TestOrdering:
         assert order.index("g1") < order.index("g3")
         assert len(order) == 3
 
-    def test_reverse_topological_order(self, simple):
-        assert simple.reverse_topological_order() == list(reversed(simple.topological_order()))
-
     def test_cycle_detection(self):
         circuit = Circuit("cyclic", primary_inputs=["a"], primary_outputs=["y"])
         circuit.add("g1", "NAND2", ["a", "n2"], "n1")

@@ -106,7 +106,7 @@ class TestCommittedColumn:
                 for gate, size in _random_trials(rng, circuit, library, stack):
                     circuit.set_size(gate, size)
                 worst = timer.preview()
-                assert timer._pending.arrivals[:-1, 0].tolist() == reference()
+                assert timer._pending[0].arrivals[:-1].tolist() == reference()
                 assert worst == DeterministicSTA(delay_model).max_delay(circuit)
                 if rng.random() < 0.5:
                     assert timer.commit_preview()
@@ -116,11 +116,11 @@ class TestCommittedColumn:
             else:  # a stack of trials, one of them committed
                 trials = _random_trials(rng, circuit, library, stack)
                 worst = timer.preview(trials)
-                columns = timer._pending.arrivals
+                deltas = timer._pending
                 for j, (gate, size) in enumerate(trials):
                     previous = circuit.gate(gate).size_index
                     circuit.set_size(gate, size)
-                    assert columns[:-1, j].tolist() == reference(), (gate, size)
+                    assert deltas[j].arrivals[:-1].tolist() == reference(), (gate, size)
                     assert worst[j] == DeterministicSTA(delay_model).max_delay(circuit)
                     circuit.set_size(gate, previous)
                 j = int(rng.integers(len(trials)))
@@ -165,6 +165,26 @@ class TestCommittedColumn:
         assert not timer.commit_preview()
         assert timer.analyze() == DeterministicSTA(delay_model).max_delay(circuit)
 
+    def test_report_is_a_snapshot(self, delay_model):
+        # A commit replaces the committed vectors rather than writing into
+        # them, so a report taken before it keeps its own arrays.
+        circuit = build_benchmark("c432")
+        timer = NominalTimer(delay_model, circuit)
+        report = timer.report()
+        fields = ("arrivals", "delays", "required_times", "slacks")
+        before = {field: getattr(report, field).tolist() for field in fields}
+        trial, bulk = circuit.topological_order()[5], circuit.topological_order()[40]
+        size = (circuit.gate(trial).size_index + 3) % 7
+        timer.preview([(trial, size)])
+        circuit.set_size(trial, size)
+        assert timer.commit_preview(0)  # a trial, kept
+        circuit.set_size(bulk, (circuit.gate(bulk).size_index + 3) % 7)
+        timer.preview()
+        timer.analyze()  # a bulk preview, committed
+        assert timer.delays.tolist() != before["delays"]
+        assert timer.arrivals[:-1].tolist() != before["arrivals"]
+        assert {field: getattr(report, field).tolist() for field in fields} == before
+
     def test_analyze_commits_the_held_preview_without_propagating(
         self, delay_model, monkeypatch
     ):
@@ -182,6 +202,26 @@ class TestCommittedColumn:
         monkeypatch.setattr(NominalTimer, "_time", lambda *a: runs.append(a) or time(*a))
         assert timer.analyze() == held
         assert runs == []
+
+    def test_a_commit_drops_the_held_preview(self, delay_model, reference_fold):
+        # The held bulk preview is a delta against the state it was timed
+        # on, so once a trial is committed, analyze() at its sizes retimes.
+        circuit = build_benchmark("c432")
+        timer = NominalTimer(delay_model, circuit)
+        timer.analyze()
+        bulk, trial = circuit.topological_order()[3], circuit.topological_order()[60]
+        size = circuit.gate(bulk).size_index
+        circuit.set_size(bulk, (size + 3) % 7)
+        timer.preview()
+        circuit.set_size(bulk, size)
+        other = (circuit.gate(trial).size_index + 3) % 7
+        timer.preview([(trial, other)])
+        circuit.set_size(trial, other)
+        assert timer.commit_preview(0)
+        circuit.set_size(bulk, (size + 3) % 7)
+        assert timer.analyze() == DeterministicSTA(delay_model).max_delay(circuit)
+        assert timer.arrivals[:-1].tolist() == reference_column(
+            reference_fold, delay_model, circuit)
 
 
 class TestReversePass:
