@@ -36,10 +36,6 @@ The public API is organised into subpackages:
 ``repro.runner``
     Sweep orchestration: (circuit, lambda) cells run serially or on a
     ``ProcessPoolExecutor``, with persistent, resumable JSON artifacts.
-``repro.criticality``
-    Statistical criticality subsystem: gate/net/edge criticality
-    probabilities, top-k statistical path extraction, statistical slack
-    PDFs, and the Monte-Carlo critical-path cross-check.
 
 Quickstart
 ----------

@@ -1,4 +1,4 @@
-"""Table-1 style metrics and criticality-report payloads.
+"""Table-1 style metrics.
 
 The paper summarises every (circuit, lambda) experiment with five numbers:
 the change in mean delay, the change in sigma, the resulting sigma/mu ratio,
@@ -6,18 +6,12 @@ the change in area, and the runtime.  :class:`Table1Row` holds one such row
 plus the raw quantities it was derived from; :func:`summarize_rows` computes
 the headline averages the abstract quotes (72 % sigma reduction for 20 %
 area at lambda = 9).
-
-:func:`criticality_report_data` assembles the JSON-able payload of a
-statistical-criticality report (gate criticality table, top-k paths, slack
-summaries, optional Monte-Carlo agreement); the renderers in
-:mod:`repro.analysis.report` and the ``repro-sizer report`` CLI command
-consume it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 from repro.flow import FlowResult
 
@@ -88,124 +82,3 @@ def summarize_rows(rows: Iterable[Table1Row]) -> Dict[str, float]:
         "avg_area_increase_pct": sum(r.area_increase_pct for r in rows) / len(rows),
         "avg_mean_increase_pct": sum(r.mean_increase_pct for r in rows) / len(rows),
     }
-
-
-def criticality_report_data(
-    circuit,
-    crit_result,
-    paths: Sequence,
-    slack_result=None,
-    mc_result=None,
-    max_gates: int = 20,
-    max_slack_histograms: int = 3,
-) -> Dict[str, Any]:
-    """JSON-able payload of one statistical-criticality report.
-
-    Parameters
-    ----------
-    circuit:
-        The analysed :class:`~repro.netlist.circuit.Circuit`.
-    crit_result:
-        A :class:`~repro.criticality.analysis.CriticalityResult`.
-    paths:
-        Extracted :class:`~repro.criticality.paths.StatisticalPath` objects
-        (already limited to the requested k).
-    slack_result:
-        Optional :class:`~repro.criticality.slack.SlackResult`; adds slack
-        summaries and histograms of the worst gates.
-    mc_result:
-        Optional
-        :class:`~repro.criticality.mc.MonteCarloCriticalityResult`; adds
-        empirical frequencies next to every analytic probability (its
-        ``path_frequency`` must have been computed for ``paths``).
-    max_gates:
-        Number of rows kept in the gate-criticality table.
-    max_slack_histograms:
-        Number of worst-slack gates whose discretized pdfs are included.
-    """
-    mc_gate = mc_result.gate_frequency if mc_result is not None else {}
-    mc_out = mc_result.output_frequency if mc_result is not None else {}
-    mc_paths = list(mc_result.path_frequency) if mc_result is not None else []
-
-    outputs = [
-        {
-            "net": net,
-            "probability": prob,
-            **({"mc_frequency": mc_out[net]} if net in mc_out else {}),
-        }
-        for net, prob in sorted(
-            crit_result.output_probabilities.items(), key=lambda kv: -kv[1]
-        )
-    ]
-    gate_rows = []
-    for name, value in crit_result.top_gates(max_gates):
-        gate = circuit.gate(name)
-        row = {
-            "gate": name,
-            "cell": gate.cell_type,
-            "size": gate.size_index,
-            "criticality": value,
-        }
-        if mc_result is not None:
-            row["mc_frequency"] = mc_gate.get(name, 0.0)
-        gate_rows.append(row)
-
-    path_rows = []
-    for rank, path in enumerate(paths):
-        row = {
-            "rank": rank + 1,
-            "output": path.output_net,
-            "source": path.source_net,
-            "criticality": path.criticality,
-            "length": len(path.gates),
-            "arrival_mean": path.arrival_rv.mean,
-            "arrival_sigma": path.arrival_rv.sigma,
-            "exact": bool(getattr(path, "exact", True)),
-            "gates": list(path.gates),
-        }
-        if rank < len(mc_paths):
-            row["mc_frequency"] = mc_paths[rank]
-        path_rows.append(row)
-
-    data: Dict[str, Any] = {
-        "circuit": circuit.name,
-        "gates": circuit.num_gates(),
-        "outputs": outputs,
-        "gate_criticality": gate_rows,
-        "top_paths": path_rows,
-        "top_path_mass": float(sum(p.criticality for p in paths)),
-        "source_mass": crit_result.total_source_mass(),
-    }
-    if slack_result is not None:
-        worst = slack_result.worst_slacks(max_gates)
-        data["clock_period"] = slack_result.clock_period
-        data["worst_slacks"] = [
-            {"net": net, "mean": rv.mean, "sigma": rv.sigma}
-            for net, rv in worst
-        ]
-        histograms = []
-        ranked_gates = sorted(
-            slack_result.slack_pdfs.items(),
-            key=lambda kv: (kv[1].mean(), kv[0]),
-        )[:max_slack_histograms]
-        for name, pdf in ranked_gates:
-            histograms.append(
-                {
-                    "gate": name,
-                    "mean": pdf.mean(),
-                    "sigma": pdf.std(),
-                    "pdf": [list(point) for point in pdf.as_tuples()],
-                }
-            )
-        data["slack_histograms"] = histograms
-    if mc_result is not None:
-        data["monte_carlo"] = {
-            "num_samples": mc_result.num_samples,
-            "max_abs_gate_error": mc_result.max_abs_gate_error(
-                crit_result.gate_criticality
-            ),
-            "mean_abs_gate_error": mc_result.mean_abs_gate_error(
-                crit_result.gate_criticality
-            ),
-        }
-    return data

@@ -7,7 +7,7 @@ shape as the paper's tables, making paper-vs-measured comparison easy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.analysis.experiments import Fig4Point
 from repro.analysis.metrics import Table1Row, summarize_rows
@@ -111,120 +111,3 @@ def format_pdf_curve(
         bar = "#" * int(round(width * prob / max_p))
         lines.append(f"{value:10.1f} ps | {bar}")
     return "\n".join(lines)
-
-
-def _markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render rows as a GitHub-flavoured markdown table."""
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines)
-
-
-def format_criticality_report(data: Dict, markdown: bool = False) -> str:
-    """Render a criticality-report payload as plain text or markdown.
-
-    ``data`` is the dict produced by
-    :func:`repro.analysis.metrics.criticality_report_data`; the JSON form of
-    a report is simply ``json.dumps(data)``.
-    """
-    table = _markdown_table if markdown else format_table
-    heading = (lambda text: f"## {text}") if markdown else (lambda text: f"== {text} ==")
-    sections: List[str] = []
-
-    title = (
-        f"Statistical criticality report: {data['circuit']} "
-        f"({data['gates']} gates)"
-    )
-    sections.append(f"# {title}" if markdown else title)
-    if "clock_period" in data:
-        sections.append(f"clock period: {data['clock_period']:.1f} ps")
-    sections.append(
-        f"source criticality mass: {data['source_mass']:.6f} (conserved ~1)"
-    )
-
-    mc = data.get("monte_carlo")
-    if mc:
-        sections.append(
-            f"Monte-Carlo cross-check ({mc['num_samples']} samples): "
-            f"max |analytic - MC| gate criticality "
-            f"{mc['max_abs_gate_error']:.4f}, "
-            f"mean {mc['mean_abs_gate_error']:.5f}"
-        )
-
-    has_mc = mc is not None
-    out_headers = ["output", "P(critical)", *(["MC freq"] if has_mc else [])]
-    out_rows = [
-        [row["net"], f"{row['probability']:.4f}",
-         *([f"{row.get('mc_frequency', 0.0):.4f}"] if has_mc else [])]
-        for row in data["outputs"]
-    ]
-    sections.append(heading("Output criticality") + "\n" + table(out_headers, out_rows))
-
-    gate_headers = ["gate", "cell", "size", "criticality",
-                    *(["MC freq"] if has_mc else [])]
-    gate_rows = [
-        [row["gate"], row["cell"], row["size"], f"{row['criticality']:.4f}",
-         *([f"{row.get('mc_frequency', 0.0):.4f}"] if has_mc else [])]
-        for row in data["gate_criticality"]
-    ]
-    sections.append(
-        heading("Gate criticality (top)") + "\n" + table(gate_headers, gate_rows)
-    )
-
-    path_headers = [
-        "rank", "criticality", "output", "source", "len", "arrival", "path",
-        *(["MC freq"] if has_mc else []),
-    ]
-    path_rows = []
-    for row in data["top_paths"]:
-        gates = row["gates"]
-        shown = (
-            " > ".join(gates)
-            if len(gates) <= 6
-            else " > ".join(gates[:3]) + f" > ... > {gates[-1]}"
-        )
-        path_rows.append(
-            [
-                row["rank"],
-                f"{row['criticality']:.4f}",
-                row["output"],
-                row["source"],
-                row["length"],
-                f"{row['arrival_mean']:.1f}+/-{row['arrival_sigma']:.1f}",
-                shown,
-                *([f"{row.get('mc_frequency', 0.0):.4f}"] if has_mc else []),
-            ]
-        )
-    sections.append(
-        heading(
-            f"Top statistical paths (combined mass "
-            f"{data['top_path_mass']:.4f})"
-        )
-        + "\n"
-        + table(path_headers, path_rows)
-    )
-
-    if data.get("worst_slacks"):
-        slack_headers = ["net", "slack mean (ps)", "sigma"]
-        slack_rows = [
-            [row["net"], f"{row['mean']:.1f}", f"{row['sigma']:.2f}"]
-            for row in data["worst_slacks"]
-        ]
-        sections.append(
-            heading("Worst statistical slacks") + "\n" + table(slack_headers, slack_rows)
-        )
-    for histogram in data.get("slack_histograms", []):
-        curve = format_pdf_curve(
-            histogram["pdf"],
-            label=(
-                f"slack pdf of {histogram['gate']} "
-                f"(mean {histogram['mean']:.1f} ps, "
-                f"sigma {histogram['sigma']:.2f} ps)"
-            ),
-        )
-        sections.append("```\n" + curve + "\n```" if markdown else curve)
-    return "\n\n".join(sections)

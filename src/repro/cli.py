@@ -11,9 +11,6 @@ exposes the main flows without writing any Python:
   StatisticalGreedy) and report the Table 1 metrics for one circuit
   (``--explain-path`` additionally prints the final design's WNSS trace
   with every dominance-vs-sensitivity decision);
-* ``report`` — statistical criticality report: per-gate criticality
-  probabilities, top-k statistical paths, slack pdfs and an optional
-  Monte-Carlo cross-check, as text, markdown or JSON;
 * ``lint``   — run the static design-rule checker (DRC001 ...) over a
   circuit and report diagnostics as text or JSON; exit 0 when clean at the
   chosen severity threshold, 1 otherwise, 2 on usage errors;
@@ -47,16 +44,10 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.analysis.experiments import run_table1
-from repro.analysis.metrics import criticality_report_data
-from repro.analysis.report import (
-    format_criticality_report,
-    format_table,
-    format_table1,
-)
+from repro.analysis.report import format_table, format_table1
 from repro.runner.errors import DeterministicError
 from repro.runner.sweep import (
     SubstrateSpec,
-    criticality_specs,
     fig4_specs,
     run_cells,
     table1_specs,
@@ -69,7 +60,6 @@ from repro.circuits.registry import (
     PAPER_GATE_COUNTS,
     build_benchmark,
 )
-from repro.core.baseline import MeanDelaySizer
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA
 from repro.core.sizer import SizerConfig
@@ -159,6 +149,40 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="unsystematic (size-independent) delay sigma in ps")
 
 
+#: The valid range of every numeric option, by flag: (test, rule).  A
+#: command reads only the flags its parser defines; ``--top`` is numeric
+#: only for ``stats`` (elsewhere it names a Verilog module).
+NUMERIC_OPTIONS = {
+    "--sizes-per-cell": (lambda v: 2 <= v <= 10, "in [2, 10]"),
+    "--alpha": (lambda v: v >= 0, ">= 0"),
+    "--random-sigma": (lambda v: v >= 0, ">= 0"),
+    "--lam": (lambda v: v >= 0, ">= 0"),
+    "--period": (lambda v: v >= 0, ">= 0"),
+    "--target-yield": (lambda v: 0.5 <= v < 1, "in [0.5, 1)"),
+    "--max-area-ratio": (lambda v: v >= 1, ">= 1"),
+    "--pdf-samples": (lambda v: v >= 3, ">= 3"),
+    "--max-iterations": (lambda v: v >= 1, ">= 1"),
+    "--monte-carlo": (lambda v: v == 0 or v >= 2, "0 (off) or >= 2"),
+    "--seed": (lambda v: v >= 0, ">= 0"),
+    "--jobs": (lambda v: v >= 1, ">= 1"),
+    "--top": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def _check_numeric_options(args) -> Optional[str]:
+    """The error message of the first out-of-range numeric option, or None.
+
+    ``main`` calls this once, before a command builds a circuit, so a bad
+    value ends the run before any lint, sizing or analysis starts.
+    """
+    for flag, (valid, rule) in NUMERIC_OPTIONS.items():
+        values = getattr(args, flag[2:].replace("-", "_"), None)
+        for value in values if isinstance(values, list) else [values]:
+            if isinstance(value, (int, float)) and not valid(value):
+                return f"{flag} must be {rule}, got {value:g}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -231,26 +255,7 @@ def cmd_ssta(args) -> int:
     return 0
 
 
-def _check_yield_options(objective: str, target_yields, max_area_ratio=None,
-                         pdf_samples=None) -> Optional[str]:
-    """Validate yield-mode CLI inputs; returns an error message or None."""
-    if objective == "yield":
-        for target in target_yields:
-            if not 0.5 <= target < 1.0:
-                return f"--target-yield must be in [0.5, 1), got {target:g}"
-    if max_area_ratio is not None and max_area_ratio < 1.0:
-        return f"--max-area-ratio must be >= 1, got {max_area_ratio:g}"
-    if pdf_samples is not None and pdf_samples < 3:
-        return f"--pdf-samples must be >= 3, got {pdf_samples}"
-    return None
-
-
 def cmd_size(args) -> int:
-    problem = _check_yield_options(args.objective, [args.target_yield],
-                                   args.max_area_ratio, args.pdf_samples)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     circuit = load_circuit(args.circuit, top=args.top)
     library, delay_model, variation_model = _substrates(args)
     config = SizerConfig(
@@ -350,54 +355,6 @@ def cmd_lint(args) -> int:
     return report.exit_code(fail_on=fail_on)
 
 
-def cmd_report(args) -> int:
-    """Statistical criticality report (text / markdown / JSON)."""
-    if args.top_k < 1:
-        print("error: --top-k must be >= 1", file=sys.stderr)
-        return 2
-    circuit = load_circuit(args.circuit, top=args.top)
-    _, delay_model, variation_model = _substrates(args)
-    if args.baseline:
-        MeanDelaySizer(delay_model).optimize(circuit)
-
-    # Lazy imports keep the criticality stack out of unrelated commands.
-    from repro.criticality import (
-        CriticalityAnalyzer,
-        MonteCarloCriticality,
-        compute_slacks,
-        extract_top_paths,
-    )
-
-    analysis = FASSTA(delay_model, variation_model).analyze(circuit)
-    crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)
-    paths = extract_top_paths(circuit, crit, analysis.arrivals, k=args.top_k)
-    slack = compute_slacks(
-        circuit,
-        analysis.arrivals,
-        analysis.gate_delays,
-        clock_period=args.period,
-        lam=args.lam,
-    )
-    mc = None
-    if args.monte_carlo:
-        mc = MonteCarloCriticality(delay_model, variation_model).run(
-            circuit, num_samples=args.monte_carlo, seed=args.seed, paths=paths
-        )
-    data = criticality_report_data(circuit, crit, paths, slack, mc)
-    if args.format == "json":
-        import json
-
-        text = json.dumps(data, indent=2, sort_keys=True)
-    else:
-        text = format_criticality_report(data, markdown=(args.format == "markdown"))
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"report written to {args.out}")
-    else:
-        print(text)
-    return 0
-
-
 #: Default circuit subset for table1/sweep runs (small enough to regenerate
 #: interactively; the full 13-circuit set is spelled out explicitly).
 DEFAULT_TABLE1_CIRCUITS = ["alu1", "alu2", "alu3", "c432", "c499"]
@@ -434,17 +391,9 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.kind not in ("table1", "criticality") and args.monte_carlo:
-        print("error: --monte-carlo is only supported with "
-              "--kind table1/criticality", file=sys.stderr)
-        return 2
-    if args.kind == "yield":
-        problem = _check_yield_options("yield", args.target_yield)
-        if problem:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
-    if args.kind == "criticality" and args.top_k < 1:
-        print(f"error: --top-k must be >= 1, got {args.top_k}", file=sys.stderr)
+    if args.kind != "table1" and args.monte_carlo:
+        print("error: --monte-carlo is only supported with --kind table1",
+              file=sys.stderr)
         return 2
     substrates = _substrate_spec(args)
     config = _sweep_sizer_config(args, quick=args.quick)
@@ -465,14 +414,6 @@ def cmd_sweep(args) -> int:
             circuits,
             args.target_yield,
             sizer_config=config,
-            substrates=substrates,
-        )
-    elif args.kind == "criticality":
-        specs = criticality_specs(
-            circuits,
-            top_k=args.top_k,
-            monte_carlo_samples=args.monte_carlo,
-            seed=args.seed,
             substrates=substrates,
         )
     else:
@@ -510,8 +451,6 @@ def cmd_sweep(args) -> int:
             return
         if result.spec.kind == "yield":
             axis = f"y={result.spec.target_yield:<5g}"
-        elif result.spec.kind == "criticality":
-            axis = f"k={result.spec.top_k or 5:<6d}"
         else:
             axis = f"lam={result.spec.lam:<4g}"
         print(
@@ -561,21 +500,6 @@ def cmd_sweep(args) -> int:
                 f"{-cell['period_reduction_pct']:+.1f}",
                 f"{100 * cell['original_yield_at_final_period']:.2f}",
                 f"{cell['area']:.0f}",
-            ))
-        print(format_table(headers, body))
-    elif args.kind == "criticality":
-        headers = ["circuit", "gates", "paths", "top_mass", "source_mass",
-                   "mc_max_err", "mc_mean_err"]
-        body = []
-        for result in report.results:
-            cell = result.result
-            body.append((
-                cell["circuit"], cell["gates"], len(cell["top_paths"]),
-                f"{cell['top_path_mass']:.4f}", f"{cell['source_mass']:.6f}",
-                (f"{cell['mc_max_abs_gate_error']:.4f}"
-                 if "mc_max_abs_gate_error" in cell else "-"),
-                (f"{cell['mc_mean_abs_gate_error']:.5f}"
-                 if "mc_mean_abs_gate_error" in cell else "-"),
             ))
         print(format_table(headers, body))
     else:
@@ -693,34 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(p_size)
     p_size.set_defaults(func=cmd_size)
 
-    p_report = sub.add_parser(
-        "report",
-        help="statistical criticality report (gate/path criticality "
-             "probabilities, slack pdfs)",
-    )
-    p_report.add_argument("circuit")
-    p_report.add_argument("--lam", type=float, default=3.0,
-                          help="sigma weight used for the default clock "
-                               "period and output ranking")
-    p_report.add_argument("--top-k", type=int, default=5,
-                          help="number of statistical paths to extract")
-    p_report.add_argument("--period", type=float, default=None,
-                          help="clock period (ps) anchoring the slack pdfs; "
-                               "defaults to the worst weighted output cost")
-    p_report.add_argument("--baseline", action="store_true",
-                          help="size for minimum mean delay before analysing")
-    p_report.add_argument("--monte-carlo", type=int, default=0, metavar="N",
-                          help="cross-check criticalities against N "
-                               "Monte-Carlo critical-path draws")
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument("--format", choices=["text", "markdown", "json"],
-                          default="text")
-    p_report.add_argument("--out", default=None, metavar="FILE",
-                          help="write the report to FILE instead of stdout")
-    _add_frontend_options(p_report)
-    _add_common_options(p_report)
-    p_report.set_defaults(func=cmd_report)
-
     p_lint = sub.add_parser(
         "lint",
         help="static design-rule check of a circuit (DRC001 ...)",
@@ -764,18 +660,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip cells whose artifact matches the current config")
     p_sweep.add_argument("--quick", action="store_true",
                          help="CI smoke mode: tiny circuits, reduced sizer budget")
-    p_sweep.add_argument("--kind",
-                         choices=["table1", "fig4", "yield", "criticality"],
+    p_sweep.add_argument("--kind", choices=["table1", "fig4", "yield"],
                          default="table1",
-                         help="cell type: Table-1 rows, Fig-4 trade-off points, "
-                              "yield-objective cells or criticality analyses")
+                         help="cell type: Table-1 rows, Fig-4 trade-off points "
+                              "or yield-objective cells")
     p_sweep.add_argument("--target-yield", type=float, nargs="+", default=[0.99],
                          help="target yields swept by --kind yield")
-    p_sweep.add_argument("--top-k", type=int, default=5,
-                         help="statistical paths per --kind criticality cell")
     p_sweep.add_argument("--monte-carlo", type=int, default=0, metavar="N",
-                         help="validate each table1/criticality cell with N "
-                              "MC samples")
+                         help="validate each table1 cell with N MC samples")
     p_sweep.add_argument("--max-iterations", type=int, default=None,
                          help="cap the sizer's outer-loop passes per cell")
     p_sweep.add_argument("--no-preflight", action="store_true",
@@ -814,6 +706,10 @@ def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _check_numeric_options(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -54,7 +54,6 @@ class FasstaResult:
     """Arrival-time moments produced by one FASSTA run."""
 
     arrivals: Dict[str, NormalDelay]
-    gate_delays: Dict[str, NormalDelay]
     output_rv: NormalDelay
 
     def arrival(self, net: str) -> NormalDelay:
@@ -147,26 +146,17 @@ class FASSTA:
         """
         METRICS.counter("fassta.runs")
         with span("fassta.analyze") as sp:
-            arrivals, gate_delays = self._propagate(circuit)
-            sp.set(gates=len(gate_delays))
-        return self._build_result(circuit, arrivals, gate_delays)
+            arrivals = self._propagate(circuit)
+            sp.set(gates=circuit.num_gates())
+        return self._build_result(circuit, arrivals)
 
     # ------------------------------------------------------------------
-    def _propagate(
-        self, circuit: Circuit
-    ) -> Tuple[Dict[str, NormalDelay], Dict[str, NormalDelay]]:
+    def _propagate(self, circuit: Circuit) -> Dict[str, NormalDelay]:
         plan = circuit.compiled()
 
         mu = np.zeros(plan.num_nets + 1)  # + the fanin sentinel
         sg = np.zeros(plan.num_nets + 1)
         delay_mu, delay_sg = self.variation_model.delay_moments(circuit, self.delay_model)
-        gate_delays = dict(
-            zip(
-                plan.gate_names,
-                map(NormalDelay, delay_mu.tolist(), delay_sg.tolist()),
-                strict=True,
-            )
-        )
         for lo, hi in pairwise(plan.level_offsets.tolist()):
             in_slots = plan.fanin_matrix[lo:hi]
             out = slice(plan.num_pis + lo, plan.num_pis + hi)
@@ -174,19 +164,15 @@ class FASSTA:
                 mu, sg, in_slots, in_slots != plan.num_nets, delay_mu[lo:hi], delay_sg[lo:hi]
             )
 
-        arrivals = {
+        return {
             net: NormalDelay(float(mu[idx]), float(sg[idx]))
             for net, idx in plan.net_index.items()
             if net not in plan.floating
         }
-        return arrivals, gate_delays
 
     # ------------------------------------------------------------------
     def _build_result(
-        self,
-        circuit: Circuit,
-        arrivals: Dict[str, NormalDelay],
-        gate_delays: Dict[str, NormalDelay],
+        self, circuit: Circuit, arrivals: Dict[str, NormalDelay]
     ) -> FasstaResult:
         output_nets = circuit.primary_outputs
         if not output_nets:
@@ -197,4 +183,4 @@ class FASSTA:
                 f"unknown output net(s) {missing} in circuit {circuit.name!r}"
             )
         output_rv = NormalDelay.maximum_of([arrivals[net] for net in output_nets])
-        return FasstaResult(arrivals=arrivals, gate_delays=gate_delays, output_rv=output_rv)
+        return FasstaResult(arrivals=arrivals, output_rv=output_rv)

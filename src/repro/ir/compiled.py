@@ -1,11 +1,10 @@
 """The compiled array-native circuit IR.
 
 Every analysis engine in the reproduction used to re-derive its own
-levelized schedule over per-gate Python objects (three near-identical
-``_VectorPlan`` copies lived in FASSTA, FULLSSTA and the criticality
-analyzer).  :class:`CompiledCircuit` promotes that schedule into a single
-structure-of-arrays lowering of a :class:`~repro.netlist.circuit.Circuit`
-that *every* consumer shares:
+levelized schedule over per-gate Python objects (near-identical
+``_VectorPlan`` copies lived in several engines).  :class:`CompiledCircuit`
+promotes that schedule into a single structure-of-arrays lowering of a
+:class:`~repro.netlist.circuit.Circuit` that *every* consumer shares:
 
 * **integer ids** — gates and nets are numbered once; ``gate_names`` /
   ``net_names`` and the inverse ``gate_index`` / ``net_index`` maps are the
@@ -30,8 +29,8 @@ that *every* consumer shares:
   program of DSTA's committed timer (a column per previewed trial, from the
   lowest dirty level) and of Monte Carlo (column blocks of samples), parks
   ``-inf`` at the sentinel and folds a level with one gather through
-  ``fanin_matrix.T`` and one ``max``; FASSTA, FULLSSTA and the criticality
-  analyzer mask the sentinel columns instead.
+  ``fanin_matrix.T`` and one ``max``; FASSTA and FULLSSTA mask the
+  sentinel columns instead.
   Incremental re-analysis walks the same windows for its dirty cones:
   :meth:`fanout_cones <CompiledCircuit.fanout_cones>` propagates one reach
   mask per stacked trial level by level, so every trial's static fanout
@@ -47,8 +46,8 @@ that *every* consumer shares:
 Lowering happens once per ``structure_version`` through
 :meth:`Circuit.compiled() <repro.netlist.circuit.Circuit.compiled>`, which
 caches the instance on the circuit itself — FASSTA, FULLSSTA, DSTA, the
-Monte-Carlo timers, the criticality analyzer and incremental re-analysis
-all see the *same* :class:`CompiledCircuit` object for a given structure.
+Monte-Carlo timer and incremental re-analysis all see the *same*
+:class:`CompiledCircuit` object for a given structure.
 """
 
 from __future__ import annotations

@@ -24,10 +24,9 @@ stage's ``(mu, sigma)`` (:meth:`VariationModel.delay_moments
 (``circuit.topological_order()``), so the generator stream, and with
 exact ``max`` and addition the samples, are bit-identical to the historical
 per-gate loop (``tests/montecarlo/test_mc.py``).
-:meth:`MonteCarloTimer.sample` is that one sampler: the timer reduces its
-arrival matrix to circuit-delay samples, and
-:class:`~repro.criticality.mc.MonteCarloCriticality` backtraces the same
-draws' critical paths.
+:meth:`MonteCarloTimer.sample` is that one sampler, and
+:meth:`MonteCarloTimer.run` reduces its arrival matrix to circuit-delay
+samples.
 
 Boundary conditions match the SSTA engines: primary inputs *and* floating
 (undriven non-PI) gate inputs carry a zero arrival.  Undriven primary

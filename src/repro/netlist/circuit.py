@@ -213,8 +213,8 @@ class Circuit:
     def compiled(self, verify: Optional[bool] = None) -> "CompiledCircuit":
         """The circuit's array-native IR, lowered once per structure version.
 
-        Every engine (FASSTA, FULLSSTA, DSTA, Monte Carlo, criticality,
-        incremental re-analysis) consumes the *same*
+        Every engine (FASSTA, FULLSSTA, DSTA, Monte Carlo, incremental
+        re-analysis) consumes the *same*
         :class:`~repro.ir.compiled.CompiledCircuit` instance for a given
         structure.  Structural mutations bump ``structure_version`` and the
         next call relowers; :meth:`set_size` (and a size-only

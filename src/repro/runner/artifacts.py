@@ -14,13 +14,14 @@ directory::
     }
 
 ``<digest>`` is a short prefix of the spec key, so every input that shapes
-the result — including ``top_k``, ``monte_carlo_samples``, ``seed``,
-substrates and the full sizer config — participates in the *filename*, not
-just the stored key.  Without it, two criticality cells for the same
-circuit (both ``lam=0.0``) would overwrite one file and defeat resume
-forever.  A consequence: artifacts of superseded configurations are left
-behind under their old digests rather than overwritten; they are inert
-(resume only consults the current cell's path).
+the result — including ``monte_carlo_samples``, ``seed``, substrates and
+the full sizer config — participates in the *filename*, not just the
+stored key.  Without it, two table1 cells for the same circuit and lambda
+that differ only in their Monte-Carlo sample count or seed would overwrite
+one file and defeat resume forever.  A consequence: artifacts of
+superseded configurations are left behind under their old digests rather
+than overwritten; they are inert (resume only consults the current cell's
+path).
 
 Resume semantics: a cell is skipped if and only if its artifact exists,
 parses, carries the current schema number and its ``key`` equals the hash
@@ -40,7 +41,8 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 #: Bump when the artifact layout or the result payloads change shape;
 #: older artifacts are then recomputed instead of trusted.
-#: 2: filenames carry a spec-key digest (top_k/mc/seed collision fix).
+#: 2: filenames carry a spec-key digest (Monte-Carlo samples / seed
+#: collision fix).
 ARTIFACT_SCHEMA = 2
 
 #: Length of the spec-key digest embedded in artifact filenames.  8 hex

@@ -64,7 +64,7 @@ from repro.runner.errors import check_payload_health
 from repro.variation.model import VariationModel
 
 #: Cell kinds understood by :func:`evaluate_cell`.
-KINDS = ("table1", "fig4", "yield", "criticality")
+KINDS = ("table1", "fig4", "yield")
 
 
 def config_with_lam(config: Optional[SizerConfig], lam: float) -> SizerConfig:
@@ -114,11 +114,6 @@ class CellSpec:
     ``target_yield`` is set, their ``lam`` is fixed at 0.0 (the weight is
     derived from the target inside the sizer) and the artifact filename
     carries the target so different targets never collide.
-
-    ``criticality`` cells analyse the mean-delay-sized design's statistical
-    criticality (per-gate probabilities, top-``top_k`` paths, optional
-    Monte-Carlo agreement) instead of running the statistical sizer; their
-    ``lam`` is likewise fixed at 0.0.
     """
 
     kind: str
@@ -129,15 +124,12 @@ class CellSpec:
     seed: int = 0
     substrates: SubstrateSpec = SubstrateSpec()
     target_yield: Optional[float] = None
-    top_k: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "yield" and self.target_yield is None:
             raise ValueError("yield cells need a target_yield")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         # Normalize so lam=3 and lam=3.0 describe the same cell: both the
         # artifact filename and the json-encoded key payload must agree, or
         # resume would recompute (and duplicate) semantically identical cells.
@@ -156,7 +148,6 @@ class CellSpec:
             "circuit": self.circuit,
             "lam": self.lam,
             "target_yield": self.target_yield,
-            "top_k": self.top_k,
             "sizer_config": sizer_config,
             "monte_carlo_samples": self.monte_carlo_samples,
             "seed": self.seed,
@@ -170,9 +161,9 @@ class CellSpec:
         """Short spec-key prefix folded into the artifact filename.
 
         Covers every spec field the explicit filename parts miss —
-        ``top_k``, ``monte_carlo_samples``, ``seed``, substrates and the
-        sizer config — so two criticality cells for the same circuit
-        (both ``lam=0.0``) can never overwrite one file.
+        ``monte_carlo_samples``, ``seed``, substrates and the sizer config —
+        so two table1 cells for the same circuit and lambda can never
+        overwrite one file.
         """
         return self.key()[:DIGEST_LEN]
 
@@ -320,36 +311,6 @@ def yield_specs(
     ]
 
 
-def criticality_specs(
-    circuit_names: Sequence[str],
-    top_k: int = 5,
-    monte_carlo_samples: int = 0,
-    seed: int = 0,
-    substrates: Optional[SubstrateSpec] = None,
-) -> List[CellSpec]:
-    """One criticality-analysis cell per circuit.
-
-    Each cell sizes its circuit for minimum mean delay (the common starting
-    point of every sweep kind), computes the analytic gate criticalities and
-    the top-``top_k`` statistical paths, and — when ``monte_carlo_samples``
-    is positive — cross-checks them against empirical critical-path
-    frequencies.
-    """
-    substrates = substrates or SubstrateSpec()
-    return [
-        CellSpec(
-            kind="criticality",
-            circuit=name,
-            lam=0.0,
-            monte_carlo_samples=monte_carlo_samples,
-            seed=seed,
-            substrates=substrates,
-            top_k=top_k,
-        )
-        for name in circuit_names
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Per-cell evaluators (module-level so they pickle into workers)
 # ---------------------------------------------------------------------------
@@ -449,61 +410,10 @@ def _evaluate_yield(spec: CellSpec) -> Dict[str, Any]:
     return result
 
 
-def _evaluate_criticality(spec: CellSpec) -> Dict[str, Any]:
-    from repro.core.baseline import MeanDelaySizer
-    from repro.core.fassta import FASSTA
-    from repro.criticality import (
-        CriticalityAnalyzer,
-        MonteCarloCriticality,
-        extract_top_paths,
-        total_path_mass,
-    )
-
-    circuit = build_benchmark(spec.circuit)
-    _, delay_model, variation_model = spec.substrates.build()
-    MeanDelaySizer(delay_model).optimize(circuit)
-    analysis = FASSTA(delay_model, variation_model).analyze(circuit)
-    crit = CriticalityAnalyzer(circuit).analyze(analysis.arrivals)
-    top_k = spec.top_k or 5
-    paths = extract_top_paths(circuit, crit, analysis.arrivals, k=top_k)
-    result: Dict[str, Any] = {
-        "circuit": spec.circuit,
-        "gates": circuit.num_gates(),
-        "source_mass": crit.total_source_mass(),
-        "top_path_mass": total_path_mass(paths),
-        "top_paths": [
-            {
-                "output": path.output_net,
-                "source": path.source_net,
-                "criticality": path.criticality,
-                "length": len(path.gates),
-                "exact": path.exact,
-            }
-            for path in paths
-        ],
-    }
-    if spec.monte_carlo_samples > 0:
-        mc = MonteCarloCriticality(delay_model, variation_model).run(
-            circuit,
-            num_samples=spec.monte_carlo_samples,
-            seed=spec.seed,
-            paths=paths,
-        )
-        result["mc_max_abs_gate_error"] = mc.max_abs_gate_error(
-            crit.gate_criticality
-        )
-        result["mc_mean_abs_gate_error"] = mc.mean_abs_gate_error(
-            crit.gate_criticality
-        )
-        result["mc_path_frequency"] = list(mc.path_frequency)
-    return result
-
-
 _EVALUATORS: Dict[str, Callable[[CellSpec], Dict[str, Any]]] = {
     "table1": _evaluate_table1,
     "fig4": _evaluate_fig4,
     "yield": _evaluate_yield,
-    "criticality": _evaluate_criticality,
 }
 
 

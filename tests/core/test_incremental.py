@@ -52,14 +52,14 @@ def assert_results_identical(got, want):
 
 def fassta_reference(fold, engine, circuit):
     """A FASSTA result from the gate-by-gate reference fold."""
-    arrivals, gate_delays = fold(
+    arrivals, _ = fold(
         circuit,
         lambda gate: engine.gate_delay_rv(circuit, gate.name),
         ZERO_DELAY,
         NormalDelay.maximum_of,
         operator.add,
     )
-    return engine._build_result(circuit, arrivals, gate_delays)
+    return engine._build_result(circuit, arrivals)
 
 
 class TestVectorizedFassta:

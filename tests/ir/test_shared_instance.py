@@ -1,7 +1,7 @@
 """One circuit structure, one CompiledCircuit — shared by every engine.
 
-The whole point of the IR layer: FASSTA, FULLSSTA, DSTA, the Monte-Carlo
-timers and the criticality analyzer must all consume the *same*
+The whole point of the IR layer: FASSTA, FULLSSTA, DSTA and the
+Monte-Carlo timer must all consume the *same*
 :class:`~repro.ir.compiled.CompiledCircuit` instance for a given circuit
 structure, lowered exactly once.
 """
@@ -11,8 +11,6 @@ import pytest
 import repro.ir.compiled as compiled_mod
 from repro.core.fassta import FASSTA
 from repro.core.fullssta import FULLSSTA
-from repro.criticality.analysis import CriticalityAnalyzer
-from repro.criticality.mc import MonteCarloCriticality
 from repro.montecarlo.mc import MonteCarloTimer
 from repro.sta.dsta import DeterministicSTA
 
@@ -37,19 +35,12 @@ class TestSharedInstance:
     ):
         plan = c17_circuit.compiled()
 
-        fassta = FASSTA(delay_model, variation_model)
-        fassta_result = fassta.analyze(c17_circuit)
-        fullssta = FULLSSTA(delay_model, variation_model)
-        fullssta_result = fullssta.analyze(c17_circuit)
+        FASSTA(delay_model, variation_model).analyze(c17_circuit)
+        FULLSSTA(delay_model, variation_model).analyze(c17_circuit)
         DeterministicSTA(delay_model).analyze(c17_circuit)
         MonteCarloTimer(delay_model, variation_model).run(
             c17_circuit, num_samples=16
         )
-        MonteCarloCriticality(delay_model, variation_model).run(
-            c17_circuit, num_samples=16
-        )
-        CriticalityAnalyzer(c17_circuit).analyze(fassta_result.arrivals)
-        CriticalityAnalyzer(c17_circuit).analyze(fullssta_result.arrival_moments)
 
         # Every engine ran off the cached instance: exactly one lowering
         # (the explicit compiled() call above), and the cache still holds

@@ -35,7 +35,6 @@ from repro.runner.sweep import (
     CellSpec,
     SubstrateSpec,
     config_with_lam,
-    criticality_specs,
     evaluate_cell,
     fig4_specs,
     run_cells,
@@ -167,15 +166,17 @@ class TestArtifacts:
         b = artifact_path(tmp_path, "table1", "c17", 3.0000001)
         assert a != b
 
-    def test_criticality_cells_with_different_knobs_do_not_collide(self, tmp_path):
-        # All three cells are (criticality, c17, lam=0.0); only the spec-key
-        # digest in the filename tells top_k/monte_carlo_samples/seed apart.
-        (a,) = criticality_specs(["c17"], top_k=3)
-        (b,) = criticality_specs(["c17"], top_k=7)
-        (c,) = criticality_specs(["c17"], top_k=3, monte_carlo_samples=50, seed=1)
-        paths = {a.artifact_path(tmp_path), b.artifact_path(tmp_path),
-                 c.artifact_path(tmp_path)}
-        assert len(paths) == 3
+    def test_cells_with_different_knobs_do_not_collide(self, tmp_path):
+        # All three cells are (table1, c17, lam=3.0); only the spec-key
+        # digest in the filename tells monte_carlo_samples/seed apart.
+        (a,) = table1_specs(["c17"], (3.0,), sizer_config=FAST)
+        (b,) = table1_specs(["c17"], (3.0,), sizer_config=FAST, seed=1)
+        (c,) = table1_specs(["c17"], (3.0,), sizer_config=FAST,
+                            monte_carlo_samples=50)
+        paths = [spec.artifact_path(tmp_path) for spec in (a, b, c)]
+        assert len(set(paths)) == 3
+        stems = {path.stem.rsplit("__", 1)[0] for path in paths}
+        assert stems == {"table1__c17__lam3.0"}
 
     def test_digest_is_stable_and_key_derived(self):
         (spec,) = table1_specs(["c17"], (3.0,), sizer_config=FAST)

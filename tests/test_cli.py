@@ -107,6 +107,37 @@ class TestParser:
         assert args.kind == "fig4"
 
 
+class TestNumericOptions:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "c17", "--jobs", "0"],
+        ["size", "c17", "--max-iterations", "0"],
+        ["size", "c17", "--lam", "-1"],
+        ["info", "c17", "--sizes-per-cell", "0"],
+        ["sta", "c17", "--alpha", "-1"],
+        ["size", "c17", "--monte-carlo", "1"],
+        ["ssta", "c17", "--monte-carlo", "1"],
+        ["sweep", "c17", "--quick", "--monte-carlo", "1"],
+        ["ssta", "c17", "--monte-carlo", "100", "--seed", "-1"],
+        ["ssta", "c17", "--period", "-5"],
+        ["table1", "c17", "--lam", "3", "-9"],
+        ["stats", "trace.json", "--top", "0"],
+    ], ids=" ".join)
+    def test_bad_value_exits_2_before_any_work(self, argv, capsys, monkeypatch):
+        import repro.cli as cli
+        import repro.runner.sweep as sweep
+
+        def unreachable(name):
+            raise AssertionError(f"built {name} despite a bad option")
+
+        monkeypatch.setattr(cli, "build_benchmark", unreachable)
+        monkeypatch.setattr(sweep, "build_benchmark", unreachable)
+        assert main(argv) == 2
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {flag} must be ")
+
+
 class TestCommands:
     def test_info(self, capsys):
         assert main(["info", "c17"]) == 0
@@ -188,39 +219,6 @@ class TestCommands:
         assert decision_lines
         assert all("[" in line and "]" in line for line in decision_lines)
 
-    def test_report_text(self, capsys):
-        assert main(["report", "c17", "--top-k", "3",
-                     "--monte-carlo", "500"]) == 0
-        out = capsys.readouterr().out
-        assert "Statistical criticality report: c17" in out
-        assert "Gate criticality" in out
-        assert "Top statistical paths" in out
-        assert "Monte-Carlo cross-check" in out
-        assert "slack pdf of" in out
-
-    def test_report_json(self, capsys):
-        import json
-
-        assert main(["report", "c17", "--format", "json", "--top-k", "2"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["circuit"] == "c17"
-        assert len(data["top_paths"]) == 2
-        assert data["source_mass"] == pytest.approx(1.0, abs=1e-9)
-        assert "monte_carlo" not in data
-
-    def test_report_markdown_to_file(self, tmp_path, capsys):
-        out_file = tmp_path / "crit.md"
-        assert main(["report", "c17", "--format", "markdown",
-                     "--baseline", "--out", str(out_file)]) == 0
-        assert f"report written to {out_file}" in capsys.readouterr().out
-        text = out_file.read_text()
-        assert text.startswith("# Statistical criticality report")
-        assert "| gate | cell | size | criticality |" in text
-
-    def test_report_rejects_bad_top_k(self, capsys):
-        assert main(["report", "c17", "--top-k", "0"]) == 2
-        assert "--top-k" in capsys.readouterr().err
-
     def test_table1_substrate_flags_take_effect(self, capsys):
         # Regression: --alpha/--random-sigma/--sizes-per-cell were parsed but
         # never reached the runs.  With variation zeroed out the original
@@ -298,36 +296,6 @@ class TestSweepCommand:
         assert main(["sweep", "c17", "--kind", "yield", "--target-yield", "1.5",
                      "--out", str(tmp_path)]) == 2
         assert "--target-yield" in capsys.readouterr().err
-
-    def test_criticality_sweep_then_resume(self, tmp_path, capsys):
-        out_dir = tmp_path / "artifacts"
-        argv = ["sweep", "c17", "alu1", "--kind", "criticality",
-                "--top-k", "3", "--monte-carlo", "400", "--out", str(out_dir)]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "2 computed, 0 reused" in first
-        assert "source_mass" in first
-        assert "mc_max_err" in first
-        assert len([p for p in out_dir.glob("criticality__*__lam0.0__*.json")
-                    if not p.name.endswith(".trace.json")]) == 2
-        assert main([*argv, "--resume"]) == 0
-        second = capsys.readouterr().out
-        assert "0 computed, 2 reused" in second
-        table = lambda text: [l for l in text.splitlines()
-                              if l.startswith(("c17", "alu1"))]
-        assert table(first) == table(second)
-
-    def test_criticality_sweep_accepts_monte_carlo(self, tmp_path, capsys):
-        assert main(["sweep", "c17", "--kind", "criticality",
-                     "--monte-carlo", "200", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "mc_max_err" in out
-
-    def test_criticality_sweep_rejects_bad_top_k(self, tmp_path, capsys):
-        # Clean CLI error, not a CellSpec ValueError traceback.
-        assert main(["sweep", "c17", "--kind", "criticality", "--top-k", "0",
-                     "--out", str(tmp_path)]) == 2
-        assert "--top-k" in capsys.readouterr().err
 
     def test_yield_sweep_then_resume(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"

@@ -34,7 +34,7 @@ class TestRL001:
         assert _rules(repro_lint.lint_file(path)) == ["RL001"]
 
     def test_reverse_topological_order_flagged(self, tmp_path):
-        path = _write(tmp_path, "src/repro/criticality/x.py",
+        path = _write(tmp_path, "src/repro/sta/x.py",
                       "def f(c):\n    return c.reverse_topological_order()\n")
         assert _rules(repro_lint.lint_file(path)) == ["RL001"]
 

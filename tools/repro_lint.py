@@ -6,7 +6,7 @@ can, because they encode them directly:
 
 RL001  engine hot paths must consume the compiled IR, not re-walk the
        netlist: no ``topological_order()`` / ``reverse_topological_order()``
-       calls inside ``src/repro/{core,sta,montecarlo,criticality,ir}/``.
+       calls inside ``src/repro/{core,sta,montecarlo,ir}/``.
 RL002  no unseeded randomness in ``src/``: ``np.random.default_rng()``
        without a seed argument, any legacy ``np.random.<fn>()`` global-state
        call, and any stdlib ``random.<fn>()`` call are all flagged —
@@ -45,7 +45,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _PRAGMA_RE = re.compile(r"#.*?repro-lint:\s*allow=([A-Z0-9, ]+)")
 
 #: Hot-path packages whose code must consume the compiled IR (RL001).
-HOT_PATH_PARTS = ("core", "sta", "montecarlo", "criticality", "ir")
+HOT_PATH_PARTS = ("core", "sta", "montecarlo", "ir")
 
 #: Moment attributes whose float-literal equality is brittle (RL004).
 MOMENT_ATTRS = frozenset({"mean", "sigma", "variance", "cv"})
